@@ -56,7 +56,6 @@ def _write_sidecar(out_path: str, config: dict, t0: float) -> None:
         "config_hash": hashlib.sha256(_canonical_json(config).encode()).hexdigest(),
         "seed": config.get("seed"),
         "wall_time_s": round(time.time() - t0, 3),
-        "arithmetic": config.get("arithmetic", "exact"),
     }
     with open(out_path + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=1, sort_keys=True)
@@ -346,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     common.add_argument("--workers", type=int, default=argparse.SUPPRESS)
     common.add_argument("--format", choices=["csv", "json"], default=argparse.SUPPRESS)
-    common.add_argument("--arithmetic", choices=["exact", "float"],
-                        default=argparse.SUPPRESS)
 
     ap = argparse.ArgumentParser(
         prog="gasketlab",
@@ -434,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-GLOBAL_DEFAULTS = {"seed": 0, "workers": 1, "format": "csv", "arithmetic": "exact"}
+GLOBAL_DEFAULTS = {"seed": 0, "workers": 1, "format": "csv"}
 
 
 def main(argv=None) -> int:

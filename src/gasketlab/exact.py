@@ -1,8 +1,11 @@
-"""Exact rational 3x3 matrix kernel shared by the harmonic and measure modules.
+"""Exact 3x3 kernel on integer numerators, shared by the harmonic and measure modules.
 
-Matrices are tuples of tuples of Fraction, vectors are 3-tuples of Fraction.
-All products here are exact; floating conversions happen only at module
-boundaries that explicitly ask for them.
+A_i = A_INT[i]/5, P = P_INT/3 and Y_i = P A_i P = Y_INT[i]/5. A state is a
+3-vector of ints over one denominator: 5^k * d after k restriction steps from
+data with common denominator d (3 * 5^k on the Y-route, which starts from P).
+`cell_leaves` is the one cell-tree traversal. Fractions are built only at the
+API boundary; normalised Fractions are canonical, so they equal what
+step-by-step Fraction arithmetic gives.
 
 Word convention: a cell word w = w1 w2 ... wm over {1,2,3} addresses the cell
 F_{w1} o F_{w2} o ... o F_{wm} (unit gasket). Restriction matrices compose in
@@ -12,85 +15,121 @@ first on boundary data.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-Mat = tuple[tuple[Fraction, ...], ...]
-Vec = tuple[Fraction, Fraction, Fraction]
+IntMat = tuple[tuple[int, int, int], ...]
 
+# Projection onto the mean-zero plane: P = I - (1/3) ones, over 3.
+P_INT: IntMat = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
 
-def _mat(rows, den) -> Mat:
-    return tuple(tuple(Fraction(x, den) for x in r) for r in rows)
-
-
-# Projection onto the mean-zero plane: P = I - (1/3) ones.
-P_MAT: Mat = _mat([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], 3)
-
-# Harmonic restriction matrices: row j of A_i gives the harmonic value at the
-# j-th corner image of cell i in terms of the three parent corner values.
-A_MATS: dict[int, Mat] = {
-    1: _mat([[5, 0, 0], [2, 2, 1], [2, 1, 2]], 5),
-    2: _mat([[2, 2, 1], [0, 5, 0], [1, 2, 2]], 5),
-    3: _mat([[2, 1, 2], [1, 2, 2], [0, 0, 5]], 5),
+# Harmonic restriction matrices over 5: row j of A_i gives the harmonic value
+# at the j-th corner image of cell i in terms of the three parent corner values.
+A_INT: dict[int, IntMat] = {
+    1: ((5, 0, 0), (2, 2, 1), (2, 1, 2)),
+    2: ((2, 2, 1), (0, 5, 0), (1, 2, 2)),
+    3: ((2, 1, 2), (1, 2, 2), (0, 0, 5)),
 }
 
-IDENTITY: Mat = tuple(
-    tuple(Fraction(1) if i == j else Fraction(0) for j in range(3)) for i in range(3)
-)
 
-
-def mat_mul(x: Mat, y: Mat) -> Mat:
+def _imat_mul(x: IntMat, y: IntMat) -> IntMat:
     return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3))
+        tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] + x[i][2] * y[2][j] for j in range(3))
         for i in range(3)
     )
 
 
-def mat_vec(x: Mat, v) -> Vec:
-    return tuple(sum(x[i][k] * v[k] for k in range(3)) for i in range(3))
+# Y_i = P A_i P = (P_INT A_INT[i] P_INT) / 45, and every entry divides by 9.
+Y_INT: dict[int, IntMat] = {
+    i: tuple(tuple(x // 9 for x in row) for row in _imat_mul(_imat_mul(P_INT, a), P_INT))
+    for i, a in A_INT.items()
+}
 
 
-def transpose(x: Mat) -> Mat:
-    return tuple(tuple(x[j][i] for j in range(3)) for i in range(3))
+class RatMat(tuple):
+    """A 3x3 matrix as a tuple of Fraction rows that keeps its integer
+    numerators `num` over the single denominator `den`."""
+
+    def __new__(cls, num: IntMat, den: int):
+        self = super().__new__(cls, (tuple(Fraction(x, den) for x in row) for row in num))
+        self.num, self.den = num, den
+        return self
 
 
-def trace(x: Mat) -> Fraction:
-    return x[0][0] + x[1][1] + x[2][2]
+P_MAT = RatMat(P_INT, 3)
+A_MATS: dict[int, RatMat] = {i: RatMat(a, 5) for i, a in A_INT.items()}
+Y_MATS: dict[int, RatMat] = {i: RatMat(y, 5) for i, y in Y_INT.items()}
 
 
-Y_MATS: dict[int, Mat] = {i: mat_mul(mat_mul(P_MAT, A_MATS[i]), P_MAT) for i in (1, 2, 3)}
+def to_numerators(values) -> tuple[tuple[int, ...], int]:
+    """Integer numerators of rational `values` over the lcm of their
+    denominators; a float is taken at its exact binary value."""
+    fr = [x if type(x) in (int, Fraction) else Fraction(x) for x in values]
+    d = math.lcm(*[x.denominator for x in fr])
+    return tuple([x.numerator * (d // x.denominator) for x in fr]), d
 
 
-def a_product(word: str) -> Mat:
-    """A_[w] = A_{wm} ... A_{w1}; empty word gives the identity."""
-    m = IDENTITY
+def _imat_vec(x: IntMat, v) -> tuple[int, int, int]:
+    a, b, c = v
+    r0, r1, r2 = x
+    return (r0[0] * a + r0[1] * b + r0[2] * c,
+            r1[0] * a + r1[1] * b + r1[2] * c,
+            r2[0] * a + r2[1] * b + r2[2] * c)
+
+
+def pairwise_sq(v) -> int:
+    """sum_{i<j} (v_i - v_j)^2 = 3 v^T P v, for integer v."""
+    d01, d02, d12 = v[0] - v[1], v[0] - v[2], v[1] - v[2]
+    return d01 * d01 + d02 * d02 + d12 * d12
+
+
+_SYMBOLS = ((1, "1"), (2, "2"), (3, "3"))
+
+
+def _child(i: int, states: tuple, gens: tuple) -> tuple:
+    return tuple([_imat_vec(g[i], v) for g, v in zip(gens, states)])
+
+
+def restrict_states(word: str, states: tuple, gens: tuple) -> tuple:
+    """Carry integer states down one word: state k moves by gens[k][symbol],
+    A_INT or Y_INT, so each letter puts a factor 5 on its denominator."""
     for s in word:
-        m = mat_mul(A_MATS[int(s)], m)
-    return m
+        states = _child(int(s), states, gens)
+    return states
 
 
-def y_product(word: str) -> Mat:
-    """Y_[w] = Y_{wm} ... Y_{w1}; the empty word gives P.
+def cell_leaves(m: int, states: tuple, gens: tuple):
+    """Yield (word, states) for every level-m cell, depth first, so in reverse
+    lexicographic order.
 
-    Using P (the restriction of the identity to range P) for the empty word
-    makes the Kusuoka trace formula return total mass 1; every nonempty
-    product lands in range P automatically.
+    The root carries `states`; a child's state k is gens[k][i] times its
+    parent's, as in `restrict_states`. Leaf states are integer numerators
+    over 5^m times the root's denominators.
     """
-    m = P_MAT
-    for s in word:
-        m = mat_mul(Y_MATS[int(s)], m)
-    return m
+    stack = [("", states)]
+    while stack:
+        word, st = stack.pop()
+        if len(word) == m:
+            yield word, st
+        else:
+            stack.extend([(word + s, _child(i, st, gens)) for i, s in _SYMBOLS])
 
 
-def frobenius_sq(x: Mat) -> Fraction:
-    return sum(x[i][j] * x[i][j] for i in range(3) for j in range(3))
+def mat_mul(x: RatMat, y: RatMat) -> RatMat:
+    return RatMat(_imat_mul(x.num, y.num), x.den * y.den)
 
 
-def quad_form_p(v):
-    """v^T P v = (1/3) sum_{i<j} (v_i - v_j)^2; exact for Fraction inputs."""
-    d01 = v[0] - v[1]
-    d02 = v[0] - v[2]
-    d12 = v[1] - v[2]
-    return (d01 * d01 + d02 * d02 + d12 * d12) / 3
+def mat_vec(x: RatMat, v) -> tuple[Fraction, Fraction, Fraction]:
+    """x v for a rational vector v, exact."""
+    nums, d = to_numerators(v)
+    den = x.den * d
+    return tuple([Fraction(n, den) for n in _imat_vec(x.num, nums)])
+
+
+def quad_form_p(v) -> Fraction:
+    """v^T P v = (1/3) sum_{i<j} (v_i - v_j)^2; exact for rational inputs."""
+    nums, d = to_numerators(v)
+    return Fraction(pairwise_sq(nums), 3 * d * d)
 
 
 def validate_word(word: str) -> str:

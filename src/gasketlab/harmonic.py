@@ -18,16 +18,18 @@ import numpy as np
 
 from .errors import UsageError
 from .exact import (
-    A_MATS,
+    A_INT,
     P_MAT,
-    a_product,
-    mat_vec,
+    cell_leaves,
     quad_form_p,
+    restrict_states,
+    to_numerators,
     validate_word,
 )
 from .gasket import LevelGraph, build_level_graph
 
 Triple = tuple[Fraction, Fraction, Fraction]
+_A_ROUTE = (A_INT,)
 
 
 def _as_triple(u) -> Triple:
@@ -43,10 +45,9 @@ def harmonic_restrict(u, word: str) -> Triple:
     identity.
     """
     validate_word(word)
-    v = _as_triple(u)
-    for s in word:
-        v = mat_vec(A_MATS[int(s)], v)
-    return v
+    nums, d = to_numerators(_as_triple(u))
+    (v,) = restrict_states(word, (nums,), _A_ROUTE)
+    return tuple(Fraction(x, d * 5 ** len(word)) for x in v)
 
 
 def harmonic_extend_to_level(u, m: int, g: LevelGraph | None = None) -> list[Fraction]:
@@ -59,47 +60,35 @@ def harmonic_extend_to_level(u, m: int, g: LevelGraph | None = None) -> list[Fra
         g = build_level_graph(m)
     elif g.level != m:
         raise UsageError("graph level does not match m")
-    vals: list[Fraction | None] = [None] * g.n_vertices
-    base = _as_triple(u)
-
-    # depth-first over the cell tree, carrying the corner triple
-    stack = [("", base)]
-    while stack:
-        word, triple = stack.pop()
-        if len(word) == m:
-            for vid, val in zip(g.cells[word], triple):
-                if vals[vid] is None:
-                    vals[vid] = val
-                else:
-                    assert vals[vid] == val, "harmonic extension ill-defined"
-        else:
-            for i in (1, 2, 3):
-                stack.append((word + str(i), mat_vec(A_MATS[i], triple)))
-    return vals  # type: ignore[return-value]
+    nums, d = to_numerators(_as_triple(u))
+    vals: list[int | None] = [None] * g.n_vertices
+    for word, (triple,) in cell_leaves(m, (nums,), _A_ROUTE):
+        for vid, val in zip(g.cells[word], triple):
+            if vals[vid] is None:
+                vals[vid] = val
+            else:
+                assert vals[vid] == val, "harmonic extension ill-defined"
+    den = d * 5**m
+    return [Fraction(x, den) for x in vals]
 
 
 def graph_energy(g: LevelGraph, u_table, v_table=None):
-    """E^(m)(u,v) over the level graph; exact when tables are Fractions."""
+    """E^(m)(u,v) over the level graph, exact for rational tables."""
     if v_table is None:
         v_table = u_table
     n = g.n_vertices
-    if len(u_table) != n or len(v_table) != n:
-        raise UsageError("tables must assign a value to every vertex of V_m")
     for t in (u_table, v_table):
-        for x in t:
-            if x is None:
-                raise UsageError("tables must assign a value to every vertex of V_m")
-    scale = Fraction(5, 3) ** g.level
-    acc = Fraction(0)
-    for a, b in g.edges:
-        acc += (u_table[a] - u_table[b]) * (v_table[a] - v_table[b])
-    return scale * acc / 2
+        if len(t) != n or any(x is None for x in t):
+            raise UsageError("tables must assign a value to every vertex of V_m")
+    un, ud = to_numerators(u_table)
+    vn, vd = (un, ud) if v_table is u_table else to_numerators(v_table)
+    acc = sum((un[a] - un[b]) * (vn[a] - vn[b]) for a, b in g.edges)
+    return Fraction(5**g.level * acc, 2 * 3**g.level * ud * vd)
 
 
 def harmonic_energy(u):
     """E(Hu, Hu) = (3/2) u^T P u, exact."""
-    v = _as_triple(u)
-    return Fraction(3, 2) * quad_form_p(v)
+    return Fraction(3, 2) * quad_form_p(_as_triple(u))
 
 
 def cell_energy_measure(u, word: str):
@@ -130,8 +119,11 @@ class CellGradientTables:
         pf = np.array([[float(x) for x in row] for row in P_MAT])
         nus = np.empty(len(self.words))
         pats = np.empty((len(self.words), 3))
+        # columns of A_[w] are A_[w] e_j, numerators over 5^m
+        columns = dict(cell_leaves(g.level, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), _A_ROUTE * 3))
+        den = 5**g.level
         for k, w in enumerate(self.words):
-            aw = np.array([[float(x) for x in row] for row in a_product(w)])
+            aw = np.array([[col[r] / den for col in columns[w]] for r in range(3)])
             b = pf @ aw  # centered corner patterns of (h1,h2,h3) on this cell
             nus[k] = 0.5 * (5.0 / 3.0) ** g.level * (b * b).sum()
             uu, _, _ = np.linalg.svd(b)

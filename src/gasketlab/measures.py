@@ -1,6 +1,7 @@
 """Hausdorff measure, Kusuoka measure, energy measures, singularity diagnostics.
 
-All cell masses are exact Fractions. The Kusuoka mass of a cell is
+All cell masses are exact Fractions, each built once from integer numerators
+over one denominator (see `exact`). The Kusuoka mass of a cell is
 
     nu(w) = (1/2)(5/3)^m tr(Y_[w]^T Y_[w]),   Y_[w] = Y_{wm} ... Y_{w1},
 
@@ -12,21 +13,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .errors import UsageError
 from .exact import (
-    A_MATS,
-    Y_MATS,
-    frobenius_sq,
-    mat_mul,
-    mat_vec,
-    quad_form_p,
-    y_product,
+    A_INT,
+    P_INT,
+    Y_INT,
+    cell_leaves,
+    pairwise_sq,
+    restrict_states,
+    to_numerators,
     validate_word,
 )
 from .harmonic import _as_triple
 
 MAX_TABLE_LEVEL = 10
+# Y-route states: the three columns of Y_[w], starting from P's (P_INT is symmetric)
+_Y_ROUTE = (Y_INT,) * 3
+
+
+def _kusuoka(columns, m: int) -> Fraction:
+    """nu(w) = (1/2)(5/3)^m |Y_[w]|^2 from the columns of Y_[w], numerators over 3 * 5^m."""
+    return Fraction(sum(x * x for col in columns for x in col), 18 * 15**m)
 
 
 @dataclass(frozen=True)
@@ -51,45 +60,18 @@ def hausdorff_mass(word: str) -> Fraction:
 
 def kusuoka_mass(word: str) -> Fraction:
     validate_word(word)
-    yw = y_product(word)
-    return Fraction(1, 2) * Fraction(5, 3) ** len(word) * frobenius_sq(yw)
-
-
-def _words_and_products(m: int, seed, extend):
-    """DFS over level-m words carrying an exact product; yields (word, prod)."""
-    stack = [("", seed)]
-    while stack:
-        w, prod = stack.pop()
-        if len(w) == m:
-            yield w, prod
-        else:
-            for i in (1, 2, 3):
-                stack.append((w + str(i), extend(i, prod)))
+    return _kusuoka(restrict_states(word, P_INT, _Y_ROUTE), len(word))
 
 
 def hausdorff_measure(m: int) -> CellMeasure:
     mass = Fraction(1, 3) ** m
-    words = _all_words(m)
-    return CellMeasure("hausdorff", m, {w: mass for w in words})
-
-
-def _all_words(m: int) -> list[str]:
-    words = [""]
-    for _ in range(m):
-        words = [w + s for w in words for s in "123"]
-    return words
+    return CellMeasure("hausdorff", m, {"".join(w): mass for w in product("123", repeat=m)})
 
 
 def kusuoka_measure(m: int) -> CellMeasure:
     if m > MAX_TABLE_LEVEL:
         raise UsageError(f"table level above guard {MAX_TABLE_LEVEL}")
-    scale = Fraction(1, 2) * Fraction(5, 3) ** m
-    masses = {
-        w: scale * frobenius_sq(prod)
-        for w, prod in _words_and_products(
-            m, y_product(""), lambda i, p: mat_mul(Y_MATS[i], p)
-        )
-    }
+    masses = {w: _kusuoka(cols, m) for w, cols in cell_leaves(m, P_INT, _Y_ROUTE)}
     return CellMeasure("kusuoka", m, masses)
 
 
@@ -98,51 +80,29 @@ def energy_measure_table(u, m: int) -> CellMeasure:
     if m > MAX_TABLE_LEVEL:
         raise UsageError(f"table level above guard {MAX_TABLE_LEVEL}")
     base = _as_triple(u)
-    scale = Fraction(3, 2) * Fraction(5, 3) ** m
-    masses = {
-        w: scale * quad_form_p(triple)
-        for w, triple in _words_and_products(
-            m, base, lambda i, t: mat_vec(A_MATS[i], t)
-        )
-    }
+    nums, d = to_numerators(base)
+    # (3/2)(5/3)^m v^T P v with v = leaf numerators / (5^m d)
+    den = 2 * 15**m * d * d
+    masses = {w: Fraction(pairwise_sq(v), den) for w, (v,) in cell_leaves(m, (nums,), (A_INT,))}
     return CellMeasure(f"energy-of({tuple(str(x) for x in base)})", m, masses)
 
 
 def kusuoka_identity_check(m: int) -> Fraction:
     """Max cell defect of nu = (1/3)(nu_<h1> + nu_<h2> + nu_<h3>), exact.
 
-    The two sides go through independent product routes: Y-products for nu,
-    A-products for the energy measures.
+    The two sides go through independent product routes, carried side by
+    side: Y-products for nu, A-products of the basis triples for the energy
+    measures. With nu(w) = S / (18 * 15^m) and nu_<hj>(w) = Q_j / (2 * 15^m),
+    the defect of a cell is |S - 3 sum_j Q_j| / (18 * 15^m).
     """
     if m > 8:
         raise UsageError("identity check guarded to m <= 8")
-    third = Fraction(1, 3)
-    e = [(Fraction(1), Fraction(0), Fraction(0)),
-         (Fraction(0), Fraction(1), Fraction(0)),
-         (Fraction(0), Fraction(0), Fraction(1))]
-    nu_scale = Fraction(1, 2) * Fraction(5, 3) ** m
-    en_scale = Fraction(3, 2) * Fraction(5, 3) ** m
-    worst = Fraction(0)
-
-    stack = [("", y_product(""), (e[0], e[1], e[2]))]
-    while stack:
-        w, yprod, triples = stack.pop()
-        if len(w) == m:
-            nu_w = nu_scale * frobenius_sq(yprod)
-            en_sum = sum((en_scale * quad_form_p(t) for t in triples), Fraction(0))
-            defect = abs(nu_w - third * en_sum)
-            if defect > worst:
-                worst = defect
-        else:
-            for i in (1, 2, 3):
-                stack.append(
-                    (
-                        w + str(i),
-                        mat_mul(Y_MATS[i], yprod),
-                        tuple(mat_vec(A_MATS[i], t) for t in triples),
-                    )
-                )
-    return worst
+    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    worst = 0
+    for _, st in cell_leaves(m, P_INT + basis, _Y_ROUTE + (A_INT,) * 3):
+        nu = sum(x * x for col in st[:3] for x in col)
+        worst = max(worst, abs(nu - 3 * sum(pairwise_sq(t) for t in st[3:])))
+    return Fraction(worst, 18 * 15**m)
 
 
 def singularity_diagnostic(m: int) -> dict:

@@ -146,6 +146,10 @@ class WalkConfig:
     block_size: int = 25_000
     workers: int = 1
 
+    def __post_init__(self):
+        if self.path_count <= 0:
+            raise UsageError(f"path_count must be positive, got {self.path_count}")
+
     @property
     def n_steps(self) -> int:
         return int(round(self.horizon / step_duration(self.level)))

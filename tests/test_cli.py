@@ -148,6 +148,20 @@ def test_empty_config_usage_error(capsys):
     assert run([]) == 2
 
 
+@pytest.mark.parametrize("paths", (0, -5))
+def test_walk_nonpositive_paths_usage_error(tmp_path, capsys, paths):
+    out = tmp_path / "w.json"
+    assert run(["walk", "--level", 2, "--paths", paths, "--out", out]) == 2
+    assert "paths" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_arithmetic_flag_removed(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["--arithmetic", "exact", "graph", "--level", 1, "--out", tmp_path / "g.json"])
+    assert exc.value.code == 2
+
+
 def test_problem_schema_violation(tmp_path, capsys):
     pf = tmp_path / "bad.json"
     pf.write_text(json.dumps({"driver": {"name": "nope"},

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import fraction_oracle as oracle
 import numpy as np
 import pytest
 
@@ -77,6 +78,13 @@ def test_extend_level1_values(graphs):
     assert at(Fraction(1, 2), 0) == Fraction(2, 5)        # midpoint p1-p2
     assert at(Fraction(1, 4), Fraction(1, 4)) == Fraction(2, 5)  # midpoint p1-p3
     assert at(Fraction(3, 4), Fraction(1, 4)) == Fraction(1, 5)  # opposite p1
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_extend_equals_fraction_oracle(graphs, m):
+    g = graphs(m)
+    for u in oracle.seeded_triples(37):
+        assert harmonic_extend_to_level(u, m, g) == oracle.extension(u, g)
 
 
 def test_extend_constant(graphs):
@@ -205,6 +213,14 @@ def test_gradient_constants(graphs):
     tot = [sum(col) for col in zip(*hs)]
     for w in list(g.cells)[:5]:
         assert discrete_gradient(tot, w, g, tables) == 0.0
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_gradient_tables_equal_fraction_oracle(graphs, m):
+    tables = CellGradientTables(graphs(m))
+    nu, pattern = oracle.gradient_tables(graphs(m))
+    assert np.array_equal(tables.nu, nu)
+    assert np.array_equal(tables.pattern, pattern)
 
 
 @pytest.mark.parametrize("m", (1, 2, 3))

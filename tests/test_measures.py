@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import fraction_oracle as oracle
 import pytest
 
 from gasketlab import (
@@ -97,9 +98,16 @@ def test_energy_measure_table():
     assert energy_measure_table(u, 3).total() == harmonic_energy(u)
 
 
-@pytest.mark.parametrize("m", (0, 1, 3, 5))
+@pytest.mark.parametrize("m", range(7))
 def test_kusuoka_identity_exact(m):
     assert kusuoka_identity_check(m) == 0
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_tables_equal_fraction_oracle(m):
+    assert kusuoka_measure(m).masses == oracle.kusuoka_table(m)
+    for u in oracle.seeded_triples(31):
+        assert energy_measure_table(u, m).masses == oracle.energy_table(u, m)
 
 
 def test_singularity_diagnostic_values():

@@ -124,6 +124,13 @@ def test_killed_paths_freeze_after_hit(kernels, graphs):
             assert np.all(ens.vertices[i, h:] == ens.vertices[i, h])
 
 
+@pytest.mark.parametrize("paths", (0, -5))
+def test_nonpositive_path_count_rejected(kernels, graphs, paths):
+    with pytest.raises(UsageError, match="path_count"):
+        simulate_paths(WalkConfig(level=1, horizon=0.5, path_count=paths, seed=1),
+                       kernels(1), graphs(1))
+
+
 def test_path_sample_view(kernels, graphs):
     k, g = kernels(1), graphs(1)
     cfg = WalkConfig(level=1, horizon=0.5, path_count=3, seed=1)
