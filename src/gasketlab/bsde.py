@@ -23,7 +23,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DeclaredConstantError, SchemeError, UsageError
-from .walk import PathEnsemble, StepKernel
+from .walk import PathEnsemble, StepKernel, layer_count, walk_steps
 
 
 @dataclass(frozen=True)
@@ -106,20 +106,6 @@ def _boundary_ids(kernel: StepKernel) -> np.ndarray:
     return np.nonzero(kernel.is_boundary)[0]
 
 
-def _neighbor_expectations(kernel: StepKernel, y_next: np.ndarray):
-    """(E[Y'], E[Y' dW]) per vertex, exact over the uniform neighbor law."""
-    yn = y_next[kernel.nbr]           # (V,4); padded slots repeat x itself
-    wn = kernel.dW                    # padded slots carry dW = 0
-    deg = kernel.deg
-    full = yn.sum(axis=1)
-    two = yn[:, :2].sum(axis=1)
-    ey = np.where(deg == 4, full / 4.0, two / 2.0)
-    fullz = (yn * wn).sum(axis=1)
-    twoz = (yn[:, :2] * wn[:, :2]).sum(axis=1)
-    ez = np.where(deg == 4, fullz / 4.0, twoz / 2.0)
-    return ey, ez
-
-
 def _spot_check_lipschitz(problem: BsdeProblem, kernel: StepKernel, seed=1234):
     if problem.k0 == 0 and problem.k1 == 0:
         return
@@ -152,7 +138,7 @@ def solve_dp(problem: BsdeProblem, kernel: StepKernel, graph=None,
         raise UsageError("explicit scheme requires dt*K0 < 1")
     _spot_check_lipschitz(problem, kernel)
 
-    K = int(round(problem.horizon / dt))
+    K = layer_count(problem.horizon, dt)
     n = kernel.n_vertices
     killed = problem.duration == "killed"
     bnd = _boundary_ids(kernel)
@@ -168,8 +154,8 @@ def solve_dp(problem: BsdeProblem, kernel: StepKernel, graph=None,
     inner_iterations = 0
     for k in range(K - 1, -1, -1):
         t = k * dt
-        ey, ez = _neighbor_expectations(kernel, Y[k + 1])
-        z = ez / dqv
+        ey = kernel.P @ Y[k + 1]
+        z = (kernel.Q @ Y[k + 1]) / dqv
         if scheme == "explicit":
             y = ey + problem.g(t, xs, ey) * dt + problem.f(t, xs, ey, z) * dqv
         else:
@@ -211,7 +197,7 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     ratios are roundoff artifacts).
     """
     dt = kernel.dt
-    K = int(round(problem.horizon / dt))
+    K = layer_count(problem.horizon, dt)
     n = kernel.n_vertices
     killed = problem.duration == "killed"
     bnd = _boundary_ids(kernel)
@@ -230,8 +216,8 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
         Y[K] = terminal
         for k in range(K - 1, -1, -1):
             t = k * dt
-            ey, ez = _neighbor_expectations(kernel, Y[k + 1])
-            z = ez / kernel.dqv
+            ey = kernel.P @ Y[k + 1]
+            z = (kernel.Q @ Y[k + 1]) / kernel.dqv
             y = (ey + problem.g(t, xs, y_prev[k]) * dt
                  + problem.f(t, xs, y_prev[k], z_prev[k]) * kernel.dqv)
             if killed:
@@ -303,29 +289,20 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
     the same product along sampled paths.
     """
     dt = kernel.dt
-    K = int(round(problem.horizon / dt))
-    n = kernel.n_vertices
+    K = layer_count(problem.horizon, dt)
     killed = problem.duration == "killed"
     bnd = _boundary_ids(kernel)
 
     V = _terminal_values(problem, kernel, graph)
     if killed:
         V[bnd] = np.asarray(problem.boundary_phi(problem.horizon), dtype=float)
-    z0 = np.zeros(n)
+    drift = 1.0 + a * dt + b * kernel.dqv
     for k in range(K - 1, -1, -1):
-        vn = V[kernel.nbr]
-        w = 1.0 + a * dt + b * kernel.dqv[:, None] + c * kernel.dW
-        prod = vn * w
-        full = prod.sum(axis=1)
-        two = prod[:, :2].sum(axis=1)
-        newv = np.where(kernel.deg == 4, full / 4.0, two / 2.0)
+        ez = kernel.Q @ V
+        V = drift * (kernel.P @ V) + c * ez
         if killed:
-            newv[bnd] = np.asarray(problem.boundary_phi(k * dt), dtype=float)
-        if k == 0:
-            _, ez = _neighbor_expectations(kernel, V)
-            z0 = ez / kernel.dqv
-        V = newv
-    out = {"Y0": V, "Z0": z0}
+            V[bnd] = np.asarray(problem.boundary_phi(k * dt), dtype=float)
+    out = {"Y0": V, "Z0": ez / kernel.dqv}
 
     if mc_paths and mc_starts is not None:
         psi = _terminal_values(problem, kernel, graph)
@@ -342,34 +319,27 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
 
 def _mc_linear(kernel, problem, a, b, c, start, n_paths, seed, psi, killed):
     dt = kernel.dt
-    K = int(round(problem.horizon / dt))
-    bnd_phi = problem.boundary_phi
+    dW, isb = kernel.dW.ravel(), kernel.is_boundary
+    corners = np.nonzero(isb)[0]
     rng = Generator(Philox(key=[seed, 2**34]))
     pos = np.full(n_paths, start, dtype=np.int64)
     logw_sign = np.ones(n_paths)
     logw = np.zeros(n_paths)
     alive = np.ones(n_paths, dtype=bool)
     value = np.zeros(n_paths)
-    for k in range(K):
-        u = rng.random(n_paths)
-        d = kernel.deg[pos]
-        j = np.minimum((u * d).astype(np.int64), d - 1)
-        rho = 1.0 + a * dt + b * kernel.dqv[pos] + c * kernel.dW[pos, j]
-        step_w = np.where(alive, rho, 1.0)
+    steps = walk_steps(kernel, pos, layer_count(problem.horizon, dt), rng, killed)
+    for k, slot, live, nxt in steps:
+        step_w = 1.0 + a * dt + b * kernel.dqv[pos] + c * dW[slot]
+        if killed:
+            step_w = np.where(live, step_w, 1.0)
+            arrived = live & isb[nxt]
+            if arrived.any():
+                phi_vals = np.asarray(problem.boundary_phi((k + 1) * dt), dtype=float)
+                value[arrived] = phi_vals[np.searchsorted(corners, nxt[arrived])]
+                alive[arrived] = False
         logw_sign *= np.sign(step_w)
         logw += np.log(np.abs(step_w))
-        nxt = kernel.nbr[pos, j]
-        if killed:
-            pos = np.where(alive, nxt, pos)
-            arrived = alive & kernel.is_boundary[pos]
-            if arrived.any():
-                t_arr = (k + 1) * dt
-                phi_vals = np.asarray(bnd_phi(t_arr), dtype=float)
-                corner_slot = np.searchsorted(np.nonzero(kernel.is_boundary)[0], pos[arrived])
-                value[arrived] = phi_vals[corner_slot]
-            alive &= ~kernel.is_boundary[pos]
-        else:
-            pos = nxt
+        pos = nxt
     value[alive] = psi[pos[alive]]
     weights = logw_sign * np.exp(logw)
     samples = weights * value

@@ -34,10 +34,11 @@ from .gasket import build_level_graph, graph_to_json
 from .harmonic import harmonic_extend_to_level
 from .measures import energy_measure_table, hausdorff_measure, kusuoka_identity_check, kusuoka_measure
 from .pde import feynman_kac_check, solve_weak_pde
-from .problems import build_problem_pair, load_problem_file
+from .problems import build_problem_pair, load_problem_file, make_terminal
 from .walk import (
     WalkConfig,
     build_step_kernel,
+    ensemble_qv_snapshots,
     ensemble_qv_stats,
     exit_time_stats,
     occupation_histogram,
@@ -168,9 +169,9 @@ def _cmd_walk(args, config):
                 rows.append((i, k, int(ens.vertices[i, k + 1]),
                              float(ens.dW[i, k]), float(ens.dqv[i, k]),
                              float(cum[i, k]), hit_flag))
-        _write_csv(args.out,
-                   ["path_id", "step", "vertex_id", "dW", "dQV", "cumQV", "hit_flag"],
-                   rows)
+        _write_table(args.out,
+                     ["path_id", "step", "vertex_id", "dW", "dQV", "cumQV", "hit_flag"],
+                     rows, args.format)
     elif args.emit == "stats":
         report = {"qv": ensemble_qv_stats(cfg, kernel, g)}
         if args.killed:
@@ -198,7 +199,7 @@ def _cmd_bsde(args, config):
     for k in range(0, sol.Y.shape[0], stride):
         for v in range(sol.Y.shape[1]):
             rows.append((k, v, float(sol.Y[k, v]), float(sol.Z[k, v])))
-    _write_csv(args.out, ["step", "vertex_id", "Y", "Z"], rows)
+    _write_table(args.out, ["step", "vertex_id", "Y", "Z"], rows, args.format)
 
 
 def _cmd_pde(args, config):
@@ -215,12 +216,13 @@ def _cmd_pde(args, config):
     for k in range(0, sol.u.shape[0], stride):
         for v in range(sol.u.shape[1]):
             rows.append((k, v, float(sol.u[k, v])))
-    _write_csv(args.out, ["layer", "vertex_id", "u"], rows)
+    _write_table(args.out, ["layer", "vertex_id", "u"], rows, args.format)
     grad_rows = []
     for k in range(0, sol.gradients.shape[0], stride):
         for ci, w in enumerate(sol.cell_words):
             grad_rows.append((k, w, float(sol.gradients[k, ci])))
-    _write_csv(args.out + ".gradients.csv", ["layer", "word", "grad"], grad_rows)
+    _write_table(args.out + ".gradients.csv", ["layer", "word", "grad"], grad_rows,
+                 args.format)
 
 
 def _cmd_check_fk(args, config):
@@ -232,8 +234,8 @@ def _cmd_check_fk(args, config):
         return build_problem_pair(spec, level)
 
     rep = feynman_kac_check(make, levels, probe_times)
-    rows = [(m, repr(float(s))) for m, s in zip(rep["levels"], rep["sup_errors"])]
-    _write_csv(args.out, ["level", "sup_error"], rows)
+    rows = [(m, float(s)) for m, s in zip(rep["levels"], rep["sup_errors"])]
+    _write_table(args.out, ["level", "sup_error"], rows, args.format)
     return 0 if rep["decreasing"] else 3
 
 
@@ -262,14 +264,10 @@ def _cmd_check_bounds(args, config):
     # moments / expint need an ensemble
     g = build_level_graph(args.level)
     kernel = build_step_kernel(g)
-    from .walk import _run_blocks  # streaming internals
-
     cfg = WalkConfig(level=args.level, horizon=1.0, path_count=args.paths,
                      seed=args.seed, workers=args.workers)
     tgrid = (0.25, 0.5, 1.0)
-    steps = {t: max(1, int(round(t / kernel.dt))) for t in tgrid}
-    r = _run_blocks(cfg, kernel, g, snap_steps=tuple(steps.values()))
-    qv = {t: r["snaps"][steps[t]][0] for t in tgrid}
+    qv = ensemble_qv_snapshots(cfg, kernel, tgrid, g)
     if which == "moments":
         from .bounds import check_moment_bound, fit_moment_constant
 
@@ -299,10 +297,7 @@ def _cmd_check_contraction(args, config):
     bp = BsdeProblem(
         g=lambda t, x, y: -0.5 * y,
         f=lambda t, x, y, z: 0.5 * np.sin(y) + z,
-        terminal_psi=lambda gg: np.array(
-            [np.exp(-8 * ((v.euclidean()[0] - 0.5) ** 2
-                          + (v.euclidean()[1] - 3.0**0.5 / 6) ** 2))
-             for v in gg.vertices]),
+        terminal_psi=make_terminal({"terminal": {"name": "bump"}}),
         horizon=1.0, k0=1.0, k1=1.0, duration="deterministic",
     )
     cfg = WalkConfig(level=args.level, horizon=1.0, path_count=args.paths,
@@ -391,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=["explicit", "picard-in-step"], default="explicit")
     p.add_argument("--dt-per-step", type=float, default=None,
                    help="override the walk-time step label (default 5^-m/3)")
-    p.add_argument("--iters", type=int, default=20)
     p.add_argument("--stride", type=int, default=1, help="emit every k-th layer")
     p.add_argument("--out", required=True)
 
@@ -433,6 +427,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 GLOBAL_DEFAULTS = {"seed": 0, "workers": 1, "format": "csv"}
 
+# keyed by subcommand, or by check kind under `check`
+COMMANDS = {
+    "graph": _cmd_graph,
+    "harmonic": _cmd_harmonic,
+    "measure": _cmd_measure,
+    "walk": _cmd_walk,
+    "bsde": _cmd_bsde,
+    "pde": _cmd_pde,
+    "fk": _cmd_check_fk,
+    "bounds": _cmd_check_bounds,
+    "contraction": _cmd_check_contraction,
+    "identity": _cmd_check_identity,
+}
+
 
 def main(argv=None) -> int:
     ap = build_parser()
@@ -450,31 +458,10 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         _validate_runconfig(config)
-        if args.subcommand == "graph":
-            rc = _cmd_graph(args, config)
-        elif args.subcommand == "harmonic":
-            rc = _cmd_harmonic(args, config)
-        elif args.subcommand == "measure":
-            rc = _cmd_measure(args, config)
-        elif args.subcommand == "walk":
-            rc = _cmd_walk(args, config)
-        elif args.subcommand == "bsde":
-            rc = _cmd_bsde(args, config)
-        elif args.subcommand == "pde":
-            rc = _cmd_pde(args, config)
-        elif args.subcommand == "check":
-            if args.check_kind == "fk":
-                rc = _cmd_check_fk(args, config)
-            elif args.check_kind == "bounds":
-                rc = _cmd_check_bounds(args, config)
-            elif args.check_kind == "contraction":
-                rc = _cmd_check_contraction(args, config)
-            elif args.check_kind == "identity":
-                rc = _cmd_check_identity(args, config)
-            else:
-                raise UsageError("check requires one of: fk, bounds, contraction, identity")
-        else:  # pragma: no cover
-            raise UsageError(f"unknown subcommand {args.subcommand!r}")
+        name = args.check_kind if args.subcommand == "check" else args.subcommand
+        if name not in COMMANDS:
+            raise UsageError("check requires one of: fk, bounds, contraction, identity")
+        rc = COMMANDS[name](args, config)
     except GasketLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

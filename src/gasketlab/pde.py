@@ -34,24 +34,29 @@ from .errors import UsageError
 from .gasket import LevelGraph, build_level_graph
 from .harmonic import CellGradientTables
 from .measures import kusuoka_measure
-from .walk import build_step_kernel, step_duration
+from .walk import build_step_kernel, layer_count, step_duration
 
 BROWNIAN_GRADIENT_SCALE = math.sqrt(2.0)
 
 
 def assemble_masses(g: LevelGraph) -> tuple[list[Fraction], list[Fraction]]:
     """Exact mu and nu vertex masses: each cell mass split equally over its
-    three corners. Both vectors sum to 1."""
-    mu = [Fraction(0)] * g.n_vertices
-    nu = [Fraction(0)] * g.n_vertices
-    mu_cell = Fraction(1, 3) ** g.level
-    nu_table = kusuoka_measure(g.level)
-    for w, corners in g.cells.items():
-        nw = nu_table.masses[w]
-        for c in corners:
-            mu[c] += mu_cell / 3
-            nu[c] += nw / 3
-    return mu, nu
+    three corners. Both vectors sum to 1.
+
+    A vertex sums integer numerators, its cell count over 3^(m+1) and its
+    Kusuoka numerators over 54 * 15^m, and one Fraction is built per mass.
+    """
+    m = g.level
+    nu_den = 18 * 15**m  # a common denominator of every level-m Kusuoka mass
+    cells = [0] * g.n_vertices
+    nu_num = [0] * g.n_vertices
+    for w, mass in kusuoka_measure(m).masses.items():
+        num = mass.numerator * (nu_den // mass.denominator)
+        for c in g.cells[w]:
+            cells[c] += 1
+            nu_num[c] += num
+    return ([Fraction(k, 3 ** (m + 1)) for k in cells],
+            [Fraction(k, 3 * nu_den) for k in nu_num])
 
 
 @dataclass
@@ -116,7 +121,7 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     for lip in (problem.lip_g, problem.lip_f):
         if lip is not None and h * lip >= 1:
             raise UsageError("time step violates the h*Lip < 1 guard")
-    K = int(round(problem.horizon / h))
+    K = layer_count(problem.horizon, h)
     n = g.n_vertices
 
     mu_ex, nu_ex = assemble_masses(g)
@@ -182,8 +187,7 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     return WeakPdeSolution(
         u=u, gradients=grads, residuals=residuals, level=g.level,
         time_step=h, cell_words=tables.words,
-        meta={"horizon": problem.horizon, "arithmetic": "float",
-              "terminal_boundary_mismatch": mismatch},
+        meta={"horizon": problem.horizon, "terminal_boundary_mismatch": mismatch},
     )
 
 

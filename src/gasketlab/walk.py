@@ -46,6 +46,23 @@ def step_duration(level: int) -> float:
     return 5.0 ** (-level) / 3.0
 
 
+def layer_count(horizon: float, dt: float) -> int:
+    """Number of dt-steps nearest the horizon; UsageError when that is none.
+
+    The horizon need not be a multiple of dt: the realized horizon is the
+    count times dt.
+    """
+    k = int(round(horizon / dt))
+    if k < 1:
+        raise UsageError(f"horizon {horizon} is less than half a time step {dt}")
+    return k
+
+
+def step_at(t: float, dt: float, n_steps: int) -> int:
+    """The step nearest time t, clamped to 1..n_steps."""
+    return max(1, min(int(round(t / dt)), n_steps))
+
+
 @dataclass(frozen=True)
 class StepKernel:
     level: int
@@ -59,6 +76,8 @@ class StepKernel:
     is_boundary: np.ndarray  # (V,) bool
     mu_weight: np.ndarray    # (V,) lumped Hausdorff vertex masses (sums to 1)
     h_values: np.ndarray     # (V,3) float corner-harmonic values
+    P: sp.csr_matrix         # one-step operator: (P @ y)(x) = E[y(X_1) | X_0 = x]
+    Q: sp.csr_matrix         # P with dW on each slot: (Q @ y)(x) = E[y(X_1) dW | X_0 = x]
 
     @property
     def n_vertices(self) -> int:
@@ -115,10 +134,17 @@ def build_step_kernel(g: LevelGraph) -> StepKernel:
     isb[list(g.boundary_ids)] = True
     mu_w = deg.astype(float) / deg.sum()  # = deg * 3^(-m) / 6, the lumped mu
 
+    # one entry per real slot; 1/deg is 1/4 or 1/2, so scaling is exact
+    real = np.arange(4) < deg[:, None]
+    rows = np.repeat(np.arange(n), deg)
+    weight = 1.0 / deg[rows]
+    pmat = sp.csr_matrix((weight, (rows, nbr[real])), shape=(n, n))
+    qmat = sp.csr_matrix((weight * dWm[real], (rows, nbr[real])), shape=(n, n))
+
     return StepKernel(
         level=m, dt=step_duration(m), nbr=nbr, deg=deg, dW=dWm, dqv=dqv,
         direction=direction, residual=residual, is_boundary=isb,
-        mu_weight=mu_w, h_values=hf,
+        mu_weight=mu_w, h_values=hf, P=pmat, Q=qmat,
     )
 
 
@@ -149,10 +175,11 @@ class WalkConfig:
     def __post_init__(self):
         if self.path_count <= 0:
             raise UsageError(f"path_count must be positive, got {self.path_count}")
+        layer_count(self.horizon, step_duration(self.level))  # reject an empty walk
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.horizon / step_duration(self.level)))
+        return layer_count(self.horizon, step_duration(self.level))
 
 
 def _resolve_start(cfg: WalkConfig, g: LevelGraph, kernel: StepKernel):
@@ -184,12 +211,38 @@ def _block_ranges(n_total: int, block: int):
     return out
 
 
+def walk_steps(kernel: StepKernel, pos: np.ndarray, n_steps: int,
+               rng: Generator, killed: bool):
+    """Take n_steps uniform neighbour steps from pos, yielding (k, slot, live, pos).
+
+    slot = 4*x + j is the neighbour slot taken from x, an index into
+    kernel.nbr.ravel() and kernel.dW.ravel(). live marks the paths that
+    took step k: None in reflected mode, where all do; in killed mode a path
+    stops once it arrives at V_0. pos is the position after the step; every
+    yielded array is fresh, so callers may keep the previous one.
+    """
+    deg, isb = kernel.deg, kernel.is_boundary
+    nbr = kernel.nbr.ravel()
+    live = np.ones(len(pos), dtype=bool) if killed else None
+    for k in range(n_steps):
+        u = rng.random(len(pos))
+        d = deg[pos]
+        j = np.minimum((u * d).astype(np.int64), d - 1)
+        slot = 4 * pos + j
+        if killed:
+            pos = np.where(live, nbr[slot], pos)
+            yield k, slot, live, pos
+            live = live & ~isb[pos]
+        else:
+            pos = nbr[slot]
+            yield k, slot, None, pos
+
+
 def _simulate_block(args):
     (kernel, n_paths, n_steps, seed, block, killed, start_vertex,
      snap_steps, record) = args
     rng = Generator(Philox(key=[seed, block]))
-    nbr, dWm, dqv, deg = kernel.nbr, kernel.dW, kernel.dqv, kernel.deg
-    isb = kernel.is_boundary
+    dW, dqv, isb = kernel.dW.ravel(), kernel.dqv, kernel.is_boundary
 
     if start_vertex is None:
         srng = Generator(Philox(key=[seed, _START_STREAM_OFFSET + block]))
@@ -199,7 +252,6 @@ def _simulate_block(args):
 
     cum_qv = np.zeros(n_paths)
     cum_w = np.zeros(n_paths)
-    alive = np.ones(n_paths, dtype=bool)
     hit_step = np.full(n_paths, -1, dtype=np.int64)
     snaps = {}
     rec = None
@@ -211,25 +263,16 @@ def _simulate_block(args):
         }
         rec["vertices"][:, 0] = pos
 
-    for k in range(n_steps):
-        u = rng.random(n_paths)
-        d = deg[pos]
-        j = np.minimum((u * d).astype(np.int64), d - 1)
-        w = dWm[pos, j]
+    for k, slot, live, nxt in walk_steps(kernel, pos, n_steps, rng, killed):
+        w = dW[slot]
         a = dqv[pos]
         if killed:
-            w = np.where(alive, w, 0.0)
-            a = np.where(alive, a, 0.0)
+            w = np.where(live, w, 0.0)
+            a = np.where(live, a, 0.0)
+            hit_step[live & isb[nxt]] = k + 1
         cum_w += w
         cum_qv += a
-        nxt = nbr[pos, j]
-        if killed:
-            pos = np.where(alive, nxt, pos)
-            arrived = alive & isb[pos]
-            hit_step[arrived] = k + 1
-            alive &= ~isb[pos]
-        else:
-            pos = nxt
+        pos = nxt
         if record:
             rec["vertices"][:, k + 1] = pos
             rec["dW"][:, k] = w
@@ -237,8 +280,7 @@ def _simulate_block(args):
         if (k + 1) in snap_steps:
             snaps[k + 1] = (cum_qv.copy(), cum_w.copy(), pos.copy())
 
-    out = dict(cum_qv=cum_qv, cum_w=cum_w, pos=pos, alive=alive,
-               hit_step=hit_step, snaps=snaps)
+    out = dict(cum_qv=cum_qv, cum_w=cum_w, pos=pos, hit_step=hit_step, snaps=snaps)
     if record:
         out["record"] = rec
     return out
@@ -260,7 +302,7 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph,
 
     merged = {
         key: np.concatenate([r[key] for r in results])
-        for key in ("cum_qv", "cum_w", "pos", "alive", "hit_step")
+        for key in ("cum_qv", "cum_w", "pos", "hit_step")
     }
     merged["snaps"] = {
         k: tuple(np.concatenate([r["snaps"][k][i] for r in results]) for i in range(3))
@@ -363,10 +405,7 @@ def ensemble_qv_snapshots(cfg: WalkConfig, kernel: StepKernel, times,
     """Samples of <W>_t at the steps nearest the requested times (streaming)."""
     if g is None:
         g = build_level_graph(cfg.level)
-    steps = {}
-    for t in times:
-        k = int(round(t / kernel.dt))
-        steps[t] = max(1, min(k, cfg.n_steps))
+    steps = {t: step_at(t, kernel.dt, cfg.n_steps) for t in times}
     r = _run_blocks(cfg, kernel, g, snap_steps=tuple(set(steps.values())))
     return {t: r["snaps"][k][0] for t, k in steps.items()}
 
@@ -375,15 +414,7 @@ def exact_exit_steps(kernel: StepKernel) -> np.ndarray:
     """E[steps to hit V_0] per start vertex from the exact linear system."""
     n = kernel.n_vertices
     inter = ~kernel.is_boundary
-    rows, cols, vals = [], [], []
-    for x in range(n):
-        d = kernel.deg[x]
-        for jj in range(d):
-            rows.append(x)
-            cols.append(kernel.nbr[x, jj])
-            vals.append(1.0 / d)
-    pmat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    a = (sp.eye(n) - pmat)[inter][:, inter]
+    a = (sp.eye(n) - kernel.P)[inter][:, inter]
     tau = spla.spsolve(a.tocsc(), np.ones(int(inter.sum())))
     full = np.zeros(n)
     full[inter] = tau
@@ -435,8 +466,7 @@ def occupation_histogram(cfg: WalkConfig, kernel: StepKernel, t: float,
     k_level = cfg.level if cell_level is None else cell_level
     if k_level > cfg.level:
         raise UsageError("cell level cannot exceed walk level")
-    step = int(round(t / kernel.dt))
-    step = max(1, min(step, cfg.n_steps))
+    step = step_at(t, kernel.dt, cfg.n_steps)
     r = _run_blocks(cfg, kernel, g, snap_steps=(step,))
     pos = r["snaps"][step][2]
 
@@ -473,9 +503,7 @@ def expint_estimate(cfg: WalkConfig, kernel: StepKernel, beta: float,
         g = build_level_graph(cfg.level)
     snap = ()
     if t is not None:
-        step = int(round(t / kernel.dt))
-        step = max(1, min(step, cfg.n_steps))
-        snap = (step,)
+        snap = (step_at(t, kernel.dt, cfg.n_steps),)
     r = _run_blocks(cfg, kernel, g, snap_steps=snap)
     qv = r["snaps"][snap[0]][0] if snap else r["cum_qv"]
 

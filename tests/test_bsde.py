@@ -87,6 +87,7 @@ def test_z_energy_converges_to_twice_isometric(kernels, graphs):
         yn = h1[k.nbr]
         ez = np.where(k.deg == 4, (yn * k.dW).sum(axis=1) / 4,
                       (yn[:, :2] * k.dW[:, :2]).sum(axis=1) / 2)
+        assert np.array_equal(k.Q @ h1, ez)
         zfield = ez / k.dqv
         totals.append(float((k.mu_weight * zfield**2 * k.dqv).sum() / k.dt))
     assert totals[0] < totals[1] < totals[2] < 2.0
@@ -202,6 +203,15 @@ def test_unknown_scheme_rejected(kernels, graphs):
                     horizon=0.2)
     with pytest.raises(UsageError):
         solve_dp(p, k, g, scheme="midpoint")
+
+
+def test_horizon_rounding_to_no_layer_rejected(kernels, graphs):
+    # T = 0.001 at m = 2 is 0.075 steps; it used to return Y = psi alone
+    g, k = graphs(2), kernels(2)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=np.zeros(g.n_vertices),
+                    horizon=0.001)
+    with pytest.raises(UsageError, match="horizon"):
+        solve_dp(p, k, g)
 
 
 # --- V^beta norm -------------------------------------------------------------------

@@ -109,6 +109,29 @@ def test_bsde_and_pde_outputs(tmp_path):
     assert gheader == ["layer", "word", "grad"]
 
 
+def test_bsde_iters_flag_removed(tmp_path):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(PROBLEM))
+    with pytest.raises(SystemExit) as exc:
+        run(["bsde", "--problem", pf, "--level", 1, "--iters", 3,
+             "--out", tmp_path / "sol.csv"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command, keys", (
+    (["bsde", "--level", 1, "--stride", 25], {"step", "vertex_id", "Y", "Z"}),
+    (["check", "fk", "--levels", "2,3", "--probe-times", "0.0,0.25"], {"level", "sup_error"}),
+))
+def test_json_format_tables(tmp_path, command, keys):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(PROBLEM))
+    out = tmp_path / "t.json"
+    assert run(["--format", "json", *command, "--problem", pf, "--out", out]) == 0
+    rows = json.loads(out.read_text())
+    assert rows and all(set(r) == keys for r in rows)
+    assert all(isinstance(r[k], float) for r in rows for k in keys & {"Y", "sup_error"})
+
+
 def test_check_fk_decreasing_column(tmp_path):
     pf = tmp_path / "p.json"
     pf.write_text(json.dumps(PROBLEM))
@@ -188,6 +211,20 @@ def test_reproducibility_across_workers(tmp_path):
                     "--emit", "paths", "--out", out]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_reproducibility_across_workers_multi_block(tmp_path):
+    # 50001 paths make three default 25000-path blocks, so --workers 3
+    # runs them in a process pool
+    outs = []
+    for workers, name in ((1, "a.json"), (3, "b.json")):
+        out = tmp_path / name
+        assert run(["--seed", "11", "--workers", workers,
+                    "walk", "--level", 1, "--paths", 50001, "--horizon", 0.2,
+                    "--emit", "stats", "--out", out]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["qv"]["paths"] == 50001
 
 
 def test_measure_json_format(tmp_path):

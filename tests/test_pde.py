@@ -50,15 +50,19 @@ def test_assemble_masses_level1_hand(graphs):
 
 
 def test_assemble_masses_nu_level2_vs_measures(graphs):
-    g = graphs(2)
-    _, nu = assemble_masses(g)
-    table = kusuoka_measure(2)
-    expect = [Fraction(0)] * g.n_vertices
-    for w, corners in g.cells.items():
-        for cvid in corners:
-            expect[cvid] += table.masses[w] / 3
-    assert nu == expect
-    assert sum(nu) == 1
+    for m in range(6):
+        g = graphs(m)
+        mu, nu = assemble_masses(g)
+        table = kusuoka_measure(m)
+        expect_mu = [Fraction(0)] * g.n_vertices
+        expect = [Fraction(0)] * g.n_vertices
+        for w, corners in g.cells.items():
+            for cvid in corners:
+                expect_mu[cvid] += Fraction(1, 3) ** m / 3
+                expect[cvid] += table.masses[w] / 3
+        assert mu == expect_mu
+        assert nu == expect
+        assert sum(nu) == 1
 
 
 def test_stiffness_is_graph_energy(graphs):
@@ -103,6 +107,15 @@ def test_step_guard(graphs):
         horizon=1.0, level=1, time_step=0.5, lip_g=4.0,
     )
     with pytest.raises(UsageError):
+        solve_weak_pde(p, g)
+
+
+def test_horizon_rounding_to_no_layer_rejected(graphs):
+    # T = 0.001 at m = 2 is 0.075 steps; it used to return u = psi alone
+    g = graphs(2)
+    p = WeakPdeProblem(g=zero_g, f=zero_f, terminal_psi=np.zeros(g.n_vertices),
+                       horizon=0.001, level=2)
+    with pytest.raises(UsageError, match="horizon"):
         solve_weak_pde(p, g)
 
 

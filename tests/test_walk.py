@@ -41,6 +41,18 @@ def test_martingale_property_of_harmonics(kernels, graphs):
         assert np.abs(h[nb].mean(axis=0) - h[x]).max() < 1e-13
 
 
+@pytest.mark.parametrize("m", (1, 2, 3, 4))
+def test_transition_operators(kernels, m):
+    k = kernels(m)
+    ones = np.ones(k.n_vertices)
+    assert np.array_equal(k.P @ ones, ones)
+    assert np.abs(k.Q @ ones).max() < 1e-15  # dW has conditional mean zero
+    inter = ~k.is_boundary
+    for i in range(3):
+        h = k.h_values[:, i]
+        assert np.abs((k.P @ h - h)[inter]).max() < 1e-13
+
+
 def test_direction_sign_convention(kernels):
     k = kernels(2)
     for x in range(k.n_vertices):
@@ -129,6 +141,14 @@ def test_nonpositive_path_count_rejected(kernels, graphs, paths):
     with pytest.raises(UsageError, match="path_count"):
         simulate_paths(WalkConfig(level=1, horizon=0.5, path_count=paths, seed=1),
                        kernels(1), graphs(1))
+
+
+def test_horizon_rounding_to_no_step_rejected():
+    # T = 0.001 at m = 2 is 0.075 steps; it used to run a zero-step walk
+    with pytest.raises(UsageError, match="horizon"):
+        WalkConfig(level=2, horizon=0.001, path_count=10)
+    # horizons off the step grid still run, to the nearest step
+    assert WalkConfig(level=4, horizon=0.25, path_count=10).n_steps == 469
 
 
 def test_path_sample_view(kernels, graphs):
