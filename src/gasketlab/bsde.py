@@ -92,18 +92,47 @@ class BsdeSolution:
         return self.Y.shape[0] - 1
 
 
-def _terminal_values(problem: BsdeProblem, kernel: StepKernel, graph) -> np.ndarray:
-    psi = problem.terminal_psi
+def _terminal_values(psi, graph, n_vertices: int) -> np.ndarray:
+    """Terminal data as a fresh float array: psi, or psi(graph) when callable."""
     if callable(psi):
         psi = psi(graph)
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (kernel.n_vertices,):
+    psi = np.array(psi, dtype=float)
+    if psi.shape != (n_vertices,):
         raise UsageError("terminal data must be one value per vertex")
-    return psi.copy()
+    return psi
 
 
-def _boundary_ids(kernel: StepKernel) -> np.ndarray:
-    return np.nonzero(kernel.is_boundary)[0]
+def _pinned_terminal(problem: BsdeProblem, kernel: StepKernel, graph) -> np.ndarray:
+    """The terminal layer: terminal data, with phi(T) on V_0 in killed mode."""
+    y = _terminal_values(problem.terminal_psi, graph, kernel.n_vertices)
+    if problem.duration == "killed":
+        y[kernel.is_boundary] = problem.boundary_phi(problem.horizon)
+    return y
+
+
+def _sweep(problem: BsdeProblem, kernel: StepKernel, terminal: np.ndarray, layer):
+    """One backward pass from the terminal layer; returns (Y, Z), each (K+1, V).
+
+    layer(k, t, ey, z) gives Y_k from ey = E[Y_{k+1} | x] and the covariation
+    ratio z = E[Y_{k+1} dW | x] / dqv. In killed mode phi(t) is then pinned on
+    V_0 and Z_k = 0 there. The terminal row of Z is zero.
+    """
+    dt = kernel.dt
+    K = layer_count(problem.horizon, dt)
+    killed = problem.duration == "killed"
+    Y = np.empty((K + 1, kernel.n_vertices))
+    Z = np.zeros((K + 1, kernel.n_vertices))
+    Y[K] = terminal
+    for k in range(K - 1, -1, -1):
+        t = k * dt
+        z = (kernel.Q @ Y[k + 1]) / kernel.dqv
+        y = layer(k, t, kernel.P @ Y[k + 1], z)
+        if killed:
+            y[kernel.is_boundary] = problem.boundary_phi(t)
+            z[kernel.is_boundary] = 0.0
+        Y[k] = y
+        Z[k] = z
+    return Y, Z
 
 
 def _spot_check_lipschitz(problem: BsdeProblem, kernel: StepKernel, seed=1234):
@@ -138,47 +167,31 @@ def solve_dp(problem: BsdeProblem, kernel: StepKernel, graph=None,
         raise UsageError("explicit scheme requires dt*K0 < 1")
     _spot_check_lipschitz(problem, kernel)
 
-    K = layer_count(problem.horizon, dt)
-    n = kernel.n_vertices
-    killed = problem.duration == "killed"
-    bnd = _boundary_ids(kernel)
-    xs = np.arange(n)
-
-    Y = np.empty((K + 1, n))
-    Z = np.zeros((K + 1, n))
-    Y[K] = _terminal_values(problem, kernel, graph)
-    if killed:
-        Y[K][bnd] = np.asarray(problem.boundary_phi(problem.horizon), dtype=float)
-
+    xs = np.arange(kernel.n_vertices)
     dqv = kernel.dqv
     inner_iterations = 0
-    for k in range(K - 1, -1, -1):
-        t = k * dt
-        ey = kernel.P @ Y[k + 1]
-        z = (kernel.Q @ Y[k + 1]) / dqv
-        if scheme == "explicit":
-            y = ey + problem.g(t, xs, ey) * dt + problem.f(t, xs, ey, z) * dqv
-        else:
-            y = ey.copy()
-            for it in range(50):
-                y_new = ey + problem.g(t, xs, y) * dt + problem.f(t, xs, y, z) * dqv
-                delta = float(np.abs(y_new - y).max())
-                y = y_new
-                inner_iterations += 1
-                if delta < 1e-12:
-                    break
-            else:
-                raise SchemeError(
-                    "picard-in-step fixed point did not converge",
-                    {"layer": k, "last_delta": delta},
-                )
-        if killed:
-            y[bnd] = np.asarray(problem.boundary_phi(t), dtype=float)
-            z[bnd] = 0.0
-        Y[k] = y
-        Z[k] = z
+
+    def explicit(k, t, ey, z):
+        return ey + problem.g(t, xs, ey) * dt + problem.f(t, xs, ey, z) * dqv
+
+    def in_step(k, t, ey, z):
+        nonlocal inner_iterations
+        y = ey
+        for _ in range(50):
+            y_new = ey + problem.g(t, xs, y) * dt + problem.f(t, xs, y, z) * dqv
+            delta = float(np.abs(y_new - y).max())
+            y = y_new
+            inner_iterations += 1
+            if delta < 1e-12:
+                return y
+        raise SchemeError("picard-in-step fixed point did not converge",
+                          {"layer": k, "last_delta": delta})
+
+    Y, Z = _sweep(problem, kernel, _pinned_terminal(problem, kernel, graph),
+                  explicit if scheme == "explicit" else in_step)
     return BsdeSolution(Y=Y, Z=Z, level=kernel.level, dt=dt, scheme=scheme,
-                        iterations=inner_iterations)
+                        iterations=inner_iterations,
+                        meta={"realized_horizon": (Y.shape[0] - 1) * dt})
 
 
 # --- Picard iteration over the whole horizon ---------------------------------
@@ -197,34 +210,20 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     ratios are roundoff artifacts).
     """
     dt = kernel.dt
-    K = layer_count(problem.horizon, dt)
-    n = kernel.n_vertices
-    killed = problem.duration == "killed"
-    bnd = _boundary_ids(kernel)
-    xs = np.arange(n)
-    terminal = _terminal_values(problem, kernel, graph)
-    if killed:
-        terminal[bnd] = np.asarray(problem.boundary_phi(problem.horizon), dtype=float)
+    xs = np.arange(kernel.n_vertices)
+    terminal = _pinned_terminal(problem, kernel, graph)
+    shape = (layer_count(problem.horizon, dt) + 1, kernel.n_vertices)
+    y_prev = np.zeros(shape) if initial is None else initial.copy()
+    z_prev = np.zeros(shape)
 
-    y_prev = np.zeros((K + 1, n)) if initial is None else initial.copy()
-    z_prev = np.zeros((K + 1, n))
+    def frozen(k, t, ey, z):  # drivers on the previous iterate's fields
+        return (ey + problem.g(t, xs, y_prev[k]) * dt
+                + problem.f(t, xs, y_prev[k], z_prev[k]) * kernel.dqv)
+
     iterates = []
     distances = []
     for _ in range(n_iters):
-        Y = np.empty((K + 1, n))
-        Z = np.zeros((K + 1, n))
-        Y[K] = terminal
-        for k in range(K - 1, -1, -1):
-            t = k * dt
-            ey = kernel.P @ Y[k + 1]
-            z = (kernel.Q @ Y[k + 1]) / kernel.dqv
-            y = (ey + problem.g(t, xs, y_prev[k]) * dt
-                 + problem.f(t, xs, y_prev[k], z_prev[k]) * kernel.dqv)
-            if killed:
-                y[bnd] = np.asarray(problem.boundary_phi(t), dtype=float)
-                z[bnd] = 0.0
-            Y[k] = y
-            Z[k] = z
+        Y, Z = _sweep(problem, kernel, terminal, frozen)
         d = vbeta_norm(paths, Y - y_prev, Z - z_prev, weights)
         distances.append(d)
         iterates.append((Y, Z))
@@ -291,21 +290,22 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
     dt = kernel.dt
     K = layer_count(problem.horizon, dt)
     killed = problem.duration == "killed"
-    bnd = _boundary_ids(kernel)
+    bnd = kernel.is_boundary
 
-    V = _terminal_values(problem, kernel, graph)
-    if killed:
-        V[bnd] = np.asarray(problem.boundary_phi(problem.horizon), dtype=float)
+    V = _pinned_terminal(problem, kernel, graph)
     drift = 1.0 + a * dt + b * kernel.dqv
     for k in range(K - 1, -1, -1):
         ez = kernel.Q @ V
         V = drift * (kernel.P @ V) + c * ez
         if killed:
-            V[bnd] = np.asarray(problem.boundary_phi(k * dt), dtype=float)
-    out = {"Y0": V, "Z0": ez / kernel.dqv}
+            V[bnd] = problem.boundary_phi(k * dt)
+    z0 = ez / kernel.dqv
+    if killed:
+        z0[bnd] = 0.0
+    out = {"Y0": V, "Z0": z0}
 
     if mc_paths and mc_starts is not None:
-        psi = _terminal_values(problem, kernel, graph)
+        psi = _terminal_values(problem.terminal_psi, graph, kernel.n_vertices)
         est = {}
         rng_offset = 0
         for sx in mc_starts:

@@ -105,12 +105,12 @@ def _frac_row(x: Fraction) -> tuple[int, int, float]:
 
 # --- subcommand implementations ----------------------------------------------
 
-def _cmd_graph(args, config):
+def _cmd_graph(args):
     g = build_level_graph(args.level)
     _write_json(args.out, graph_to_json(g))
 
 
-def _cmd_harmonic(args, config):
+def _cmd_harmonic(args):
     u = tuple(Fraction(s) for s in args.boundary.split(","))
     if len(u) != 3:
         raise UsageError("--boundary needs exactly three comma-separated rationals")
@@ -123,7 +123,7 @@ def _cmd_harmonic(args, config):
     _write_table(args.out, ["vertex_id", "x", "y", "value"], rows, args.format)
 
 
-def _cmd_measure(args, config):
+def _cmd_measure(args):
     if args.kind == "mu":
         table = hausdorff_measure(args.level)
     elif args.kind == "nu":
@@ -150,7 +150,7 @@ def _parse_start(s: str):
         return s  # cell word
 
 
-def _cmd_walk(args, config):
+def _cmd_walk(args):
     g = build_level_graph(args.level)
     kernel = build_step_kernel(g)
     cfg = WalkConfig(
@@ -184,7 +184,7 @@ def _cmd_walk(args, config):
         _write_table(args.out, ["word", "mass"], rows, args.format)
 
 
-def _cmd_bsde(args, config):
+def _cmd_bsde(args):
     import dataclasses
 
     spec = load_problem_file(args.problem)
@@ -202,7 +202,7 @@ def _cmd_bsde(args, config):
     _write_table(args.out, ["step", "vertex_id", "Y", "Z"], rows, args.format)
 
 
-def _cmd_pde(args, config):
+def _cmd_pde(args):
     spec = load_problem_file(args.problem)
     g = build_level_graph(args.level)
     ts = None
@@ -225,7 +225,7 @@ def _cmd_pde(args, config):
                  args.format)
 
 
-def _cmd_check_fk(args, config):
+def _cmd_check_fk(args):
     spec = load_problem_file(args.problem)
     levels = [int(s) for s in args.levels.split(",")]
     probe_times = [float(s) for s in args.probe_times.split(",")]
@@ -239,7 +239,7 @@ def _cmd_check_fk(args, config):
     return 0 if rep["decreasing"] else 3
 
 
-def _cmd_check_bounds(args, config):
+def _cmd_check_bounds(args):
     which = args.which
     if which == "beta-chain":
         report = {
@@ -291,7 +291,7 @@ def _cmd_check_bounds(args, config):
     return 0
 
 
-def _cmd_check_contraction(args, config):
+def _cmd_check_contraction(args):
     g = build_level_graph(args.level)
     kernel = build_step_kernel(g)
     bp = BsdeProblem(
@@ -318,7 +318,7 @@ def _cmd_check_contraction(args, config):
     return 0 if report["all_below_bound"] else 3
 
 
-def _cmd_check_identity(args, config):
+def _cmd_check_identity(args):
     levels = [int(s) for s in args.levels.split(",")]
     report = {}
     for m in levels:
@@ -461,7 +461,7 @@ def main(argv=None) -> int:
         name = args.check_kind if args.subcommand == "check" else args.subcommand
         if name not in COMMANDS:
             raise UsageError("check requires one of: fk, bounds, contraction, identity")
-        rc = COMMANDS[name](args, config)
+        rc = COMMANDS[name](args)
     except GasketLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

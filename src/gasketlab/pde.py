@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .bsde import solve_dp
+from .bsde import _terminal_values, solve_dp
 from .errors import UsageError
 from .gasket import LevelGraph, build_level_graph
 from .harmonic import CellGradientTables
@@ -103,15 +103,6 @@ def stiffness_matrix(g: LevelGraph) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _vertex_gradient_average(g: LevelGraph, tables: CellGradientTables,
-                             nu_cells: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    num = np.zeros(g.n_vertices)
-    den = np.zeros(g.n_vertices)
-    np.add.at(num, tables.corners, (nu_cells * grads)[:, None])
-    np.add.at(den, tables.corners, nu_cells[:, None])
-    return num / den
-
-
 def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> WeakPdeSolution:
     if g is None:
         g = build_level_graph(problem.level)
@@ -129,7 +120,20 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     nu = np.array([float(x) for x in nu_ex])
     S = stiffness_matrix(g)
     tables = CellGradientTables(g)
-    nu_cells = tables.nu
+    ncells = len(tables.words)
+    # cell -> corner incidence; row v sums v's cells in cell order
+    incidence = sp.csr_matrix(
+        (np.ones(3 * ncells), (tables.corners.ravel(), np.repeat(np.arange(ncells), 3))),
+        shape=(n, ncells))
+    nu_around = incidence @ tables.nu
+
+    def zbar(grads_k):  # nu-weighted vertex average of the scaled cell gradients
+        return incidence @ (tables.nu * (BROWNIAN_GRADIENT_SCALE * grads_k)) / nu_around
+
+    xs = np.arange(n)
+
+    def load(t, u, z):
+        return problem.g(t, xs, u) * mu + problem.f(t, xs, u, z) * nu
 
     bnd = np.array(g.boundary_ids)
     inter = np.ones(n, dtype=bool)
@@ -143,16 +147,9 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     except RuntimeError as exc:  # pragma: no cover
         raise UsageError(f"assembly failed: {exc}") from exc
 
-    psi = problem.terminal_psi
-    if callable(psi):
-        psi = psi(g)
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (n,):
-        raise UsageError("terminal data must be one value per vertex")
-
-    xs = np.arange(n)
+    psi = _terminal_values(problem.terminal_psi, g, n)
     u = np.empty((K + 1, n))
-    grads = np.empty((K + 1, len(tables.words)))
+    grads = np.empty((K + 1, ncells))
     residuals = np.empty(K)
     u[K] = psi
     phi_T = np.asarray(problem.boundary_phi(problem.horizon), dtype=float)
@@ -162,32 +159,26 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     u[K][bnd] = phi_T
     grads[K] = tables.gradients(u[K])
 
+    z = zbar(grads[K])
     for k in range(K - 1, -1, -1):
         t = k * h
         un = u[k + 1]
-        zbar = _vertex_gradient_average(
-            g, tables, nu_cells, BROWNIAN_GRADIENT_SCALE * grads[k + 1])
-        load = problem.g(t, xs, un) * mu + problem.f(t, xs, un, zbar) * nu
-        ub = np.zeros(n)
-        ub[bnd] = np.asarray(problem.boundary_phi(t), dtype=float)
-        rhs = (mu / h * un + load)[inter] - A_ib @ ub[~inter]
-        uk = np.zeros(n)
-        uk[inter] = lu.solve(rhs)
-        uk[bnd] = ub[bnd]
-        u[k] = uk
+        uk = u[k]
+        uk[bnd] = problem.boundary_phi(t)
+        uk[inter] = lu.solve((mu / h * un + load(t, un, z))[inter] - A_ib @ uk[~inter])
         grads[k] = tables.gradients(uk)
 
-        # IMEX lag: defect when the nonlinearity is re-evaluated at u^k
-        znew = _vertex_gradient_average(
-            g, tables, nu_cells, BROWNIAN_GRADIENT_SCALE * grads[k])
-        load_new = problem.g(t, xs, uk) * mu + problem.f(t, xs, uk, znew) * nu
-        res = (mu / h) * (uk - un) + (S @ uk) - load_new
+        # IMEX lag: defect when the nonlinearity is re-evaluated at u^k; the
+        # average at u^k is also the next layer's driver argument
+        z = zbar(grads[k])
+        res = (mu / h) * (uk - un) + (S @ uk) - load(t, uk, z)
         residuals[k] = float(np.abs(res[inter]).max())
 
     return WeakPdeSolution(
         u=u, gradients=grads, residuals=residuals, level=g.level,
         time_step=h, cell_words=tables.words,
-        meta={"horizon": problem.horizon, "terminal_boundary_mismatch": mismatch},
+        meta={"horizon": problem.horizon, "realized_horizon": K * h,
+              "terminal_boundary_mismatch": mismatch},
     )
 
 
@@ -198,7 +189,8 @@ def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
     make_problem(level) must return a pair (WeakPdeProblem, BsdeProblem) for
     the same data. Probes are the vertices of V_{probe_level} (present at all
     deeper levels) times the given probe times; the field value Y at layer k
-    of the killed DP run is the BSDE value started at time t_k.
+    of the killed DP run is the BSDE value started at time t_k. A probe time
+    outside [0, T] of a level's problem raises UsageError.
     """
     probe_graph = build_level_graph(probe_level)
     probe_coords = [(v.x, v.y) for v in probe_graph.vertices]
@@ -207,9 +199,13 @@ def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
     for m in levels:
         if m < probe_level:
             raise UsageError("probe level exceeds a ladder level")
+        wp, bp = make_problem(m)
+        T = min(wp.horizon, bp.horizon)
+        outside = [t for t in probe_times if not 0 <= t <= T]
+        if outside:
+            raise UsageError(f"probe times {outside} lie outside [0, {T}]")
         g = build_level_graph(m)
         kernel = build_step_kernel(g)
-        wp, bp = make_problem(m)
         sol_pde = solve_weak_pde(wp, g)
         sol_bsde = solve_dp(bp, kernel, g)
         ids = np.array([g.index_by_coord[c] for c in probe_coords])

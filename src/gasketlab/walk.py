@@ -251,7 +251,6 @@ def _simulate_block(args):
         pos = np.full(n_paths, start_vertex, dtype=np.int64)
 
     cum_qv = np.zeros(n_paths)
-    cum_w = np.zeros(n_paths)
     hit_step = np.full(n_paths, -1, dtype=np.int64)
     snaps = {}
     rec = None
@@ -264,23 +263,20 @@ def _simulate_block(args):
         rec["vertices"][:, 0] = pos
 
     for k, slot, live, nxt in walk_steps(kernel, pos, n_steps, rng, killed):
-        w = dW[slot]
         a = dqv[pos]
         if killed:
-            w = np.where(live, w, 0.0)
             a = np.where(live, a, 0.0)
             hit_step[live & isb[nxt]] = k + 1
-        cum_w += w
         cum_qv += a
         pos = nxt
         if record:
             rec["vertices"][:, k + 1] = pos
-            rec["dW"][:, k] = w
+            rec["dW"][:, k] = np.where(live, dW[slot], 0.0) if killed else dW[slot]
             rec["dqv"][:, k] = a
         if (k + 1) in snap_steps:
-            snaps[k + 1] = (cum_qv.copy(), cum_w.copy(), pos.copy())
+            snaps[k + 1] = (cum_qv.copy(), pos.copy())
 
-    out = dict(cum_qv=cum_qv, cum_w=cum_w, pos=pos, hit_step=hit_step, snaps=snaps)
+    out = dict(cum_qv=cum_qv, hit_step=hit_step, snaps=snaps)
     if record:
         out["record"] = rec
     return out
@@ -302,10 +298,10 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph,
 
     merged = {
         key: np.concatenate([r[key] for r in results])
-        for key in ("cum_qv", "cum_w", "pos", "hit_step")
+        for key in ("cum_qv", "hit_step")
     }
-    merged["snaps"] = {
-        k: tuple(np.concatenate([r["snaps"][k][i] for r in results]) for i in range(3))
+    merged["snaps"] = {  # (<W>, position) at each snapshot step
+        k: tuple(np.concatenate([r["snaps"][k][i] for r in results]) for i in range(2))
         for k in snap_steps
     }
     if record:
@@ -468,7 +464,7 @@ def occupation_histogram(cfg: WalkConfig, kernel: StepKernel, t: float,
         raise UsageError("cell level cannot exceed walk level")
     step = step_at(t, kernel.dt, cfg.n_steps)
     r = _run_blocks(cfg, kernel, g, snap_steps=(step,))
-    pos = r["snaps"][step][2]
+    pos = r["snaps"][step][1]
 
     hist: dict[str, float] = {}
     counts = np.bincount(pos, minlength=kernel.n_vertices).astype(float)

@@ -137,6 +137,23 @@ def test_linear_dp_vs_weighted_expectation(kernels, graphs):
     assert np.abs(sol.Z[0] - cf["Z0"]).max() < 1e-12
 
 
+def test_closed_form_z0_zero_on_boundary_when_killed(kernels, graphs):
+    # Z_0 is pinned to 0 on V_0 by solve_dp; the closed form used to report
+    # the covariation ratio there (2.1e-3 at one corner on this problem)
+    g, k = graphs(4), kernels(4)
+    a, b, c = 0.5, 0.3, 0.4
+    p = BsdeProblem(
+        g=lambda t, x, y: a * y, f=lambda t, x, y, z: b * y + c * z,
+        terminal_psi=bump(g), horizon=0.05, k0=1.0, k1=c, duration="killed",
+        boundary_phi=lambda t: np.array([0.2 + 2.0 * t, -0.1 + t, 0.3 - 3.0 * t]),
+    )
+    cf = linear_closed_form(a, b, c, p, k, g)
+    sol = solve_dp(p, k, g)
+    assert np.abs(cf["Z0"] - sol.Z[0]).max() < 1e-12
+    assert np.abs(cf["Y0"] - sol.Y[0]).max() < 1e-12
+    assert (cf["Z0"][k.is_boundary] == 0.0).all()
+
+
 def test_linear_qv_exponential_matches_expint(kernels, graphs):
     # a=0, b=1, c=0, psi=1: Y0(x) = E_x[e-compounded <W>], close to expint
     from gasketlab import expint_estimate
@@ -212,6 +229,15 @@ def test_horizon_rounding_to_no_layer_rejected(kernels, graphs):
                     horizon=0.001)
     with pytest.raises(UsageError, match="horizon"):
         solve_dp(p, k, g)
+
+
+def test_realized_horizon_reported(kernels, graphs):
+    # T = 0.25 at m = 4 is 468.75 steps; the chain runs 469 of them
+    g, k = graphs(4), kernels(4)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g), horizon=0.25)
+    sol = solve_dp(p, k, g)
+    assert sol.n_steps == 469
+    assert sol.meta["realized_horizon"] == 469 * k.dt
 
 
 # --- V^beta norm -------------------------------------------------------------------
@@ -291,6 +317,24 @@ def test_picard_converges_to_dp_fixed_point(kernels, graphs):
     # geometric decay of distances
     d = rep["distances"]
     assert d[6] < d[2] * 0.1
+
+
+@pytest.mark.parametrize("duration", ["deterministic", "killed"])
+def test_first_picard_sweep_is_explicit_dp(kernels, graphs, duration):
+    # drivers that ignore (y, z) make the sweep from zero the explicit DP itself
+    g, k = graphs(3), kernels(3)
+    killed = duration == "killed"
+    p = BsdeProblem(
+        g=lambda t, x, y: np.cos(t + x), f=lambda t, x, y, z: 0.3 * np.sin(2.0 * t - x),
+        terminal_psi=bump(g), horizon=0.1, duration=duration,
+        boundary_phi=(lambda t: np.array([0.2 + t, 0.0, -0.1 * t])) if killed else None,
+    )
+    cfg = WalkConfig(level=3, horizon=0.1, path_count=20, seed=2, killed=killed)
+    ens = simulate_paths(cfg, k, g)
+    Y, Z = picard_iterate(p, k, 1, ens, BetaWeights(1, 1), g)["iterates"][0]
+    sol = solve_dp(p, k, g)
+    assert Y.tobytes() == sol.Y.tobytes()
+    assert Z.tobytes() == sol.Z.tobytes()
 
 
 def test_picard_zero_data_stays_zero(kernels, graphs):

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, schema validation, reproducibility."""
 
 import csv
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from gasketlab.cli import main
+from gasketlab.cli import COMMANDS, main
 from gasketlab.errors import UsageError
 from gasketlab.problems import validate_problem_dict
 
@@ -142,6 +143,21 @@ def test_check_fk_decreasing_column(tmp_path):
     assert header == ["level", "sup_error"]
     sups = [float(r[1]) for r in rows]
     assert sups[1] < sups[0]
+
+
+def test_check_fk_probe_past_horizon_usage_error(tmp_path, capsys):
+    # the default probe times run to 0.75, past this problem's T = 0.5
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(PROBLEM))
+    out = tmp_path / "fk.csv"
+    assert run(["check", "fk", "--problem", pf, "--levels", "2,3", "--out", out]) == 2
+    assert "probe times [0.75] lie outside [0, 0.5]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_command_handlers_take_args_only():
+    for handler in COMMANDS.values():
+        assert list(inspect.signature(handler).parameters) == ["args"]
 
 
 def test_check_identity(tmp_path):

@@ -15,8 +15,9 @@ from gasketlab import (
     solve_weak_pde,
     feynman_kac_check,
 )
+from gasketlab.harmonic import CellGradientTables
 from gasketlab.measures import kusuoka_measure
-from gasketlab.pde import stiffness_matrix
+from gasketlab.pde import BROWNIAN_GRADIENT_SCALE, stiffness_matrix
 from gasketlab.problems import build_problem_pair, validate_problem_dict
 
 
@@ -162,6 +163,67 @@ def test_residuals_reported(graphs):
     sol = solve_weak_pde(p, g)
     assert sol.residuals.shape == (int(round(0.2 / sol.time_step)),)
     assert np.isfinite(sol.residuals).all()
+
+
+def _add_at_average(g, tables, grads):
+    """nu-weighted vertex average of cell values, summed with np.add.at."""
+    num = np.zeros(g.n_vertices)
+    den = np.zeros(g.n_vertices)
+    np.add.at(num, tables.corners, (tables.nu * grads)[:, None])
+    np.add.at(den, tables.corners, tables.nu[:, None])
+    return num / den
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_residuals_equal_add_at_oracle(graphs, m):
+    # layer k's residual re-evaluates the load at u^k with the average of
+    # layer k's own gradients; an average carried one layer off differs
+    g = graphs(m)
+    gfun = lambda t, x, u: -u + 0.1 * np.cos(t)
+    ffun = lambda t, x, u, z: 0.5 * np.sin(u) + 0.25 * z
+    p = WeakPdeProblem(g=gfun, f=ffun, terminal_psi=bump, horizon=0.1, level=m,
+                       boundary_phi=lambda t: np.array([0.1 + t, 0.0, -0.2 * t]))
+    sol = solve_weak_pde(p, g)
+    mu_ex, nu_ex = assemble_masses(g)
+    mu = np.array([float(x) for x in mu_ex])
+    nu = np.array([float(x) for x in nu_ex])
+    S = stiffness_matrix(g)
+    tables = CellGradientTables(g)
+    inter = np.ones(g.n_vertices, dtype=bool)
+    inter[list(g.boundary_ids)] = False
+    h, xs = sol.time_step, np.arange(g.n_vertices)
+    expect = np.empty(len(sol.residuals))
+    for k in range(len(expect)):
+        t, uk = k * h, sol.u[k]
+        z = _add_at_average(g, tables, BROWNIAN_GRADIENT_SCALE * sol.gradients[k])
+        load = gfun(t, xs, uk) * mu + ffun(t, xs, uk, z) * nu
+        res = (mu / h) * (uk - sol.u[k + 1]) + (S @ uk) - load
+        expect[k] = float(np.abs(res[inter]).max())
+    assert expect.tobytes() == sol.residuals.tobytes()
+
+
+def test_realized_horizon_reported(graphs):
+    # T = 0.25 at m = 4 is 468.75 steps; the solve runs 469 layers
+    g = graphs(4)
+    p = WeakPdeProblem(g=zero_g, f=zero_f, terminal_psi=bump, horizon=0.25, level=4)
+    sol = solve_weak_pde(p, g)
+    assert sol.u.shape[0] == 470
+    assert sol.meta["realized_horizon"] == 469 * sol.time_step
+
+
+def test_feynman_kac_probe_time_outside_horizon_rejected():
+    spec = validate_problem_dict({
+        "driver": {"name": "zero"},
+        "terminal": {"name": "bump"},
+        "duration": {"kind": "killed", "T": 0.5},
+    })
+
+    def make(level):
+        return build_problem_pair(spec, level)
+
+    for t in (-0.25, 0.75):
+        with pytest.raises(UsageError, match="probe times"):
+            feynman_kac_check(make, [2], [0.0, t])
 
 
 def test_feynman_kac_driverless_tiny_gap(kernels, graphs):
