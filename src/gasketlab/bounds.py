@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .errors import UsageError
+from .errors import SchemeError, UsageError
 
 SPECTRAL_DIMENSION = 2.0 * math.log(3.0) / math.log(5.0)
 GAMMA_S = 1.0 - SPECTRAL_DIMENSION / 2.0
@@ -39,12 +39,38 @@ def mittag_leffler(a: float, b: float, z: float) -> float:
     Terms are accumulated with fsum; summation stops when the tail is below
     1e-14 relative to the running sum. Arguments far enough into the
     super-exponential growth region trip the overflow guard.
+
+    For z < 0 the terms alternate and cancel. The sum is kept while its
+    largest term is at most 100 max(1, |E|), which holds the absolute error
+    near 1e-13 max(1, |E|). Past that (or on overflow), (a, b) = (1, 1)
+    returns exp(z), 0 < a < 1 with b = 1 uses the completely monotone integral
+    representation (Gorenflo, Kilbas, Mainardi & Rogosin 2014, sec. 3.7), and
+    any other (a, b) raises SchemeError.
     """
     if a <= 0 or b <= 0:
         raise UsageError("Mittag-Leffler parameters must satisfy a, b > 0")
+    if z >= 0.0:
+        return _ml_series(a, b, z)[0]
+    try:
+        value, largest = _ml_series(a, b, z)
+        if largest <= 100.0 * max(1.0, abs(value)):
+            return value
+    except OverflowError:
+        largest = math.inf
+    if a == 1.0 and b == 1.0:
+        return math.exp(z)
+    if a < 1.0 and b == 1.0:
+        return _ml_monotone_integral(a, -z)
+    raise SchemeError("Mittag-Leffler series cancels beyond its accuracy",
+                      {"a": a, "b": b, "z": z, "largest_term": largest})
+
+
+def _ml_series(a: float, b: float, z: float) -> tuple[float, float]:
+    """The fsum of the series and the largest term magnitude."""
     terms = [1.0 / math.gamma(b)]
     if z == 0.0:
-        return terms[0]
+        return terms[0], abs(terms[0])
+    largest = abs(terms[0])
     logaz = math.log(abs(z))
     sign = -1.0 if z < 0 else 1.0
     p = 1
@@ -55,6 +81,7 @@ def mittag_leffler(a: float, b: float, z: float) -> float:
                 f"Mittag-Leffler term overflow at p={p} for a={a}, b={b}, z={z}"
             )
         t = math.exp(logt)
+        largest = max(largest, t)
         terms.append(t * (sign ** p))
         partial = abs(math.fsum(terms))
         if t <= 1e-14 * max(partial, 1e-300) and a * p + b > abs(z) ** (1.0 / a) + a:
@@ -62,7 +89,23 @@ def mittag_leffler(a: float, b: float, z: float) -> float:
         p += 1
         if p > 100_000:
             raise UsageError("Mittag-Leffler series did not settle")
-    return math.fsum(terms)
+    return math.fsum(terms), largest
+
+
+def _ml_monotone_integral(a: float, x: float) -> float:
+    """E_{a,1}(-x) for 0 < a < 1 and x > 0, from
+    E_a(-t^a) = int_0^inf e^{-rt} K_a(r) dr,
+    K_a(r) = sin(a pi) r^{a-1} / (pi (r^{2a} + 2 r^a cos(a pi) + 1)),
+    after r = u^{1/a} / t, which removes the r^{a-1} singularity:
+    E_{a,1}(-x) = sin(a pi) x / (pi a) int_0^inf e^{-u^{1/a}} / |u + x e^{i a pi}|^2 du.
+    The integrand has no cancellation; e^{-u^{1/a}} underflows past u = 750^a.
+    """
+    c = math.cos(a * math.pi)
+    upper = 750.0 ** a
+    val, _ = quad(lambda u: math.exp(-u ** (1.0 / a)) / (u * u + 2.0 * u * x * c + x * x),
+                  0.0, upper, points=[x] if x < upper else None,
+                  epsabs=0.0, epsrel=1e-13, limit=200)
+    return math.sin(a * math.pi) * x / (math.pi * a) * val
 
 
 def _chain_integral(p: int, gamma: float) -> float:

@@ -23,6 +23,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DeclaredConstantError, SchemeError, UsageError
+from .gasket import vertex_count
 from .walk import PathEnsemble, StepKernel, layer_count, walk_steps
 
 
@@ -200,20 +201,27 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
                    paths: PathEnsemble, weights: BetaWeights, graph=None,
                    initial: np.ndarray | None = None,
                    stop_rel: float = 1e-13) -> dict:
-    """Iterate the frozen-driver linear solve from (Y, Z) = (0, 0).
+    """Iterate the frozen-driver linear solve from (Y, Z) = (initial, 0).
 
-    Each sweep solves the BSDE whose drivers are evaluated on the previous
-    iterate's fields, mirroring the existence proof; distances between
-    consecutive iterates are measured in the empirical V^beta norm along the
-    supplied frozen path ensemble. Iteration stops once the distance falls
-    below stop_rel times the first distance (the numerical floor, where
-    ratios are roundoff artifacts).
+    initial defaults to Y = 0 and must have shape (K+1, V). Each sweep solves
+    the BSDE whose drivers are evaluated on the previous iterate's fields,
+    mirroring the existence proof; distances between consecutive iterates are
+    measured in the empirical V^beta norm along the supplied frozen path
+    ensemble, whose level must be the kernel's. Iteration stops once the
+    distance falls below stop_rel times the first distance (the numerical
+    floor, where ratios are roundoff artifacts).
     """
+    if paths.config.level != kernel.level:
+        raise UsageError(f"paths are at level {paths.config.level}, "
+                         f"the kernel at level {kernel.level}")
     dt = kernel.dt
     xs = np.arange(kernel.n_vertices)
     terminal = _pinned_terminal(problem, kernel, graph)
     shape = (layer_count(problem.horizon, dt) + 1, kernel.n_vertices)
-    y_prev = np.zeros(shape) if initial is None else initial.copy()
+    if initial is not None and np.shape(initial) != shape:
+        raise UsageError(f"initial field has shape {np.shape(initial)}, expected {shape}")
+    norm = _vbeta_norm_on(paths, weights)
+    y_prev = np.zeros(shape) if initial is None else np.array(initial, dtype=float)
     z_prev = np.zeros(shape)
 
     def frozen(k, t, ey, z):  # drivers on the previous iterate's fields
@@ -224,7 +232,7 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     distances = []
     for _ in range(n_iters):
         Y, Z = _sweep(problem, kernel, terminal, frozen)
-        d = vbeta_norm(paths, Y - y_prev, Z - z_prev, weights)
+        d = norm(Y - y_prev, Z - z_prev)
         distances.append(d)
         iterates.append((Y, Z))
         y_prev, z_prev = Y, Z
@@ -240,6 +248,53 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     }
 
 
+def _vbeta_norm_on(paths: PathEnsemble, weights: BetaWeights):
+    """Build the path-only part of the V^beta norm once; return norm(y, z).
+
+    Time-major, row k is time t_k: index (K+1, N) is the flat field index
+    k*V + vertex of each path, e (K+1, N) is exp(2 b0 t_k + 2 b1 <W>_k - shift)
+    and dqv (K, N) the per-step increments.
+    """
+    K, N = paths.n_steps, paths.n_paths
+    shape = (K + 1, vertex_count(paths.config.level))
+    dqv = np.ascontiguousarray(paths.dqv.T)
+    e = np.empty((K + 1, N))
+    e[0] = 0.0
+    np.cumsum(dqv, axis=0, out=e[1:])  # <W>_k
+    e *= 2 * weights.b1
+    e += (2 * weights.b0 * (np.arange(K + 1) * paths.dt))[:, None]
+    shift = max(0.0, float(e.max()) - 600.0)
+    e -= shift
+    np.exp(e, out=e)
+    index = np.ascontiguousarray(np.arange(K + 1)[:, None] * shape[1] + paths.vertices.T)
+
+    def norm(y_field: np.ndarray, z_field: np.ndarray) -> float:
+        for name, f in (("y", y_field), ("z", z_field)):
+            if np.shape(f) != shape:
+                raise UsageError(f"{name} field has shape {np.shape(f)}, the path "
+                                 f"ensemble needs {shape} (layers, vertices)")
+        y2e = np.ravel(y_field)[index]       # y, then y^2 e in place
+        y2e *= y2e
+        z = np.ravel(z_field)[index[:-1]]
+        # run[k] = (sum_{r>=k} y_r^2 e_r dt, sum_{r>=k} (y_r^2 + z_r^2) e_r dqv_r)
+        run = np.empty((K, 2, N))
+        run_dr, run_dqv = run[:, 0], run[:, 1]
+        np.multiply(z, z, out=run_dqv)
+        run_dqv += y2e[:-1]
+        run_dqv *= e[:-1]
+        run_dqv *= dqv
+        y2e *= e
+        np.multiply(y2e[:-1], paths.dt, out=run_dr)
+        for k in range(K - 2, -1, -1):
+            run[k] += run[k + 1]
+        run_dr += y2e[:-1]
+        run_dr += run_dqv
+        sup = np.maximum(run_dr.max(axis=0), y2e[K])
+        return math.sqrt(float(sup.mean()) * math.exp(shift))
+
+    return norm
+
+
 def vbeta_norm(paths: PathEnsemble, y_field: np.ndarray, z_field: np.ndarray,
                weights: BetaWeights) -> float:
     """Empirical V^beta norm of time-vertex fields sampled along paths.
@@ -248,31 +303,14 @@ def vbeta_norm(paths: PathEnsemble, y_field: np.ndarray, z_field: np.ndarray,
                       + sum_{r>=k} (y_r^2+z_r^2) e_r dqv_r ],
     with e_k = exp(2 b0 t_k + 2 b1 <W>_k); the mean over paths is returned
     (squared norm -> sqrt at the end). Exponents are accumulated in log
-    domain when they would overflow.
+    domain when they would overflow. Both fields must have shape (K+1, V)
+    for the ensemble's K steps and the V vertices of its level.
+
+    The path-only part (e_k, dqv, the gather index) is built once per
+    ensemble and weights; picard_iterate reuses it for every sweep. The field
+    part runs time-major, on (K+1, N) arrays, in place.
     """
-    K = paths.n_steps
-    if y_field.shape[0] != K + 1:
-        raise UsageError("field layers do not match the path ensemble steps")
-    dt = paths.dt
-    tgrid = np.arange(K + 1) * dt
-    qv = np.concatenate([np.zeros((paths.n_paths, 1)), paths.cum_qv], axis=1)
-    expo = 2 * weights.b0 * tgrid[None, :] + 2 * weights.b1 * qv  # (N, K+1)
-    shift = max(0.0, float(expo.max()) - 600.0)
-    ew = np.exp(expo - shift)
-
-    yv = y_field[np.arange(K + 1)[None, :], paths.vertices]
-    zv = z_field[np.arange(K + 1)[None, :], paths.vertices]
-
-    dqv_step = paths.dqv
-    y2e = yv * yv * ew
-    run_dr = np.zeros_like(yv)
-    run_dqv = np.zeros_like(yv)
-    run_dr[:, :-1] = np.cumsum((y2e[:, :-1] * dt)[:, ::-1], axis=1)[:, ::-1]
-    zi = (yv[:, :-1] ** 2 + zv[:, :-1] ** 2) * ew[:, :-1] * dqv_step
-    run_dqv[:, :-1] = np.cumsum(zi[:, ::-1], axis=1)[:, ::-1]
-    total = y2e + run_dr + run_dqv
-    sup = total.max(axis=1)
-    return math.sqrt(float(sup.mean()) * math.exp(shift))
+    return _vbeta_norm_on(paths, weights)(y_field, z_field)
 
 
 # --- linear closed form -------------------------------------------------------

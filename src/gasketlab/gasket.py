@@ -73,6 +73,11 @@ class LevelGraph:
         object.__setattr__(self, "_incidence", tuple(tuple(ws) for ws in inc))
 
 
+def vertex_count(m: int) -> int:
+    """|V_m| = (3^(m+1) + 3) / 2."""
+    return (3 ** (m + 1) + 3) // 2
+
+
 def _midpoint(a: Coord, b: Coord) -> Coord:
     return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
 
@@ -133,7 +138,7 @@ def build_level_graph(m: int) -> LevelGraph:
         boundary_ids=boundary_ids,
         index_by_coord=index,
     )
-    assert g.n_vertices == (3 ** (m + 1) + 3) // 2
+    assert g.n_vertices == vertex_count(m)
     assert g.n_edges == 3 ** (m + 1)
     return g
 

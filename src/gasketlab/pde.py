@@ -183,14 +183,15 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
 
 
 def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
-                      horizon: float = 1.0) -> dict:
+                      horizon: float | None = None) -> dict:
     """Cross-validate the weak solver against the chain BSDE on a level ladder.
 
     make_problem(level) must return a pair (WeakPdeProblem, BsdeProblem) for
     the same data. Probes are the vertices of V_{probe_level} (present at all
     deeper levels) times the given probe times; the field value Y at layer k
     of the killed DP run is the BSDE value started at time t_k. A probe time
-    outside [0, T] of a level's problem raises UsageError.
+    outside [0, T] of a level's problem raises UsageError, and so does a
+    horizon, when given, that differs from T by more than 1e-12 relative.
     """
     probe_graph = build_level_graph(probe_level)
     probe_coords = [(v.x, v.y) for v in probe_graph.vertices]
@@ -201,6 +202,8 @@ def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
             raise UsageError("probe level exceeds a ladder level")
         wp, bp = make_problem(m)
         T = min(wp.horizon, bp.horizon)
+        if horizon is not None and abs(horizon - T) > 1e-12 * T:
+            raise UsageError(f"horizon {horizon} differs from the level-{m} problem horizon {T}")
         outside = [t for t in probe_times if not 0 <= t <= T]
         if outside:
             raise UsageError(f"probe times {outside} lie outside [0, {T}]")

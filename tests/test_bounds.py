@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gasketlab import GAMMA_S, SPECTRAL_DIMENSION, UsageError, mittag_leffler
+from gasketlab import GAMMA_S, SPECTRAL_DIMENSION, SchemeError, UsageError, mittag_leffler
 from gasketlab.bounds import (
+    _ml_series,
     beta_chain_identity,
     check_mittag_leffler_bound,
     check_moment_bound,
@@ -59,6 +60,34 @@ def test_ml_domain_errors():
         mittag_leffler(-0.5, 1.0, 1.0)
     with pytest.raises(OverflowError):
         mittag_leffler(0.2, 1.0, 500.0)
+
+
+def _ml_mpmath(a, b, z, dps=80, terms=1500):
+    # the same series at 80 digits: enough for the ~1e43 cancellation below
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b, z = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(z)
+        return float(mpmath.fsum(z ** p / mpmath.gamma(a * p + b) for p in range(terms)))
+
+
+@pytest.mark.parametrize("a, z", ((1.0, -20.0), (1.0, -40.0), (0.5, -10.0),
+                                  (GAMMA_S, -2.0), (GAMMA_S, -5.0), (0.9, -40.0)))
+def test_ml_negative_argument_matches_mpmath(a, z):
+    # the bare series gives 5.2e-7, 459 and -1.25e29 for the first three
+    exact = _ml_mpmath(a, 1.0, z)
+    assert abs(mittag_leffler(a, 1.0, z) - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("z", (-5.0, -2.0, -1.0, -0.25))
+def test_ml_mild_cancellation_keeps_the_series(z):
+    assert mittag_leffler(1.0, 1.0, z) == _ml_series(1.0, 1.0, z)[0]
+
+
+@pytest.mark.parametrize("a, b, z", ((2.0, 1.0, -200.0), (0.5, 2.0, -30.0)))
+def test_ml_cancellation_without_a_stable_route_raises(a, b, z):
+    with pytest.raises(SchemeError):
+        mittag_leffler(a, b, z)
 
 
 def test_beta_chain_p1_is_inverse_gamma():

@@ -1,5 +1,6 @@
 """Chain BSDE solvers: DP, Picard iteration, V^beta norms, linear closed form."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -21,6 +22,9 @@ from gasketlab import (
     vbeta_norm,
 )
 from gasketlab.bsde import linear_closed_form
+from gasketlab.walk import layer_count
+
+import vbeta_oracle
 
 
 def bump(g):
@@ -278,6 +282,47 @@ def test_vbeta_monotone_in_beta(kernels, graphs):
     assert v1 <= v2 <= v3
 
 
+@pytest.mark.parametrize("killed, horizon, beta, scale", [
+    (False, 1.0, 1.0, 1.0),
+    (True, 0.05, 1.0, 1.0),    # short: most paths are still alive at the end
+    (False, 1.0, 36.0, 1.0),
+    (True, 0.05, 36.0, 1.0),
+    (False, 1.0, 200.0, 1e-60),  # exponent past 600: the shift > 0 branch
+])
+def test_vbeta_equals_path_major_oracle(kernels, graphs, killed, horizon, beta, scale):
+    g, k = graphs(3), kernels(3)
+    cfg = WalkConfig(level=3, horizon=horizon, path_count=80, seed=31, killed=killed)
+    ens = simulate_paths(cfg, k, g)
+    w = BetaWeights(beta, beta)
+    # past 709 the weight alone overflows, so a finite norm needs the shift
+    assert (2 * beta * (1.0 + ens.cum_qv[:, -1].max()) > 709.8) == (beta == 200.0)
+    rng = np.random.default_rng(4)
+    y, z = scale * rng.standard_normal((2, ens.n_steps + 1, g.n_vertices))
+    y[-1] = 0.0  # as in a Picard difference: the sup then reads the running sums
+    got = vbeta_norm(ens, y, z, w)
+    assert math.isfinite(got)
+    assert got == vbeta_oracle.vbeta_norm(ens, y, z, w)
+    # one path at a time, so that a last-bit change in one path's sup is not
+    # averaged away by the mean over paths
+    for i in range(ens.n_paths):
+        one = dataclasses.replace(ens, vertices=ens.vertices[i:i + 1], dW=ens.dW[i:i + 1],
+                                  dqv=ens.dqv[i:i + 1], hit_step=ens.hit_step[i:i + 1])
+        assert vbeta_norm(one, y, z, w) == vbeta_oracle.vbeta_norm(one, y, z, w)
+
+
+def test_vbeta_rejects_a_field_of_another_level(kernels, graphs):
+    # level-3 paths over T = 1 and a level-4 field over T = 0.2 both have 375 steps
+    g3, k3, g4 = graphs(3), kernels(3), graphs(4)
+    ens = simulate_paths(WalkConfig(level=3, horizon=1.0, path_count=20, seed=1), k3, g3)
+    assert ens.n_steps == layer_count(0.2, kernels(4).dt)
+    right = np.ones((ens.n_steps + 1, g3.n_vertices))
+    wrong = np.ones((ens.n_steps + 1, g4.n_vertices))
+    w = BetaWeights(1, 1)
+    for y, z in ((wrong, wrong), (right, wrong), (wrong, right), (right, right[:-1])):
+        with pytest.raises(UsageError):
+            vbeta_norm(ens, y, z, w)
+
+
 # --- contraction constant ------------------------------------------------------------
 
 def test_contraction_constant_values():
@@ -335,6 +380,48 @@ def test_first_picard_sweep_is_explicit_dp(kernels, graphs, duration):
     sol = solve_dp(p, k, g)
     assert Y.tobytes() == sol.Y.tobytes()
     assert Z.tobytes() == sol.Z.tobytes()
+
+
+def test_picard_equals_path_major_oracle(kernels, graphs):
+    # criterion 08: every distance, ratio and iterate, from zero and from the
+    # driverless DP seed, has the bytes of the loop measured with the old norm
+    g, k = graphs(3), kernels(3)
+    p = BsdeProblem(
+        g=lambda t, x, y: -0.5 * y, f=lambda t, x, y, z: 0.5 * np.sin(y) + z,
+        terminal_psi=bump(g), horizon=1.0, k0=1.0, k1=1.0,
+    )
+    w = BetaWeights(36.0, 36.0)
+    ens = simulate_paths(WalkConfig(level=3, horizon=1.0, path_count=1500, seed=808), k, g)
+    seed_field = solve_dp(BsdeProblem(g=zero_g, f=zero_f, terminal_psi=p.terminal_psi,
+                                      horizon=1.0), k, g).Y
+    for initial in (None, seed_field):
+        got = picard_iterate(p, k, 30, ens, w, g, initial=initial, stop_rel=1e-19)
+        ref = vbeta_oracle.picard_iterate(p, k, 30, ens, w, initial=initial, stop_rel=1e-19)
+        assert got["distances"] == ref["distances"]
+        assert got["ratios"] == ref["ratios"]
+        assert len(got["iterates"]) == len(ref["iterates"])
+        for (Y, Z), (Yr, Zr) in zip(got["iterates"], ref["iterates"]):
+            assert Y.tobytes() == Yr.tobytes()
+            assert Z.tobytes() == Zr.tobytes()
+
+
+def test_picard_rejects_paths_of_another_level(kernels, graphs):
+    # same 375 steps, different level
+    g3, k3, g4, k4 = graphs(3), kernels(3), graphs(4), kernels(4)
+    ens = simulate_paths(WalkConfig(level=3, horizon=1.0, path_count=20, seed=1), k3, g3)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g4), horizon=0.2)
+    with pytest.raises(UsageError, match="level"):
+        picard_iterate(p, k4, 2, ens, BetaWeights(1, 1), g4)
+
+
+def test_picard_rejects_a_misshapen_initial_field(kernels, graphs):
+    g, k = graphs(2), kernels(2)
+    ens = simulate_paths(WalkConfig(level=2, horizon=0.5, path_count=20, seed=1), k, g)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g), horizon=0.5)
+    K = ens.n_steps
+    for shape in ((K, g.n_vertices), (K + 1, g.n_vertices - 1), (g.n_vertices,)):
+        with pytest.raises(UsageError, match="initial"):
+            picard_iterate(p, k, 2, ens, BetaWeights(1, 1), g, initial=np.zeros(shape))
 
 
 def test_picard_zero_data_stays_zero(kernels, graphs):

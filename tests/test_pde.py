@@ -226,6 +226,23 @@ def test_feynman_kac_probe_time_outside_horizon_rejected():
             feynman_kac_check(make, [2], [0.0, t])
 
 
+def test_feynman_kac_horizon_must_match_the_problem():
+    spec = validate_problem_dict({
+        "driver": {"name": "zero"},
+        "terminal": {"name": "bump"},
+        "duration": {"kind": "killed", "T": 0.5},
+    })
+
+    def make(level):
+        return build_problem_pair(spec, level)
+
+    for horizon in (1.0, 0.25, 0.5 * (1 + 1e-9)):
+        with pytest.raises(UsageError, match="horizon"):
+            feynman_kac_check(make, [2], [0.0, 0.25], horizon=horizon)
+    given = feynman_kac_check(make, [2], [0.0, 0.25], horizon=0.5 * (1 + 1e-14))
+    assert given == feynman_kac_check(make, [2], [0.0, 0.25])
+
+
 def test_feynman_kac_driverless_tiny_gap(kernels, graphs):
     spec = validate_problem_dict({
         "driver": {"name": "zero"},

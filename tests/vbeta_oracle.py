@@ -1,0 +1,64 @@
+"""Reference V^beta norm: the path-major body that bsde.vbeta_norm replaced.
+
+It rebuilds the path weights on every call and evaluates on (N, K+1) arrays
+with a two-array gather. The package evaluates time-major, in place, against
+weights built once per ensemble, keeping every operand order, so the tests
+can require `==` between the two.
+"""
+
+import math
+
+import numpy as np
+
+from gasketlab.bsde import _pinned_terminal, _sweep
+
+
+def vbeta_norm(paths, y_field, z_field, weights):
+    K = paths.n_steps
+    dt = paths.dt
+    tgrid = np.arange(K + 1) * dt
+    qv = np.concatenate([np.zeros((paths.n_paths, 1)), paths.cum_qv], axis=1)
+    expo = 2 * weights.b0 * tgrid[None, :] + 2 * weights.b1 * qv  # (N, K+1)
+    shift = max(0.0, float(expo.max()) - 600.0)
+    ew = np.exp(expo - shift)
+
+    yv = y_field[np.arange(K + 1)[None, :], paths.vertices]
+    zv = z_field[np.arange(K + 1)[None, :], paths.vertices]
+
+    dqv_step = paths.dqv
+    y2e = yv * yv * ew
+    run_dr = np.zeros_like(yv)
+    run_dqv = np.zeros_like(yv)
+    run_dr[:, :-1] = np.cumsum((y2e[:, :-1] * dt)[:, ::-1], axis=1)[:, ::-1]
+    zi = (yv[:, :-1] ** 2 + zv[:, :-1] ** 2) * ew[:, :-1] * dqv_step
+    run_dqv[:, :-1] = np.cumsum(zi[:, ::-1], axis=1)[:, ::-1]
+    total = y2e + run_dr + run_dqv
+    sup = total.max(axis=1)
+    return math.sqrt(float(sup.mean()) * math.exp(shift))
+
+
+def picard_iterate(problem, kernel, n_iters, paths, weights, initial=None,
+                   stop_rel=1e-13):
+    """The Picard loop measured with the reference norm: distances, ratios, iterates."""
+    dt = kernel.dt
+    xs = np.arange(kernel.n_vertices)
+    terminal = _pinned_terminal(problem, kernel, None)
+    shape = (paths.n_steps + 1, kernel.n_vertices)
+    y_prev = np.zeros(shape) if initial is None else initial.copy()
+    z_prev = np.zeros(shape)
+
+    def frozen(k, t, ey, z):
+        return (ey + problem.g(t, xs, y_prev[k]) * dt
+                + problem.f(t, xs, y_prev[k], z_prev[k]) * kernel.dqv)
+
+    iterates, distances = [], []
+    for _ in range(n_iters):
+        Y, Z = _sweep(problem, kernel, terminal, frozen)
+        distances.append(vbeta_norm(paths, Y - y_prev, Z - z_prev, weights))
+        iterates.append((Y, Z))
+        y_prev, z_prev = Y, Z
+        if distances[-1] <= stop_rel * distances[0]:
+            break
+    ratios = [distances[i + 1] / distances[i]
+              for i in range(len(distances) - 1) if distances[i] > 0]
+    return {"iterates": iterates, "distances": distances, "ratios": ratios}
