@@ -30,6 +30,7 @@ from .errors import (
     CapacityError,
     DeclaredConstantError,
     GasketLabError,
+    NumericOverflowError,
     SchemeError,
     UsageError,
 )
@@ -62,7 +63,6 @@ from .pde import (
 )
 from .walk import (
     PathEnsemble,
-    PathSample,
     StepKernel,
     WalkConfig,
     build_step_kernel,

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .errors import SchemeError, UsageError
+from .errors import NumericOverflowError, SchemeError, UsageError
 
 SPECTRAL_DIMENSION = 2.0 * math.log(3.0) / math.log(5.0)
 GAMMA_S = 1.0 - SPECTRAL_DIMENSION / 2.0
@@ -38,7 +38,8 @@ def mittag_leffler(a: float, b: float, z: float) -> float:
 
     Terms are accumulated with fsum; summation stops when the tail is below
     1e-14 relative to the running sum. Arguments far enough into the
-    super-exponential growth region trip the overflow guard.
+    super-exponential growth region trip the overflow guard, which raises
+    NumericOverflowError (a GasketLabError and an OverflowError).
 
     For z < 0 the terms alternate and cancel. The sum is kept while its
     largest term is at most 100 max(1, |E|), which holds the absolute error
@@ -77,7 +78,7 @@ def _ml_series(a: float, b: float, z: float) -> tuple[float, float]:
     while True:
         logt = p * logaz - gammaln(a * p + b)
         if logt > 700.0:
-            raise OverflowError(
+            raise NumericOverflowError(
                 f"Mittag-Leffler term overflow at p={p} for a={a}, b={b}, z={z}"
             )
         t = math.exp(logt)

@@ -24,7 +24,7 @@ from numpy.random import Generator, Philox
 
 from .errors import DeclaredConstantError, SchemeError, UsageError
 from .gasket import vertex_count
-from .walk import PathEnsemble, StepKernel, layer_count, walk_steps
+from .walk import PathEnsemble, StepKernel, heavy_tailed, layer_count, walk_steps
 
 
 @dataclass(frozen=True)
@@ -383,9 +383,7 @@ def _mc_linear(kernel, problem, a, b, c, start, n_paths, seed, psi, killed):
     samples = weights * value
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n_paths))
-    top = np.sort(np.abs(samples))[-max(1, n_paths // 100):].sum()
-    unstable = bool(top > 0.5 * np.abs(samples).sum())
-    return {"estimate": mean, "stderr": stderr, "unstable": unstable}
+    return {"estimate": mean, "stderr": stderr, "unstable": heavy_tailed(samples)}
 
 
 # --- monotonicity spot checks --------------------------------------------------

@@ -185,13 +185,9 @@ def _cmd_walk(args):
 
 
 def _cmd_bsde(args):
-    import dataclasses
-
     spec = load_problem_file(args.problem)
     g = build_level_graph(args.level)
     kernel = build_step_kernel(g)
-    if args.dt_per_step:
-        kernel = dataclasses.replace(kernel, dt=args.dt_per_step)
     _, bp = build_problem_pair(spec, args.level)
     sol = solve_dp(bp, kernel, g, scheme=args.scheme)
     rows = []
@@ -384,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--scheme", choices=["explicit", "picard-in-step"], default="explicit")
-    p.add_argument("--dt-per-step", type=float, default=None,
-                   help="override the walk-time step label (default 5^-m/3)")
     p.add_argument("--stride", type=int, default=1, help="emit every k-th layer")
     p.add_argument("--out", required=True)
 

@@ -13,6 +13,10 @@ class UsageError(GasketLabError, ValueError):
     """Caller violated a precondition (bad word length, missing values, schema)."""
 
 
+class NumericOverflowError(GasketLabError, OverflowError):
+    """A computed quantity left the floating-point range."""
+
+
 class SchemeError(GasketLabError, RuntimeError):
     """A numerical scheme failed to converge; carries diagnostics in args."""
 

@@ -34,7 +34,7 @@ from .errors import UsageError
 from .gasket import LevelGraph, build_level_graph
 from .harmonic import CellGradientTables
 from .measures import kusuoka_measure
-from .walk import build_step_kernel, layer_count, step_duration
+from .walk import build_step_kernel, layer_at, layer_count, step_duration
 
 BROWNIAN_GRADIENT_SCALE = math.sqrt(2.0)
 
@@ -215,8 +215,8 @@ def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
         errs = {}
         worst = 0.0
         for t in probe_times:
-            k_pde = int(round(t / sol_pde.time_step))
-            k = int(round(t / kernel.dt))
+            k_pde = layer_at(t, sol_pde.time_step, wp.horizon)
+            k = layer_at(t, kernel.dt, bp.horizon)
             diff = np.abs(sol_pde.u[k_pde][ids] - sol_bsde.Y[k][ids])
             for pid, d in zip(ids, diff):
                 errs[(t, int(pid))] = float(d)

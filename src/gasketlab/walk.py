@@ -58,9 +58,14 @@ def layer_count(horizon: float, dt: float) -> int:
     return k
 
 
-def step_at(t: float, dt: float, n_steps: int) -> int:
-    """The step nearest time t, clamped to 1..n_steps."""
-    return max(1, min(int(round(t / dt)), n_steps))
+def layer_at(t: float, dt: float, horizon: float) -> int:
+    """The layer nearest time t, in 0..layer_count(horizon, dt).
+
+    UsageError when t lies outside [0, horizon].
+    """
+    if not 0.0 <= t <= horizon:
+        raise UsageError(f"time {t} lies outside [0, {horizon}]")
+    return int(round(t / dt))
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,6 @@ class StepKernel:
     dW: np.ndarray           # (V,4) martingale increment per neighbor slot
     dqv: np.ndarray          # (V,) per-step quadratic-variation rate
     direction: np.ndarray    # (V,3) principal unit direction e(x)
-    residual: np.ndarray     # (V,) covariance mass off the principal direction
     is_boundary: np.ndarray  # (V,) bool
     mu_weight: np.ndarray    # (V,) lumped Hausdorff vertex masses (sums to 1)
     h_values: np.ndarray     # (V,3) float corner-harmonic values
@@ -96,7 +100,6 @@ def build_step_kernel(g: LevelGraph) -> StepKernel:
     dWm = np.zeros((n, 4))
     dqv = np.zeros(n)
     direction = np.zeros((n, 3))
-    residual = np.zeros(n)
 
     for x in range(n):
         ns = list(g.neighbors_of[x])
@@ -116,8 +119,7 @@ def build_step_kernel(g: LevelGraph) -> StepKernel:
         dh = hf[ns] - hf[x]                      # (d,3)
         mbar = dh.mean(axis=0)
         cov = dh.T @ dh / d - np.outer(mbar, mbar)
-        lam, vecs = np.linalg.eigh(cov)
-        e = vecs[:, -1]
+        e = np.linalg.eigh(cov)[1][:, -1]
         if abs(e[0]) < 1e-13:
             if e[1] < 0:
                 e = -e
@@ -128,7 +130,6 @@ def build_step_kernel(g: LevelGraph) -> StepKernel:
         scale = math.sqrt(dqv[x] / float((raw * raw).mean()))
         dWm[x, :d] = raw * scale
         direction[x] = e
-        residual[x] = 1.0 - lam[-1] / cov.trace()
 
     isb = np.zeros(n, dtype=bool)
     isb[list(g.boundary_ids)] = True
@@ -143,7 +144,7 @@ def build_step_kernel(g: LevelGraph) -> StepKernel:
 
     return StepKernel(
         level=m, dt=step_duration(m), nbr=nbr, deg=deg, dW=dWm, dqv=dqv,
-        direction=direction, residual=residual, is_boundary=isb,
+        direction=direction, is_boundary=isb,
         mu_weight=mu_w, h_values=hf, P=pmat, Q=qmat,
     )
 
@@ -182,7 +183,7 @@ class WalkConfig:
         return layer_count(self.horizon, step_duration(self.level))
 
 
-def _resolve_start(cfg: WalkConfig, g: LevelGraph, kernel: StepKernel):
+def _resolve_start(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None):
     s = cfg.start
     if isinstance(s, str) and s == "mu":
         return None  # sampled per block from the lumped Hausdorff weights
@@ -190,25 +191,15 @@ def _resolve_start(cfg: WalkConfig, g: LevelGraph, kernel: StepKernel):
         if not (0 <= int(s) < kernel.n_vertices):
             raise UsageError(f"unknown start vertex {s}")
         return int(s)
-    if isinstance(s, str):
-        word = s
-        if len(word) != g.level or word not in g.cells:
-            raise UsageError(f"start word {word!r} not a level-{g.level} cell")
-        return g.cells[word][0]
-    if isinstance(s, tuple) and len(s) == 2:
+    if not (isinstance(s, str) or isinstance(s, tuple) and len(s) == 2):
+        raise UsageError(f"cannot interpret start spec {s!r}")
+    if g is None:  # only cell-word and coordinate starts read the graph
+        g = build_level_graph(cfg.level)
+    if isinstance(s, tuple):
         return vertex_by_coord(g, s)
-    raise UsageError(f"cannot interpret start spec {s!r}")
-
-
-def _block_ranges(n_total: int, block: int):
-    out = []
-    b = 0
-    start = 0
-    while start < n_total:
-        out.append((b, start, min(start + block, n_total)))
-        b += 1
-        start += block
-    return out
+    if len(s) != g.level or s not in g.cells:
+        raise UsageError(f"start word {s!r} not a level-{g.level} cell")
+    return g.cells[s][0]
 
 
 def walk_steps(kernel: StepKernel, pos: np.ndarray, n_steps: int,
@@ -253,6 +244,8 @@ def _simulate_block(args):
     cum_qv = np.zeros(n_paths)
     hit_step = np.full(n_paths, -1, dtype=np.int64)
     snaps = {}
+    if 0 in snap_steps:
+        snaps[0] = (cum_qv.copy(), pos.copy())
     rec = None
     if record:
         rec = {
@@ -282,13 +275,24 @@ def _simulate_block(args):
     return out
 
 
-def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph,
+def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
                 snap_steps=(), record=False):
-    start_vertex = _resolve_start(cfg, g, kernel)
+    """Run cfg's ensemble block by block; every walk entry point comes here.
+
+    Raises UsageError unless the config, the kernel and the graph (when
+    given) are at one level. The graph is built only for a cell-word or
+    coordinate start; snap_steps are layers in 0..cfg.n_steps.
+    """
+    if kernel.level != cfg.level or g is not None and g.level != cfg.level:
+        graph_level = "none" if g is None else g.level
+        raise UsageError(f"walk config level {cfg.level}, kernel level {kernel.level} "
+                         f"and graph level {graph_level} differ")
+    start_vertex = _resolve_start(cfg, kernel, g)
+    n = cfg.path_count
     jobs = [
-        (kernel, hi - lo, cfg.n_steps, cfg.seed, b, cfg.killed, start_vertex,
-         frozenset(snap_steps), record)
-        for b, lo, hi in _block_ranges(cfg.path_count, cfg.block_size)
+        (kernel, min(cfg.block_size, n - lo), cfg.n_steps, cfg.seed, b, cfg.killed,
+         start_vertex, frozenset(snap_steps), record)
+        for b, lo in enumerate(range(0, n, cfg.block_size))
     ]
     if cfg.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
@@ -300,7 +304,7 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph,
         key: np.concatenate([r[key] for r in results])
         for key in ("cum_qv", "hit_step")
     }
-    merged["snaps"] = {  # (<W>, position) at each snapshot step
+    merged["snaps"] = {  # (<W>, position) at each snapshot layer
         k: tuple(np.concatenate([r["snaps"][k][i] for r in results]) for i in range(2))
         for k in snap_steps
     }
@@ -310,19 +314,6 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph,
             for key in ("vertices", "dW", "dqv")
         }
     return merged
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """One trajectory with its martingale increments and hitting data."""
-
-    vertices: np.ndarray
-    dW: np.ndarray
-    dqv: np.ndarray
-    cum_qv: np.ndarray
-    hit_step: int          # first arrival step at V_0, -1 if none
-    total_steps: int
-    dt: float
 
 
 @dataclass
@@ -336,20 +327,9 @@ class PathEnsemble:
     hit_step: np.ndarray   # (N,) first arrival step at V_0, -1 if none
     dt: float
 
-    def path(self, i: int) -> PathSample:
-        return PathSample(
-            vertices=self.vertices[i], dW=self.dW[i], dqv=self.dqv[i],
-            cum_qv=np.cumsum(self.dqv[i]), hit_step=int(self.hit_step[i]),
-            total_steps=self.dW.shape[1], dt=self.dt,
-        )
-
     @property
     def cum_qv(self) -> np.ndarray:
         return np.cumsum(self.dqv, axis=1)
-
-    @property
-    def cum_w(self) -> np.ndarray:
-        return np.cumsum(self.dW, axis=1)
 
     @property
     def n_paths(self) -> int:
@@ -363,10 +343,6 @@ class PathEnsemble:
 def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
                    g: LevelGraph | None = None) -> PathEnsemble:
     """Simulate and record full trajectories; guarded by a memory cap."""
-    if g is None:
-        g = build_level_graph(cfg.level)
-    if cfg.level != kernel.level:
-        raise UsageError("config level does not match kernel level")
     entries = cfg.path_count * (cfg.n_steps + 1)
     if entries > MAX_RECORDED_ENTRIES:
         raise CapacityError(
@@ -384,10 +360,7 @@ def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
 def ensemble_qv_stats(cfg: WalkConfig, kernel: StepKernel,
                       g: LevelGraph | None = None) -> dict:
     """Mean and standard error of <W>_T over the ensemble (streaming)."""
-    if g is None:
-        g = build_level_graph(cfg.level)
-    r = _run_blocks(cfg, kernel, g)
-    qv = r["cum_qv"]
+    qv = _run_blocks(cfg, kernel, g)["cum_qv"]
     return {
         "mean": float(qv.mean()),
         "stderr": float(qv.std(ddof=1) / math.sqrt(len(qv))),
@@ -398,12 +371,10 @@ def ensemble_qv_stats(cfg: WalkConfig, kernel: StepKernel,
 
 def ensemble_qv_snapshots(cfg: WalkConfig, kernel: StepKernel, times,
                           g: LevelGraph | None = None) -> dict:
-    """Samples of <W>_t at the steps nearest the requested times (streaming)."""
-    if g is None:
-        g = build_level_graph(cfg.level)
-    steps = {t: step_at(t, kernel.dt, cfg.n_steps) for t in times}
-    r = _run_blocks(cfg, kernel, g, snap_steps=tuple(set(steps.values())))
-    return {t: r["snaps"][k][0] for t, k in steps.items()}
+    """Samples of <W>_t at the layers nearest the requested times (streaming)."""
+    layers = {t: layer_at(t, kernel.dt, cfg.horizon) for t in times}
+    r = _run_blocks(cfg, kernel, g, snap_steps=tuple(set(layers.values())))
+    return {t: r["snaps"][k][0] for t, k in layers.items()}
 
 
 def exact_exit_steps(kernel: StepKernel) -> np.ndarray:
@@ -426,10 +397,7 @@ def exit_time_stats(cfg: WalkConfig, kernel: StepKernel,
     """
     if not cfg.killed:
         raise UsageError("exit-time statistics require killed mode")
-    if g is None:
-        g = build_level_graph(cfg.level)
-    r = _run_blocks(cfg, kernel, g)
-    hits = r["hit_step"]
+    hits = _run_blocks(cfg, kernel, g)["hit_step"]
     hit_mask = hits > 0
     frac = float(hit_mask.mean())
     out = {"hit_fraction": frac, "paths": len(hits), "horizon": cfg.horizon}
@@ -455,16 +423,13 @@ def occupation_histogram(cfg: WalkConfig, kernel: StepKernel, t: float,
     cells (the same lumping that makes the stationary law equal mu exactly),
     then aggregates to word prefixes of length k.
     """
-    if g is None:
+    if g is None:  # the cell lumping reads the graph
         g = build_level_graph(cfg.level)
-    if t < kernel.dt:
-        raise UsageError("t must be at least one step")
     k_level = cfg.level if cell_level is None else cell_level
     if k_level > cfg.level:
         raise UsageError("cell level cannot exceed walk level")
-    step = step_at(t, kernel.dt, cfg.n_steps)
-    r = _run_blocks(cfg, kernel, g, snap_steps=(step,))
-    pos = r["snaps"][step][1]
+    layer = layer_at(t, kernel.dt, cfg.horizon)
+    pos = _run_blocks(cfg, kernel, g, snap_steps=(layer,))["snaps"][layer][1]
 
     hist: dict[str, float] = {}
     counts = np.bincount(pos, minlength=kernel.n_vertices).astype(float)
@@ -475,33 +440,29 @@ def occupation_histogram(cfg: WalkConfig, kernel: StepKernel, t: float,
         for w in cells:
             key = w[:k_level]
             hist[key] = hist.get(key, 0.0) + share
-    return {"t": step * kernel.dt, "cell_level": k_level, "masses": hist}
+    return {"t": layer * kernel.dt, "cell_level": k_level, "masses": hist}
 
 
-def total_variation_vs_measure(hist: dict, masses: dict) -> float:
-    words = set(hist["masses"]) | set(masses)
-    return 0.5 * sum(
-        abs(hist["masses"].get(w, 0.0) - float(masses.get(w, 0))) for w in words
-    )
+def heavy_tailed(samples: np.ndarray) -> bool:
+    """True when the top 1% of |samples| carries more than half their mass."""
+    mass = np.abs(samples)
+    top = np.sort(mass)[-max(1, len(mass) // 100):].sum()
+    return bool(top > 0.5 * mass.sum())
 
 
 def expint_estimate(cfg: WalkConfig, kernel: StepKernel, beta: float,
                     t: float | None = None, g: LevelGraph | None = None) -> dict:
     """MC estimate of E[e^{beta <W>_tau}] with a percentile-bootstrap CI.
 
-    tau is min(t, horizon) steps in reflected mode and sigma_V0 ^ horizon in
-    killed mode. Accumulation is done on log weights; the estimate is flagged
-    unstable when the top 1% of samples carries more than half the mass.
+    tau is the layer nearest t (default the horizon; t outside [0, horizon]
+    raises UsageError) in reflected mode and sigma_V0 ^ that time in killed
+    mode. Accumulation is done on log weights; the estimate is flagged
+    unstable when the samples are heavy-tailed (see heavy_tailed).
     """
     if beta < 0:
         raise UsageError("beta must be nonnegative")
-    if g is None:
-        g = build_level_graph(cfg.level)
-    snap = ()
-    if t is not None:
-        snap = (step_at(t, kernel.dt, cfg.n_steps),)
-    r = _run_blocks(cfg, kernel, g, snap_steps=snap)
-    qv = r["snaps"][snap[0]][0] if snap else r["cum_qv"]
+    layer = cfg.n_steps if t is None else layer_at(t, kernel.dt, cfg.horizon)
+    qv = _run_blocks(cfg, kernel, g, snap_steps=(layer,))["snaps"][layer][0]
 
     logw = beta * qv
     mx = float(logw.max()) if len(logw) else 0.0
@@ -516,12 +477,10 @@ def expint_estimate(cfg: WalkConfig, kernel: StepKernel, beta: float,
         idx = rng.integers(0, n, size=n)
         boots[i] = scaled[idx].mean()
     lo, hi = np.percentile(boots, [2.5, 97.5])
-    top = np.sort(scaled)[-max(1, n // 100):].sum()
-    unstable = bool(top > 0.5 * scaled.sum())
     return {
         "estimate": est,
         "ci95": (math.exp(mx) * float(lo), math.exp(mx) * float(hi)),
         "beta": beta,
-        "unstable": unstable,
+        "unstable": heavy_tailed(scaled),
         "paths": n,
     }

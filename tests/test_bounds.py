@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from gasketlab import GAMMA_S, SPECTRAL_DIMENSION, SchemeError, UsageError, mittag_leffler
+from gasketlab import (
+    GAMMA_S,
+    SPECTRAL_DIMENSION,
+    GasketLabError,
+    SchemeError,
+    UsageError,
+    mittag_leffler,
+)
 from gasketlab.bounds import (
     _ml_series,
     beta_chain_identity,
@@ -59,6 +66,11 @@ def test_ml_domain_errors():
     with pytest.raises(UsageError):
         mittag_leffler(-0.5, 1.0, 1.0)
     with pytest.raises(OverflowError):
+        mittag_leffler(0.2, 1.0, 500.0)
+
+
+def test_ml_overflow_is_a_package_error():
+    with pytest.raises(GasketLabError, match="overflow"):
         mittag_leffler(0.2, 1.0, 500.0)
 
 

@@ -12,6 +12,7 @@ import pytest
 from gasketlab.cli import COMMANDS, main
 from gasketlab.errors import UsageError
 from gasketlab.problems import validate_problem_dict
+from gasketlab.walk import step_duration
 
 
 def run(args):
@@ -252,12 +253,16 @@ def test_measure_json_format(tmp_path):
     assert {r["word"] for r in doc} == {"1", "2", "3"}
 
 
-def test_bsde_dt_override(tmp_path):
+def test_bsde_dt_per_step_flag_removed(tmp_path):
+    # the flag relabelled dt while P, Q and dqv stayed on the 5^-m/3 step
     pf = tmp_path / "p.json"
     pf.write_text(json.dumps(PROBLEM))
     out = tmp_path / "sol.csv"
-    assert run(["bsde", "--problem", pf, "--level", 1, "--dt-per-step", 0.05,
-                "--stride", 100, "--out", out]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["bsde", "--problem", pf, "--level", 1, "--dt-per-step", 0.05, "--out", out])
+    assert exc.value.code == 2
+    assert run(["bsde", "--problem", pf, "--level", 1, "--stride", 3, "--out", out]) == 0
     _, rows = read_csv(out)
     steps = {int(r[0]) for r in rows}
-    assert max(steps) <= int(round(0.5 / 0.05))
+    last = int(round(0.5 / step_duration(1)))
+    assert steps == set(range(0, last + 1, 3))

@@ -17,7 +17,14 @@ from gasketlab import (
     simulate_paths,
 )
 from gasketlab.measures import hausdorff_measure
-from gasketlab.walk import exact_exit_steps, kernel_moment_defects, step_duration
+from gasketlab.walk import (
+    ensemble_qv_snapshots,
+    exact_exit_steps,
+    kernel_moment_defects,
+    layer_at,
+    layer_count,
+    step_duration,
+)
 
 MIDPOINT_OPP_P1 = (Fraction(3, 4), Fraction(1, 4))  # midpoint of (p2, p3)
 
@@ -155,9 +162,8 @@ def test_path_sample_view(kernels, graphs):
     k, g = kernels(1), graphs(1)
     cfg = WalkConfig(level=1, horizon=0.5, path_count=3, seed=1)
     ens = simulate_paths(cfg, k, g)
-    p = ens.path(0)
-    assert p.total_steps == cfg.n_steps
-    assert np.all(np.diff(p.cum_qv) >= 0)  # <W> nondecreasing
+    assert len(ens.dqv[0]) == cfg.n_steps
+    assert np.all(np.diff(ens.cum_qv[0]) >= 0)  # <W> nondecreasing
 
 
 def test_ensemble_qv_mean(kernels, graphs):
@@ -273,3 +279,74 @@ def test_hitting_fraction_increases_with_horizon(kernels, graphs):
         ens = simulate_paths(cfg, k, g)
         fracs.append(float((ens.hit_step > 0).mean()))
     assert fracs[0] < fracs[1] < fracs[2]
+
+
+WALK_ENTRY_POINTS = {
+    "simulate_paths": lambda cfg, k, g: simulate_paths(cfg, k, g),
+    "ensemble_qv_stats": lambda cfg, k, g: ensemble_qv_stats(cfg, k, g),
+    "ensemble_qv_snapshots": lambda cfg, k, g: ensemble_qv_snapshots(cfg, k, (0.1,), g),
+    "exit_time_stats": lambda cfg, k, g: exit_time_stats(cfg, k, g),
+    "occupation_histogram": lambda cfg, k, g: occupation_histogram(cfg, k, 0.1, 1, g),
+    "expint_estimate": lambda cfg, k, g: expint_estimate(cfg, k, 1.0, t=0.1, g=g),
+}
+
+
+@pytest.mark.parametrize("odd_one", ("config", "kernel", "graph"))
+@pytest.mark.parametrize("entry", sorted(WALK_ENTRY_POINTS))
+def test_walk_entry_points_reject_mixed_levels(kernels, graphs, entry, odd_one):
+    # one of config, kernel and graph is at level 3, the other two at level 2
+    levels = {part: 3 if part == odd_one else 2 for part in ("config", "kernel", "graph")}
+    cfg = WalkConfig(level=levels["config"], horizon=0.2, path_count=10, seed=1,
+                     killed=True)
+    with pytest.raises(UsageError, match="level"):
+        WALK_ENTRY_POINTS[entry](cfg, kernels(levels["kernel"]), graphs(levels["graph"]))
+
+
+def test_word_and_coordinate_starts_without_a_graph(kernels, graphs):
+    # the graph is built inside only for the starts that need it
+    g, k = graphs(2), kernels(2)
+    for start in ("12", MIDPOINT_OPP_P1):
+        cfg = WalkConfig(level=2, horizon=0.2, path_count=20, seed=3, start=start)
+        ens = simulate_paths(cfg, k)
+        assert np.array_equal(ens.vertices, simulate_paths(cfg, k, g).vertices)
+        assert (ens.vertices[:, 0] == ens.vertices[0, 0]).all()
+
+
+def test_layer_at():
+    dt = step_duration(2)
+    on_grid = 30 * dt
+    assert layer_at(0.0, dt, on_grid) == 0
+    assert layer_at(on_grid, dt, on_grid) == 30 == layer_count(on_grid, dt)
+    off_grid = 30.4 * dt
+    assert layer_at(off_grid, dt, off_grid) == 30 == layer_count(off_grid, dt)
+    assert layer_at(0.4 * dt, dt, on_grid) == 0
+    assert layer_at(0.6 * dt, dt, on_grid) == 1
+    for t in (on_grid * 1.001, 1.0, -1e-12, -dt):
+        with pytest.raises(UsageError, match="outside"):
+            layer_at(t, dt, on_grid)
+
+
+def test_snapshot_at_time_zero_is_the_start(kernels, graphs):
+    g, k = graphs(2), kernels(2)
+    start = g.cells["12"][0]
+    cfg = WalkConfig(level=2, horizon=0.2, path_count=50, seed=2, start=start)
+    qv = ensemble_qv_snapshots(cfg, k, (0.0, 0.2), g)
+    assert np.array_equal(qv[0.0], np.zeros(50))
+    assert (qv[0.2] > 0).all()
+    hist = occupation_histogram(cfg, k, 0.0, cell_level=2, g=g)
+    assert hist["t"] == 0.0
+    assert hist["masses"] == {w: 1 / len(g.cells_at_vertex(start))
+                              for w in g.cells_at_vertex(start)}
+
+
+@pytest.mark.parametrize("t", (-0.1, 0.75, 2.0))
+def test_times_outside_the_horizon_rejected(kernels, graphs, t):
+    # these used to clamp silently to the nearest end of the walk
+    cfg = WalkConfig(level=2, horizon=0.5, path_count=10, seed=4)
+    k, g = kernels(2), graphs(2)
+    with pytest.raises(UsageError, match="outside"):
+        ensemble_qv_snapshots(cfg, k, (0.25, t), g)
+    with pytest.raises(UsageError, match="outside"):
+        expint_estimate(cfg, k, 1.0, t=t, g=g)
+    with pytest.raises(UsageError, match="outside"):
+        occupation_histogram(cfg, k, t, cell_level=1, g=g)
