@@ -14,7 +14,7 @@ Three pillars, cross-validated against each other:
 
 __version__ = "0.1.0"
 
-from .bounds import GAMMA_S, SPECTRAL_DIMENSION, SpectralConstants, mittag_leffler
+from .bounds import GAMMA_S, SPECTRAL_DIMENSION, mittag_leffler
 from .bsde import (
     BetaWeights,
     BsdeProblem,

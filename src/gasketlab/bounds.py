@@ -11,7 +11,6 @@ reported for convenience).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,16 +20,6 @@ from .errors import NumericOverflowError, SchemeError, UsageError
 
 SPECTRAL_DIMENSION = 2.0 * math.log(3.0) / math.log(5.0)
 GAMMA_S = 1.0 - SPECTRAL_DIMENSION / 2.0
-
-
-@dataclass(frozen=True)
-class SpectralConstants:
-    d_s: float = SPECTRAL_DIMENSION
-    gamma_s: float = GAMMA_S
-
-    def __post_init__(self):
-        assert 1.0 < self.d_s < 2.0
-        assert 0.0 < self.gamma_s < 0.5
 
 
 def mittag_leffler(a: float, b: float, z: float) -> float:

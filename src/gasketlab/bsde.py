@@ -323,7 +323,8 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
     Exact route: backward weighted expectation with the discrete stochastic
     exponential rho(x->y) = 1 + a dt + b dqv(x) + c dW(x->y), algebraically
     identical to the explicit DP for the linear driver. MC route: accumulate
-    the same product along sampled paths.
+    the same product along mc_paths >= 2 sampled paths from each vertex id in
+    mc_starts; other starts or path counts raise UsageError.
     """
     dt = kernel.dt
     K = layer_count(problem.horizon, dt)
@@ -343,15 +344,16 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
     out = {"Y0": V, "Z0": z0}
 
     if mc_paths and mc_starts is not None:
+        if mc_paths < 2:
+            raise UsageError(f"mc_paths must be at least 2 for a standard error, got {mc_paths}")
+        starts = [int(sx) for sx in mc_starts]
+        outside = [sx for sx in starts if not 0 <= sx < kernel.n_vertices]
+        if outside:
+            raise UsageError(f"MC starts {outside} are not vertices 0..{kernel.n_vertices - 1}")
         psi = _terminal_values(problem.terminal_psi, graph, kernel.n_vertices)
-        est = {}
-        rng_offset = 0
-        for sx in mc_starts:
-            vals = _mc_linear(kernel, problem, a, b, c, int(sx), mc_paths,
-                              seed + rng_offset, psi, killed)
-            est[int(sx)] = vals
-            rng_offset += 1
-        out["mc"] = est
+        out["mc"] = {sx: _mc_linear(kernel, problem, a, b, c, sx, mc_paths,
+                                    seed + i, psi, killed)
+                     for i, sx in enumerate(starts)}
     return out
 
 

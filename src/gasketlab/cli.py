@@ -33,7 +33,7 @@ from .errors import GasketLabError, UsageError
 from .gasket import build_level_graph, graph_to_json
 from .harmonic import harmonic_extend_to_level
 from .measures import energy_measure_table, hausdorff_measure, kusuoka_identity_check, kusuoka_measure
-from .pde import feynman_kac_check, solve_weak_pde
+from .pde import feynman_kac_check, require_killed, solve_weak_pde
 from .problems import build_problem_pair, load_problem_file, make_terminal
 from .walk import (
     WalkConfig,
@@ -200,6 +200,7 @@ def _cmd_bsde(args):
 
 def _cmd_pde(args):
     spec = load_problem_file(args.problem)
+    require_killed(spec["duration"]["kind"])
     g = build_level_graph(args.level)
     ts = None
     if args.steps:

@@ -11,7 +11,6 @@ that order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -193,7 +192,3 @@ def graph_to_json(g: LevelGraph) -> dict:
         "edges": [[a, b] for a, b in g.edges],
         "cells": [{"word": w, "corners": list(c)} for w, c in g.cells.items()],
     }
-
-
-def graph_json_dumps(g: LevelGraph) -> str:
-    return json.dumps(graph_to_json(g), indent=1, sort_keys=True)

@@ -30,6 +30,7 @@ from .gasket import LevelGraph, build_level_graph
 
 Triple = tuple[Fraction, Fraction, Fraction]
 _A_ROUTE = (A_INT,)
+_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _as_triple(u) -> Triple:
@@ -70,6 +71,22 @@ def harmonic_extend_to_level(u, m: int, g: LevelGraph | None = None) -> list[Fra
                 assert vals[vid] == val, "harmonic extension ill-defined"
     den = d * 5**m
     return [Fraction(x, den) for x in vals]
+
+
+def corner_harmonics(g: LevelGraph) -> np.ndarray:
+    """(V, 3) int64 numerators over 5^m of h_1, h_2, h_3 on V_m.
+
+    Column i is the harmonic extension of the i-th unit triple; one cell-tree
+    traversal carries all three. Well-definedness is asserted as in
+    harmonic_extend_to_level.
+    """
+    words, leaves = zip(*cell_leaves(g.level, _BASIS, _A_ROUTE * 3))
+    corners = np.array([g.cells[w] for w in words], dtype=np.int64)
+    values = np.array(leaves, dtype=np.int64).transpose(0, 2, 1)  # (cell, corner, i)
+    table = np.empty((g.n_vertices, 3), dtype=np.int64)
+    table[corners] = values
+    assert (table[corners] == values).all(), "harmonic extension ill-defined"
+    return table
 
 
 def graph_energy(g: LevelGraph, u_table, v_table=None):
@@ -114,29 +131,16 @@ class CellGradientTables:
         self.level = g.level
         self.words = list(g.cells)
         self.corners = np.array([g.cells[w] for w in self.words], dtype=np.int64)
-        scale = 1.5 * (5.0 / 3.0) ** g.level
-        self.scale = scale
+        self.scale = 1.5 * (5.0 / 3.0) ** g.level
         pf = np.array([[float(x) for x in row] for row in P_MAT])
-        nus = np.empty(len(self.words))
-        pats = np.empty((len(self.words), 3))
-        # columns of A_[w] are A_[w] e_j, numerators over 5^m
-        columns = dict(cell_leaves(g.level, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), _A_ROUTE * 3))
-        den = 5**g.level
-        for k, w in enumerate(self.words):
-            aw = np.array([[col[r] / den for col in columns[w]] for r in range(3)])
-            b = pf @ aw  # centered corner patterns of (h1,h2,h3) on this cell
-            nus[k] = 0.5 * (5.0 / 3.0) ** g.level * (b * b).sum()
-            uu, _, _ = np.linalg.svd(b)
-            e = uu[:, 0]
-            d = e @ b[:, 0]
-            if abs(d) < 1e-13:
-                if e @ b[:, 1] < 0:
-                    e = -e
-            elif d > 0:
-                e = -e
-            pats[k] = e
-        self.nu = nus
-        self.pattern = pats
+        # b[k] = P A_[w]: the centered corner patterns of (h1,h2,h3) on cell k,
+        # A_[w] being the cell's (corner, harmonic) values
+        b = pf @ (corner_harmonics(g) / 5**g.level)[self.corners]
+        self.nu = 0.5 * (5.0 / 3.0) ** g.level * (b * b).sum(axis=(1, 2))
+        e = np.linalg.svd(b)[0][:, :, 0]  # principal pattern per cell
+        d = np.einsum("ki,kij->kj", e, b)  # h_j's component along it
+        flip = np.where(np.abs(d[:, 0]) < 1e-13, d[:, 1] < 0, d[:, 0] > 0)
+        self.pattern = np.where(flip[:, None], -e, e)
         self.word_index = {w: k for k, w in enumerate(self.words)}
 
     def gradients(self, values: np.ndarray) -> np.ndarray:

@@ -182,6 +182,13 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     )
 
 
+def require_killed(duration: str) -> None:
+    """UsageError unless duration is "killed": the weak solver pins phi on V_0."""
+    if duration != "killed":
+        raise UsageError(f"the weak solver pins phi on V_0: it solves killed problems, "
+                         f"not {duration} ones")
+
+
 def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
                       horizon: float | None = None) -> dict:
     """Cross-validate the weak solver against the chain BSDE on a level ladder.
@@ -191,7 +198,8 @@ def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
     deeper levels) times the given probe times; the field value Y at layer k
     of the killed DP run is the BSDE value started at time t_k. A probe time
     outside [0, T] of a level's problem raises UsageError, and so does a
-    horizon, when given, that differs from T by more than 1e-12 relative.
+    horizon, when given, that differs from T by more than 1e-12 relative,
+    and so does a deterministic duration (see require_killed).
     """
     probe_graph = build_level_graph(probe_level)
     probe_coords = [(v.x, v.y) for v in probe_graph.vertices]
@@ -201,6 +209,7 @@ def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
         if m < probe_level:
             raise UsageError("probe level exceeds a ladder level")
         wp, bp = make_problem(m)
+        require_killed(bp.duration)
         T = min(wp.horizon, bp.horizon)
         if horizon is not None and abs(horizon - T) > 1e-12 * T:
             raise UsageError(f"horizon {horizon} differs from the level-{m} problem horizon {T}")

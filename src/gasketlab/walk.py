@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +35,8 @@ from numpy.random import Generator, Philox
 
 from .errors import CapacityError, UsageError
 from .gasket import LevelGraph, build_level_graph, vertex_by_coord
-from .harmonic import harmonic_extend_to_level
+# not called here: perfbench's tracer shims walk.harmonic_extend_to_level by name
+from .harmonic import corner_harmonics, harmonic_extend_to_level  # noqa: F401
 
 _START_STREAM_OFFSET = 2**32  # start-sampling streams live far from step streams
 MAX_RECORDED_ENTRIES = 20_000_000
@@ -91,45 +91,38 @@ class StepKernel:
 def build_step_kernel(g: LevelGraph) -> StepKernel:
     m = g.level
     n = g.n_vertices
-    h_exact = [harmonic_extend_to_level(
-        tuple(Fraction(1 if j == i else 0) for j in range(3)), m, g) for i in range(3)]
-    hf = np.array([[float(h_exact[i][v]) for i in range(3)] for v in range(n)])
+    h = corner_harmonics(g)  # numerators over 5^m
+    hf = h / 5**m
 
-    nbr = np.zeros((n, 4), dtype=np.int64)
-    deg = np.zeros(n, dtype=np.int64)
+    # neighbours in increasing id order, padded with self
+    ends = np.array(g.edges, dtype=np.int64)
+    src, dst = np.unique(np.concatenate([ends, ends[:, ::-1]]), axis=0).T
+    deg = np.bincount(src, minlength=n)
+    nbr = np.repeat(np.arange(n)[:, None], 4, axis=1)
+    nbr[src, np.arange(len(src)) - (np.cumsum(deg) - deg)[src]] = dst
+
+    # exact uncentered second moments for the clock rate; self slots add zero.
+    # Dividing as Python ints rounds each rate once, as float(Fraction) does.
+    diff = h[nbr] - h[:, None]
+    sq = (diff * diff).sum(axis=(1, 2))
+    dqv = (sq.astype(object) / (6 * 25**m * deg.astype(object))).astype(float)
+
     dWm = np.zeros((n, 4))
-    dqv = np.zeros(n)
     direction = np.zeros((n, 3))
-
-    for x in range(n):
-        ns = list(g.neighbors_of[x])
-        d = len(ns)
-        deg[x] = d
-        nbr[x, :d] = ns
-        if d < 4:
-            nbr[x, d:] = x
-        # exact uncentered second moments for the clock rate
-        acc = Fraction(0)
-        for i in range(3):
-            for y in ns:
-                diff = h_exact[i][y] - h_exact[i][x]
-                acc += diff * diff
-        dqv[x] = float(acc / (6 * d))
-
-        dh = hf[ns] - hf[x]                      # (d,3)
-        mbar = dh.mean(axis=0)
-        cov = dh.T @ dh / d - np.outer(mbar, mbar)
-        e = np.linalg.eigh(cov)[1][:, -1]
-        if abs(e[0]) < 1e-13:
-            if e[1] < 0:
-                e = -e
-        elif e[0] > 0:
-            e = -e
-        raw = (dh - mbar) @ e
-        raw -= raw.mean()  # roundoff guard; the projection is centered already
-        scale = math.sqrt(dqv[x] / float((raw * raw).mean()))
-        dWm[x, :d] = raw * scale
-        direction[x] = e
+    for d in np.unique(deg):  # every vertex has degree 2 or 4
+        xs = np.nonzero(deg == d)[0]
+        dh = hf[nbr[xs, :d]] - hf[xs, None]  # (k, d, 3)
+        mbar = dh.mean(axis=1)
+        cov = dh.transpose(0, 2, 1) @ dh / d - mbar[:, :, None] * mbar[:, None, :]
+        e = np.linalg.eigh(cov)[1][:, :, -1]
+        flip = np.where(np.abs(e[:, 0]) < 1e-13, e[:, 1] < 0, e[:, 0] > 0)
+        e = np.where(flip[:, None], -e, e)
+        raw = (dh - mbar[:, None]) @ e[:, :, None]
+        # roundoff guard; the projection is centered already
+        raw -= raw.mean(axis=1, keepdims=True)
+        scale = np.sqrt(dqv[xs] / (raw * raw).mean(axis=(1, 2)))
+        dWm[xs, :d] = raw[:, :, 0] * scale[:, None]
+        direction[xs] = e
 
     isb = np.zeros(n, dtype=bool)
     isb[list(g.boundary_ids)] = True
@@ -359,12 +352,14 @@ def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
 
 def ensemble_qv_stats(cfg: WalkConfig, kernel: StepKernel,
                       g: LevelGraph | None = None) -> dict:
-    """Mean and standard error of <W>_T over the ensemble (streaming)."""
+    """Mean and standard error of <W>_T over the ensemble (streaming), with
+    the requested horizon and the realized one, n_steps * dt."""
     qv = _run_blocks(cfg, kernel, g)["cum_qv"]
     return {
         "mean": float(qv.mean()),
         "stderr": float(qv.std(ddof=1) / math.sqrt(len(qv))),
         "horizon": cfg.horizon,
+        "realized_horizon": cfg.n_steps * kernel.dt,
         "paths": len(qv),
     }
 
@@ -393,14 +388,16 @@ def exit_time_stats(cfg: WalkConfig, kernel: StepKernel,
     """Mean/variance of sigma_V0 in diffusion time, with normal CI.
 
     A start on V_0 is handled by the t>0 convention: the walk leaves and the
-    recorded hit is the first return.
+    recorded hit is the first return. Horizons are reported as in
+    ensemble_qv_stats.
     """
     if not cfg.killed:
         raise UsageError("exit-time statistics require killed mode")
     hits = _run_blocks(cfg, kernel, g)["hit_step"]
     hit_mask = hits > 0
     frac = float(hit_mask.mean())
-    out = {"hit_fraction": frac, "paths": len(hits), "horizon": cfg.horizon}
+    out = {"hit_fraction": frac, "paths": len(hits), "horizon": cfg.horizon,
+           "realized_horizon": cfg.n_steps * kernel.dt}
     if frac < 0.99:
         out["warning"] = (
             f"only {frac:.1%} of paths hit V_0 before the horizon; "
@@ -423,11 +420,11 @@ def occupation_histogram(cfg: WalkConfig, kernel: StepKernel, t: float,
     cells (the same lumping that makes the stationary law equal mu exactly),
     then aggregates to word prefixes of length k.
     """
+    k_level = cfg.level if cell_level is None else cell_level
+    if not 0 <= k_level <= cfg.level:
+        raise UsageError(f"cell level {k_level} lies outside 0..{cfg.level}, the walk level")
     if g is None:  # the cell lumping reads the graph
         g = build_level_graph(cfg.level)
-    k_level = cfg.level if cell_level is None else cell_level
-    if k_level > cfg.level:
-        raise UsageError("cell level cannot exceed walk level")
     layer = layer_at(t, kernel.dt, cfg.horizon)
     pos = _run_blocks(cfg, kernel, g, snap_steps=(layer,))["snaps"][layer][1]
 

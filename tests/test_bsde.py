@@ -192,6 +192,19 @@ def test_linear_mc_agrees(kernels, graphs):
         assert not est["unstable"]
 
 
+@pytest.mark.parametrize("starts, paths, match", [
+    ([-1], 100, "not vertices"),   # used to walk from vertex 14 and report key -1
+    ([0, 99], 100, "not vertices"),  # used to raise a bare IndexError
+    ([0], -5, "mc_paths"),         # used to raise a bare ValueError
+    ([0], 1, "mc_paths"),          # used to return a NaN stderr
+])
+def test_linear_mc_rejects_bad_input(kernels, graphs, starts, paths, match):
+    g, k = graphs(2), kernels(2)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g), horizon=0.2)
+    with pytest.raises(UsageError, match=match):
+        linear_closed_form(0.5, 0.3, 0.4, p, k, g, mc_starts=starts, mc_paths=paths)
+
+
 def test_homogeneity_doubling(kernels, graphs):
     g, k = graphs(2), kernels(2)
     psi = bump(g)

@@ -156,6 +156,28 @@ def test_check_fk_probe_past_horizon_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", (
+    ["pde", "--level", 2],
+    ["check", "fk", "--levels", "2,3", "--probe-times", "0.0,0.125"],
+))
+def test_pde_and_check_fk_reject_a_deterministic_duration(tmp_path, capsys, command):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({**PROBLEM, "driver": {"name": "sin"},
+                              "duration": {"kind": "deterministic", "T": 0.25}}))
+    out = tmp_path / "out.csv"
+    assert run([*command, "--problem", pf, "--out", out]) == 2
+    assert "killed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_walk_negative_cell_level_usage_error(tmp_path, capsys):
+    out = tmp_path / "h.csv"
+    assert run(["walk", "--level", 2, "--paths", 50, "--horizon", 0.5,
+                "--emit", "histogram", "--cell-level", -1, "--out", out]) == 2
+    assert "cell level" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_command_handlers_take_args_only():
     for handler in COMMANDS.values():
         assert list(inspect.signature(handler).parameters) == ["args"]

@@ -243,6 +243,18 @@ def test_feynman_kac_horizon_must_match_the_problem():
     assert given == feynman_kac_check(make, [2], [0.0, 0.25])
 
 
+def test_feynman_kac_rejects_a_deterministic_duration():
+    # the weak solver pins phi on V_0, so it solves the killed problem; this
+    # ladder used to return sups of 0.509 and 0.527 as an ordinary report
+    spec = validate_problem_dict({
+        "driver": {"name": "sin"},
+        "terminal": {"name": "bump"},
+        "duration": {"kind": "deterministic", "T": 0.25},
+    })
+    with pytest.raises(UsageError, match="killed"):
+        feynman_kac_check(lambda m: build_problem_pair(spec, m), [2, 3], [0.0, 0.125])
+
+
 def test_feynman_kac_driverless_tiny_gap(kernels, graphs):
     spec = validate_problem_dict({
         "driver": {"name": "zero"},

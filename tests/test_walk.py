@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import kernel_oracle
 import numpy as np
 import pytest
 
@@ -16,6 +17,7 @@ from gasketlab import (
     occupation_histogram,
     simulate_paths,
 )
+from gasketlab.harmonic import CellGradientTables
 from gasketlab.measures import hausdorff_measure
 from gasketlab.walk import (
     ensemble_qv_snapshots,
@@ -27,6 +29,29 @@ from gasketlab.walk import (
 )
 
 MIDPOINT_OPP_P1 = (Fraction(3, 4), Fraction(1, 4))  # midpoint of (p2, p3)
+
+
+def same_bytes(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_kernel_and_gradient_tables_equal_loop_oracle(kernels, graphs, m):
+    # batched build from the integer corner-harmonic table vs one vertex
+    # (one cell) at a time with Fraction clock rates
+    k, ref = kernels(m), kernel_oracle.step_kernel(graphs(m))
+    assert (k.level, k.dt) == (ref.level, ref.dt)
+    for name in ("nbr", "deg", "dW", "dqv", "direction", "is_boundary", "mu_weight",
+                 "h_values"):
+        assert same_bytes(getattr(k, name), getattr(ref, name)), name
+    for op in ("P", "Q"):
+        for part in ("data", "indices", "indptr"):
+            assert same_bytes(getattr(getattr(k, op), part),
+                              getattr(getattr(ref, op), part)), f"{op}.{part}"
+    tables = CellGradientTables(graphs(m))
+    for name, expect in zip(("corners", "nu", "pattern"),
+                            kernel_oracle.gradient_tables(graphs(m))):
+        assert same_bytes(getattr(tables, name), expect), name
 
 
 @pytest.mark.parametrize("m", (0, 1, 2, 3, 4))
@@ -158,6 +183,16 @@ def test_horizon_rounding_to_no_step_rejected():
     assert WalkConfig(level=4, horizon=0.25, path_count=10).n_steps == 469
 
 
+def test_walk_statistics_report_the_realized_horizon(kernels, graphs):
+    # T = 0.25 at m = 4 runs 469 steps, i.e. 0.250133
+    cfg = WalkConfig(level=4, horizon=0.25, path_count=20, seed=1, killed=True)
+    k, g = kernels(4), graphs(4)
+    for stats in (ensemble_qv_stats(cfg, k, g), exit_time_stats(cfg, k, g)):
+        assert stats["horizon"] == 0.25
+        assert stats["realized_horizon"] == 469 * k.dt
+        assert abs(stats["realized_horizon"] - 0.250133) < 1e-6
+
+
 def test_path_sample_view(kernels, graphs):
     k, g = kernels(1), graphs(1)
     cfg = WalkConfig(level=1, horizon=0.5, path_count=3, seed=1)
@@ -224,6 +259,14 @@ def test_occupation_converges_to_mu(kernels, graphs):
     tv = 0.5 * sum(abs(hist["masses"].get(w, 0.0) - float(mass))
                    for w, mass in mu.masses.items())
     assert tv < 0.02
+
+
+def test_negative_cell_level_rejected(kernels, graphs):
+    # cell_level -1 used to aggregate over w[:-1], i.e. level-1 cells
+    cfg = WalkConfig(level=2, horizon=0.5, path_count=10, seed=4)
+    for cell_level in (-1, -2, 3):
+        with pytest.raises(UsageError, match="cell level"):
+            occupation_histogram(cfg, kernels(2), 0.25, cell_level=cell_level, g=graphs(2))
 
 
 def test_heat_kernel_ratio_stable_under_doubling(kernels, graphs):
