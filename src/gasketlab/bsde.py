@@ -209,8 +209,11 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     measured in the empirical V^beta norm along the supplied frozen path
     ensemble, whose level must be the kernel's. Iteration stops once the
     distance falls below stop_rel times the first distance (the numerical
-    floor, where ratios are roundoff artifacts).
+    floor, where ratios are roundoff artifacts). Returns the distances, their
+    ratios and the last iterate as "final"; earlier iterates are not kept.
     """
+    if n_iters < 1:
+        raise UsageError(f"n_iters must be at least 1, got {n_iters}")
     if paths.config.level != kernel.level:
         raise UsageError(f"paths are at level {paths.config.level}, "
                          f"the kernel at level {kernel.level}")
@@ -228,24 +231,17 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
         return (ey + problem.g(t, xs, y_prev[k]) * dt
                 + problem.f(t, xs, y_prev[k], z_prev[k]) * kernel.dqv)
 
-    iterates = []
     distances = []
     for _ in range(n_iters):
         Y, Z = _sweep(problem, kernel, terminal, frozen)
         d = norm(Y - y_prev, Z - z_prev)
         distances.append(d)
-        iterates.append((Y, Z))
         y_prev, z_prev = Y, Z
         if d <= stop_rel * distances[0]:
             break
     ratios = [distances[i + 1] / distances[i]
               for i in range(len(distances) - 1) if distances[i] > 0]
-    return {
-        "iterates": iterates,
-        "distances": distances,
-        "ratios": ratios,
-        "final": iterates[-1],
-    }
+    return {"distances": distances, "ratios": ratios, "final": (Y, Z)}
 
 
 def _vbeta_norm_on(paths: PathEnsemble, weights: BetaWeights):

@@ -191,8 +191,7 @@ def _cmd_bsde(args):
     _, bp = build_problem_pair(spec, args.level)
     sol = solve_dp(bp, kernel, g, scheme=args.scheme)
     rows = []
-    stride = max(1, args.stride)
-    for k in range(0, sol.Y.shape[0], stride):
+    for k in range(0, sol.Y.shape[0], args.stride):
         for v in range(sol.Y.shape[1]):
             rows.append((k, v, float(sol.Y[k, v]), float(sol.Z[k, v])))
     _write_table(args.out, ["step", "vertex_id", "Y", "Z"], rows, args.format)
@@ -202,20 +201,16 @@ def _cmd_pde(args):
     spec = load_problem_file(args.problem)
     require_killed(spec["duration"]["kind"])
     g = build_level_graph(args.level)
-    ts = None
-    if args.steps:
-        dur = spec["duration"]["T"]
-        ts = dur / args.steps
+    ts = None if args.steps is None else spec["duration"]["T"] / args.steps
     wp, _ = build_problem_pair(spec, args.level, time_step=ts)
     sol = solve_weak_pde(wp, g)
     rows = []
-    stride = max(1, args.stride)
-    for k in range(0, sol.u.shape[0], stride):
+    for k in range(0, sol.u.shape[0], args.stride):
         for v in range(sol.u.shape[1]):
             rows.append((k, v, float(sol.u[k, v])))
     _write_table(args.out, ["layer", "vertex_id", "u"], rows, args.format)
     grad_rows = []
-    for k in range(0, sol.gradients.shape[0], stride):
+    for k in range(0, sol.gradients.shape[0], args.stride):
         for ci, w in enumerate(sol.cell_words):
             grad_rows.append((k, w, float(sol.gradients[k, ci])))
     _write_table(args.out + ".gradients.csv", ["layer", "word", "grad"], grad_rows,

@@ -1,11 +1,13 @@
-"""Exact 3x3 kernel on integer numerators, shared by the harmonic and measure modules.
+"""Exact 3x3 kernel on integer numerators, shared by the gasket, harmonic and
+measure modules.
 
-A_i = A_INT[i]/5, P = P_INT/3 and Y_i = P A_i P = Y_INT[i]/5. A state is a
-3-vector of ints over one denominator: 5^k * d after k restriction steps from
-data with common denominator d (3 * 5^k on the Y-route, which starts from P).
-`cell_leaves` is the one cell-tree traversal. Fractions are built only at the
-API boundary; normalised Fractions are canonical, so they equal what
-step-by-step Fraction arithmetic gives.
+A_i = A_INT[i]/5, P = P_INT/3, Y_i = P A_i P = Y_INT[i]/5, and the midpoint
+map F_i on a cell's corner coordinates is MID_INT[i]/2. A state is a 3-vector
+of ints over one denominator: 5^k * d after k restriction steps from data
+with common denominator d (3 * 5^k on the Y-route, which starts from P; 2^k * d
+on the midpoint route). `cell_leaves` is the one cell-tree traversal.
+Fractions are built only at the API boundary; normalised Fractions are
+canonical, so they equal what step-by-step Fraction arithmetic gives.
 
 Word convention: a cell word w = w1 w2 ... wm over {1,2,3} addresses the cell
 F_{w1} o F_{w2} o ... o F_{wm} (unit gasket). Restriction matrices compose in
@@ -29,6 +31,15 @@ A_INT: dict[int, IntMat] = {
     1: ((5, 0, 0), (2, 2, 1), (2, 1, 2)),
     2: ((2, 2, 1), (0, 5, 0), (1, 2, 2)),
     3: ((2, 1, 2), (1, 2, 2), (0, 0, 5)),
+}
+
+
+# Midpoint matrices over 2: row j of MID_INT[i] is e_j + e_i, so the child's
+# j-th corner is the midpoint of the parent's corners j and i, and corner i
+# stays put.
+MID_INT: dict[int, IntMat] = {
+    i: tuple(tuple((k == j) + (k == i - 1) for k in range(3)) for j in range(3))
+    for i in (1, 2, 3)
 }
 
 
@@ -104,7 +115,7 @@ def cell_leaves(m: int, states: tuple, gens: tuple):
 
     The root carries `states`; a child's state k is gens[k][i] times its
     parent's, as in `restrict_states`. Leaf states are integer numerators
-    over 5^m times the root's denominators.
+    over 5^m (2^m for MID_INT) times the root's denominators.
     """
     stack = [("", states)]
     while stack:

@@ -1,8 +1,10 @@
 """Exact combinatorics and geometry of the level-m gasket approximations V_m.
 
 Coordinates are exact rationals in the basis (1, sqrt(3)): a vertex stores
-(x, y) with Euclidean position (x, y*sqrt(3)). Midpoints of exact points are
-exact, so vertex deduplication is by coordinate key, never by tolerance.
+(x, y) with Euclidean position (x, y*sqrt(3)). On V_m both are integer
+numerators over 2^(m+1), carried down the cell tree by `exact.cell_leaves`
+with the midpoint matrices, so vertex deduplication is by integer key, never
+by tolerance.
 
 Corner order is significant everywhere: a cell's corners are listed as the
 images of (p1, p2, p3), because the restriction matrices act on triples in
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapacityError, UsageError
+from .exact import MID_INT, cell_leaves
 
 MAX_LEVEL = 12  # |V_12| ~ 8e5 vertices; deeper levels exhaust memory for no gain
 
@@ -77,39 +80,25 @@ def vertex_count(m: int) -> int:
     return (3 ** (m + 1) + 3) // 2
 
 
-def _midpoint(a: Coord, b: Coord) -> Coord:
-    return ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-
-
 def build_level_graph(m: int) -> LevelGraph:
     """Construct V_m with cells, edges and exact coordinates.
 
     Refinement rule: the child cell w+str(i) of a cell with corners
     (v1, v2, v3) has corners (mid(v_j, v_i))_j, with corner i staying put.
+    Vertex ids follow first appearance in lexicographic word order, after
+    p1, p2, p3.
     """
     if not (0 <= m <= MAX_LEVEL):
         raise CapacityError(f"level {m} outside guard range 0..{MAX_LEVEL}")
 
-    index: dict[Coord, int] = {}
-
-    def vid(c: Coord) -> int:
-        if c not in index:
-            index[c] = len(index)
-        return index[c]
-
-    for c in BOUNDARY_COORDS:
-        vid(c)
-
-    cells_coords: dict[str, tuple[Coord, Coord, Coord]] = {"": BOUNDARY_COORDS}
-    for _ in range(m):
-        nxt: dict[str, tuple[Coord, Coord, Coord]] = {}
-        for w, cs in cells_coords.items():
-            for i in (1, 2, 3):
-                vi = cs[i - 1]
-                nxt[w + str(i)] = tuple(_midpoint(c, vi) for c in cs)
-        cells_coords = nxt
-
-    cells = {w: tuple(vid(c) for c in cs) for w, cs in sorted(cells_coords.items())}
+    # corners' x and y numerators over 2, carried to 2^(m+1) by the midpoint
+    # maps; p1, p2, p3 take ids 0, 1, 2
+    root = ((0, 2, 1), (0, 0, 1))
+    index = {(x << m, y << m): i for i, (x, y) in enumerate(zip(*root))}
+    cells = {
+        w: tuple([index.setdefault(c, len(index)) for c in zip(*xy)])
+        for w, xy in reversed(list(cell_leaves(m, root, (MID_INT, MID_INT))))
+    }
 
     edge_set: set[tuple[int, int]] = set()
     for a, b, c in cells.values():
@@ -122,11 +111,9 @@ def build_level_graph(m: int) -> LevelGraph:
         nbrs[a].append(b)
         nbrs[b].append(a)
 
-    boundary_ids = tuple(index[c] for c in BOUNDARY_COORDS)
-    vertices = tuple(
-        Vertex(i, c[0], c[1], i in boundary_ids)
-        for c, i in sorted(index.items(), key=lambda kv: kv[1])
-    )
+    den = 2 ** (m + 1)
+    coords = [(Fraction(x, den), Fraction(y, den)) for x, y in index]
+    vertices = tuple(Vertex(i, x, y, i < 3) for i, (x, y) in enumerate(coords))
 
     g = LevelGraph(
         level=m,
@@ -134,8 +121,8 @@ def build_level_graph(m: int) -> LevelGraph:
         edges=edges,
         cells=cells,
         neighbors_of=tuple(tuple(sorted(ns)) for ns in nbrs),
-        boundary_ids=boundary_ids,
-        index_by_coord=index,
+        boundary_ids=(0, 1, 2),
+        index_by_coord={c: i for i, c in enumerate(coords)},
     )
     assert g.n_vertices == vertex_count(m)
     assert g.n_edges == 3 ** (m + 1)

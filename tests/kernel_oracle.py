@@ -98,3 +98,17 @@ def gradient_tables(g):
             e = -e
         pats[k] = e
     return corners, nus, pats
+
+
+def moment_defects(kernel):
+    """Worst conditional-mean and second-moment defects of dW, one vertex at a time."""
+    worst_mean = 0.0
+    worst_second = 0.0
+    for x in range(kernel.n_vertices):
+        d = kernel.deg[x]
+        w = kernel.dW[x, :d]
+        worst_mean = max(worst_mean, abs(float(w.mean())))
+        second = float((w * w).mean())
+        worst_second = max(worst_second,
+                           abs(second - kernel.dqv[x]) / max(kernel.dqv[x], 1e-300))
+    return worst_mean, worst_second

@@ -389,15 +389,18 @@ def test_first_picard_sweep_is_explicit_dp(kernels, graphs, duration):
     )
     cfg = WalkConfig(level=3, horizon=0.1, path_count=20, seed=2, killed=killed)
     ens = simulate_paths(cfg, k, g)
-    Y, Z = picard_iterate(p, k, 1, ens, BetaWeights(1, 1), g)["iterates"][0]
+    rep = picard_iterate(p, k, 1, ens, BetaWeights(1, 1), g)
+    assert set(rep) == {"distances", "ratios", "final"}
+    Y, Z = rep["final"]
     sol = solve_dp(p, k, g)
     assert Y.tobytes() == sol.Y.tobytes()
     assert Z.tobytes() == sol.Z.tobytes()
 
 
 def test_picard_equals_path_major_oracle(kernels, graphs):
-    # criterion 08: every distance, ratio and iterate, from zero and from the
-    # driverless DP seed, has the bytes of the loop measured with the old norm
+    # criterion 08: every distance and ratio, and the last iterate, from zero
+    # and from the driverless DP seed, have the bytes of the loop measured
+    # with the old norm
     g, k = graphs(3), kernels(3)
     p = BsdeProblem(
         g=lambda t, x, y: -0.5 * y, f=lambda t, x, y, z: 0.5 * np.sin(y) + z,
@@ -412,10 +415,9 @@ def test_picard_equals_path_major_oracle(kernels, graphs):
         ref = vbeta_oracle.picard_iterate(p, k, 30, ens, w, initial=initial, stop_rel=1e-19)
         assert got["distances"] == ref["distances"]
         assert got["ratios"] == ref["ratios"]
-        assert len(got["iterates"]) == len(ref["iterates"])
-        for (Y, Z), (Yr, Zr) in zip(got["iterates"], ref["iterates"]):
-            assert Y.tobytes() == Yr.tobytes()
-            assert Z.tobytes() == Zr.tobytes()
+        (Y, Z), (Yr, Zr) = got["final"], ref["final"]
+        assert Y.tobytes() == Yr.tobytes()
+        assert Z.tobytes() == Zr.tobytes()
 
 
 def test_picard_rejects_paths_of_another_level(kernels, graphs):
@@ -425,6 +427,15 @@ def test_picard_rejects_paths_of_another_level(kernels, graphs):
     p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g4), horizon=0.2)
     with pytest.raises(UsageError, match="level"):
         picard_iterate(p, k4, 2, ens, BetaWeights(1, 1), g4)
+
+
+@pytest.mark.parametrize("n_iters", (0, -1))
+def test_picard_rejects_fewer_than_one_sweep(kernels, graphs, n_iters):
+    g, k = graphs(2), kernels(2)
+    ens = simulate_paths(WalkConfig(level=2, horizon=0.5, path_count=20, seed=1), k, g)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g), horizon=0.5)
+    with pytest.raises(UsageError, match="n_iters"):
+        picard_iterate(p, k, n_iters, ens, BetaWeights(1, 1), g)
 
 
 def test_picard_rejects_a_misshapen_initial_field(kernels, graphs):

@@ -178,6 +178,29 @@ def test_walk_negative_cell_level_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, field", (
+    (["pde", "--level", 2, "--steps", 0], "steps"),
+    (["pde", "--level", 2, "--stride", 0], "stride"),
+    (["bsde", "--level", 2, "--stride", -3], "stride"),
+))
+def test_non_positive_steps_and_stride_usage_error(tmp_path, capsys, command, field):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(PROBLEM))
+    out = tmp_path / "out.csv"
+    assert run([*command, "--problem", pf, "--out", out]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("iters", (0, -2))
+def test_check_contraction_without_sweeps_usage_error(tmp_path, capsys, iters):
+    out = tmp_path / "c.json"
+    assert run(["check", "contraction", "--level", 1, "--paths", 10, "--iters", iters,
+                "--out", out]) == 2
+    assert "n_iters" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_command_handlers_take_args_only():
     for handler in COMMANDS.values():
         assert list(inspect.signature(handler).parameters) == ["args"]

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import graph_oracle
 import pytest
 
 from gasketlab import CapacityError, UsageError, build_level_graph, cell_corners, neighbors
@@ -24,6 +25,18 @@ def brute_force_vertex_count(m):
 
     rec(tuple(corners), m)
     return len(pts)
+
+
+@pytest.mark.parametrize("m", range(0, 8))
+def test_graph_equals_fraction_midpoint_oracle(graphs, m):
+    # integer numerators down exact.cell_leaves vs level-by-level Fraction midpoints
+    g, ref = graphs(m), graph_oracle.build_level_graph(m)
+    for name in ("level", "vertices", "edges", "neighbors_of", "boundary_ids"):
+        assert getattr(g, name) == getattr(ref, name), name
+    assert list(g.cells.items()) == list(ref.cells.items())
+    assert list(g.index_by_coord.items()) == list(ref.index_by_coord.items())
+    for v in range(ref.n_vertices):
+        assert g.cells_at_vertex(v) == ref.cells_at_vertex(v)
 
 
 def test_base_counts(graphs):

@@ -58,6 +58,8 @@ def test_kernel_and_gradient_tables_equal_loop_oracle(kernels, graphs, m):
 def test_kernel_conditional_moments(kernels, m):
     k = kernels(m)
     worst_mean, worst_second = kernel_moment_defects(k)
+    assert (worst_mean, worst_second) == kernel_oracle.moment_defects(k)
+    assert type(worst_mean) is float and type(worst_second) is float
     assert worst_mean < 1e-12
     assert worst_second < 1e-12
 
