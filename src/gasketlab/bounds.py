@@ -20,6 +20,7 @@ from .errors import NumericOverflowError, SchemeError, UsageError
 
 SPECTRAL_DIMENSION = 2.0 * math.log(3.0) / math.log(5.0)
 GAMMA_S = 1.0 - SPECTRAL_DIMENSION / 2.0
+P_MAX = 4  # highest clock moment the envelope checks
 
 
 def mittag_leffler(a: float, b: float, z: float) -> float:
@@ -147,19 +148,18 @@ def nested_simplex_integral_p2(gamma: float) -> float:
     return inner * outer
 
 
-def fit_moment_constant(qv_samples: dict, gamma_s: float = GAMMA_S,
-                        p_max: int = 4) -> dict:
-    """Smallest C with E[A_t^p]/p! <= (C t^gamma_s)^p / Gamma(p gamma_s + 1)
-    per (p, t) cell, and the single joint constant (their max).
+def fit_moment_constant(qv_samples: dict) -> dict:
+    """Smallest C with E[A_t^p]/p! <= (C t^GAMMA_S)^p / Gamma(p GAMMA_S + 1)
+    per (p, t) cell, p = 1..P_MAX, and the single joint constant (their max).
 
     qv_samples maps t -> array of <W>_t samples.
     """
     cells = []
     for t, samples in sorted(qv_samples.items()):
         arr = np.asarray(samples, dtype=float)
-        for p in range(1, p_max + 1):
+        for p in range(1, P_MAX + 1):
             mom = float((arr ** p).mean()) / math.factorial(p)
-            c = (mom * math.exp(gammaln(p * gamma_s + 1.0))) ** (1.0 / p) / t ** gamma_s
+            c = (mom * math.exp(gammaln(p * GAMMA_S + 1.0))) ** (1.0 / p) / t ** GAMMA_S
             cells.append({"t": t, "p": p, "C": c, "moment_over_pfact": mom})
     cstar = max(cell["C"] for cell in cells)
     p1 = {cell["t"]: cell["moment_over_pfact"] / cell["t"]
@@ -167,25 +167,23 @@ def fit_moment_constant(qv_samples: dict, gamma_s: float = GAMMA_S,
     return {"cells": cells, "C": cstar, "first_moment_over_t": p1}
 
 
-def check_moment_bound(qv_samples: dict, C: float, gamma_s: float = GAMMA_S,
-                       p_max: int = 4) -> dict:
+def check_moment_bound(qv_samples: dict, C: float) -> dict:
     """Margins of the fitted moment envelope; all must be >= 0."""
     rows = []
     ok = True
     for t, samples in sorted(qv_samples.items()):
         arr = np.asarray(samples, dtype=float)
-        for p in range(1, p_max + 1):
+        for p in range(1, P_MAX + 1):
             lhs = float((arr ** p).mean()) / math.factorial(p)
-            rhs = (C * t ** gamma_s) ** p * math.exp(-gammaln(p * gamma_s + 1.0))
+            rhs = (C * t ** GAMMA_S) ** p * math.exp(-gammaln(p * GAMMA_S + 1.0))
             rows.append({"t": t, "p": p, "lhs": lhs, "rhs": rhs,
                          "margin": rhs - lhs})
             ok &= lhs <= rhs * (1 + 1e-12)
     return {"rows": rows, "holds": ok}
 
 
-def check_mittag_leffler_bound(expint_table: dict, C: float,
-                               gamma_s: float = GAMMA_S) -> dict:
-    """Margins of sup_x E_x[e^{beta A_t}] <= E_{gamma_s,1}[C beta max(t, t^gamma_s)].
+def check_mittag_leffler_bound(expint_table: dict, C: float) -> dict:
+    """Margins of sup_x E_x[e^{beta A_t}] <= E_{GAMMA_S,1}[C beta max(t, t^GAMMA_S)].
 
     expint_table maps (beta, t) -> measured max over starts of the MC
     estimate of E_x[e^{beta A_t}].
@@ -193,29 +191,28 @@ def check_mittag_leffler_bound(expint_table: dict, C: float,
     rows = []
     ok = True
     for (beta, t), lhs in sorted(expint_table.items()):
-        z = C * beta * max(t, t ** gamma_s)
-        rhs = mittag_leffler(gamma_s, 1.0, z)
+        z = C * beta * max(t, t ** GAMMA_S)
+        rhs = mittag_leffler(GAMMA_S, 1.0, z)
         rows.append({"beta": beta, "t": t, "lhs": lhs, "rhs": rhs,
                      "margin": rhs - lhs})
         ok &= lhs <= rhs
     return {"rows": rows, "holds": ok}
 
 
-def fit_joint_constant(qv_samples: dict, expint_table: dict,
-                       gamma_s: float = GAMMA_S, p_max: int = 4) -> dict:
+def fit_joint_constant(qv_samples: dict, expint_table: dict) -> dict:
     """One constant satisfying both bound families: the moment fit, enlarged
     by bisection if the Mittag-Leffler side needs more room."""
-    fit = fit_moment_constant(qv_samples, gamma_s, p_max)
+    fit = fit_moment_constant(qv_samples)
     c = fit["C"]
-    if not check_mittag_leffler_bound(expint_table, c, gamma_s)["holds"]:
+    if not check_mittag_leffler_bound(expint_table, c)["holds"]:
         lo, hi = c, c
-        while not check_mittag_leffler_bound(expint_table, hi, gamma_s)["holds"]:
+        while not check_mittag_leffler_bound(expint_table, hi)["holds"]:
             hi *= 2.0
             if hi > 1e6:
                 raise UsageError("no finite constant closes the ML bound")
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if check_mittag_leffler_bound(expint_table, mid, gamma_s)["holds"]:
+            if check_mittag_leffler_bound(expint_table, mid)["holds"]:
                 hi = mid
             else:
                 lo = mid
@@ -223,6 +220,6 @@ def fit_joint_constant(qv_samples: dict, expint_table: dict,
     return {
         "C": c,
         "moment_fit": fit,
-        "moments": check_moment_bound(qv_samples, c, gamma_s, p_max),
-        "mittag_leffler": check_mittag_leffler_bound(expint_table, c, gamma_s),
+        "moments": check_moment_bound(qv_samples, c),
+        "mittag_leffler": check_mittag_leffler_bound(expint_table, c),
     }

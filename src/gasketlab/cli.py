@@ -99,6 +99,15 @@ def _validate_runconfig(cfg: dict) -> dict:
     return cfg
 
 
+def _parse_list(text: str, flag: str, kind) -> list:
+    """The comma-separated values of `flag` as `kind`; UsageError names the flag."""
+    try:
+        return [kind(s) for s in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"{flag} must be comma-separated {kind.__name__} values, "
+                         f"got {text!r}") from exc
+
+
 def _frac_row(x: Fraction) -> tuple[int, int, float]:
     return x.numerator, x.denominator, float(x)
 
@@ -111,7 +120,7 @@ def _cmd_graph(args):
 
 
 def _cmd_harmonic(args):
-    u = tuple(Fraction(s) for s in args.boundary.split(","))
+    u = tuple(_parse_list(args.boundary, "--boundary", Fraction))
     if len(u) != 3:
         raise UsageError("--boundary needs exactly three comma-separated rationals")
     g = build_level_graph(args.level)
@@ -131,7 +140,7 @@ def _cmd_measure(args):
     else:
         if not args.boundary:
             raise UsageError("--kind energy requires --boundary u1,u2,u3")
-        u = tuple(Fraction(s) for s in args.boundary.split(","))
+        u = tuple(_parse_list(args.boundary, "--boundary", Fraction))
         table = energy_measure_table(u, args.level)
     rows = [
         (w, *_frac_row(mass))
@@ -219,8 +228,8 @@ def _cmd_pde(args):
 
 def _cmd_check_fk(args):
     spec = load_problem_file(args.problem)
-    levels = [int(s) for s in args.levels.split(",")]
-    probe_times = [float(s) for s in args.probe_times.split(",")]
+    levels = _parse_list(args.levels, "--levels", int)
+    probe_times = _parse_list(args.probe_times, "--probe-times", float)
 
     def make(level):
         return build_problem_pair(spec, level)
@@ -311,7 +320,7 @@ def _cmd_check_contraction(args):
 
 
 def _cmd_check_identity(args):
-    levels = [int(s) for s in args.levels.split(",")]
+    levels = _parse_list(args.levels, "--levels", int)
     report = {}
     for m in levels:
         defect = kusuoka_identity_check(m)

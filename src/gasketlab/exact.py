@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .errors import UsageError
+
 IntMat = tuple[tuple[int, int, int], ...]
 
 # Projection onto the mean-zero plane: P = I - (1/3) ones, over 3.
@@ -115,8 +117,11 @@ def cell_leaves(m: int, states: tuple, gens: tuple):
 
     The root carries `states`; a child's state k is gens[k][i] times its
     parent's, as in `restrict_states`. Leaf states are integer numerators
-    over 5^m (2^m for MID_INT) times the root's denominators.
+    over 5^m (2^m for MID_INT) times the root's denominators. UsageError
+    for a negative m, whose tree has no leaves.
     """
+    if m < 0:
+        raise UsageError(f"level {m} is negative")
     stack = [("", states)]
     while stack:
         word, st = stack.pop()
@@ -144,8 +149,6 @@ def quad_form_p(v) -> Fraction:
 
 
 def validate_word(word: str) -> str:
-    from .errors import UsageError
-
     if not all(c in "123" for c in word):
         raise UsageError(f"cell word must use symbols 1,2,3 only: {word!r}")
     return word

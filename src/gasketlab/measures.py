@@ -64,6 +64,8 @@ def kusuoka_mass(word: str) -> Fraction:
 
 
 def hausdorff_measure(m: int) -> CellMeasure:
+    if m < 0:
+        raise UsageError(f"level {m} is negative")
     mass = Fraction(1, 3) ** m
     return CellMeasure("hausdorff", m, {"".join(w): mass for w in product("123", repeat=m)})
 

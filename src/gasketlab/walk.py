@@ -198,24 +198,21 @@ def walk_steps(kernel: StepKernel, pos: np.ndarray, n_steps: int,
     slot = 4*x + j is the neighbour slot taken from x, an index into
     kernel.nbr.ravel() and kernel.dW.ravel(). live marks the paths that
     took step k: None in reflected mode, where all do; in killed mode a path
-    stops once it arrives at V_0. pos is the position after the step; every
-    yielded array is fresh, so callers may keep the previous one.
+    stops once it arrives at V_0, as every step after the first reads a copy
+    of nbr whose V_0 rows point to themselves (the first step lets a V_0
+    start leave: the t > 0 convention). pos is the position after the step;
+    every yielded array is fresh, so callers may keep the previous one.
     """
-    deg, isb = kernel.deg, kernel.is_boundary
-    nbr = kernel.nbr.ravel()
+    deg, isb, table = kernel.deg, kernel.is_boundary, kernel.nbr.ravel()
+    stopped = np.where(isb[:, None] & killed, np.arange(len(deg))[:, None], kernel.nbr).ravel()
     live = np.ones(len(pos), dtype=bool) if killed else None
     for k in range(n_steps):
-        u = rng.random(len(pos))
-        d = deg[pos]
-        j = np.minimum((u * d).astype(np.int64), d - 1)
-        slot = 4 * pos + j
-        if killed:
-            pos = np.where(live, nbr[slot], pos)
-            yield k, slot, live, pos
-            live = live & ~isb[pos]
-        else:
-            pos = nbr[slot]
-            yield k, slot, None, pos
+        # u <= 1 - 2^-53 and deg is 2 or 4, so u * deg is exact and floors below deg
+        slot = 4 * pos + (rng.random(len(pos)) * deg[pos]).astype(np.int64)
+        pos = table[slot]
+        yield k, slot, live, pos
+        live = ~isb[pos] if killed else None
+        table = stopped
 
 
 def _simulate_block(args):

@@ -213,6 +213,30 @@ def test_check_identity(tmp_path):
     assert doc["1"]["exact_zero"] and doc["3"]["exact_zero"]
 
 
+def test_check_identity_negative_level_usage_error(tmp_path, capsys):
+    out = tmp_path / "id.json"
+    assert run(["check", "identity", "--levels", "1,-1", "--out", out]) == 2
+    assert "level -1 is negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", (
+    (["check", "fk", "--problem", "{problem}", "--levels", "2,x"], "--levels"),
+    (["check", "fk", "--problem", "{problem}", "--probe-times", "0,abc"], "--probe-times"),
+    (["check", "identity", "--levels", "1,x"], "--levels"),
+    (["harmonic", "--level", 1, "--boundary", "1,x,2"], "--boundary"),
+    (["measure", "--kind", "energy", "--level", 1, "--boundary", "1,x,2"], "--boundary"),
+))
+def test_malformed_list_flags_usage_error(tmp_path, capsys, command, flag):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(PROBLEM))
+    out = tmp_path / "out.csv"
+    argv = [str(pf) if a == "{problem}" else a for a in command]
+    assert run([*argv, "--out", out]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_bounds_beta_chain(tmp_path):
     out = tmp_path / "bc.json"
     assert run(["check", "bounds", "--which", "beta-chain", "--out", out]) == 0

@@ -138,3 +138,15 @@ def test_mass_lookup_errors():
         nu.mass("1")
     with pytest.raises(UsageError):
         kusuoka_mass("14")
+
+
+@pytest.mark.parametrize("table", (
+    hausdorff_measure,
+    kusuoka_measure,
+    lambda m: energy_measure_table(E1, m),
+    kusuoka_identity_check,
+), ids=("hausdorff", "kusuoka", "energy", "identity"))
+def test_negative_level_rejected(table):
+    # a negative level has no leaves: the traversal must stop, not grow
+    with pytest.raises(UsageError, match="level -1 is negative"):
+        table(-1)

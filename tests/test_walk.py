@@ -6,6 +6,8 @@ from fractions import Fraction
 import kernel_oracle
 import numpy as np
 import pytest
+import walk_oracle
+from numpy.random import Generator, Philox
 
 from gasketlab import (
     UsageError,
@@ -26,6 +28,7 @@ from gasketlab.walk import (
     layer_at,
     layer_count,
     step_duration,
+    walk_steps,
 )
 
 MIDPOINT_OPP_P1 = (Fraction(3, 4), Fraction(1, 4))  # midpoint of (p2, p3)
@@ -152,6 +155,37 @@ def test_determinism_and_worker_invariance(kernels, graphs):
     assert np.array_equal(e1.vertices, e2.vertices)
     assert np.array_equal(e1.vertices, e3.vertices)
     assert np.array_equal(e1.dW, e3.dW)
+
+
+WALK_CASES = [(m, killed, start) for m in range(5) for killed in (False, True)
+              for start in ("mu", "V0", "interior") if m > 0 or start != "interior"]
+
+
+@pytest.mark.parametrize("m, killed, start", WALK_CASES)
+def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
+    # one loop body with a stopped-row table and no clamp vs the two-branch
+    # step with a hold-in-place mask and np.minimum, on one Philox key
+    k = kernels(m)
+    n_paths, n_steps = 400, 2 * 5**m + 5
+    if start == "mu":
+        pos = Generator(Philox(key=[3, 1])).choice(k.n_vertices, n_paths, p=k.mu_weight)
+    else:
+        ids = np.nonzero(k.is_boundary == (start == "V0"))[0]
+        pos = np.full(n_paths, ids[-1], dtype=np.int64)
+    ours = walk_steps(k, pos, n_steps, Generator(Philox(key=[17, m])), killed)
+    ref = walk_oracle.walk_steps(k, pos, n_steps, Generator(Philox(key=[17, m])), killed)
+    count = 0
+    for (k1, slot1, live1, pos1), (k2, slot2, live2, pos2) in zip(ours, ref, strict=True):
+        assert k1 == k2 == count
+        assert same_bytes(slot1, slot2) and same_bytes(pos1, pos2), k1
+        if killed:
+            assert same_bytes(live1, live2), k1
+        else:
+            assert live1 is None and live2 is None
+        count += 1
+    assert count == n_steps
+    if killed:  # the run reaches the stopped rows
+        assert not live1.all()
 
 
 def test_killed_paths_freeze_after_hit(kernels, graphs):
