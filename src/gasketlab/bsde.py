@@ -355,7 +355,7 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
 
 def _mc_linear(kernel, problem, a, b, c, start, n_paths, seed, psi, killed):
     dt = kernel.dt
-    dW, isb = kernel.dW.ravel(), kernel.is_boundary
+    dW, dqv, isb = kernel.dW.ravel(), np.repeat(kernel.dqv, 4), kernel.is_boundary
     corners = np.nonzero(isb)[0]
     rng = Generator(Philox(key=[seed, 2**34]))
     pos = np.full(n_paths, start, dtype=np.int64)
@@ -364,18 +364,19 @@ def _mc_linear(kernel, problem, a, b, c, start, n_paths, seed, psi, killed):
     alive = np.ones(n_paths, dtype=bool)
     value = np.zeros(n_paths)
     steps = walk_steps(kernel, pos, layer_count(problem.horizon, dt), rng, killed)
-    for k, slot, live, nxt in steps:
-        step_w = 1.0 + a * dt + b * kernel.dqv[pos] + c * dW[slot]
+    for k, idx, slot, nxt in steps:
+        rows = slice(None) if idx is None else idx
+        step_w = 1.0 + a * dt + b * dqv[slot] + c * dW[slot]
+        logw_sign[rows] *= np.sign(step_w)
+        logw[rows] += np.log(np.abs(step_w))
+        pos[rows] = nxt
         if killed:
-            step_w = np.where(live, step_w, 1.0)
-            arrived = live & isb[nxt]
+            arrived = isb[nxt]
             if arrived.any():
+                hit = np.flatnonzero(arrived) if idx is None else idx[arrived]
                 phi_vals = np.asarray(problem.boundary_phi((k + 1) * dt), dtype=float)
-                value[arrived] = phi_vals[np.searchsorted(corners, nxt[arrived])]
-                alive[arrived] = False
-        logw_sign *= np.sign(step_w)
-        logw += np.log(np.abs(step_w))
-        pos = nxt
+                value[hit] = phi_vals[np.searchsorted(corners, nxt[arrived])]
+                alive[hit] = False
     value[alive] = psi[pos[alive]]
     weights = logw_sign * np.exp(logw)
     samples = weights * value

@@ -37,8 +37,14 @@ def validate_problem_dict(spec: dict) -> dict:
 
 
 def load_problem_file(path: str) -> dict:
-    with open(path) as fh:
-        spec = json.load(fh)
+    """The validated problem in the JSON file at path; UsageError names the path."""
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read problem file {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise UsageError(f"problem file {path} is not valid JSON: {exc}") from exc
     return validate_problem_dict(spec)
 
 

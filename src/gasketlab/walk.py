@@ -19,7 +19,9 @@ one-step operator satisfies P = I + dt*L exactly, L being the generator of
 (E^(m), mu-lumped vertex masses), so walk time and PDE time agree.
 
 Path generation is block-based with counter RNG streams keyed (seed, block):
-results are bit-identical for a given seed regardless of worker count.
+results are bit-identical for a given seed regardless of worker count. Each
+step spends one raw random byte per stepping path (see walk_steps), and a
+killed walk stops drawing for a path once it reaches V_0.
 """
 
 from __future__ import annotations
@@ -193,33 +195,45 @@ def _resolve_start(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None):
 
 def walk_steps(kernel: StepKernel, pos: np.ndarray, n_steps: int,
                rng: Generator, killed: bool):
-    """Take n_steps uniform neighbour steps from pos, yielding (k, slot, live, pos).
+    """Take n_steps uniform neighbour steps from pos, yielding (k, idx, slot, nxt).
 
-    slot = 4*x + j is the neighbour slot taken from x, an index into
-    kernel.nbr.ravel() and kernel.dW.ravel(). live marks the paths that
-    took step k: None in reflected mode, where all do; in killed mode a path
-    stops once it arrives at V_0, as every step after the first reads a copy
-    of nbr whose V_0 rows point to themselves (the first step lets a V_0
-    start leave: the t > 0 convention). pos is the position after the step;
-    every yielded array is fresh, so callers may keep the previous one.
+    Each step reads one random byte per stepping path, in order from the
+    raw 64-bit Philox words taken little-endian, and takes neighbour slot
+    j = byte & (deg - 1). Every degree is 2 or 4 and divides 256, so j is
+    exactly uniform: no float, multiply or floor is involved.
+
+    idx holds the indices into pos of the paths that took step k, and slot
+    (= 4*x + j, an index into kernel.nbr.ravel() and kernel.dW.ravel()) and
+    nxt (the position after the step) are their entries, in idx order. idx
+    is None when every path stepped: always in reflected mode. In killed mode
+    a path that arrives at V_0 leaves the live set and is drawn for no more;
+    the first step moves every path, so a V_0 start leaves V_0 (the t > 0
+    convention). Callers may keep the yielded arrays but must not write to
+    them: idx is shared by the steps between two shrinks of the live set.
     """
-    deg, isb, table = kernel.deg, kernel.is_boundary, kernel.nbr.ravel()
-    stopped = np.where(isb[:, None] & killed, np.arange(len(deg))[:, None], kernel.nbr).ravel()
-    live = np.ones(len(pos), dtype=bool) if killed else None
+    nbr, isb = kernel.nbr.ravel(), kernel.is_boundary
+    mask = (kernel.deg - 1).astype(np.uint8)
+    draw = rng.bit_generator.random_raw
+    idx = None
     for k in range(n_steps):
-        # u <= 1 - 2^-53 and deg is 2 or 4, so u * deg is exact and floors below deg
-        slot = 4 * pos + (rng.random(len(pos)) * deg[pos]).astype(np.int64)
-        pos = table[slot]
-        yield k, slot, live, pos
-        live = ~isb[pos] if killed else None
-        table = stopped
+        n = len(pos)
+        byte = draw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
+        slot = 4 * pos + (byte & mask[pos])
+        nxt = nbr[slot]
+        yield k, idx, slot, nxt
+        pos = nxt
+        if killed:
+            keep = ~isb[nxt]
+            if not keep.all():
+                idx = np.flatnonzero(keep) if idx is None else idx[keep]
+                pos = nxt[keep]
 
 
 def _simulate_block(args):
     (kernel, n_paths, n_steps, seed, block, killed, start_vertex,
      snap_steps, record) = args
     rng = Generator(Philox(key=[seed, block]))
-    dW, dqv, isb = kernel.dW.ravel(), kernel.dqv, kernel.is_boundary
+    dW, dqv, isb = kernel.dW.ravel(), np.repeat(kernel.dqv, 4), kernel.is_boundary
 
     if start_vertex is None:
         srng = Generator(Philox(key=[seed, _START_STREAM_OFFSET + block]))
@@ -241,17 +255,18 @@ def _simulate_block(args):
         }
         rec["vertices"][:, 0] = pos
 
-    for k, slot, live, nxt in walk_steps(kernel, pos, n_steps, rng, killed):
-        a = dqv[pos]
+    for k, idx, slot, nxt in walk_steps(kernel, pos, n_steps, rng, killed):
+        rows = slice(None) if idx is None else idx
+        a = dqv[slot]
+        cum_qv[rows] += a
+        pos[rows] = nxt
         if killed:
-            a = np.where(live, a, 0.0)
-            hit_step[live & isb[nxt]] = k + 1
-        cum_qv += a
-        pos = nxt
+            arrived = isb[nxt]
+            hit_step[np.flatnonzero(arrived) if idx is None else idx[arrived]] = k + 1
         if record:
             rec["vertices"][:, k + 1] = pos
-            rec["dW"][:, k] = np.where(live, dW[slot], 0.0) if killed else dW[slot]
-            rec["dqv"][:, k] = a
+            rec["dW"][rows, k] = dW[slot]
+            rec["dqv"][rows, k] = a
         if (k + 1) in snap_steps:
             snaps[k + 1] = (cum_qv.copy(), pos.copy())
 

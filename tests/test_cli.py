@@ -282,6 +282,23 @@ def test_problem_schema_violation(tmp_path, capsys):
     assert "driver/name" in err
 
 
+@pytest.mark.parametrize("content", (None, "{bad"))
+@pytest.mark.parametrize("command", (
+    ["bsde", "--level", 1],
+    ["pde", "--level", 1],
+    ["check", "fk", "--levels", "2,3"],
+))
+def test_unreadable_problem_file_usage_error(tmp_path, capsys, command, content):
+    # a missing file or malformed JSON is a UsageError naming the path
+    pf = tmp_path / "problem.json"
+    if content is not None:
+        pf.write_text(content)
+    out = tmp_path / "out.csv"
+    assert run([*command, "--problem", pf, "--out", out]) == 2
+    assert str(pf) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_problem_schema_missing_field():
     with pytest.raises(UsageError) as exc:
         validate_problem_dict({"driver": {"name": "zero"}})

@@ -163,8 +163,8 @@ WALK_CASES = [(m, killed, start) for m in range(5) for killed in (False, True)
 
 @pytest.mark.parametrize("m, killed, start", WALK_CASES)
 def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
-    # one loop body with a stopped-row table and no clamp vs the two-branch
-    # step with a hold-in-place mask and np.minimum, on one Philox key
+    # live-index steps from raw bytes vs a full-width mask-form step on the
+    # same bytes, one Philox key; compacted yields are scattered to all paths
     k = kernels(m)
     n_paths, n_steps = 400, 2 * 5**m + 5
     if start == "mu":
@@ -174,34 +174,56 @@ def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
         pos = np.full(n_paths, ids[-1], dtype=np.int64)
     ours = walk_steps(k, pos, n_steps, Generator(Philox(key=[17, m])), killed)
     ref = walk_oracle.walk_steps(k, pos, n_steps, Generator(Philox(key=[17, m])), killed)
+    full_pos = pos.copy()
     count = 0
-    for (k1, slot1, live1, pos1), (k2, slot2, live2, pos2) in zip(ours, ref, strict=True):
+    for (k1, idx, slot1, nxt), (k2, live, slot2, pos2) in zip(ours, ref, strict=True):
         assert k1 == k2 == count
-        assert same_bytes(slot1, slot2) and same_bytes(pos1, pos2), k1
-        if killed:
-            assert same_bytes(live1, live2), k1
-        else:
-            assert live1 is None and live2 is None
+        rows = slice(None) if idx is None else idx
+        full_slot = np.full(n_paths, -1, dtype=np.int64)
+        full_slot[rows] = slot1
+        full_pos[rows] = nxt
+        assert same_bytes(full_slot, slot2) and same_bytes(full_pos, pos2), k1
+        assert killed or idx is None
         count += 1
     assert count == n_steps
-    if killed:  # the run reaches the stopped rows
-        assert not live1.all()
+    if killed:  # the run reaches stopped paths
+        assert not live.all() and len(idx) < n_paths
 
 
 def test_killed_paths_freeze_after_hit(kernels, graphs):
+    # four blocks of 50: dead paths hold their V_0 vertex with zero dW and
+    # dqv in every block, and live ones keep stepping
     k, g = kernels(2), graphs(2)
     cfg = WalkConfig(level=2, horizon=2.0, path_count=200, seed=7, killed=True,
-                     start=g.cells["11"][1])
+                     start=g.cells["11"][1], block_size=50)
     ens = simulate_paths(cfg, k, g)
     hit = ens.hit_step
     assert (hit > 0).mean() > 0.95
+    for block in range(4):
+        assert (hit[50 * block:50 * (block + 1)] > 0).any()
     for i in range(ens.n_paths):
         h = hit[i]
         if h > 0:
             assert k.is_boundary[ens.vertices[i, h]]
+            assert not k.is_boundary[ens.vertices[i, :h]].any()
             assert np.all(ens.dW[i, h:] == 0.0)
             assert np.all(ens.dqv[i, h:] == 0.0)
+            assert np.all(ens.dqv[i, :h] > 0.0)
             assert np.all(ens.vertices[i, h:] == ens.vertices[i, h])
+
+
+@pytest.mark.parametrize("start", ("mu", 0))
+def test_killed_walk_identical_across_worker_counts(kernels, graphs, start):
+    # three blocks, so workers=2 reaches the process pool; hit_step included
+    k, g = kernels(2), graphs(2)
+    runs = []
+    for workers in (1, 2):
+        cfg = WalkConfig(level=2, horizon=0.5, path_count=300, seed=11, killed=True,
+                         start=start, block_size=100, workers=workers)
+        runs.append(simulate_paths(cfg, k, g))
+    for name in ("vertices", "dW", "dqv", "hit_step"):
+        assert same_bytes(getattr(runs[0], name), getattr(runs[1], name)), name
+    assert (runs[0].hit_step > 0).any()
 
 
 @pytest.mark.parametrize("paths", (0, -5))
@@ -267,12 +289,16 @@ def test_exit_time_warning_on_short_horizon(kernels, graphs):
 
 
 def test_exit_time_from_boundary_start_is_first_return(kernels, graphs):
+    # t > 0 convention: a walk started on p1 leaves it, so sigma_V0 is the
+    # first return, dt * (1 + mean over p1's neighbours of the exit steps)
     m = 2
-    g = graphs(m)
+    k, g = kernels(m), graphs(m)
     cfg = WalkConfig(level=m, horizon=3.0, path_count=300, seed=5, killed=True,
                      start=0)  # p1
-    stats = exit_time_stats(cfg, kernels(m), g)
-    assert stats["mean"] > 0  # the walk leaves and is absorbed on return
+    stats = exit_time_stats(cfg, k, g)
+    expect = k.dt * (1 + exact_exit_steps(k)[k.nbr[0, :k.deg[0]]].mean())
+    assert stats["hit_fraction"] == 1.0
+    assert abs(stats["mean"] - expect) < 5 * stats["stderr"]
 
 
 def test_occupation_point_mass_at_small_t(kernels, graphs):
