@@ -24,7 +24,7 @@ from numpy.random import Generator, Philox
 
 from .errors import DeclaredConstantError, SchemeError, UsageError
 from .gasket import vertex_count
-from .walk import PathEnsemble, StepKernel, heavy_tailed, layer_count, walk_steps
+from .walk import PathEnsemble, StepKernel, WalkConfig, _run_blocks, heavy_tailed, layer_count
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,9 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
     exponential rho(x->y) = 1 + a dt + b dqv(x) + c dW(x->y), algebraically
     identical to the explicit DP for the linear driver. MC route: accumulate
     the same product along mc_paths >= 2 sampled paths from each vertex id in
-    mc_starts; other starts or path counts raise UsageError.
+    mc_starts; other starts or path counts raise UsageError. Start i walks
+    walk._run_blocks' streams (seed + i, block) on the per-slot clock log(rho),
+    complex if some rho < 0: its i*pi makes Re exp(clock) carry the sign.
     """
     dt = kernel.dt
     K = layer_count(problem.horizon, dt)
@@ -354,32 +356,23 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
 
 
 def _mc_linear(kernel, problem, a, b, c, start, n_paths, seed, psi, killed):
-    dt = kernel.dt
-    dW, dqv, isb = kernel.dW.ravel(), np.repeat(kernel.dqv, 4), kernel.is_boundary
-    corners = np.nonzero(isb)[0]
-    rng = Generator(Philox(key=[seed, 2**34]))
-    pos = np.full(n_paths, start, dtype=np.int64)
-    logw_sign = np.ones(n_paths)
-    logw = np.zeros(n_paths)
-    alive = np.ones(n_paths, dtype=bool)
-    value = np.zeros(n_paths)
-    steps = walk_steps(kernel, pos, layer_count(problem.horizon, dt), rng, killed)
-    for k, idx, slot, nxt in steps:
-        rows = slice(None) if idx is None else idx
-        step_w = 1.0 + a * dt + b * dqv[slot] + c * dW[slot]
-        logw_sign[rows] *= np.sign(step_w)
-        logw[rows] += np.log(np.abs(step_w))
-        pos[rows] = nxt
-        if killed:
-            arrived = isb[nxt]
-            if arrived.any():
-                hit = np.flatnonzero(arrived) if idx is None else idx[arrived]
-                phi_vals = np.asarray(problem.boundary_phi((k + 1) * dt), dtype=float)
-                value[hit] = phi_vals[np.searchsorted(corners, nxt[arrived])]
-                alive[hit] = False
-    value[alive] = psi[pos[alive]]
-    weights = logw_sign * np.exp(logw)
-    samples = weights * value
+    """MC estimate from start of E[prod rho * psi(X_K)], phi(hit time) replacing psi on a V_0 hit."""
+    w = 1.0 + a * kernel.dt + b * np.repeat(kernel.dqv, 4) + c * kernel.dW.ravel()
+    cfg = WalkConfig(level=kernel.level, horizon=problem.horizon, path_count=n_paths,
+                     seed=seed, killed=killed, start=start)
+    K = cfg.n_steps
+    # complex only when needed: a complex accumulator slows the whole step loop
+    clock = np.log(w) if (w > 0).all() else np.log(w.astype(complex))
+    r = _run_blocks(cfg, kernel, None, snap_steps=(K,), clock=clock)
+    pos = r["snaps"][K][1]  # a killed path stays on its V_0 corner, ids 0, 1, 2
+    value = psi[pos]
+    hit = r["hit_step"]
+    arrived = hit > 0
+    if arrived.any():  # phi once per distinct hit step
+        steps, which = np.unique(hit[arrived], return_inverse=True)
+        phi = np.array([problem.boundary_phi(int(k) * kernel.dt) for k in steps], dtype=float)
+        value[arrived] = phi[which, pos[arrived]]
+    samples = np.exp(r["cum_qv"]).real * value
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n_paths))
     return {"estimate": mean, "stderr": stderr, "unstable": heavy_tailed(samples)}

@@ -10,7 +10,6 @@ block order.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -63,19 +62,18 @@ def _write_sidecar(out_path: str, config: dict, t0: float) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+def _write_table(path: str, header: list[str], columns, fmt: str) -> None:
+    """One column per header name, each an array or a sequence of equal length.
 
-
-def _write_table(path: str, header: list[str], rows, fmt: str) -> None:
+    CSV writes floats by repr; JSON writes one record per row.
+    """
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
     if fmt == "json":
-        _write_json(path, [dict(zip(header, row)) for row in rows])
-    else:
-        _write_csv(path, header, rows)
+        _write_json(path, [dict(zip(header, row)) for row in zip(*cols)])
+        return
+    text = [map(repr if c and isinstance(c[0], float) else str, c) for c in cols]
+    with open(path, "w") as fh:
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*text))]) + "\n")
 
 
 def _write_json(path: str, obj) -> None:
@@ -108,10 +106,6 @@ def _parse_list(text: str, flag: str, kind) -> list:
                          f"got {text!r}") from exc
 
 
-def _frac_row(x: Fraction) -> tuple[int, int, float]:
-    return x.numerator, x.denominator, float(x)
-
-
 # --- subcommand implementations ----------------------------------------------
 
 def _cmd_graph(args):
@@ -125,11 +119,10 @@ def _cmd_harmonic(args):
         raise UsageError("--boundary needs exactly three comma-separated rationals")
     g = build_level_graph(args.level)
     table = harmonic_extend_to_level(u, args.level, g)
-    rows = []
-    for v in g.vertices:
-        x, y = v.euclidean()
-        rows.append((v.id, float(x), float(y), float(table[v.id])))
-    _write_table(args.out, ["vertex_id", "x", "y", "value"], rows, args.format)
+    xy = np.array([v.euclidean() for v in g.vertices])
+    _write_table(args.out, ["vertex_id", "x", "y", "value"],
+                 [[v.id for v in g.vertices], xy[:, 0], xy[:, 1],
+                  [float(table[v.id]) for v in g.vertices]], args.format)
 
 
 def _cmd_measure(args):
@@ -142,12 +135,17 @@ def _cmd_measure(args):
             raise UsageError("--kind energy requires --boundary u1,u2,u3")
         u = tuple(_parse_list(args.boundary, "--boundary", Fraction))
         table = energy_measure_table(u, args.level)
-    rows = [
-        (w, *_frac_row(mass))
-        for w, mass in sorted(table.masses.items())
-    ]
+    words = sorted(table.masses)
+    masses = [table.masses[w] for w in words]
     _write_table(args.out, ["word", "mass_numerator", "mass_denominator", "mass_float"],
-                 rows, args.format)
+                 [words, [x.numerator for x in masses], [x.denominator for x in masses],
+                  [float(x) for x in masses]], args.format)
+
+
+def _layer_vertex(shape: tuple[int, int], stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of every stride-th row of a (layers, columns) field."""
+    layers = np.arange(0, shape[0], stride)
+    return np.repeat(layers, shape[1]), np.tile(np.arange(shape[1]), len(layers))
 
 
 def _parse_start(s: str):
@@ -169,18 +167,14 @@ def _cmd_walk(args):
     )
     if args.emit == "paths":
         ens = simulate_paths(cfg, kernel, g)
-        rows = []
-        cum = ens.cum_qv
-        for i in range(ens.n_paths):
-            hit = int(ens.hit_step[i])
-            for k in range(ens.n_steps):
-                hit_flag = 1 if 0 <= hit <= k + 1 else 0
-                rows.append((i, k, int(ens.vertices[i, k + 1]),
-                             float(ens.dW[i, k]), float(ens.dqv[i, k]),
-                             float(cum[i, k]), hit_flag))
+        n, K = ens.n_paths, ens.n_steps
+        hit = ens.hit_step[:, None]
+        hit_flag = (hit >= 0) & (hit <= np.arange(1, K + 1))
         _write_table(args.out,
                      ["path_id", "step", "vertex_id", "dW", "dQV", "cumQV", "hit_flag"],
-                     rows, args.format)
+                     [np.repeat(np.arange(n), K), np.tile(np.arange(K), n),
+                      ens.vertices[:, 1:].ravel(), ens.dW.ravel(), ens.dqv.ravel(),
+                      ens.cum_qv.ravel(), hit_flag.ravel().astype(int)], args.format)
     elif args.emit == "stats":
         report = {"qv": ensemble_qv_stats(cfg, kernel, g)}
         if args.killed:
@@ -188,9 +182,10 @@ def _cmd_walk(args):
         _write_json(args.out, report)
     else:  # histogram
         t = args.at_time if args.at_time is not None else args.horizon
-        hist = occupation_histogram(cfg, kernel, t, args.cell_level, g)
-        rows = [(w, float(mass)) for w, mass in sorted(hist["masses"].items())]
-        _write_table(args.out, ["word", "mass"], rows, args.format)
+        masses = occupation_histogram(cfg, kernel, t, args.cell_level, g)["masses"]
+        words = sorted(masses)
+        _write_table(args.out, ["word", "mass"],
+                     [words, [float(masses[w]) for w in words]], args.format)
 
 
 def _cmd_bsde(args):
@@ -199,11 +194,9 @@ def _cmd_bsde(args):
     kernel = build_step_kernel(g)
     _, bp = build_problem_pair(spec, args.level)
     sol = solve_dp(bp, kernel, g, scheme=args.scheme)
-    rows = []
-    for k in range(0, sol.Y.shape[0], args.stride):
-        for v in range(sol.Y.shape[1]):
-            rows.append((k, v, float(sol.Y[k, v]), float(sol.Z[k, v])))
-    _write_table(args.out, ["step", "vertex_id", "Y", "Z"], rows, args.format)
+    _write_table(args.out, ["step", "vertex_id", "Y", "Z"],
+                 [*_layer_vertex(sol.Y.shape, args.stride),
+                  sol.Y[::args.stride].ravel(), sol.Z[::args.stride].ravel()], args.format)
 
 
 def _cmd_pde(args):
@@ -213,16 +206,12 @@ def _cmd_pde(args):
     ts = None if args.steps is None else spec["duration"]["T"] / args.steps
     wp, _ = build_problem_pair(spec, args.level, time_step=ts)
     sol = solve_weak_pde(wp, g)
-    rows = []
-    for k in range(0, sol.u.shape[0], args.stride):
-        for v in range(sol.u.shape[1]):
-            rows.append((k, v, float(sol.u[k, v])))
-    _write_table(args.out, ["layer", "vertex_id", "u"], rows, args.format)
-    grad_rows = []
-    for k in range(0, sol.gradients.shape[0], args.stride):
-        for ci, w in enumerate(sol.cell_words):
-            grad_rows.append((k, w, float(sol.gradients[k, ci])))
-    _write_table(args.out + ".gradients.csv", ["layer", "word", "grad"], grad_rows,
+    _write_table(args.out, ["layer", "vertex_id", "u"],
+                 [*_layer_vertex(sol.u.shape, args.stride), sol.u[::args.stride].ravel()],
+                 args.format)
+    layer, cell = _layer_vertex(sol.gradients.shape, args.stride)
+    _write_table(args.out + ".gradients.csv", ["layer", "word", "grad"],
+                 [layer, np.array(sol.cell_words)[cell], sol.gradients[::args.stride].ravel()],
                  args.format)
 
 
@@ -235,8 +224,8 @@ def _cmd_check_fk(args):
         return build_problem_pair(spec, level)
 
     rep = feynman_kac_check(make, levels, probe_times)
-    rows = [(m, float(s)) for m, s in zip(rep["levels"], rep["sup_errors"])]
-    _write_table(args.out, ["level", "sup_error"], rows, args.format)
+    _write_table(args.out, ["level", "sup_error"],
+                 [rep["levels"], [float(s) for s in rep["sup_errors"]]], args.format)
     return 0 if rep["decreasing"] else 3
 
 

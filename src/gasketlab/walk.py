@@ -21,7 +21,9 @@ one-step operator satisfies P = I + dt*L exactly, L being the generator of
 Path generation is block-based with counter RNG streams keyed (seed, block):
 results are bit-identical for a given seed regardless of worker count. Each
 step spends one raw random byte per stepping path (see walk_steps), and a
-killed walk stops drawing for a path once it reaches V_0.
+killed walk stops drawing for a path once it reaches V_0. Every ensemble,
+bsde's weighted linear MC included, runs through _run_blocks, which sums a
+per-slot clock along each path: dqv, or the MC's log step weights.
 """
 
 from __future__ import annotations
@@ -52,8 +54,11 @@ def layer_count(horizon: float, dt: float) -> int:
     """Number of dt-steps nearest the horizon; UsageError when that is none.
 
     The horizon need not be a multiple of dt: the realized horizon is the
-    count times dt.
+    count times dt. A non-finite horizon or dt, or a dt <= 0, is a UsageError.
     """
+    if not (math.isfinite(horizon) and math.isfinite(dt) and dt > 0):
+        raise UsageError(f"horizon {horizon} and time step {dt} must be finite, "
+                         "the time step positive")
     k = int(round(horizon / dt))
     if k < 1:
         raise UsageError(f"horizon {horizon} is less than half a time step {dt}")
@@ -231,9 +236,9 @@ def walk_steps(kernel: StepKernel, pos: np.ndarray, n_steps: int,
 
 def _simulate_block(args):
     (kernel, n_paths, n_steps, seed, block, killed, start_vertex,
-     snap_steps, record) = args
+     snap_steps, record, clock) = args
     rng = Generator(Philox(key=[seed, block]))
-    dW, dqv, isb = kernel.dW.ravel(), np.repeat(kernel.dqv, 4), kernel.is_boundary
+    dW, isb = kernel.dW.ravel(), kernel.is_boundary
 
     if start_vertex is None:
         srng = Generator(Philox(key=[seed, _START_STREAM_OFFSET + block]))
@@ -241,7 +246,7 @@ def _simulate_block(args):
     else:
         pos = np.full(n_paths, start_vertex, dtype=np.int64)
 
-    cum_qv = np.zeros(n_paths)
+    cum_qv = np.zeros(n_paths, dtype=clock.dtype)
     hit_step = np.full(n_paths, -1, dtype=np.int64)
     snaps = {}
     if 0 in snap_steps:
@@ -257,7 +262,7 @@ def _simulate_block(args):
 
     for k, idx, slot, nxt in walk_steps(kernel, pos, n_steps, rng, killed):
         rows = slice(None) if idx is None else idx
-        a = dqv[slot]
+        a = clock[slot]
         cum_qv[rows] += a
         pos[rows] = nxt
         if killed:
@@ -277,22 +282,27 @@ def _simulate_block(args):
 
 
 def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
-                snap_steps=(), record=False):
+                snap_steps=(), record=False, clock=None):
     """Run cfg's ensemble block by block; every walk entry point comes here.
 
     Raises UsageError unless the config, the kernel and the graph (when
     given) are at one level. The graph is built only for a cell-word or
     coordinate start; snap_steps are layers in 0..cfg.n_steps.
+
+    clock, over the 4V slots of kernel.nbr.ravel(), is what each path sums
+    into "cum_qv" and the snapshots: np.repeat(kernel.dqv, 4), i.e. <W>, by
+    default, which recording runs keep.
     """
     if kernel.level != cfg.level or g is not None and g.level != cfg.level:
         graph_level = "none" if g is None else g.level
         raise UsageError(f"walk config level {cfg.level}, kernel level {kernel.level} "
                          f"and graph level {graph_level} differ")
     start_vertex = _resolve_start(cfg, kernel, g)
+    clock = np.repeat(kernel.dqv, 4) if clock is None else clock
     n = cfg.path_count
     jobs = [
         (kernel, min(cfg.block_size, n - lo), cfg.n_steps, cfg.seed, b, cfg.killed,
-         start_vertex, frozenset(snap_steps), record)
+         start_vertex, frozenset(snap_steps), record, clock)
         for b, lo in enumerate(range(0, n, cfg.block_size))
     ]
     if cfg.workers > 1 and len(jobs) > 1:
@@ -361,7 +371,9 @@ def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
 def ensemble_qv_stats(cfg: WalkConfig, kernel: StepKernel,
                       g: LevelGraph | None = None) -> dict:
     """Mean and standard error of <W>_T over the ensemble (streaming), with
-    the requested horizon and the realized one, n_steps * dt."""
+    the requested horizon and the realized one, n_steps * dt; 2+ paths."""
+    if cfg.path_count < 2:
+        raise UsageError(f"a standard error needs at least 2 paths, got {cfg.path_count}")
     qv = _run_blocks(cfg, kernel, g)["cum_qv"]
     return {
         "mean": float(qv.mean()),
@@ -397,10 +409,12 @@ def exit_time_stats(cfg: WalkConfig, kernel: StepKernel,
 
     A start on V_0 is handled by the t>0 convention: the walk leaves and the
     recorded hit is the first return. Horizons are reported as in
-    ensemble_qv_stats.
+    ensemble_qv_stats. Needs 2+ paths; the mean needs one hit, the spread two.
     """
     if not cfg.killed:
         raise UsageError("exit-time statistics require killed mode")
+    if cfg.path_count < 2:
+        raise UsageError(f"a standard error needs at least 2 paths, got {cfg.path_count}")
     hits = _run_blocks(cfg, kernel, g)["hit_step"]
     hit_mask = hits > 0
     frac = float(hit_mask.mean())
@@ -414,8 +428,9 @@ def exit_time_stats(cfg: WalkConfig, kernel: StepKernel,
     times = hits[hit_mask] * kernel.dt
     if len(times):
         out["mean"] = float(times.mean())
-        out["variance"] = float(times.var(ddof=1)) if len(times) > 1 else 0.0
-        out["stderr"] = float(times.std(ddof=1) / math.sqrt(len(times))) if len(times) > 1 else 0.0
+    if len(times) > 1:
+        out["variance"] = float(times.var(ddof=1))
+        out["stderr"] = float(times.std(ddof=1) / math.sqrt(len(times)))
     return out
 
 

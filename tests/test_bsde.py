@@ -192,6 +192,52 @@ def test_linear_mc_agrees(kernels, graphs):
         assert not est["unstable"]
 
 
+def _recorded_linear_mc(a, b, c, p, k, g, start, paths, seed):
+    """The weighted MC's estimate and stderr, rebuilt from recorded paths.
+
+    simulate_paths with the MC's walk config walks the same stream; each path
+    weighs prod (1 + a dt + b dqv + c dW) over its steps before a V_0 hit by
+    psi(X_K), or by phi(hit time) at the corner hit. Also returns how many
+    negative step weights the paths took.
+    """
+    cfg = WalkConfig(level=k.level, horizon=p.horizon, path_count=paths, seed=seed,
+                     killed=p.duration == "killed", start=start)
+    ens = simulate_paths(cfg, k, g)
+    hit = ens.hit_step
+    steps = np.arange(ens.n_steps)
+    live = (hit[:, None] < 0) | (steps < hit[:, None])
+    w = np.where(live, 1.0 + a * k.dt + b * ens.dqv + c * ens.dW, 1.0)
+    value = p.terminal_psi[ens.vertices[:, -1]]
+    for i in np.flatnonzero(hit > 0):
+        value[i] = p.boundary_phi(hit[i] * k.dt)[ens.vertices[i, hit[i]]]
+    samples = w.prod(axis=1) * value
+    return samples.mean(), samples.std(ddof=1) / math.sqrt(paths), int((w < 0).sum())
+
+
+@pytest.mark.parametrize("m, c, duration, horizon, paths", [
+    (1, 6.0, "deterministic", 1.0, 30_000),  # two blocks; some step weights < 0
+    (1, 6.0, "killed", 1.0, 30_000),
+    (3, 0.4, "killed", 0.5, 3_000),
+])
+def test_linear_mc_equals_recorded_path_oracle(kernels, graphs, m, c, duration,
+                                               horizon, paths):
+    g, k = graphs(m), kernels(m)
+    a, b = 0.5, 0.3
+    p = BsdeProblem(g=lambda t, x, y: a * y, f=lambda t, x, y, z: b * y + c * z,
+                    terminal_psi=bump(g), horizon=horizon, duration=duration,
+                    boundary_phi=lambda t: np.array([0.2 + 0.1 * t, -0.4 * t, 0.3]))
+    starts = [4, 5] if m == 1 else [5, 9]
+    mc = linear_closed_form(a, b, c, p, k, g, mc_starts=starts, mc_paths=paths,
+                            seed=21)["mc"]
+    negative = 0
+    for i, s in enumerate(starts):
+        mean, stderr, neg = _recorded_linear_mc(a, b, c, p, k, g, s, paths, 21 + i)
+        assert abs(mc[s]["estimate"] - mean) <= 1e-12 * abs(mean)
+        assert abs(mc[s]["stderr"] - stderr) <= 1e-12 * stderr
+        negative += neg
+    assert (negative > 0) == (c == 6.0)
+
+
 @pytest.mark.parametrize("starts, paths, match", [
     ([-1], 100, "not vertices"),   # used to walk from vertex 14 and report key -1
     ([0, 99], 100, "not vertices"),  # used to raise a bare IndexError
@@ -245,6 +291,15 @@ def test_horizon_rounding_to_no_layer_rejected(kernels, graphs):
     p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=np.zeros(g.n_vertices),
                     horizon=0.001)
     with pytest.raises(UsageError, match="horizon"):
+        solve_dp(p, k, g)
+
+
+@pytest.mark.parametrize("horizon", (math.nan, math.inf))
+def test_non_finite_horizon_rejected(kernels, graphs, horizon):
+    g, k = graphs(2), kernels(2)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=np.zeros(g.n_vertices),
+                    horizon=horizon)
+    with pytest.raises(UsageError, match="finite"):
         solve_dp(p, k, g)
 
 

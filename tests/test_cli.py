@@ -265,6 +265,22 @@ def test_walk_nonpositive_paths_usage_error(tmp_path, capsys, paths):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("horizon", ("nan", "inf"))
+def test_walk_non_finite_horizon_usage_error(tmp_path, capsys, horizon):
+    # the schema's exclusiveMinimum lets NaN through; it used to end in a traceback
+    out = tmp_path / "w.json"
+    assert run(["walk", "--level", 2, "--horizon", horizon, "--out", out]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_walk_stats_single_path_usage_error(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert run(["walk", "--level", 2, "--paths", 1, "--emit", "stats", "--out", out]) == 2
+    assert "at least 2 paths" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_arithmetic_flag_removed(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["--arithmetic", "exact", "graph", "--level", 1, "--out", tmp_path / "g.json"])

@@ -120,6 +120,21 @@ def test_horizon_rounding_to_no_layer_rejected(graphs):
         solve_weak_pde(p, g)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("time_step", 0.0),        # used to raise ZeroDivisionError
+    ("time_step", -0.01),
+    ("horizon", math.nan),     # used to raise ValueError
+    ("horizon", math.inf),     # used to raise OverflowError
+])
+def test_non_finite_or_empty_time_grid_rejected(graphs, field, value):
+    g = graphs(2)
+    p = WeakPdeProblem(g=zero_g, f=zero_f, terminal_psi=np.zeros(g.n_vertices),
+                       horizon=1.0, level=2)
+    setattr(p, field, value)
+    with pytest.raises(UsageError, match="finite"):
+        solve_weak_pde(p, g)
+
+
 def test_discrete_energy_identity(graphs):
     # for g=f=0, phi=0: mass decay matches 2 h sum_k E(u^k) to O(h)
     g = graphs(2)

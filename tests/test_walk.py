@@ -241,6 +241,38 @@ def test_horizon_rounding_to_no_step_rejected():
     assert WalkConfig(level=4, horizon=0.25, path_count=10).n_steps == 469
 
 
+@pytest.mark.parametrize("horizon", (math.nan, math.inf, -math.inf))
+def test_non_finite_horizon_rejected(horizon):
+    # used to raise ValueError (NaN) or OverflowError (infinite) from round()
+    with pytest.raises(UsageError, match="finite"):
+        WalkConfig(level=2, horizon=horizon, path_count=10)
+
+
+@pytest.mark.parametrize("dt", (0.0, -0.1, math.nan, math.inf))
+def test_layer_count_needs_a_finite_positive_step(dt):
+    with pytest.raises(UsageError, match="time step"):
+        layer_count(1.0, dt)
+
+
+@pytest.mark.parametrize("stats", (ensemble_qv_stats, exit_time_stats))
+def test_statistics_need_two_paths(kernels, graphs, stats):
+    # one path used to give stderr nan (qv) or a made-up 0.0 (exit time)
+    cfg = WalkConfig(level=2, horizon=0.5, path_count=1, seed=1, killed=True)
+    with pytest.raises(UsageError, match="at least 2 paths"):
+        stats(cfg, kernels(2), graphs(2))
+
+
+def test_exit_time_spread_needs_two_hits(kernels, graphs):
+    # one step from the interior vertex 3, which neighbours p1 and p2: one of
+    # the two paths hits V_0, so there is a mean but no variance or stderr
+    k = kernels(1)
+    cfg = WalkConfig(level=1, horizon=k.dt, path_count=2, seed=0, killed=True, start=3)
+    stats = exit_time_stats(cfg, k, graphs(1))
+    assert stats["hit_fraction"] == 0.5
+    assert stats["mean"] == k.dt
+    assert "variance" not in stats and "stderr" not in stats
+
+
 def test_walk_statistics_report_the_realized_horizon(kernels, graphs):
     # T = 0.25 at m = 4 runs 469 steps, i.e. 0.250133
     cfg = WalkConfig(level=4, horizon=0.25, path_count=20, seed=1, killed=True)
