@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import NumericOverflowError, SchemeError, UsageError
@@ -91,6 +90,7 @@ def _ml_monotone_integral(a: float, x: float) -> float:
     E_{a,1}(-x) = sin(a pi) x / (pi a) int_0^inf e^{-u^{1/a}} / |u + x e^{i a pi}|^2 du.
     The integrand has no cancellation; e^{-u^{1/a}} underflows past u = 750^a.
     """
+    from scipy.integrate import quad  # imported here: only three functions need it
     c = math.cos(a * math.pi)
     upper = 750.0 ** a
     val, _ = quad(lambda u: math.exp(-u ** (1.0 / a)) / (u * u + 2.0 * u * x * c + x * x),
@@ -107,6 +107,7 @@ def _chain_integral(p: int, gamma: float) -> float:
     variables), never the Beta/Gamma identity being tested:
         G_k(1) = G_{k-1}(1) * int_0^1 x^{(k-1)gamma} (1-x)^{gamma-1} dx.
     """
+    from scipy.integrate import quad
     total = quad(lambda x: 1.0, 0.0, 1.0, weight="alg", wvar=(gamma - 1.0, 0.0))[0]
     for k in range(2, p + 1):
         inner, err = quad(
@@ -141,6 +142,7 @@ def nested_simplex_integral_p2(gamma: float) -> float:
     """Fully nested 2-D route for p = 2 (crosscheck for the chain reduction):
     the inner theta_1 integral desingularized by theta_1 = theta_2 * x leaves
     the outer weight theta_2^{2 gamma - 1} with no upper-endpoint factor."""
+    from scipy.integrate import quad
     inner, _ = quad(lambda x: 1.0, 0.0, 1.0, weight="alg",
                     wvar=(gamma - 1.0, gamma - 1.0))
     outer, _ = quad(lambda t: 1.0, 0.0, 1.0, weight="alg",

@@ -360,11 +360,10 @@ def _mc_linear(kernel, problem, a, b, c, start, n_paths, seed, psi, killed):
     w = 1.0 + a * kernel.dt + b * np.repeat(kernel.dqv, 4) + c * kernel.dW.ravel()
     cfg = WalkConfig(level=kernel.level, horizon=problem.horizon, path_count=n_paths,
                      seed=seed, killed=killed, start=start)
-    K = cfg.n_steps
     # complex only when needed: a complex accumulator slows the whole step loop
     clock = np.log(w) if (w > 0).all() else np.log(w.astype(complex))
-    r = _run_blocks(cfg, kernel, None, snap_steps=(K,), clock=clock)
-    pos = r["snaps"][K][1]  # a killed path stays on its V_0 corner, ids 0, 1, 2
+    r = _run_blocks(cfg, kernel, None, layers=(cfg.n_steps,), clock=clock)
+    pos = r["pos"][:, 0]  # a killed path stays on its V_0 corner, ids 0, 1, 2
     value = psi[pos]
     hit = r["hit_step"]
     arrived = hit > 0
@@ -372,7 +371,7 @@ def _mc_linear(kernel, problem, a, b, c, start, n_paths, seed, psi, killed):
         steps, which = np.unique(hit[arrived], return_inverse=True)
         phi = np.array([problem.boundary_phi(int(k) * kernel.dt) for k in steps], dtype=float)
         value[arrived] = phi[which, pos[arrived]]
-    samples = np.exp(r["cum_qv"]).real * value
+    samples = np.exp(r["clock"][:, 0]).real * value
     mean = float(samples.mean())
     stderr = float(samples.std(ddof=1) / math.sqrt(n_paths))
     return {"estimate": mean, "stderr": stderr, "unstable": heavy_tailed(samples)}

@@ -153,21 +153,21 @@ class CellGradientTables:
 
 
 def discrete_gradient(u_table, word: str, g: LevelGraph, tables: CellGradientTables | None = None) -> float:
-    """Signed per-cell gradient of a vertex table; see module notes for the
-    normalization and the h1-negative sign convention."""
-    if len(word) != g.level:
-        raise UsageError(f"word length {len(word)} != graph level {g.level}")
+    """Signed gradient on cell word of a vertex table (module notes give the
+    normalization and sign): the word's entry of CellGradientTables.gradients.
+    UsageError for a word, value table or tables not of g's level."""
     if tables is None:
         tables = CellGradientTables(g)
-    vals = np.asarray([float(x) for x in u_table])
+    if tables.level != g.level:
+        raise UsageError(f"gradient tables at level {tables.level}, graph at level {g.level}")
+    if word not in tables.word_index:
+        raise UsageError(f"{word!r} is not a level-{g.level} cell")
+    if len(u_table) != g.n_vertices:
+        raise UsageError(f"value table has {len(u_table)} entries, V_{g.level} has {g.n_vertices}")
     k = tables.word_index[word]
-    v = vals[tables.corners[k]]
-    vc = v - v.mean()
-    q = tables.scale * (vc * vc).sum()
     if tables.nu[k] <= 0:  # Kusuoka cell masses are strictly positive
         raise UsageError("degenerate cell measure")
-    s = np.sign(vc @ tables.pattern[k])
-    return float(s * math.sqrt(q / tables.nu[k]))
+    return float(tables.gradients(np.asarray([float(x) for x in u_table]))[k])
 
 
 def oscillation_constant_probe(

@@ -23,7 +23,8 @@ results are bit-identical for a given seed regardless of worker count. Each
 step spends one raw random byte per stepping path (see walk_steps), and a
 killed walk stops drawing for a path once it reaches V_0. Every ensemble,
 bsde's weighted linear MC included, runs through _run_blocks, which sums a
-per-slot clock along each path: dqv, or the MC's log step weights.
+per-slot clock along each path (dqv, or the MC's log step weights) and
+returns one flat dict of per-path arrays.
 """
 
 from __future__ import annotations
@@ -172,6 +173,9 @@ class WalkConfig:
     def __post_init__(self):
         if self.path_count <= 0:
             raise UsageError(f"path_count must be positive, got {self.path_count}")
+        if self.block_size < 1 or self.workers < 1:
+            raise UsageError(f"block_size and workers must be at least 1, got "
+                             f"{self.block_size} and {self.workers}")
         layer_count(self.horizon, step_duration(self.level))  # reject an empty walk
 
     @property
@@ -236,7 +240,7 @@ def walk_steps(kernel: StepKernel, pos: np.ndarray, n_steps: int,
 
 def _simulate_block(args):
     (kernel, n_paths, n_steps, seed, block, killed, start_vertex,
-     snap_steps, record, clock) = args
+     layers, record, clock) = args
     rng = Generator(Philox(key=[seed, block]))
     dW, isb = kernel.dW.ravel(), kernel.is_boundary
 
@@ -246,52 +250,54 @@ def _simulate_block(args):
     else:
         pos = np.full(n_paths, start_vertex, dtype=np.int64)
 
-    cum_qv = np.zeros(n_paths, dtype=clock.dtype)
+    acc = np.zeros(n_paths, dtype=clock.dtype)
     hit_step = np.full(n_paths, -1, dtype=np.int64)
-    snaps = {}
-    if 0 in snap_steps:
-        snaps[0] = (cum_qv.copy(), pos.copy())
-    rec = None
+    out = {"clock": np.empty((n_paths, len(layers)), dtype=clock.dtype),
+           "pos": np.empty((n_paths, len(layers)), dtype=np.int64),
+           "hit_step": hit_step}
     if record:
-        rec = {
-            "vertices": np.empty((n_paths, n_steps + 1), dtype=np.int64),
-            "dW": np.zeros((n_paths, n_steps)),
-            "dqv": np.zeros((n_paths, n_steps)),
-        }
-        rec["vertices"][:, 0] = pos
+        out["vertices"] = np.empty((n_paths, n_steps + 1), dtype=np.int64)
+        out["dW"] = np.zeros((n_paths, n_steps))
+        out["dqv"] = np.zeros((n_paths, n_steps))
+        out["vertices"][:, 0] = pos
+    column = {k: j for j, k in enumerate(layers)}
 
+    def snapshot(k):
+        if k in column:
+            out["clock"][:, column[k]] = acc
+            out["pos"][:, column[k]] = pos
+
+    snapshot(0)
     for k, idx, slot, nxt in walk_steps(kernel, pos, n_steps, rng, killed):
         rows = slice(None) if idx is None else idx
         a = clock[slot]
-        cum_qv[rows] += a
+        acc[rows] += a
         pos[rows] = nxt
         if killed:
             arrived = isb[nxt]
             hit_step[np.flatnonzero(arrived) if idx is None else idx[arrived]] = k + 1
         if record:
-            rec["vertices"][:, k + 1] = pos
-            rec["dW"][rows, k] = dW[slot]
-            rec["dqv"][rows, k] = a
-        if (k + 1) in snap_steps:
-            snaps[k + 1] = (cum_qv.copy(), pos.copy())
-
-    out = dict(cum_qv=cum_qv, hit_step=hit_step, snaps=snaps)
-    if record:
-        out["record"] = rec
+            out["vertices"][:, k + 1] = pos
+            out["dW"][rows, k] = dW[slot]
+            out["dqv"][rows, k] = a
+        snapshot(k + 1)
     return out
 
 
 def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
-                snap_steps=(), record=False, clock=None):
+                layers=(), record=False, clock=None):
     """Run cfg's ensemble block by block; every walk entry point comes here.
 
     Raises UsageError unless the config, the kernel and the graph (when
     given) are at one level. The graph is built only for a cell-word or
-    coordinate start; snap_steps are layers in 0..cfg.n_steps.
+    coordinate start.
 
-    clock, over the 4V slots of kernel.nbr.ravel(), is what each path sums
-    into "cum_qv" and the snapshots: np.repeat(kernel.dqv, 4), i.e. <W>, by
-    default, which recording runs keep.
+    clock, over the 4V slots of kernel.nbr.ravel(), is what each path sums:
+    np.repeat(kernel.dqv, 4), i.e. <W>, by default, which recording runs keep.
+    Returns one flat dict of arrays with a row per path: "clock" and "pos",
+    with a column per layer of layers (distinct, sorted, in 0..cfg.n_steps);
+    "hit_step", the V_0 arrival step or -1; and when recording, the path-major
+    "vertices", "dW" and "dqv" of PathEnsemble.
     """
     if kernel.level != cfg.level or g is not None and g.level != cfg.level:
         graph_level = "none" if g is None else g.level
@@ -302,7 +308,7 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
     n = cfg.path_count
     jobs = [
         (kernel, min(cfg.block_size, n - lo), cfg.n_steps, cfg.seed, b, cfg.killed,
-         start_vertex, frozenset(snap_steps), record, clock)
+         start_vertex, layers, record, clock)
         for b, lo in enumerate(range(0, n, cfg.block_size))
     ]
     if cfg.workers > 1 and len(jobs) > 1:
@@ -310,21 +316,7 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
             results = list(ex.map(_simulate_block, jobs))
     else:
         results = [_simulate_block(j) for j in jobs]
-
-    merged = {
-        key: np.concatenate([r[key] for r in results])
-        for key in ("cum_qv", "hit_step")
-    }
-    merged["snaps"] = {  # (<W>, position) at each snapshot layer
-        k: tuple(np.concatenate([r["snaps"][k][i] for r in results]) for i in range(2))
-        for k in snap_steps
-    }
-    if record:
-        merged["record"] = {
-            key: np.concatenate([r["record"][key] for r in results])
-            for key in ("vertices", "dW", "dqv")
-        }
-    return merged
+    return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
 
 
 @dataclass
@@ -361,9 +353,8 @@ def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
             "use the streaming statistics instead"
         )
     r = _run_blocks(cfg, kernel, g, record=True)
-    rec = r["record"]
     return PathEnsemble(
-        config=cfg, vertices=rec["vertices"], dW=rec["dW"], dqv=rec["dqv"],
+        config=cfg, vertices=r["vertices"], dW=r["dW"], dqv=r["dqv"],
         hit_step=r["hit_step"], dt=kernel.dt,
     )
 
@@ -374,7 +365,7 @@ def ensemble_qv_stats(cfg: WalkConfig, kernel: StepKernel,
     the requested horizon and the realized one, n_steps * dt; 2+ paths."""
     if cfg.path_count < 2:
         raise UsageError(f"a standard error needs at least 2 paths, got {cfg.path_count}")
-    qv = _run_blocks(cfg, kernel, g)["cum_qv"]
+    qv = _run_blocks(cfg, kernel, g, layers=(cfg.n_steps,))["clock"][:, 0]
     return {
         "mean": float(qv.mean()),
         "stderr": float(qv.std(ddof=1) / math.sqrt(len(qv))),
@@ -387,9 +378,10 @@ def ensemble_qv_stats(cfg: WalkConfig, kernel: StepKernel,
 def ensemble_qv_snapshots(cfg: WalkConfig, kernel: StepKernel, times,
                           g: LevelGraph | None = None) -> dict:
     """Samples of <W>_t at the layers nearest the requested times (streaming)."""
-    layers = {t: layer_at(t, kernel.dt, cfg.horizon) for t in times}
-    r = _run_blocks(cfg, kernel, g, snap_steps=tuple(set(layers.values())))
-    return {t: r["snaps"][k][0] for t, k in layers.items()}
+    at = {t: layer_at(t, kernel.dt, cfg.horizon) for t in times}
+    layers = sorted(set(at.values()))
+    qv = _run_blocks(cfg, kernel, g, layers=layers)["clock"]
+    return {t: qv[:, layers.index(k)] for t, k in at.items()}
 
 
 def exact_exit_steps(kernel: StepKernel) -> np.ndarray:
@@ -449,7 +441,7 @@ def occupation_histogram(cfg: WalkConfig, kernel: StepKernel, t: float,
     if g is None:  # the cell lumping reads the graph
         g = build_level_graph(cfg.level)
     layer = layer_at(t, kernel.dt, cfg.horizon)
-    pos = _run_blocks(cfg, kernel, g, snap_steps=(layer,))["snaps"][layer][1]
+    pos = _run_blocks(cfg, kernel, g, layers=(layer,))["pos"][:, 0]
 
     hist: dict[str, float] = {}
     counts = np.bincount(pos, minlength=kernel.n_vertices).astype(float)
@@ -482,7 +474,7 @@ def expint_estimate(cfg: WalkConfig, kernel: StepKernel, beta: float,
     if beta < 0:
         raise UsageError("beta must be nonnegative")
     layer = cfg.n_steps if t is None else layer_at(t, kernel.dt, cfg.horizon)
-    qv = _run_blocks(cfg, kernel, g, snap_steps=(layer,))["snaps"][layer][0]
+    qv = _run_blocks(cfg, kernel, g, layers=(layer,))["clock"][:, 0]
 
     logw = beta * qv
     mx = float(logw.max()) if len(logw) else 0.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gasketlab import (
+    UsageError,
     cell_energy_measure,
     discrete_gradient,
     graph_energy,
@@ -250,6 +251,37 @@ def test_gradient_magnitude_matches_energy_ratio(graphs):
         grad = discrete_gradient(tab, w, g, tables)
         expect = float(cell_energy_measure(u, w) / nu.masses[w])
         assert abs(grad * grad - expect) < 1e-11 * max(1.0, expect)
+
+
+def test_discrete_gradient_is_the_table_entry(graphs):
+    g = graphs(3)
+    tables = CellGradientTables(g)
+    vals = np.random.default_rng(3).integers(-2, 3, g.n_vertices).astype(float)
+    grads = tables.gradients(vals)
+    assert [discrete_gradient(vals, w, g, tables) for w in tables.words] == list(grads)
+
+
+@pytest.mark.parametrize("word, values, table_level, match", [
+    ("45", None, 2, "not a level-2 cell"),   # used to raise KeyError
+    ("1", None, 2, "not a level-2 cell"),
+    ("12", [1.0, 0.0, 0.0], 2, "3 entries"),  # used to raise IndexError
+    ("12", None, 3, "tables at level 3"),    # used to read another level's cell
+])
+def test_discrete_gradient_rejects_mismatched_inputs(graphs, word, values, table_level,
+                                                     match):
+    g = graphs(2)
+    if values is None:
+        values = [Fraction(x % 3) for x in range(g.n_vertices)]
+    with pytest.raises(UsageError, match=match):
+        discrete_gradient(values, word, g, CellGradientTables(graphs(table_level)))
+
+
+def test_discrete_gradient_rejects_a_degenerate_cell(graphs):
+    g = graphs(1)
+    tables = CellGradientTables(g)
+    tables.nu[tables.word_index["2"]] = 0.0
+    with pytest.raises(UsageError, match="degenerate"):
+        discrete_gradient([1.0] * g.n_vertices, "2", g, tables)
 
 
 def test_oscillation_probe():

@@ -18,6 +18,7 @@ from gasketlab import (
     harmonic_restrict,
     occupation_histogram,
     simulate_paths,
+    walk,
 )
 from gasketlab.harmonic import CellGradientTables
 from gasketlab.measures import hausdorff_measure
@@ -231,6 +232,17 @@ def test_nonpositive_path_count_rejected(kernels, graphs, paths):
     with pytest.raises(UsageError, match="path_count"):
         simulate_paths(WalkConfig(level=1, horizon=0.5, path_count=paths, seed=1),
                        kernels(1), graphs(1))
+
+
+@pytest.mark.parametrize("knob, value", [
+    ("block_size", 0),   # used to raise ValueError from range()
+    ("block_size", -5),  # used to raise ValueError: no array to concatenate
+    ("workers", 0),      # used to run serially without a word
+    ("workers", -3),
+])
+def test_nonpositive_block_knobs_rejected(knob, value):
+    with pytest.raises(UsageError, match=knob):
+        WalkConfig(level=1, horizon=0.5, path_count=10, **{knob: value})
 
 
 def test_horizon_rounding_to_no_step_rejected():
@@ -487,3 +499,37 @@ def test_times_outside_the_horizon_rejected(kernels, graphs, t):
         expint_estimate(cfg, k, 1.0, t=t, g=g)
     with pytest.raises(UsageError, match="outside"):
         occupation_histogram(cfg, k, t, cell_level=1, g=g)
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("killed", (False, True))
+def test_walk_statistics_read_the_recorded_stream(kernels, graphs, monkeypatch,
+                                                  killed, workers):
+    # one stream behind every entry point: the streaming statistics read the
+    # same paths, bit for bit, that simulate_paths records (three blocks)
+    k, g = kernels(3), graphs(3)
+    cfg = WalkConfig(level=3, horizon=0.4, path_count=300, seed=13, killed=killed,
+                     block_size=128, workers=workers)
+    ens = simulate_paths(cfg, k, g)
+    layers = (1, 40, 97, cfg.n_steps)
+    qv = ensemble_qv_snapshots(cfg, k, [j * k.dt for j in layers], g)
+    for j, t in zip(layers, qv):
+        assert same_bytes(qv[t], ens.cum_qv[:, j - 1]), j
+
+    seen = []
+    run_blocks = walk._run_blocks
+
+    def spy(*args, **kwargs):  # keeps each merged walk result
+        seen.append(run_blocks(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(walk, "_run_blocks", spy)
+    hist = occupation_histogram(cfg, k, 97 * k.dt, cell_level=1, g=g)
+    assert hist["t"] == 97 * k.dt
+    assert same_bytes(seen[-1]["pos"][:, 0], ens.vertices[:, 97])
+    if killed:
+        stats = exit_time_stats(cfg, k, g)
+        assert same_bytes(seen[-1]["hit_step"], ens.hit_step)
+        assert stats["hit_fraction"] == float((ens.hit_step > 0).mean()) > 0
+    else:
+        assert (ens.hit_step == -1).all()
