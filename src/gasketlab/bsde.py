@@ -24,7 +24,8 @@ from numpy.random import Generator, Philox
 
 from .errors import DeclaredConstantError, SchemeError, UsageError
 from .gasket import vertex_count
-from .walk import PathEnsemble, StepKernel, WalkConfig, _run_blocks, heavy_tailed, layer_count
+from .walk import (PathEnsemble, StepKernel, WalkConfig, _run_blocks, clock_cumsum,
+                   heavy_tailed, layer_count)
 
 
 @dataclass(frozen=True)
@@ -256,7 +257,7 @@ def _vbeta_norm_on(paths: PathEnsemble, weights: BetaWeights):
     dqv = np.ascontiguousarray(paths.dqv.T)
     e = np.empty((K + 1, N))
     e[0] = 0.0
-    np.cumsum(dqv, axis=0, out=e[1:])  # <W>_k
+    clock_cumsum(dqv, paths.config.level, axis=0, out=e[1:])  # <W>_k
     e *= 2 * weights.b1
     e += (2 * weights.b0 * (np.arange(K + 1) * paths.dt))[:, None]
     shift = max(0.0, float(e.max()) - 600.0)

@@ -19,12 +19,12 @@ one-step operator satisfies P = I + dt*L exactly, L being the generator of
 (E^(m), mu-lumped vertex masses), so walk time and PDE time agree.
 
 Path generation is block-based with counter RNG streams keyed (seed, block):
-results are bit-identical for a given seed regardless of worker count. Each
-step spends one raw random byte per stepping path (see walk_steps), and a
+results are bit-identical for a given seed regardless of worker count. One
+raw random byte per live path carries four steps (see walk_steps), and a
 killed walk stops drawing for a path once it reaches V_0. Every ensemble,
 bsde's weighted linear MC included, runs through _run_blocks, which sums a
-per-slot clock along each path (dqv, or the MC's log step weights) and
-returns one flat dict of per-path arrays.
+per-slot clock along each path (<W> in exact integer units, or the MC's log
+step weights) and returns one flat dict of per-path arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.random import Generator, Philox
 
-from .errors import CapacityError, UsageError
+from .errors import CapacityError, NumericOverflowError, UsageError
 from .gasket import LevelGraph, build_level_graph, vertex_by_coord
 # not called here: perfbench's tracer shims walk.harmonic_extend_to_level by name
 from .harmonic import corner_harmonics, harmonic_extend_to_level  # noqa: F401
@@ -49,6 +49,40 @@ MAX_RECORDED_ENTRIES = 20_000_000
 
 def step_duration(level: int) -> float:
     return 5.0 ** (-level) / 3.0
+
+
+def clock_denominator(level: int) -> int:
+    """D = 24 * 25^m: every per-step clock rate dqv(x) is q(x) / D, q an integer.
+
+    q(x) = 4 * sq(x) / deg(x), sq the summed squared corner-harmonic
+    numerator differences of build_step_kernel, and deg is 2 or 4.
+    """
+    return 24 * 25**level
+
+
+def clock_units(dqv: np.ndarray, level: int) -> np.ndarray:
+    """The integers q = dqv * D of dqv's entries (0 stays 0).
+
+    Exact: dqv rounds q / D once, so dqv * D lies within a few ulps of q,
+    far below 1/2 while q < 2^50. Integer sums of q are exact up to 2^53.
+    """
+    q = dqv * clock_denominator(level)
+    return np.rint(q, out=q).astype(np.int64)
+
+
+def clock_cumsum(dqv: np.ndarray, level: int, axis: int, out=None) -> np.ndarray:
+    """<W> after each step of per-step rates dqv, summed along axis in exact
+    integer units and divided by D once: bit for bit what _run_blocks streams.
+
+    The units are summed as integer-valued float64, exact below 2^53, so
+    out (dqv's shape, float64) is the only array written.
+    """
+    units = clock_denominator(level)
+    out = np.multiply(dqv, units, out=out)
+    np.rint(out, out=out)
+    np.cumsum(out, axis=axis, out=out)
+    out /= units
+    return out
 
 
 def layer_count(horizon: float, dt: float) -> int:
@@ -202,47 +236,105 @@ def _resolve_start(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None):
     return g.cells[s][0]
 
 
-def walk_steps(kernel: StepKernel, pos: np.ndarray, n_steps: int,
-               rng: Generator, killed: bool):
-    """Take n_steps uniform neighbour steps from pos, yielding (k, idx, slot, nxt).
+@dataclass(frozen=True)
+class BlockTables:
+    """Four-step tables over the codes 256*x + byte, substep-major.
 
-    Each step reads one random byte per stepping path, in order from the
-    raw 64-bit Philox words taken little-endian, and takes neighbour slot
-    j = byte & (deg - 1). Every degree is 2 or 4 and divides 256, so j is
-    exactly uniform: no float, multiply or floor is involved.
-
-    idx holds the indices into pos of the paths that took step k, and slot
-    (= 4*x + j, an index into kernel.nbr.ravel() and kernel.dW.ravel()) and
-    nxt (the position after the step) are their entries, in idx order. idx
-    is None when every path stepped: always in reflected mode. In killed mode
-    a path that arrives at V_0 leaves the live set and is drawn for no more;
-    the first step moves every path, so a V_0 start leaves V_0 (the t > 0
-    convention). Callers may keep the yielded arrays but must not write to
-    them: idx is shared by the steps between two shrinks of the live set.
+    From position y, substep s of a block takes slot 4*y + j with
+    j = (byte >> 2s) & (deg(y) - 1), bits 2s..2s+1 of the byte. Row s of
+    slot and pos is the slot taken at substep s and the position after it.
+    In killed mode a path that has landed on V_0 takes the slot 4V (zero
+    clock, zero dW) and stays where it landed; hit is the first substep
+    1..4 that lands on V_0, or 0 for none (always 0 in reflected mode). Row
+    r - 1 of clock is the clock summed over the first r substeps, so over
+    the substeps before the hit and the hit itself in killed mode.
     """
-    nbr, isb = kernel.nbr.ravel(), kernel.is_boundary
-    mask = (kernel.deg - 1).astype(np.uint8)
+    slot: np.ndarray | None  # (4, 256V) intp; recording runs only
+    pos: np.ndarray          # (4, 256V) intp
+    hit: np.ndarray          # (256V,) uint8
+    clock: np.ndarray        # (4, 256V), the per-slot clock's dtype
+
+
+def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
+                  record: bool) -> BlockTables:
+    """The tables for one walk; clock is the per-slot clock over the 4V slots."""
+    n_codes = 256 * kernel.n_vertices
+    y, byte = np.divmod(np.arange(n_codes), 256)
+    nbr, isb, mask = kernel.nbr.ravel(), kernel.is_boundary, kernel.deg - 1
+    clock = np.append(clock, 0)  # slot 4V: a stopped path's substep
+    slot = np.empty((4, n_codes), dtype=np.intp) if record else None
+    pos = np.empty((4, n_codes), dtype=np.intp)
+    sums = np.empty((4, n_codes), dtype=clock.dtype)
+    hit = np.zeros(n_codes, dtype=np.uint8)
+    for s in range(4):  # in place, so a build holds little beside the tables
+        step = byte >> 2 * s
+        step &= mask[y]
+        step += 4 * y
+        np.take(nbr, step, out=pos[s])
+        if killed:
+            stay = hit > 0
+            step[stay] = len(nbr)
+            pos[s][stay] = y[stay]
+            hit[~stay & isb[pos[s]]] = s + 1
+        if record:
+            slot[s] = step
+        np.take(clock, step, out=sums[s])
+        if s:
+            sums[s] += sums[s - 1]
+        y = pos[s]
+    return BlockTables(slot=slot, pos=pos, hit=hit, clock=sums)
+
+
+def walk_steps(tables: BlockTables, pos: np.ndarray, n_steps: int,
+               rng: Generator, killed: bool):
+    """Take n_steps uniform neighbour steps from pos, four per random byte.
+
+    Yields (k, r, idx, code, stop) per block of r = min(4, n_steps - k)
+    steps, with blocks at k = 0, 4, 8, ...: one byte per stepping path, in
+    order from the raw 64-bit Philox words taken little-endian, and
+    code = 256*x + byte for a path at x. Substep s takes neighbour slot
+    (byte >> 2s) & (deg - 1): every degree is 2 or 4, so each substep is
+    exactly uniform and independent of the others, with no float, multiply
+    or floor. The block's slots, positions and clock sums are the first r
+    rows of tables at code (see BlockTables): a tail block draws its bytes
+    as a full block does and uses r < 4 substeps of them. A layer k + r'
+    inside a block is read from row r' - 1 at the same code, and blocks are
+    never cut, so the bytes depend only on the seed, the block and the live
+    set, not on the layers a caller reads. With the default <W> clock the
+    sums are integer units, divided by D once per block (see _run_blocks).
+
+    idx holds the indices into pos of the paths that step in the block
+    (None when every path does: always in reflected mode). stop, in killed
+    mode, marks those of them that land on V_0 within the block's r steps
+    (None when none does); they are drawn for no more. The first substep
+    moves every path, so a V_0 start leaves V_0 (the t > 0 convention).
+    Callers may keep the yielded arrays but must not write to them.
+    """
     draw = rng.bit_generator.random_raw
     idx = None
-    for k in range(n_steps):
+    for k in range(0, n_steps, 4):
+        r = min(4, n_steps - k)
         n = len(pos)
-        byte = draw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
-        slot = 4 * pos + (byte & mask[pos])
-        nxt = nbr[slot]
-        yield k, idx, slot, nxt
-        pos = nxt
+        code = pos << 8
+        code |= draw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
+        stop = None
         if killed:
-            keep = ~isb[nxt]
-            if not keep.all():
-                idx = np.flatnonzero(keep) if idx is None else idx[keep]
-                pos = nxt[keep]
+            h = tables.hit[code]
+            stop = (h > 0) & (h <= r)
+            if not stop.any():
+                stop = None
+        yield k, r, idx, code, stop
+        pos = tables.pos[r - 1][code]
+        if stop is not None:
+            keep = ~stop
+            idx = np.flatnonzero(keep) if idx is None else idx[keep]
+            pos = pos[keep]
 
 
 def _simulate_block(args):
-    (kernel, n_paths, n_steps, seed, block, killed, start_vertex,
-     layers, record, clock) = args
+    (kernel, tables, units, n_paths, n_steps, seed, block, killed, start_vertex,
+     layers, record) = args
     rng = Generator(Philox(key=[seed, block]))
-    dW, isb = kernel.dW.ravel(), kernel.is_boundary
 
     if start_vertex is None:
         srng = Generator(Philox(key=[seed, _START_STREAM_OFFSET + block]))
@@ -250,37 +342,50 @@ def _simulate_block(args):
     else:
         pos = np.full(n_paths, start_vertex, dtype=np.int64)
 
-    acc = np.zeros(n_paths, dtype=clock.dtype)
+    # pos is kept for stopped paths only: live ones read theirs from the tables
+    acc = np.zeros(n_paths, dtype=tables.clock.dtype)
     hit_step = np.full(n_paths, -1, dtype=np.int64)
-    out = {"clock": np.empty((n_paths, len(layers)), dtype=clock.dtype),
+    out = {"clock": np.empty((n_paths, len(layers)), dtype=acc.dtype),
            "pos": np.empty((n_paths, len(layers)), dtype=np.int64),
            "hit_step": hit_step}
     if record:
-        out["vertices"] = np.empty((n_paths, n_steps + 1), dtype=np.int64)
+        vertices = out["vertices"] = np.empty((n_paths, n_steps + 1), dtype=np.int64)
         out["dW"] = np.zeros((n_paths, n_steps))
         out["dqv"] = np.zeros((n_paths, n_steps))
-        out["vertices"][:, 0] = pos
-    column = {k: j for j, k in enumerate(layers)}
+        vertices[:, 0] = pos
+        dW = np.append(kernel.dW.ravel(), 0.0)
+        dqv = np.append(np.repeat(kernel.dqv, 4), 0.0)
+    col = 0
+    if layers and layers[0] == 0:
+        out["clock"][:, 0] = acc
+        out["pos"][:, 0] = pos
+        col = 1
 
-    def snapshot(k):
-        if k in column:
-            out["clock"][:, column[k]] = acc
-            out["pos"][:, column[k]] = pos
-
-    snapshot(0)
-    for k, idx, slot, nxt in walk_steps(kernel, pos, n_steps, rng, killed):
+    for k, r, idx, code, stop in walk_steps(tables, pos, n_steps, rng, killed):
         rows = slice(None) if idx is None else idx
-        a = clock[slot]
-        acc[rows] += a
-        pos[rows] = nxt
-        if killed:
-            arrived = isb[nxt]
-            hit_step[np.flatnonzero(arrived) if idx is None else idx[arrived]] = k + 1
+        while col < len(layers) and layers[col] <= k + r:  # snapshots in the block
+            s = layers[col] - k - 1
+            if idx is not None:
+                out["clock"][:, col] = acc
+                out["pos"][:, col] = pos
+            out["clock"][rows, col] = acc[rows] + tables.clock[s][code]
+            out["pos"][rows, col] = tables.pos[s][code]
+            col += 1
         if record:
-            out["vertices"][:, k + 1] = pos
-            out["dW"][rows, k] = dW[slot]
-            out["dqv"][rows, k] = a
-        snapshot(k + 1)
+            for s in range(r):
+                if idx is not None:
+                    vertices[:, k + s + 1] = vertices[:, k + s]
+                slot = tables.slot[s][code]
+                vertices[rows, k + s + 1] = tables.pos[s][code]
+                out["dW"][rows, k + s] = dW[slot]
+                out["dqv"][rows, k + s] = dqv[slot]
+        acc[rows] += tables.clock[r - 1][code]
+        if stop is not None:
+            done = np.flatnonzero(stop) if idx is None else idx[stop]
+            hit_step[done] = k + tables.hit[code[stop]].astype(np.int64)
+            pos[done] = tables.pos[r - 1][code[stop]]
+    if units is not None:  # <W> summed in integer units: one division per value
+        out["clock"] = out["clock"] / units
     return out
 
 
@@ -292,8 +397,13 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
     given) are at one level. The graph is built only for a cell-word or
     coordinate start.
 
-    clock, over the 4V slots of kernel.nbr.ravel(), is what each path sums:
-    np.repeat(kernel.dqv, 4), i.e. <W>, by default, which recording runs keep.
+    clock, over the 4V slots of kernel.nbr.ravel(), is what each path sums.
+    By default it is <W>: the integers q = clock_units(dqv), summed exactly
+    and divided by D = clock_denominator(level) once per block, so block
+    sums equal step-by-step sums; NumericOverflowError, before anything is
+    allocated, when n_steps * max q reaches 2^53. Recording runs keep it.
+    The four-step tables are built here, once per call, from the clock.
+
     Returns one flat dict of arrays with a row per path: "clock" and "pos",
     with a column per layer of layers (distinct, sorted, in 0..cfg.n_steps);
     "hit_step", the V_0 arrival step or -1; and when recording, the path-major
@@ -303,12 +413,21 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
         graph_level = "none" if g is None else g.level
         raise UsageError(f"walk config level {cfg.level}, kernel level {kernel.level} "
                          f"and graph level {graph_level} differ")
+    units = None
+    if clock is None:
+        q = clock_units(kernel.dqv, cfg.level)
+        if cfg.n_steps * int(q.max()) >= 2**53:
+            raise NumericOverflowError(
+                f"{cfg.n_steps} steps of up to {int(q.max())} clock units pass 2^53, "
+                "where integer clock sums stop being exact in float64")
+        units = clock_denominator(cfg.level)
+        clock = np.repeat(q, 4)
     start_vertex = _resolve_start(cfg, kernel, g)
-    clock = np.repeat(kernel.dqv, 4) if clock is None else clock
+    tables = _block_tables(kernel, cfg.killed, clock, record)
     n = cfg.path_count
     jobs = [
-        (kernel, min(cfg.block_size, n - lo), cfg.n_steps, cfg.seed, b, cfg.killed,
-         start_vertex, layers, record, clock)
+        (kernel, tables, units, min(cfg.block_size, n - lo), cfg.n_steps, cfg.seed, b,
+         cfg.killed, start_vertex, layers, record)
         for b, lo in enumerate(range(0, n, cfg.block_size))
     ]
     if cfg.workers > 1 and len(jobs) > 1:
@@ -316,6 +435,7 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
             results = list(ex.map(_simulate_block, jobs))
     else:
         results = [_simulate_block(j) for j in jobs]
+    del jobs, tables  # not held while the blocks are merged
     return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
 
 
@@ -332,7 +452,7 @@ class PathEnsemble:
 
     @property
     def cum_qv(self) -> np.ndarray:
-        return np.cumsum(self.dqv, axis=1)
+        return clock_cumsum(self.dqv, self.config.level, axis=1)
 
     @property
     def n_paths(self) -> int:

@@ -146,29 +146,39 @@ def test_criterion_04_derived_kusuoka_values():
               "closed form exact to m=10")
 
 
+# Monte Carlo criterion bodies, each a function of its seed with its committed
+# band as the default: the tests run them on the committed seeds, and
+# tests/seed_sweep.py reruns them on fresh ones.
+
+def mc_05_clock_mean(kernels, graphs, seed, band=(0.97, 1.03)):
+    """E_mu[<W>_1] from 100k m = 5 paths lies in band; returns it."""
+    cfg = WalkConfig(level=5, horizon=1.0, path_count=100_000, seed=seed)
+    stats = ensemble_qv_stats(cfg, kernels(5), graphs(5))
+    ratio = stats["mean"] / cfg.horizon
+    assert band[0] <= ratio <= band[1]
+    return stats["mean"]
+
+
 def test_criterion_05_step_kernel_moments(kernels, graphs):
     t0 = time.monotonic()
     for m in range(0, 7):
         worst_mean, worst_second = kernel_moment_defects(kernels(m))
         assert worst_mean < 1e-12
         assert worst_second < 1e-12
-    cfg = WalkConfig(level=5, horizon=1.0, path_count=100_000, seed=505)
-    stats = ensemble_qv_stats(cfg, kernels(5), graphs(5))
-    ratio = stats["mean"] / cfg.horizon
-    assert 0.97 <= ratio <= 1.03
+    mean = mc_05_clock_mean(kernels, graphs, seed=505)
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     report(5, f"step-kernel moments exact to 1e-12 (m<=6); "
-              f"E_mu[<W>_1] = {stats['mean']:.4f} in [0.97, 1.03] ({elapsed:.1f}s)")
+              f"E_mu[<W>_1] = {mean:.4f} in [0.97, 1.03] ({elapsed:.1f}s)")
 
 
-def test_criterion_06_exit_time_scaling(kernels, graphs):
-    t0 = time.monotonic()
+def mc_06_exit_means(kernels, graphs, seed, band=0.05):
+    """Exit-time means from the matched start at m = 3, 4, 5 agree within band; returns them."""
     means = {}
     for m in (3, 4, 5):
         g = graphs(m)
         start = g.index_by_coord[MIDPOINT_OPP_P1]
-        cfg = WalkConfig(level=m, horizon=2.0, path_count=12_000, seed=606,
+        cfg = WalkConfig(level=m, horizon=2.0, path_count=12_000, seed=seed,
                          killed=True, start=start)
         stats = exit_time_stats(cfg, kernels(m), g)
         assert stats["hit_fraction"] >= 0.99
@@ -176,15 +186,24 @@ def test_criterion_06_exit_time_scaling(kernels, graphs):
     vals = list(means.values())
     for a in vals:
         for b in vals:
-            assert abs(a - b) / max(a, b) < 0.05
+            assert abs(a - b) / max(a, b) < band
+    return vals
+
+
+def test_criterion_06_exit_time_scaling(kernels, graphs):
+    t0 = time.monotonic()
+    vals = mc_06_exit_means(kernels, graphs, seed=606)
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
     report(6, f"exit-time scaling: matched-start means {vals} agree within 5% "
               f"({elapsed:.1f}s)")
 
 
-def test_criterion_07_linear_bsde_triangle(kernels, graphs):
-    t0 = time.monotonic()
+def mc_07_linear_triangle(kernels, graphs, seed, band=0.02):
+    """DP = closed form at m = 4, and 100k-path MC within 3 SE and band of it.
+
+    Returns the exact gap and the MC relative errors at the two starts.
+    """
     m = 4
     g, k = graphs(m), kernels(m)
     spec = validate_problem_dict({
@@ -196,7 +215,7 @@ def test_criterion_07_linear_bsde_triangle(kernels, graphs):
     sol = solve_dp(bp, k, g)
     starts = [0, g.index_by_coord[MIDPOINT_OPP_P1]]
     cf = linear_closed_form(0.5, 0.3, 0.4, bp, k, g, mc_starts=starts,
-                            mc_paths=100_000, seed=707)
+                            mc_paths=100_000, seed=seed)
     exact_gap = float(np.abs(sol.Y[0] - cf["Y0"]).max())
     assert exact_gap <= 1e-9
     mc_rel = []
@@ -205,8 +224,14 @@ def test_criterion_07_linear_bsde_triangle(kernels, graphs):
         err = abs(est["estimate"] - cf["Y0"][s])
         assert err <= 3 * est["stderr"]
         rel = err / abs(cf["Y0"][s])
-        assert rel <= 0.02
+        assert rel <= band
         mc_rel.append(rel)
+    return exact_gap, mc_rel
+
+
+def test_criterion_07_linear_bsde_triangle(kernels, graphs):
+    t0 = time.monotonic()
+    exact_gap, mc_rel = mc_07_linear_triangle(kernels, graphs, seed=707)
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0
     report(7, f"linear triangle at m=4: exact-vs-exact {exact_gap:.2e} <= 1e-9; "
@@ -306,8 +331,10 @@ def test_criterion_10_special_functions():
                "spectral constants to 12 digits")
 
 
-def test_criterion_11_bounds(kernels, graphs):
-    t0 = time.monotonic()
+def mc_11_bounds(kernels, graphs, seeds, band=0.1):
+    """Criterion 11 on three seeds: moment and Mittag-Leffler bounds with one C,
+    C stable within band across the first two, and expint at sigma stable
+    under horizon doubling on the third. Returns C and the two estimates."""
     m = 4
     g, k = graphs(m), kernels(m)
     tgrid = (0.25, 0.5, 1.0)
@@ -320,20 +347,20 @@ def test_criterion_11_bounds(kernels, graphs):
                   for b in betas for t in tgrid}
         return qv, expint
 
-    qv, expint = collect(1101)
+    qv, expint = collect(seeds[0])
     joint = fit_joint_constant(qv, expint)
     assert joint["moments"]["holds"]
     assert joint["mittag_leffler"]["holds"]
 
-    qv2, expint2 = collect(2202)
+    qv2, expint2 = collect(seeds[1])
     joint2 = fit_joint_constant(qv2, expint2)
-    assert abs(joint["C"] - joint2["C"]) / joint["C"] < 0.1  # MC-stable constant
+    assert abs(joint["C"] - joint2["C"]) / joint["C"] < band  # MC-stable constant
 
     # exponential integrability at the hitting time, stable under doubling
     start = g.index_by_coord[MIDPOINT_OPP_P1]
     ests = []
     for horizon in (2.0, 4.0):
-        cfg = WalkConfig(level=m, horizon=horizon, path_count=50_000, seed=1103,
+        cfg = WalkConfig(level=m, horizon=horizon, path_count=50_000, seed=seeds[2],
                          killed=True, start=start)
         rep = expint_estimate(cfg, k, 0.25, g=g)
         assert not rep["unstable"]
@@ -341,10 +368,16 @@ def test_criterion_11_bounds(kernels, graphs):
     lo, hi = ests[0]["ci95"]
     width = max(hi - lo, 1e-4)
     assert abs(ests[0]["estimate"] - ests[1]["estimate"]) < max(3 * width, 1e-3)
+    return joint["C"], ests[0]["estimate"], ests[1]["estimate"]
+
+
+def test_criterion_11_bounds(kernels, graphs):
+    t0 = time.monotonic()
+    c, est2, est4 = mc_11_bounds(kernels, graphs, seeds=(1101, 2202, 1103))
     elapsed = time.monotonic() - t0
     report(11, f"moment + Mittag-Leffler bounds hold with single C = "
-               f"{joint['C']:.3f}; expint at sigma stable under horizon "
-               f"doubling ({ests[0]['estimate']:.5f} vs {ests[1]['estimate']:.5f}) "
+               f"{c:.3f}; expint at sigma stable under horizon "
+               f"doubling ({est2:.5f} vs {est4:.5f}) "
                f"({elapsed:.1f}s)")
 
 

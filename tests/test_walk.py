@@ -1,6 +1,7 @@
 """Step-kernel invariants and walk statistics."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import kernel_oracle
@@ -10,6 +11,7 @@ import walk_oracle
 from numpy.random import Generator, Philox
 
 from gasketlab import (
+    NumericOverflowError,
     UsageError,
     WalkConfig,
     ensemble_qv_stats,
@@ -20,7 +22,7 @@ from gasketlab import (
     simulate_paths,
     walk,
 )
-from gasketlab.harmonic import CellGradientTables
+from gasketlab.harmonic import CellGradientTables, corner_harmonics
 from gasketlab.measures import hausdorff_measure
 from gasketlab.walk import (
     ensemble_qv_snapshots,
@@ -162,33 +164,141 @@ WALK_CASES = [(m, killed, start) for m in range(5) for killed in (False, True)
               for start in ("mu", "V0", "interior") if m > 0 or start != "interior"]
 
 
+def unit_clock(k):
+    return np.repeat(walk.clock_units(k.dqv, k.level), 4)
+
+
 @pytest.mark.parametrize("m, killed, start", WALK_CASES)
 def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
-    # live-index steps from raw bytes vs a full-width mask-form step on the
-    # same bytes, one Philox key; compacted yields are scattered to all paths
+    # four-step blocks read from the tables with live-index raw bytes vs four
+    # composed full-width mask-form steps on the same bytes, one Philox key;
+    # compacted yields are scattered to all paths. The step counts take every
+    # residue mod 4, so tail blocks of 1, 2 and 3 steps are compared too.
     k = kernels(m)
-    n_paths, n_steps = 400, 2 * 5**m + 5
+    n_paths = 400
     if start == "mu":
         pos = Generator(Philox(key=[3, 1])).choice(k.n_vertices, n_paths, p=k.mu_weight)
     else:
         ids = np.nonzero(k.is_boundary == (start == "V0"))[0]
         pos = np.full(n_paths, ids[-1], dtype=np.int64)
-    ours = walk_steps(k, pos, n_steps, Generator(Philox(key=[17, m])), killed)
-    ref = walk_oracle.walk_steps(k, pos, n_steps, Generator(Philox(key=[17, m])), killed)
-    full_pos = pos.copy()
-    count = 0
-    for (k1, idx, slot1, nxt), (k2, live, slot2, pos2) in zip(ours, ref, strict=True):
-        assert k1 == k2 == count
-        rows = slice(None) if idx is None else idx
-        full_slot = np.full(n_paths, -1, dtype=np.int64)
-        full_slot[rows] = slot1
-        full_pos[rows] = nxt
-        assert same_bytes(full_slot, slot2) and same_bytes(full_pos, pos2), k1
-        assert killed or idx is None
-        count += 1
-    assert count == n_steps
-    if killed:  # the run reaches stopped paths
-        assert not live.all() and len(idx) < n_paths
+    tables = walk._block_tables(k, killed, unit_clock(k), record=True)
+    stopped_slot = 4 * k.n_vertices
+    for n_steps in 2 * 5**m + 2 + np.arange(4):
+        ours = walk_steps(tables, pos, n_steps, Generator(Philox(key=[17, m])), killed)
+        ref = walk_oracle.walk_steps(k, pos, n_steps, Generator(Philox(key=[17, m])), killed)
+        full_pos = pos.copy()
+        hit = np.full(n_paths, -1, dtype=np.int64)
+        blocks = 0
+        for (k1, r1, idx, code, stop), (k2, r2, live, slot2, pos2, hit2) in zip(
+                ours, ref, strict=True):
+            assert k1 == k2 == 4 * blocks and r1 == r2 == min(4, n_steps - k1)
+            rows = slice(None) if idx is None else idx
+            if killed:
+                drawn = np.zeros(n_paths, dtype=bool)
+                drawn[rows] = True
+                assert np.array_equal(drawn, live), k1
+            else:
+                assert idx is None and stop is None
+            full_slot = np.full((r1, n_paths), -1, dtype=np.int64)
+            for s in range(r1):
+                slot = tables.slot[s][code]
+                full_slot[s, rows] = np.where(slot == stopped_slot, -1, slot)
+                full_pos[rows] = tables.pos[s][code]
+                assert same_bytes(full_pos, pos2[s]), (n_steps, k1, s)
+            assert same_bytes(full_slot, slot2), (n_steps, k1)
+            if stop is not None:
+                done = np.flatnonzero(stop) if idx is None else idx[stop]
+                hit[done] = k1 + tables.hit[code[stop]].astype(np.int64)
+            assert same_bytes(hit, hit2), (n_steps, k1)
+            blocks += 1
+        assert blocks == -(-n_steps // 4)
+        assert hit.max() <= n_steps  # no hit past the horizon counts
+        if blocks > 1:  # a killed run's last block skips stopped paths
+            assert (idx is not None) == killed and (not killed or len(idx) < n_paths)
+
+
+class _ByteSource:
+    """Stands in for a Generator: its raw words carry the given bytes."""
+
+    def __init__(self, data):
+        self.bit_generator = self
+        self._words = np.frombuffer(
+            np.pad(data.astype(np.uint8), (0, -len(data) % 8)).tobytes(), dtype="<u8")
+
+    def random_raw(self, n):
+        assert n == len(self._words)
+        return self._words
+
+
+@pytest.mark.parametrize("killed", (False, True))
+@pytest.mark.parametrize("m", range(5))
+def test_block_tables_compose_four_single_steps(kernels, m, killed):
+    # every code 256*x + byte: one oracle block of four composed single steps
+    # from x on that byte gives the slot, position and hit rows, and the clock
+    # rows are the running sums of the unit clock over the slots taken
+    k = kernels(m)
+    code = np.arange(256 * k.n_vertices)
+    tables = walk._block_tables(k, killed, unit_clock(k), record=True)
+    _, r, _, slot, pos, hit_step = next(walk_oracle.walk_steps(
+        k, code >> 8, 4, _ByteSource(code & 255), killed))
+    assert r == 4
+    assert same_bytes(np.where(tables.slot == 4 * k.n_vertices, -1, tables.slot), slot)
+    assert same_bytes(tables.pos, pos)
+    assert np.array_equal(tables.hit, np.maximum(hit_step, 0))
+    assert (tables.hit > 0).any() == killed
+    clock = np.append(unit_clock(k), 0)[np.where(slot < 0, 4 * k.n_vertices, slot)]
+    assert same_bytes(tables.clock, np.cumsum(clock, axis=0))
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_integer_clock_is_exact(kernels, graphs, m):
+    # q = 4 sq / deg over D = 24 * 25^m, sq the summed squared corner-harmonic
+    # numerator differences: integers that give dqv bit for bit, and a T = 1
+    # walk sums them far below 2^53, where float64 sums stop being exact
+    k, g = kernels(m), graphs(m)
+    h = corner_harmonics(g)
+    diff = h[k.nbr] - h[:, None]
+    sq = (diff * diff).sum(axis=(1, 2))
+    assert (4 * sq % k.deg == 0).all()
+    q = walk.clock_units(k.dqv, m)
+    assert np.array_equal(q, 4 * sq // k.deg)
+    assert same_bytes(q / walk.clock_denominator(m), k.dqv)
+    assert layer_count(1.0, k.dt) * int(q.max()) < 1e-3 * 2**53
+
+
+def test_integer_clock_overflow_rejected_before_allocating(kernels, graphs):
+    # n_steps * max q passes 2^53: rejected before the four-step tables or
+    # any per-path array exist
+    k, g = kernels(2), graphs(2)
+    cfg = WalkConfig(level=2, horizon=1e15, path_count=10**6, seed=1, killed=True)
+    tracemalloc.start()
+    try:
+        for run in (ensemble_qv_stats, exit_time_stats):
+            with pytest.raises(NumericOverflowError, match="2\\^53"):
+                run(cfg, k, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
+
+
+@pytest.mark.parametrize("tail", (1, 2, 3))
+def test_killed_tail_block_counts_no_hit_past_the_horizon(kernels, graphs, tail):
+    # K = 8 + tail steps: the last block's byte also carries substeps past K.
+    # The oracle runs that whole block on the same bytes; a first V_0 arrival
+    # it finds past K is no hit (-1), so every hit lies in 1..K. The V_0 start
+    # itself never counts (the t > 0 convention).
+    k, g = kernels(1), graphs(1)
+    n_steps, n_paths, start = 8 + tail, 2000, 0
+    cfg = WalkConfig(level=1, horizon=n_steps * k.dt, path_count=n_paths, seed=5,
+                     killed=True, start=start)
+    assert cfg.n_steps == n_steps and k.is_boundary[start]
+    hits = simulate_paths(cfg, k, g).hit_step
+    assert (((hits >= 1) & (hits <= n_steps)) | (hits == -1)).all()
+    *_, (_, _, _, _, _, whole) = walk_oracle.walk_steps(
+        k, np.full(n_paths, start), 12, Generator(Philox(key=[5, 0])), True)
+    assert (whole > n_steps).any()  # the case arises
+    assert same_bytes(hits, np.where(whole > n_steps, -1, whole))
 
 
 def test_killed_paths_freeze_after_hit(kernels, graphs):
@@ -511,7 +621,7 @@ def test_walk_statistics_read_the_recorded_stream(kernels, graphs, monkeypatch,
     cfg = WalkConfig(level=3, horizon=0.4, path_count=300, seed=13, killed=killed,
                      block_size=128, workers=workers)
     ens = simulate_paths(cfg, k, g)
-    layers = (1, 40, 97, cfg.n_steps)
+    layers = (1, 2, 3, 4, 40, 97, cfg.n_steps)  # every residue mod 4, K = 150
     qv = ensemble_qv_snapshots(cfg, k, [j * k.dt for j in layers], g)
     for j, t in zip(layers, qv):
         assert same_bytes(qv[t], ens.cum_qv[:, j - 1]), j

@@ -1,13 +1,18 @@
 """Full-width, mask-form reference for the walk step.
 
-The package's `walk_steps` keeps an index array of live paths and steps only
-those. This module keeps every path in one array, one branch per mode: each
-step draws live.sum() bytes from the raw 64-bit words (little-endian), hands
-them to the live paths in index order, takes neighbour j = byte mod deg and
-holds stopped paths in place with a mask. It yields (k, live, slot, pos) over
-all paths, with live None in reflected mode and slot -1 where a path did not
-step, so the tests can require byte equality after scattering the package's
-compacted yields.
+The package's `walk_steps` keeps an index array of live paths and reads the
+four steps of a block from tables. This module keeps every path in one array
+and composes four single steps per block: each block draws live.sum() bytes
+from the raw 64-bit words (little-endian), hands them to the live paths in
+index order, and substep s takes neighbour j = (byte >> 2s) mod deg at the
+path's current vertex. Stopped paths are held in place with a mask. A block
+of r < 4 steps (the tail) uses the first r substeps of its bytes.
+
+It yields (k, r, live, slot, pos, hit_step) per block over all paths: live
+is the mask of paths drawn for (None in reflected mode), slot and pos are
+(r, n) with slot -1 where a path did not step, and hit_step is the first
+V_0 arrival step so far, or -1. The tests require byte equality after
+scattering the package's compacted yields.
 """
 
 import numpy as np
@@ -20,18 +25,24 @@ def _bytes(rng, n):
 
 def walk_steps(kernel, pos, n_steps, rng, killed):
     deg, isb, nbr = kernel.deg, kernel.is_boundary, kernel.nbr
+    n = len(pos)
     pos = pos.copy()
-    live = np.ones(len(pos), dtype=bool)
-    for k in range(n_steps):
-        if killed:
-            j = np.zeros(len(pos), dtype=np.int64)
-            j[live] = _bytes(rng, int(live.sum())) % deg[pos[live]]
-            slot = np.where(live, 4 * pos + j, -1)
+    live = np.ones(n, dtype=bool)
+    hit_step = np.full(n, -1, dtype=np.int64)
+    for k in range(0, n_steps, 4):
+        r = min(4, n_steps - k)
+        drawn = live.copy()
+        byte = np.zeros(n, dtype=np.int64)
+        byte[drawn] = _bytes(rng, int(drawn.sum()))
+        slot = np.full((r, n), -1, dtype=np.int64)
+        path = np.empty((r, n), dtype=np.int64)
+        for s in range(r):
+            j = (byte >> 2 * s) % deg[pos]
+            slot[s] = np.where(live, 4 * pos + j, -1)
             pos = np.where(live, nbr[pos, j], pos)
-            yield k, live.copy(), slot, pos
-            live = live & ~isb[pos]
-        else:
-            j = _bytes(rng, len(pos)) % deg[pos]
-            slot = 4 * pos + j
-            pos = nbr[pos, j]
-            yield k, None, slot, pos
+            path[s] = pos
+            if killed:
+                arrived = live & isb[pos]
+                hit_step[arrived] = k + s + 1
+                live = live & ~arrived
+        yield k, r, drawn if killed else None, slot, path, hit_step.copy()
