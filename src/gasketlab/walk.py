@@ -24,7 +24,9 @@ raw random byte per live path carries four steps (see walk_steps), and a
 killed walk stops drawing for a path once it reaches V_0. Every ensemble,
 bsde's weighted linear MC included, runs through _run_blocks, which sums a
 per-slot clock along each path (<W> in exact integer units, or the MC's log
-step weights) and returns one flat dict of per-path arrays.
+step weights) and returns one flat dict of per-path arrays. Its four-step
+tables hold 256 codes per vertex, so walks run at levels up to 8
+(MAX_TABLE_BYTES); deeper ones raise CapacityError.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from .harmonic import corner_harmonics, harmonic_extend_to_level  # noqa: F401
 
 _START_STREAM_OFFSET = 2**32  # start-sampling streams live far from step streams
 MAX_RECORDED_ENTRIES = 20_000_000
+MAX_TABLE_BYTES = 2**28  # four-step tables: 164 MB at m = 8, 491 MB at m = 9
 
 
 def step_duration(level: int) -> float:
@@ -255,11 +258,23 @@ class BlockTables:
     clock: np.ndarray        # (4, 256V), the per-slot clock's dtype
 
 
+def table_bytes(n_vertices: int, clock_dtype, record: bool) -> int:
+    """Bytes of the BlockTables of a walk on n_vertices vertices.
+
+    Per code: four rows of pos and of clock sums, four of slot when
+    recording, and one hit byte. Building them takes about 25 bytes per code
+    more at most, for the start positions, the bytes and one substep's slots.
+    """
+    rows = np.dtype(np.intp).itemsize * (2 if record else 1) + np.dtype(clock_dtype).itemsize
+    return 256 * n_vertices * (4 * rows + 1)
+
+
 def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
                   record: bool) -> BlockTables:
     """The tables for one walk; clock is the per-slot clock over the 4V slots."""
     n_codes = 256 * kernel.n_vertices
-    y, byte = np.divmod(np.arange(n_codes), 256)
+    y = np.repeat(np.arange(kernel.n_vertices), 256)
+    byte = np.tile(np.arange(256, dtype=np.uint8), kernel.n_vertices)
     nbr, isb, mask = kernel.nbr.ravel(), kernel.is_boundary, kernel.deg - 1
     clock = np.append(clock, 0)  # slot 4V: a stopped path's substep
     slot = np.empty((4, n_codes), dtype=np.intp) if record else None
@@ -267,8 +282,8 @@ def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
     sums = np.empty((4, n_codes), dtype=clock.dtype)
     hit = np.zeros(n_codes, dtype=np.uint8)
     for s in range(4):  # in place, so a build holds little beside the tables
-        step = byte >> 2 * s
-        step &= mask[y]
+        step = mask[y]
+        step &= byte >> 2 * s
         step += 4 * y
         np.take(nbr, step, out=pos[s])
         if killed:
@@ -331,9 +346,8 @@ def walk_steps(tables: BlockTables, pos: np.ndarray, n_steps: int,
             pos = pos[keep]
 
 
-def _simulate_block(args):
-    (kernel, tables, units, n_paths, n_steps, seed, block, killed, start_vertex,
-     layers, record) = args
+def _simulate_block(kernel, tables, job):
+    n_paths, n_steps, seed, block, killed, start_vertex, layers, record = job
     rng = Generator(Philox(key=[seed, block]))
 
     if start_vertex is None:
@@ -384,9 +398,19 @@ def _simulate_block(args):
             done = np.flatnonzero(stop) if idx is None else idx[stop]
             hit_step[done] = k + tables.hit[code[stop]].astype(np.int64)
             pos[done] = tables.pos[r - 1][code[stop]]
-    if units is not None:  # <W> summed in integer units: one division per value
-        out["clock"] = out["clock"] / units
     return out
+
+
+_worker_walk = None  # (kernel, tables) in a pool worker, set once per worker
+
+
+def _init_worker(kernel, tables):
+    global _worker_walk
+    _worker_walk = (kernel, tables)
+
+
+def _simulate_worker_block(job):
+    return _simulate_block(*_worker_walk, job)
 
 
 def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
@@ -402,7 +426,10 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
     and divided by D = clock_denominator(level) once per block, so block
     sums equal step-by-step sums; NumericOverflowError, before anything is
     allocated, when n_steps * max q reaches 2^53. Recording runs keep it.
-    The four-step tables are built here, once per call, from the clock.
+    The four-step tables are built here, once per call, from the clock, and
+    handed to each pool worker once; CapacityError, before anything is
+    allocated, when they would pass MAX_TABLE_BYTES, which admits every
+    level up to 8 (see table_bytes).
 
     Returns one flat dict of arrays with a row per path: "clock" and "pos",
     with a column per layer of layers (distinct, sorted, in 0..cfg.n_steps);
@@ -413,30 +440,38 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
         graph_level = "none" if g is None else g.level
         raise UsageError(f"walk config level {cfg.level}, kernel level {kernel.level} "
                          f"and graph level {graph_level} differ")
-    units = None
-    if clock is None:
+    default_clock = clock is None
+    if default_clock:
         q = clock_units(kernel.dqv, cfg.level)
         if cfg.n_steps * int(q.max()) >= 2**53:
             raise NumericOverflowError(
                 f"{cfg.n_steps} steps of up to {int(q.max())} clock units pass 2^53, "
                 "where integer clock sums stop being exact in float64")
-        units = clock_denominator(cfg.level)
         clock = np.repeat(q, 4)
+    size = table_bytes(kernel.n_vertices, clock.dtype, record)
+    if size > MAX_TABLE_BYTES:
+        raise CapacityError(
+            f"the level-{cfg.level} four-step tables take {size} bytes, over the "
+            f"{MAX_TABLE_BYTES} cap; walk at level 8 or below")
     start_vertex = _resolve_start(cfg, kernel, g)
     tables = _block_tables(kernel, cfg.killed, clock, record)
     n = cfg.path_count
     jobs = [
-        (kernel, tables, units, min(cfg.block_size, n - lo), cfg.n_steps, cfg.seed, b,
-         cfg.killed, start_vertex, layers, record)
+        (min(cfg.block_size, n - lo), cfg.n_steps, cfg.seed, b, cfg.killed,
+         start_vertex, layers, record)
         for b, lo in enumerate(range(0, n, cfg.block_size))
     ]
     if cfg.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-            results = list(ex.map(_simulate_block, jobs))
+        with ProcessPoolExecutor(max_workers=cfg.workers, initializer=_init_worker,
+                                 initargs=(kernel, tables)) as ex:
+            results = list(ex.map(_simulate_worker_block, jobs))
     else:
-        results = [_simulate_block(j) for j in jobs]
-    del jobs, tables  # not held while the blocks are merged
-    return {key: np.concatenate([r[key] for r in results]) for key in results[0]}
+        results = [_simulate_block(kernel, tables, j) for j in jobs]
+    del tables  # not held while the blocks are merged
+    out = {key: np.concatenate([r[key] for r in results]) for key in results[0]}
+    if default_clock:  # <W> summed in integer units: one division per value
+        out["clock"] = out["clock"] / clock_denominator(cfg.level)
+    return out
 
 
 @dataclass

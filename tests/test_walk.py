@@ -11,6 +11,7 @@ import walk_oracle
 from numpy.random import Generator, Philox
 
 from gasketlab import (
+    CapacityError,
     NumericOverflowError,
     UsageError,
     WalkConfig,
@@ -266,20 +267,47 @@ def test_integer_clock_is_exact(kernels, graphs, m):
     assert layer_count(1.0, k.dt) * int(q.max()) < 1e-3 * 2**53
 
 
-def test_integer_clock_overflow_rejected_before_allocating(kernels, graphs):
-    # n_steps * max q passes 2^53: rejected before the four-step tables or
-    # any per-path array exist
+@pytest.mark.parametrize("limit", ("clock", "tables"))
+def test_walk_limits_rejected_before_allocating(kernels, graphs, monkeypatch, limit):
+    # n_steps * max q passes 2^53, or the four-step tables pass their cap:
+    # rejected before the tables or any per-path array exist
     k, g = kernels(2), graphs(2)
-    cfg = WalkConfig(level=2, horizon=1e15, path_count=10**6, seed=1, killed=True)
+    horizon, error, match = 1e15, NumericOverflowError, "2\\^53"
+    if limit == "tables":
+        monkeypatch.setattr(walk, "MAX_TABLE_BYTES",
+                            walk.table_bytes(k.n_vertices, np.int64, False) - 1)
+        horizon, error, match = 1.0, CapacityError, "level 8 or below"
+    cfg = WalkConfig(level=2, horizon=horizon, path_count=10**6, seed=1, killed=True)
     tracemalloc.start()
     try:
         for run in (ensemble_qv_stats, exit_time_stats):
-            with pytest.raises(NumericOverflowError, match="2\\^53"):
+            with pytest.raises(error, match=match):
                 run(cfg, k, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 50_000
+
+
+def test_walk_at_the_deepest_admitted_level(kernels, graphs):
+    # m = 8, the deepest level whose tables fit the cap (the m = 9 tables,
+    # on 3 |V_8| - 3 vertices, do not; every clock is at most 16 bytes): a
+    # T = 1 walk passes the clock guard, and the streamed <W> and hits read
+    # the recorded paths
+    k, g = kernels(8), graphs(8)
+    for dtype, record in ((np.int64, True), (np.complex128, False)):
+        assert walk.table_bytes(k.n_vertices, dtype, record) <= walk.MAX_TABLE_BYTES
+    assert walk.table_bytes(3 * k.n_vertices - 3, np.int64, False) > walk.MAX_TABLE_BYTES
+    assert layer_count(1.0, k.dt) * int(walk.clock_units(k.dqv, 8).max()) < 2**53 / 16
+    for killed in (False, True):
+        cfg = WalkConfig(level=8, horizon=43 * k.dt, path_count=200, seed=3,
+                         killed=killed, start=int(np.flatnonzero(k.is_boundary)[0]))
+        ens = simulate_paths(cfg, k, g)
+        r = walk._run_blocks(cfg, k, g, layers=(2, cfg.n_steps))
+        assert same_bytes(r["clock"], ens.cum_qv[:, [1, -1]])
+        assert same_bytes(r["pos"][:, 0], ens.vertices[:, 2])
+        assert same_bytes(r["hit_step"], ens.hit_step)
+        assert (ens.hit_step > 0).any() == killed
 
 
 @pytest.mark.parametrize("tail", (1, 2, 3))
