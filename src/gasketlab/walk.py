@@ -262,8 +262,8 @@ def table_bytes(n_vertices: int, clock_dtype, record: bool) -> int:
     """Bytes of the BlockTables of a walk on n_vertices vertices.
 
     Per code: four rows of pos and of clock sums, four of slot when
-    recording, and one hit byte. Building them takes about 25 bytes per code
-    more at most, for the start positions, the bytes and one substep's slots.
+    recording, and one hit byte. Building them holds about 33 bytes per code
+    more while it runs: the start positions, the bytes and one substep's slots.
     """
     rows = np.dtype(np.intp).itemsize * (2 if record else 1) + np.dtype(clock_dtype).itemsize
     return 256 * n_vertices * (4 * rows + 1)
@@ -273,8 +273,7 @@ def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
                   record: bool) -> BlockTables:
     """The tables for one walk; clock is the per-slot clock over the 4V slots."""
     n_codes = 256 * kernel.n_vertices
-    y = np.repeat(np.arange(kernel.n_vertices), 256)
-    byte = np.tile(np.arange(256, dtype=np.uint8), kernel.n_vertices)
+    y, byte = np.divmod(np.arange(n_codes), 256)
     nbr, isb, mask = kernel.nbr.ravel(), kernel.is_boundary, kernel.deg - 1
     clock = np.append(clock, 0)  # slot 4V: a stopped path's substep
     slot = np.empty((4, n_codes), dtype=np.intp) if record else None
@@ -282,8 +281,8 @@ def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
     sums = np.empty((4, n_codes), dtype=clock.dtype)
     hit = np.zeros(n_codes, dtype=np.uint8)
     for s in range(4):  # in place, so a build holds little beside the tables
-        step = mask[y]
-        step &= byte >> 2 * s
+        step = byte >> 2 * s
+        step &= mask[y]
         step += 4 * y
         np.take(nbr, step, out=pos[s])
         if killed:
