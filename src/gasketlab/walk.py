@@ -315,7 +315,7 @@ def walk_steps(tables: BlockTables, pos: np.ndarray, n_steps: int,
     inside a block is read from row r' - 1 at the same code, and blocks are
     never cut, so the bytes depend only on the seed, the block and the live
     set, not on the layers a caller reads. With the default <W> clock the
-    sums are integer units, divided by D once per block (see _run_blocks).
+    sums are integer units, divided by D once (see _run_blocks).
 
     idx holds the indices into pos of the paths that step in the block
     (None when every path does: always in reflected mode). stop, in killed
@@ -422,9 +422,10 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
 
     clock, over the 4V slots of kernel.nbr.ravel(), is what each path sums.
     By default it is <W>: the integers q = clock_units(dqv), summed exactly
-    and divided by D = clock_denominator(level) once per block, so block
-    sums equal step-by-step sums; NumericOverflowError, before anything is
-    allocated, when n_steps * max q reaches 2^53. Recording runs keep it.
+    and divided by D = clock_denominator(level) once, after the blocks are
+    merged, so block sums equal step-by-step sums; NumericOverflowError,
+    before anything is allocated, when n_steps * max q reaches 2^53.
+    Recording runs keep it.
     The four-step tables are built here, once per call, from the clock, and
     handed to each pool worker once; CapacityError, before anything is
     allocated, when they would pass MAX_TABLE_BYTES, which admits every
