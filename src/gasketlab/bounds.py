@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericOverflowError, SchemeError, UsageError
 
@@ -57,6 +56,7 @@ def mittag_leffler(a: float, b: float, z: float) -> float:
 
 def _ml_series(a: float, b: float, z: float) -> tuple[float, float]:
     """The fsum of the series and the largest term magnitude."""
+    from scipy.special import gammaln  # imported here, as quad is: keeps the package import light
     terms = [1.0 / math.gamma(b)]
     if z == 0.0:
         return terms[0], abs(terms[0])
@@ -132,6 +132,7 @@ def beta_chain_identity(p: int, gamma: float) -> dict:
         raise UsageError("p must be between 1 and 4 (integration cost guard)")
     if not (0.0 < gamma < 1.0):
         raise UsageError("gamma must lie in (0, 1)")
+    from scipy.special import gammaln
     lhs = _chain_integral(p, gamma)
     rhs = math.exp(p * gammaln(gamma) - gammaln(p * gamma + 1.0))
     return {"p": p, "gamma": gamma, "lhs": lhs, "rhs": rhs,
@@ -156,6 +157,7 @@ def fit_moment_constant(qv_samples: dict) -> dict:
 
     qv_samples maps t -> array of <W>_t samples.
     """
+    from scipy.special import gammaln
     cells = []
     for t, samples in sorted(qv_samples.items()):
         arr = np.asarray(samples, dtype=float)
@@ -171,6 +173,7 @@ def fit_moment_constant(qv_samples: dict) -> dict:
 
 def check_moment_bound(qv_samples: dict, C: float) -> dict:
     """Margins of the fitted moment envelope; all must be >= 0."""
+    from scipy.special import gammaln
     rows = []
     ok = True
     for t, samples in sorted(qv_samples.items()):

@@ -9,8 +9,10 @@ sampling. The control variable is extracted as the covariation ratio
 the discrete transcription of the martingale representation against the
 walk's clock.
 
-Drivers are Markovian: g(t, x, y) and f(t, x, y, z) receive the vertex-index
-array and vectorized y, z arrays.
+Drivers are Markovian and elementwise: g(t, x, y) and f(t, x, y, z) take
+equal-shape arrays of times, vertex ids and values (t may also be a scalar)
+and return the value at each point. A DP layer passes one layer and its t_k,
+a Picard sweep every layer at once, and each point must come out the same.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from numpy.random import Generator, Philox
 from .errors import DeclaredConstantError, SchemeError, UsageError
 from .gasket import vertex_count
 from .walk import (PathEnsemble, StepKernel, WalkConfig, _run_blocks, clock_cumsum,
-                   heavy_tailed, layer_count)
+                   field_layers, heavy_tailed, layer_count)
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,8 @@ class BsdeProblem:
 
     duration 'deterministic' runs on the reflected chain to horizon T;
     'killed' runs to T ^ sigma_V0 with boundary rows pinned to phi(t).
+    g(t, x, y) and f(t, x, y, z) are called elementwise on equal-shape
+    arrays, t included (see the module docstring).
     terminal_psi: value array over vertices (or callable graph -> array).
     boundary_phi: callable t -> (3,) values at (p1, p2, p3).
     """
@@ -112,28 +116,37 @@ def _pinned_terminal(problem: BsdeProblem, kernel: StepKernel, graph) -> np.ndar
     return y
 
 
-def _sweep(problem: BsdeProblem, kernel: StepKernel, terminal: np.ndarray, layer):
+def _sweep(problem: BsdeProblem, kernel: StepKernel, terminal: np.ndarray, layer,
+           layer_reads_z: bool = True):
     """One backward pass from the terminal layer; returns (Y, Z), each (K+1, V).
 
     layer(k, t, ey, z) gives Y_k from ey = E[Y_{k+1} | x] and the covariation
     ratio z = E[Y_{k+1} dW | x] / dqv. In killed mode phi(t) is then pinned on
-    V_0 and Z_k = 0 there. The terminal row of Z is zero.
+    V_0 and Z_k = 0 there. The terminal row of Z is zero. A layer that never
+    reads z (layer_reads_z False) gets None, and Z[:K] comes from one product
+    with the whole Y[1:] after the loop, the same bits as per-layer products.
     """
     dt = kernel.dt
-    K = layer_count(problem.horizon, dt)
+    K = field_layers(problem.horizon, dt, kernel.n_vertices)
     killed = problem.duration == "killed"
+    bnd = kernel.is_boundary
     Y = np.empty((K + 1, kernel.n_vertices))
     Z = np.zeros((K + 1, kernel.n_vertices))
     Y[K] = terminal
     for k in range(K - 1, -1, -1):
         t = k * dt
-        z = (kernel.Q @ Y[k + 1]) / kernel.dqv
+        z = (kernel.Q @ Y[k + 1]) / kernel.dqv if layer_reads_z else None
         y = layer(k, t, kernel.P @ Y[k + 1], z)
         if killed:
-            y[kernel.is_boundary] = problem.boundary_phi(t)
-            z[kernel.is_boundary] = 0.0
+            y[bnd] = problem.boundary_phi(t)
         Y[k] = y
-        Z[k] = z
+        if layer_reads_z:
+            Z[k] = z
+    if not layer_reads_z:
+        Z[:K] = (kernel.Q @ Y[1:].T).T
+        Z[:K] /= kernel.dqv
+    if killed:
+        Z[:K, bnd] = 0.0
     return Y, Z
 
 
@@ -160,7 +173,8 @@ def solve_dp(problem: BsdeProblem, kernel: StepKernel, graph=None,
 
     explicit: the driver's y-argument is the one-step conditional expectation.
     picard-in-step: the y-argument is the in-step fixed point (<=50 inner
-    iterations, tolerance 1e-12).
+    iterations, tolerance 1e-12). CapacityError, before the fields are
+    allocated, when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES.
     """
     if scheme not in ("explicit", "picard-in-step"):
         raise UsageError(f"unknown scheme {scheme!r}")
@@ -212,6 +226,11 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     distance falls below stop_rel times the first distance (the numerical
     floor, where ratios are roundoff artifacts). Returns the distances, their
     ratios and the last iterate as "final"; earlier iterates are not kept.
+
+    A sweep reads only the previous iterate, so g and f are called once each
+    per sweep, on flat K*V arrays; each layer adds (E[Y_{k+1} | x] + g dt) +
+    f dqv in that order, and Z comes from one product after the loop.
+    CapacityError when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES.
     """
     if n_iters < 1:
         raise UsageError(f"n_iters must be at least 1, got {n_iters}")
@@ -219,22 +238,27 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
         raise UsageError(f"paths are at level {paths.config.level}, "
                          f"the kernel at level {kernel.level}")
     dt = kernel.dt
-    xs = np.arange(kernel.n_vertices)
-    terminal = _pinned_terminal(problem, kernel, graph)
-    shape = (layer_count(problem.horizon, dt) + 1, kernel.n_vertices)
+    V = kernel.n_vertices
+    K = field_layers(problem.horizon, dt, V)
+    shape = (K + 1, V)
     if initial is not None and np.shape(initial) != shape:
         raise UsageError(f"initial field has shape {np.shape(initial)}, expected {shape}")
+    terminal = _pinned_terminal(problem, kernel, graph)
     norm = _vbeta_norm_on(paths, weights)
     y_prev = np.zeros(shape) if initial is None else np.array(initial, dtype=float)
     z_prev = np.zeros(shape)
+    ts = np.repeat(np.arange(K) * dt, V)
+    xs = np.tile(np.arange(V), K)
 
-    def frozen(k, t, ey, z):  # drivers on the previous iterate's fields
-        return (ey + problem.g(t, xs, y_prev[k]) * dt
-                + problem.f(t, xs, y_prev[k], z_prev[k]) * kernel.dqv)
+    def frozen(k, t, ey, z):  # G, F: this sweep's drivers on the previous iterate
+        return ey + G[k] + F[k]
 
     distances = []
     for _ in range(n_iters):
-        Y, Z = _sweep(problem, kernel, terminal, frozen)
+        y_old, z_old = y_prev[:K].ravel(), z_prev[:K].ravel()
+        G = (problem.g(ts, xs, y_old) * dt).reshape(K, V)
+        F = problem.f(ts, xs, y_old, z_old).reshape(K, V) * kernel.dqv
+        Y, Z = _sweep(problem, kernel, terminal, frozen, layer_reads_z=False)
         d = norm(Y - y_prev, Z - z_prev)
         distances.append(d)
         y_prev, z_prev = Y, Z
@@ -245,12 +269,21 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     return {"distances": distances, "ratios": ratios, "final": (Y, Z)}
 
 
+_NORM_BLOCK_BYTES = 2**19  # the V^beta norm's three block buffers, together: L2-sized
+
+
 def _vbeta_norm_on(paths: PathEnsemble, weights: BetaWeights):
     """Build the path-only part of the V^beta norm once; return norm(y, z).
 
     Time-major, row k is time t_k: index (K+1, N) is the flat field index
     k*V + vertex of each path, e (K+1, N) is exp(2 b0 t_k + 2 b1 <W>_k - shift)
     and dqv (K, N) the per-step increments.
+
+    norm squares the fields once (y^2, and z^2 + y^2 below layer K), then
+    walks the time rows in blocks from the end, in buffers allocated here, and
+    carries both running sums between blocks, so every addition keeps the
+    order of the whole-array form. The buffers carry no state from call to
+    call, but one closure must not be shared between threads.
     """
     K, N = paths.n_steps, paths.n_paths
     shape = (K + 1, vertex_count(paths.config.level))
@@ -264,29 +297,49 @@ def _vbeta_norm_on(paths: PathEnsemble, weights: BetaWeights):
     e -= shift
     np.exp(e, out=e)
     index = np.ascontiguousarray(np.arange(K + 1)[:, None] * shape[1] + paths.vertices.T)
+    rows = max(1, min(K, _NORM_BLOCK_BYTES // (24 * N)))
+    y2 = np.empty(shape)           # y^2 on the whole field
+    yz2 = np.empty((K, shape[1]))  # z^2 + y^2 on the layers below K
+    y2_flat, yz2_flat = y2.ravel(), yz2.ravel()
+    # a block of n rows fills the last n rows of each buffer; the run buffers'
+    # extra row holds both running sums of the rows above the block
+    y2e_buf = np.empty((rows, N))
+    run_dr_buf, run_dqv_buf = np.empty((2, rows + 1, N))
+    dr, dq = list(run_dr_buf), list(run_dqv_buf)
+    suffix = [(dr[k], dr[k + 1], dq[k], dq[k + 1]) for k in range(rows - 1, -1, -1)]
+    sup = np.empty(N)
 
     def norm(y_field: np.ndarray, z_field: np.ndarray) -> float:
         for name, f in (("y", y_field), ("z", z_field)):
             if np.shape(f) != shape:
                 raise UsageError(f"{name} field has shape {np.shape(f)}, the path "
                                  f"ensemble needs {shape} (layers, vertices)")
-        y2e = np.ravel(y_field)[index]       # y, then y^2 e in place
-        y2e *= y2e
-        z = np.ravel(z_field)[index[:-1]]
-        # run[k] = (sum_{r>=k} y_r^2 e_r dt, sum_{r>=k} (y_r^2 + z_r^2) e_r dqv_r)
-        run = np.empty((K, 2, N))
-        run_dr, run_dqv = run[:, 0], run[:, 1]
-        np.multiply(z, z, out=run_dqv)
-        run_dqv += y2e[:-1]
-        run_dqv *= e[:-1]
-        run_dqv *= dqv
-        y2e *= e
-        np.multiply(y2e[:-1], paths.dt, out=run_dr)
-        for k in range(K - 2, -1, -1):
-            run[k] += run[k + 1]
-        run_dr += y2e[:-1]
-        run_dr += run_dqv
-        sup = np.maximum(run_dr.max(axis=0), y2e[K])
+        z_below = np.asarray(z_field)[:K]
+        np.multiply(y_field, y_field, out=y2)
+        np.multiply(z_below, z_below, out=yz2)
+        np.add(yz2, y2[:K], out=yz2)
+        np.take(y2_flat, index[K], out=sup, mode="wrap")  # the sup starts at y_K^2 e_K
+        np.multiply(sup, e[K], out=sup)
+        for hi in range(K, 0, -rows):
+            n = min(rows, hi)
+            lo = hi - n
+            # run_dr[k] = sum_{r>=k} y_r^2 e_r dt,
+            # run_dqv[k] = sum_{r>=k} (y_r^2 + z_r^2) e_r dqv_r
+            y2e = y2e_buf[rows - n:]
+            run_dr, run_dqv = run_dr_buf[rows - n:rows], run_dqv_buf[rows - n:rows]
+            np.take(y2_flat, index[lo:hi], out=y2e, mode="wrap")
+            y2e *= e[lo:hi]
+            np.take(yz2_flat, index[lo:hi], out=run_dqv, mode="wrap")
+            run_dqv *= e[lo:hi]
+            run_dqv *= dqv[lo:hi]
+            np.multiply(y2e, paths.dt, out=run_dr)
+            for a, b, c, d in suffix[(hi == K):n]:  # the first block has no sums above it
+                a += b
+                c += d
+            run_dr_buf[rows], run_dqv_buf[rows] = run_dr[0], run_dqv[0]
+            run_dr += y2e
+            run_dr += run_dqv
+            np.maximum(sup, run_dr.max(axis=0), out=sup)
         return math.sqrt(float(sup.mean()) * math.exp(shift))
 
     return norm
@@ -303,9 +356,10 @@ def vbeta_norm(paths: PathEnsemble, y_field: np.ndarray, z_field: np.ndarray,
     domain when they would overflow. Both fields must have shape (K+1, V)
     for the ensemble's K steps and the V vertices of its level.
 
-    The path-only part (e_k, dqv, the gather index) is built once per
-    ensemble and weights; picard_iterate reuses it for every sweep. The field
-    part runs time-major, on (K+1, N) arrays, in place.
+    The path-only part (e_k, dqv, the gather index) and the work buffers are
+    built once per ensemble and weights; picard_iterate reuses them for every
+    sweep. The field part runs time-major in cache-sized row blocks, with
+    every sum in the order of the whole-array form.
     """
     return _vbeta_norm_on(paths, weights)(y_field, z_field)
 

@@ -34,7 +34,7 @@ from .errors import UsageError
 from .gasket import LevelGraph, build_level_graph
 from .harmonic import CellGradientTables
 from .measures import kusuoka_measure
-from .walk import build_step_kernel, layer_at, layer_count, step_duration
+from .walk import build_step_kernel, field_layers, layer_at, step_duration
 
 BROWNIAN_GRADIENT_SCALE = math.sqrt(2.0)
 
@@ -104,6 +104,11 @@ def stiffness_matrix(g: LevelGraph) -> sp.csr_matrix:
 
 
 def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> WeakPdeSolution:
+    """Backward IMEX solve of the weak form, every layer kept.
+
+    CapacityError, before anything is assembled, when a (K+1, V) field
+    passes walk.MAX_RECORDED_ENTRIES.
+    """
     if g is None:
         g = build_level_graph(problem.level)
     if g.level != problem.level:
@@ -112,8 +117,8 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     for lip in (problem.lip_g, problem.lip_f):
         if lip is not None and h * lip >= 1:
             raise UsageError("time step violates the h*Lip < 1 guard")
-    K = layer_count(problem.horizon, h)
     n = g.n_vertices
+    K = field_layers(problem.horizon, h, n)
 
     mu_ex, nu_ex = assemble_masses(g)
     mu = np.array([float(x) for x in mu_ex])

@@ -46,7 +46,7 @@ from .gasket import LevelGraph, build_level_graph, vertex_by_coord
 from .harmonic import corner_harmonics, harmonic_extend_to_level  # noqa: F401
 
 _START_STREAM_OFFSET = 2**32  # start-sampling streams live far from step streams
-MAX_RECORDED_ENTRIES = 20_000_000
+MAX_RECORDED_ENTRIES = 20_000_000  # recorded path samples; entries of a (K+1, V) field
 MAX_TABLE_BYTES = 2**28  # four-step tables: 164 MB at m = 8, 491 MB at m = 9
 
 
@@ -100,6 +100,17 @@ def layer_count(horizon: float, dt: float) -> int:
     k = int(round(horizon / dt))
     if k < 1:
         raise UsageError(f"horizon {horizon} is less than half a time step {dt}")
+    return k
+
+
+def field_layers(horizon: float, dt: float, n_vertices: int) -> int:
+    """layer_count(horizon, dt); CapacityError when a (K+1, n_vertices) field
+    would pass MAX_RECORDED_ENTRIES, checked before anything is allocated."""
+    k = layer_count(horizon, dt)
+    if (k + 1) * n_vertices > MAX_RECORDED_ENTRIES:
+        raise CapacityError(
+            f"a field of {k + 1} layers by {n_vertices} vertices exceeds the "
+            f"{MAX_RECORDED_ENTRIES} entry cap; shorten the horizon or lower the level")
     return k
 
 

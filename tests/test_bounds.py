@@ -1,6 +1,9 @@
 """Special functions, spectral constants, and the bound-check machinery."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,17 @@ from gasketlab.bounds import (
     fit_moment_constant,
     nested_simplex_integral_p2,
 )
+
+
+def test_package_import_leaves_scipy_special_and_integrate_unloaded():
+    # bounds imports gammaln and quad inside the functions that call them
+    code = ("import sys, gasketlab; "
+            "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules))")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_spectral_constants_high_precision():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from gasketlab import (
     BetaWeights,
     BsdeProblem,
+    CapacityError,
     DeclaredConstantError,
     UsageError,
     WalkConfig,
@@ -21,7 +23,10 @@ from gasketlab import (
     solve_dp,
     vbeta_norm,
 )
-from gasketlab.bsde import linear_closed_form
+from gasketlab import bsde, walk
+from gasketlab.bsde import _vbeta_norm_on, linear_closed_form
+from gasketlab.pde import WeakPdeProblem, solve_weak_pde
+from gasketlab.problems import make_drivers
 from gasketlab.walk import layer_count
 
 import vbeta_oracle
@@ -391,6 +396,72 @@ def test_vbeta_rejects_a_field_of_another_level(kernels, graphs):
             vbeta_norm(ens, y, z, w)
 
 
+@pytest.mark.parametrize("rows", (1, 7, 64, 375))
+def test_vbeta_blocks_equal_path_major_oracle(kernels, graphs, monkeypatch, rows):
+    # the norm's row blocks carry both running sums across block edges: one
+    # row per block, a partial last block (375 = 53 * 7 + 4) and a single
+    # block all give the oracle's bytes, path by path
+    g, k = graphs(3), kernels(3)
+    ens = simulate_paths(WalkConfig(level=3, horizon=1.0, path_count=12, seed=5), k, g)
+    w = BetaWeights(1.0, 1.0)  # small weights: each sup reads sums over many blocks
+    rng = np.random.default_rng(6)
+    y, z = rng.standard_normal((2, ens.n_steps + 1, g.n_vertices))
+    y[-1] = 0.0
+    monkeypatch.setattr(bsde, "_NORM_BLOCK_BYTES", 24 * rows)  # rows rows for one path
+    for i in range(ens.n_paths):
+        one = dataclasses.replace(ens, vertices=ens.vertices[i:i + 1], dW=ens.dW[i:i + 1],
+                                  dqv=ens.dqv[i:i + 1], hit_step=ens.hit_step[i:i + 1])
+        assert vbeta_norm(one, y, z, w) == vbeta_oracle.vbeta_norm(one, y, z, w)
+    monkeypatch.setattr(bsde, "_NORM_BLOCK_BYTES", 24 * ens.n_paths * rows)
+    assert vbeta_norm(ens, y, z, w) == vbeta_oracle.vbeta_norm(ens, y, z, w)
+
+
+def test_vbeta_norm_closure_keeps_no_state(kernels, graphs):
+    # one closure, called alternately on two field pairs, returns exactly what
+    # a fresh closure returns for each: its reused buffers carry nothing over
+    g, k = graphs(3), kernels(3)
+    ens = simulate_paths(WalkConfig(level=3, horizon=1.0, path_count=300, seed=7), k, g)
+    w = BetaWeights(4.0, 4.0)
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((2, ens.n_steps + 1, g.n_vertices))
+    b = 1e3 * rng.standard_normal((2, ens.n_steps + 1, g.n_vertices))
+    b[0, -1] = 0.0  # b's sup reads the running sums, a's mostly the last layer
+    fresh = [_vbeta_norm_on(ens, w)(*pair) for pair in (a, b)]
+    norm = _vbeta_norm_on(ens, w)
+    for _ in range(3):
+        assert [norm(*pair) for pair in (a, b)] == fresh
+    assert fresh[0] != fresh[1]
+
+
+DRIVERS = (
+    {"name": "zero"},
+    {"name": "linear", "a": 0.5, "b": -0.3, "c": 0.4},
+    {"name": "sin", "a": -0.2, "fy": 0.7, "fz": 0.3},
+    {"name": "sat-exp", "a": 0.1, "fy": 0.5, "fz": -0.25},
+    {"name": "custom-table", "y_knots": [-2.0, -0.5, 0.5, 2.0],
+     "g_values": [1.0, 0.2, -0.3, 0.4], "b": 0.2, "c": -0.1},
+)
+
+
+@pytest.mark.parametrize("driver", DRIVERS, ids=lambda d: d["name"])
+def test_builtin_drivers_are_elementwise(kernels, driver):
+    # the driver contract picard_iterate relies on: one call on flat K*V
+    # arrays (t an array) gives the bytes of K per-layer calls (t a scalar)
+    k = kernels(3)
+    K, V = layer_count(1.0, k.dt), k.n_vertices
+    g, f, _, _ = make_drivers({"driver": driver})
+    y, z = 2.0 * np.random.default_rng(9).standard_normal((2, K, V))
+    ts, xs = np.repeat(np.arange(K) * k.dt, V), np.tile(np.arange(V), K)
+    layers = range(K)
+    flat_g = g(ts, xs, y.ravel())
+    flat_f = f(ts, xs, y.ravel(), z.ravel())
+    per_layer_g = np.concatenate([g(i * k.dt, np.arange(V), y[i]) for i in layers])
+    per_layer_f = np.concatenate([f(i * k.dt, np.arange(V), y[i], z[i]) for i in layers])
+    assert flat_g.dtype == flat_f.dtype == np.float64
+    assert flat_g.tobytes() == per_layer_g.tobytes()
+    assert flat_f.tobytes() == per_layer_f.tobytes()
+
+
 # --- contraction constant ------------------------------------------------------------
 
 def test_contraction_constant_values():
@@ -473,6 +544,62 @@ def test_picard_equals_path_major_oracle(kernels, graphs):
         (Y, Z), (Yr, Zr) = got["final"], ref["final"]
         assert Y.tobytes() == Yr.tobytes()
         assert Z.tobytes() == Zr.tobytes()
+
+
+def test_picard_killed_time_dependent_equals_path_major_oracle(kernels, graphs):
+    # the per-sweep drivers read t as an array, phi(t) is pinned per layer
+    # and Z comes from one product with V_0 zeroed: every distance, ratio and
+    # the last iterate keep the bytes of the per-layer loop, from zero and
+    # from the driverless DP seed
+    g, k = graphs(3), kernels(3)
+    phi = lambda t: np.array([0.2 + t, -0.1 * t, 0.05])  # noqa: E731
+    p = BsdeProblem(
+        g=lambda t, x, y: -0.5 * y + 0.2 * np.cos(3.0 * t + x),
+        f=lambda t, x, y, z: 0.5 * np.sin(y) * (1.0 + t) + z,
+        terminal_psi=bump(g), horizon=0.25, duration="killed", boundary_phi=phi,
+    )
+    w = BetaWeights(36.0, 36.0)
+    cfg = WalkConfig(level=3, horizon=0.25, path_count=600, seed=909, killed=True)
+    ens = simulate_paths(cfg, k, g)
+    assert (ens.hit_step > 0).any()
+    seed_field = solve_dp(BsdeProblem(g=zero_g, f=zero_f, terminal_psi=p.terminal_psi,
+                                      horizon=0.25, duration="killed", boundary_phi=phi),
+                          k, g).Y
+    for initial in (None, seed_field):
+        got = picard_iterate(p, k, 12, ens, w, g, initial=initial, stop_rel=1e-19)
+        ref = vbeta_oracle.picard_iterate(p, k, 12, ens, w, initial=initial, stop_rel=1e-19)
+        assert len(got["distances"]) == 12
+        assert got["distances"] == ref["distances"]
+        assert got["ratios"] == ref["ratios"]
+        (Y, Z), (Yr, Zr) = got["final"], ref["final"]
+        assert Y.tobytes() == Yr.tobytes()
+        assert Z.tobytes() == Zr.tobytes()
+        assert not Z[:, k.is_boundary].any()
+
+
+@pytest.mark.parametrize("solver", ("dp", "picard", "pde"))
+def test_field_limits_rejected_before_allocating(kernels, graphs, solver):
+    # (K+1) * V past walk.MAX_RECORDED_ENTRIES: 6 vertices by 1.5e8 layers
+    # would take 7 GB a field; rejected before any field exists
+    g, k = graphs(1), kernels(1)
+    horizon = 1e7
+    assert (layer_count(horizon, k.dt) + 1) * k.n_vertices > walk.MAX_RECORDED_ENTRIES
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g), horizon=horizon)
+    ens = simulate_paths(WalkConfig(level=1, horizon=0.5, path_count=20, seed=1), k, g)
+    run = {
+        "dp": lambda: solve_dp(p, k, g),
+        "picard": lambda: picard_iterate(p, k, 2, ens, BetaWeights(1, 1), g),
+        "pde": lambda: solve_weak_pde(WeakPdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g),
+                                                     horizon=horizon, level=1), g),
+    }[solver]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="entry cap"):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50_000
 
 
 def test_picard_rejects_paths_of_another_level(kernels, graphs):

@@ -1,16 +1,18 @@
-"""Reference V^beta norm: the path-major body that bsde.vbeta_norm replaced.
+"""Reference V^beta norm and Picard loop: the bodies the package replaced.
 
-It rebuilds the path weights on every call and evaluates on (N, K+1) arrays
-with a two-array gather. The package evaluates time-major, in place, against
-weights built once per ensemble, keeping every operand order, so the tests
-can require `==` between the two.
+The norm rebuilds the path weights on every call and evaluates on (N, K+1)
+arrays with a two-array gather. The Picard loop calls the drivers once per
+layer, with a scalar t, and forms Z layer by layer. The package evaluates the
+norm time-major, in cache-sized blocks, against weights built once per
+ensemble, and calls the drivers once per sweep, keeping every operand order,
+so the tests can require `==` between the two.
 """
 
 import math
 
 import numpy as np
 
-from gasketlab.bsde import _pinned_terminal, _sweep
+from gasketlab.bsde import _pinned_terminal
 
 
 def vbeta_norm(paths, y_field, z_field, weights):
@@ -35,6 +37,24 @@ def vbeta_norm(paths, y_field, z_field, weights):
     total = y2e + run_dr + run_dqv
     sup = total.max(axis=1)
     return math.sqrt(float(sup.mean()) * math.exp(shift))
+
+
+def _sweep(problem, kernel, terminal, layer):
+    """One backward pass, z and the boundary pinned layer by layer."""
+    K = int(round(problem.horizon / kernel.dt))
+    Y = np.empty((K + 1, kernel.n_vertices))
+    Z = np.zeros((K + 1, kernel.n_vertices))
+    Y[K] = terminal
+    for k in range(K - 1, -1, -1):
+        t = k * kernel.dt
+        z = (kernel.Q @ Y[k + 1]) / kernel.dqv
+        y = layer(k, t, kernel.P @ Y[k + 1], z)
+        if problem.duration == "killed":
+            y[kernel.is_boundary] = problem.boundary_phi(t)
+            z[kernel.is_boundary] = 0.0
+        Y[k] = y
+        Z[k] = z
+    return Y, Z
 
 
 def picard_iterate(problem, kernel, n_iters, paths, weights, initial=None,
