@@ -296,6 +296,8 @@ def _vbeta_norm_on(paths: PathEnsemble, weights: BetaWeights):
     shift = max(0.0, float(e.max()) - 600.0)
     e -= shift
     np.exp(e, out=e)
+    # in range by construction, so norm takes with mode="wrap", which writes
+    # straight into out where the bounds-checked mode first copies
     index = np.ascontiguousarray(np.arange(K + 1)[:, None] * shape[1] + paths.vertices.T)
     rows = max(1, min(K, _NORM_BLOCK_BYTES // (24 * N)))
     y2 = np.empty(shape)           # y^2 on the whole field
