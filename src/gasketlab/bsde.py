@@ -22,8 +22,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.random import Generator, Philox
 
+from . import walk
 from .errors import DeclaredConstantError, SchemeError, UsageError
 from .gasket import vertex_count
 from .walk import (PathEnsemble, StepKernel, WalkConfig, _run_blocks, clock_cumsum,
@@ -122,26 +124,34 @@ def _sweep(problem: BsdeProblem, kernel: StepKernel, terminal: np.ndarray, layer
 
     layer(k, t, ey, z) gives Y_k from ey = E[Y_{k+1} | x] and the covariation
     ratio z = E[Y_{k+1} dW | x] / dqv. In killed mode phi(t) is then pinned on
-    V_0 and Z_k = 0 there. The terminal row of Z is zero. A layer that never
-    reads z (layer_reads_z False) gets None, and Z[:K] comes from one product
-    with the whole Y[1:] after the loop, the same bits as per-layer products.
+    V_0 and Z_k = 0 there. The terminal row of Z is zero. A layer that reads
+    z gets ey and z from one product with [P; Q], stacked once per call; its
+    rows keep their order, so both equal the separate products. A layer that
+    never reads z (layer_reads_z False) gets None, and Z[:K] comes from one
+    product with the whole Y[1:] after the loop, the same bits as per-layer
+    products.
     """
     dt = kernel.dt
-    K = field_layers(problem.horizon, dt, kernel.n_vertices)
+    V = kernel.n_vertices
+    K = field_layers(problem.horizon, dt, V)
     killed = problem.duration == "killed"
-    bnd = kernel.is_boundary
-    Y = np.empty((K + 1, kernel.n_vertices))
-    Z = np.zeros((K + 1, kernel.n_vertices))
+    bnd = np.flatnonzero(kernel.is_boundary)  # ids: quicker to assign through than the mask
+    Y = np.empty((K + 1, V))
+    Z = np.zeros((K + 1, V))
     Y[K] = terminal
+    if layer_reads_z:
+        PQ = sp.vstack([kernel.P, kernel.Q], format="csr")
     for k in range(K - 1, -1, -1):
         t = k * dt
-        z = (kernel.Q @ Y[k + 1]) / kernel.dqv if layer_reads_z else None
-        y = layer(k, t, kernel.P @ Y[k + 1], z)
+        if layer_reads_z:
+            r = PQ @ Y[k + 1]
+            ey, z = r[:V], np.divide(r[V:], kernel.dqv, out=Z[k])
+        else:
+            ey, z = kernel.P @ Y[k + 1], None
+        y = layer(k, t, ey, z)
         if killed:
             y[bnd] = problem.boundary_phi(t)
         Y[k] = y
-        if layer_reads_z:
-            Z[k] = z
     if not layer_reads_z:
         Z[:K] = (kernel.Q @ Y[1:].T).T
         Z[:K] /= kernel.dqv
@@ -406,32 +416,36 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
         if outside:
             raise UsageError(f"MC starts {outside} are not vertices 0..{kernel.n_vertices - 1}")
         psi = _terminal_values(problem.terminal_psi, graph, kernel.n_vertices)
-        out["mc"] = {sx: _mc_linear(kernel, problem, a, b, c, sx, mc_paths,
-                                    seed + i, psi, killed)
-                     for i, sx in enumerate(starts)}
+        out["mc"] = _mc_linear(kernel, problem, a, b, c, starts, mc_paths, seed, psi, killed)
     return out
 
 
-def _mc_linear(kernel, problem, a, b, c, start, n_paths, seed, psi, killed):
-    """MC estimate from start of E[prod rho * psi(X_K)], phi(hit time) replacing psi on a V_0 hit."""
+def _mc_linear(kernel, problem, a, b, c, starts, n_paths, seed, psi, killed):
+    """{start: MC estimate of E[prod rho * psi(X_K)]}, phi(hit time) replacing
+    psi on a V_0 hit; start i walks seed + i. The four-step tables depend
+    only on the kernel, the mode and the clock, so every start shares one set."""
     w = 1.0 + a * kernel.dt + b * np.repeat(kernel.dqv, 4) + c * kernel.dW.ravel()
-    cfg = WalkConfig(level=kernel.level, horizon=problem.horizon, path_count=n_paths,
-                     seed=seed, killed=killed, start=start)
     # complex only when needed: a complex accumulator slows the whole step loop
     clock = np.log(w) if (w > 0).all() else np.log(w.astype(complex))
-    r = _run_blocks(cfg, kernel, None, layers=(cfg.n_steps,), clock=clock)
-    pos = r["pos"][:, 0]  # a killed path stays on its V_0 corner, ids 0, 1, 2
-    value = psi[pos]
-    hit = r["hit_step"]
-    arrived = hit > 0
-    if arrived.any():  # phi once per distinct hit step
-        steps, which = np.unique(hit[arrived], return_inverse=True)
-        phi = np.array([problem.boundary_phi(int(k) * kernel.dt) for k in steps], dtype=float)
-        value[arrived] = phi[which, pos[arrived]]
-    samples = np.exp(r["clock"][:, 0]).real * value
-    mean = float(samples.mean())
-    stderr = float(samples.std(ddof=1) / math.sqrt(n_paths))
-    return {"estimate": mean, "stderr": stderr, "unstable": heavy_tailed(samples)}
+    tables = walk._block_tables(kernel, killed, clock, False)
+    out = {}
+    for i, start in enumerate(starts):
+        cfg = WalkConfig(level=kernel.level, horizon=problem.horizon, path_count=n_paths,
+                         seed=seed + i, killed=killed, start=start)
+        r = _run_blocks(cfg, kernel, None, layers=(cfg.n_steps,), clock=clock, tables=tables)
+        pos = r["pos"][:, 0]  # a killed path stays on its V_0 corner, ids 0, 1, 2
+        value = psi[pos]
+        hit = r["hit_step"]
+        arrived = hit > 0
+        if arrived.any():  # phi once per distinct hit step
+            steps, which = np.unique(hit[arrived], return_inverse=True)
+            phi = np.array([problem.boundary_phi(int(k) * kernel.dt) for k in steps], dtype=float)
+            value[arrived] = phi[which, pos[arrived]]
+        samples = np.exp(r["clock"][:, 0]).real * value
+        out[start] = {"estimate": float(samples.mean()),
+                      "stderr": float(samples.std(ddof=1) / math.sqrt(n_paths)),
+                      "unstable": heavy_tailed(samples)}
+    return out
 
 
 # --- monotonicity spot checks --------------------------------------------------

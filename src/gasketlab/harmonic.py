@@ -142,14 +142,22 @@ class CellGradientTables:
         flip = np.where(np.abs(d[:, 0]) < 1e-13, d[:, 1] < 0, d[:, 0] > 0)
         self.pattern = np.where(flip[:, None], -e, e)
         self.word_index = {w: k for k, w in enumerate(self.words)}
+        # (3, ncells) copies: reductions over three rows run about twice as
+        # fast as over the short last axis, and add the corners in the same order
+        self._corners_t = np.ascontiguousarray(self.corners.T)
+        self._pattern_t = np.ascontiguousarray(self.pattern.T)
 
     def gradients(self, values: np.ndarray) -> np.ndarray:
         """Signed gradient per cell for a vertex-value array."""
-        v = values[self.corners]
-        vc = v - v.mean(axis=1, keepdims=True)
-        q = self.scale * (vc * vc).sum(axis=1)  # (3/2)(5/3)^m v^T P v
-        sgn = np.sign((vc * self.pattern).sum(axis=1))
-        return sgn * np.sqrt(q / self.nu)
+        v = values.take(self._corners_t)
+        vc = v - np.add.reduce(v) / 3  # centred corner values
+        q = np.add.reduce(vc * vc)
+        q *= self.scale  # (3/2)(5/3)^m v^T P v
+        q /= self.nu
+        np.sqrt(q, out=q)
+        vc *= self._pattern_t
+        q *= np.sign(np.add.reduce(vc))
+        return q
 
 
 def discrete_gradient(u_table, word: str, g: LevelGraph, tables: CellGradientTables | None = None) -> float:

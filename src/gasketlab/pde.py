@@ -27,7 +27,6 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .bsde import _terminal_values, solve_dp
 from .errors import UsageError
@@ -61,7 +60,14 @@ def assemble_masses(g: LevelGraph) -> tuple[list[Fraction], list[Fraction]]:
 
 @dataclass
 class WeakPdeProblem:
-    """Reaction pair, boundary/terminal data, horizon and discretization."""
+    """Reaction pair, boundary/terminal data, horizon and discretization.
+
+    g(t, x, u) and f(t, x, u, z) are called elementwise on equal-shape
+    arrays of times, vertex ids and values, t included (t may also be a
+    scalar), and return the value at each point: a layer of the solve passes
+    its interior vertices and the scalar t_k, the residual pass a block of
+    layers at once, and each point must come out the same.
+    """
 
     g: callable                  # (t, x_ids, u) -> array, mu-loaded
     f: callable                  # (t, x_ids, u, grad) -> array, nu-loaded
@@ -106,6 +112,14 @@ def stiffness_matrix(g: LevelGraph) -> sp.csr_matrix:
 def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> WeakPdeSolution:
     """Backward IMEX solve of the weak form, every layer kept.
 
+    The layer loop carries only the dependency chain: the interior
+    right-hand side, the solve, the cell gradients of u^k and the interior
+    nu-average of the scaled gradients, which is the next layer's driver
+    argument. The IMEX residuals, which nothing in the loop reads, come after
+    it in row blocks (_imex_residuals). A_ii = diag(mu/h) + S_ii is symmetric,
+    so its transposed SuperLU solve, the faster one, solves the same system.
+    meta["max_imex_residual"] is the largest residual.
+
     CapacityError, before anything is assembled, when a (K+1, V) field
     passes walk.MAX_RECORDED_ENTRIES.
     """
@@ -125,37 +139,30 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     nu = np.array([float(x) for x in nu_ex])
     S = stiffness_matrix(g)
     tables = CellGradientTables(g)
-    ncells = len(tables.words)
-    # cell -> corner incidence; row v sums v's cells in cell order
-    incidence = sp.csr_matrix(
-        (np.ones(3 * ncells), (tables.corners.ravel(), np.repeat(np.arange(ncells), 3))),
-        shape=(n, ncells))
-    nu_around = incidence @ tables.nu
-
-    def zbar(grads_k):  # nu-weighted vertex average of the scaled cell gradients
-        return incidence @ (tables.nu * (BROWNIAN_GRADIENT_SCALE * grads_k)) / nu_around
-
-    xs = np.arange(n)
-
-    def load(t, u, z):
-        return problem.g(t, xs, u) * mu + problem.f(t, xs, u, z) * nu
-
     bnd = np.array(g.boundary_ids)
     inter = np.ones(n, dtype=bool)
     inter[bnd] = False
+    ii = np.flatnonzero(inter)
+    avg = _interior_average(tables, ii)
 
-    A = sp.csr_matrix(sp.diags(mu / h) + S)
+    mu_h = mu / h
+    A = sp.csr_matrix(sp.diags(mu_h) + S)
     A_ii = A[inter][:, inter].tocsc()
-    A_ib = A[inter][:, ~inter].tocsc()
+    from scipy.sparse.linalg import splu  # imported here: keeps the package import light
+
     try:
-        lu = spla.splu(A_ii)
+        lu = splu(A_ii)
     except RuntimeError as exc:  # pragma: no cover
         raise UsageError(f"assembly failed: {exc}") from exc
+    # A_ib @ u_b from its few nonzeros: bincount adds each row's terms to 0.0
+    # in the order of the CSC arrays, as the sparse product does
+    A_ib = A[inter][:, ~inter].tocsc()
+    b_rows, b_pos = np.unique(A_ib.indices, return_inverse=True)
+    b_vertex = np.flatnonzero(~inter).repeat(np.diff(A_ib.indptr))
 
     psi = _terminal_values(problem.terminal_psi, g, n)
     u = np.empty((K + 1, n))
-    grads = np.empty((K + 1, ncells))
-    residuals = np.empty(K)
+    grads = np.empty((K + 1, len(tables.words)))
     u[K] = psi
     phi_T = np.asarray(problem.boundary_phi(problem.horizon), dtype=float)
     # compatibility recorded, not enforced: the terminal map's case split
@@ -164,27 +171,93 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     u[K][bnd] = phi_T
     grads[K] = tables.gradients(u[K])
 
-    z = zbar(grads[K])
+    mu_i, nu_i, mu_h_i = mu[ii], nu[ii], mu_h[ii]
+    ui = u[K][ii]
+    z = avg(grads[K])
     for k in range(K - 1, -1, -1):
         t = k * h
-        un = u[k + 1]
         uk = u[k]
         uk[bnd] = problem.boundary_phi(t)
-        uk[inter] = lu.solve((mu / h * un + load(t, un, z))[inter] - A_ib @ uk[~inter])
+        rhs = mu_h_i * ui + (problem.g(t, ii, ui) * mu_i + problem.f(t, ii, ui, z) * nu_i)
+        rhs[b_rows] -= np.bincount(b_pos, weights=A_ib.data * uk[b_vertex])
+        ui = lu.solve(rhs, trans="T")
+        uk[ii] = ui
         grads[k] = tables.gradients(uk)
+        z = avg(grads[k])
 
-        # IMEX lag: defect when the nonlinearity is re-evaluated at u^k; the
-        # average at u^k is also the next layer's driver argument
-        z = zbar(grads[k])
-        res = (mu / h) * (uk - un) + (S @ uk) - load(t, uk, z)
-        residuals[k] = float(np.abs(res[inter]).max())
-
+    residuals = _imex_residuals(problem, u, grads, mu, nu, S, ii, avg)
     return WeakPdeSolution(
         u=u, gradients=grads, residuals=residuals, level=g.level,
         time_step=h, cell_words=tables.words,
         meta={"horizon": problem.horizon, "realized_horizon": K * h,
-              "terminal_boundary_mismatch": mismatch},
+              "terminal_boundary_mismatch": mismatch,
+              "max_imex_residual": float(residuals.max())},
     )
+
+
+def _interior_average(tables: CellGradientTables, interior: np.ndarray):
+    """avg(grads) -> z at the interior vertices, on one layer or a block of them.
+
+    z is the nu-weighted average of the sqrt(2)-scaled gradients of the two
+    cells around each interior vertex, summed in cell order, as the product
+    with the cell incidence sums them.
+    """
+    flat = tables.corners.ravel()
+    by_vertex = np.argsort(flat, kind="stable")  # cell order within a vertex
+    first = np.searchsorted(flat[by_vertex], interior)
+    assert (np.bincount(flat)[interior] == 2).all(), "an interior vertex lies in two cells"
+    c0, c1 = by_vertex[first] // 3, by_vertex[first + 1] // 3
+    nu = tables.nu
+    around = nu[c0] + nu[c1]
+
+    def avg(grads: np.ndarray) -> np.ndarray:
+        w = nu * (BROWNIAN_GRADIENT_SCALE * grads)
+        z = w.take(c0, axis=-1)
+        z += w.take(c1, axis=-1)
+        z /= around
+        return z
+
+    return avg
+
+
+_RESIDUAL_BLOCK_BYTES = 2**17  # one (rows, V) float array of the residual pass
+
+
+def _imex_residuals(problem: WeakPdeProblem, u, grads, mu, nu, S, interior,
+                    avg) -> np.ndarray:
+    """IMEX lag per layer k < K: the largest interior defect
+
+        (mu/h)(u^k - u^{k+1}) + S u^k - g(t_k, x, u^k) mu - f(t_k, x, u^k, z(u^k)) nu
+
+    when the nonlinearity is re-evaluated at u^k, z(u^k) being the average of
+    layer k's gradients. Rows go in blocks of about _RESIDUAL_BLOCK_BYTES a
+    (rows, V) array, each with one call of g and of f on flat arrays (drivers
+    are elementwise, t included) and one S product, so no (K+1, V) array is
+    made; every entry is summed in the order of the per-layer form.
+    """
+    K = u.shape[0] - 1
+    h = problem.time_step
+    n_i = interior.size
+    mu_h_i, mu_i, nu_i = (mu / h)[interior], mu[interior], nu[interior]
+    S_i = S[interior]
+    rows = max(1, min(K, _RESIDUAL_BLOCK_BYTES // (8 * u.shape[1])))
+    xs = np.tile(interior, rows)
+    out = np.empty(K)
+    for lo in range(0, K, rows):
+        hi = min(K, lo + rows)
+        r = hi - lo
+        block = u[lo:hi]
+        ui = block[:, interior]
+        ts = np.repeat(np.arange(lo, hi) * h, n_i)
+        flat_u = ui.ravel()
+        load = (problem.g(ts, xs[:r * n_i], flat_u).reshape(r, n_i) * mu_i
+                + problem.f(ts, xs[:r * n_i], flat_u, avg(grads[lo:hi]).ravel()).reshape(r, n_i) * nu_i)
+        res = mu_h_i * (ui - u[lo + 1:hi + 1, interior])
+        res += (S_i @ block.T).T
+        res -= load
+        np.abs(res, out=res)
+        res.max(axis=1, out=out[lo:hi])
+    return out
 
 
 def require_killed(duration: str) -> None:

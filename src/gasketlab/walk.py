@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.random import Generator, Philox
 
 from .errors import CapacityError, NumericOverflowError, UsageError
@@ -282,7 +281,16 @@ def table_bytes(n_vertices: int, clock_dtype, record: bool) -> int:
 
 def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
                   record: bool) -> BlockTables:
-    """The tables for one walk; clock is the per-slot clock over the 4V slots."""
+    """The tables for one walk; clock is the per-slot clock over the 4V slots.
+
+    CapacityError, before anything is allocated, when they would pass
+    MAX_TABLE_BYTES, which admits every level up to 8 (see table_bytes).
+    """
+    size = table_bytes(kernel.n_vertices, clock.dtype, record)
+    if size > MAX_TABLE_BYTES:
+        raise CapacityError(
+            f"the level-{kernel.level} four-step tables take {size} bytes, over the "
+            f"{MAX_TABLE_BYTES} cap; walk at level 8 or below")
     n_codes = 256 * kernel.n_vertices
     y, byte = np.divmod(np.arange(n_codes), 256)
     nbr, isb, mask = kernel.nbr.ravel(), kernel.is_boundary, kernel.deg - 1
@@ -424,7 +432,7 @@ def _simulate_worker_block(job):
 
 
 def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
-                layers=(), record=False, clock=None):
+                layers=(), record=False, clock=None, tables=None):
     """Run cfg's ensemble block by block; every walk entry point comes here.
 
     Raises UsageError unless the config, the kernel and the graph (when
@@ -437,10 +445,10 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
     merged, so block sums equal step-by-step sums; NumericOverflowError,
     before anything is allocated, when n_steps * max q reaches 2^53.
     Recording runs keep it.
-    The four-step tables are built here, once per call, from the clock, and
-    handed to each pool worker once; CapacityError, before anything is
-    allocated, when they would pass MAX_TABLE_BYTES, which admits every
-    level up to 8 (see table_bytes).
+    The four-step tables are built here, once per call, from the clock (see
+    _block_tables for their cap), unless the caller passes the tables of
+    this kernel, mode, clock and recording, to share them between walks.
+    They are handed to each pool worker once.
 
     Returns one flat dict of arrays with a row per path: "clock" and "pos",
     with a column per layer of layers (distinct, sorted, in 0..cfg.n_steps);
@@ -459,13 +467,9 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
                 f"{cfg.n_steps} steps of up to {int(q.max())} clock units pass 2^53, "
                 "where integer clock sums stop being exact in float64")
         clock = np.repeat(q, 4)
-    size = table_bytes(kernel.n_vertices, clock.dtype, record)
-    if size > MAX_TABLE_BYTES:
-        raise CapacityError(
-            f"the level-{cfg.level} four-step tables take {size} bytes, over the "
-            f"{MAX_TABLE_BYTES} cap; walk at level 8 or below")
     start_vertex = _resolve_start(cfg, kernel, g)
-    tables = _block_tables(kernel, cfg.killed, clock, record)
+    if tables is None:
+        tables = _block_tables(kernel, cfg.killed, clock, record)
     n = cfg.path_count
     jobs = [
         (min(cfg.block_size, n - lo), cfg.n_steps, cfg.seed, b, cfg.killed,
@@ -552,10 +556,12 @@ def ensemble_qv_snapshots(cfg: WalkConfig, kernel: StepKernel, times,
 
 def exact_exit_steps(kernel: StepKernel) -> np.ndarray:
     """E[steps to hit V_0] per start vertex from the exact linear system."""
+    from scipy.sparse.linalg import spsolve  # imported here: keeps the package import light
+
     n = kernel.n_vertices
     inter = ~kernel.is_boundary
     a = (sp.eye(n) - kernel.P)[inter][:, inter]
-    tau = spla.spsolve(a.tocsc(), np.ones(int(inter.sum())))
+    tau = spsolve(a.tocsc(), np.ones(int(inter.sum())))
     full = np.zeros(n)
     full[inter] = tau
     return full

@@ -27,15 +27,25 @@ from gasketlab.bounds import (
 )
 
 
-def test_package_import_leaves_scipy_special_and_integrate_unloaded():
-    # bounds imports gammaln and quad inside the functions that call them
-    code = ("import sys, gasketlab; "
-            "print(sorted(m for m in ('scipy.special', 'scipy.integrate') if m in sys.modules))")
+def _loaded_by_package_import(modules):
+    """The modules of `modules` that `import gasketlab` loads, in a fresh process."""
+    code = f"import sys, gasketlab; print(sorted(m for m in {modules!r} if m in sys.modules))"
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    return out.strip()
+
+
+def test_package_import_leaves_scipy_special_and_integrate_unloaded():
+    # bounds imports gammaln and quad inside the functions that call them
+    assert _loaded_by_package_import(("scipy.special", "scipy.integrate")) == "[]"
+
+
+def test_package_import_leaves_scipy_sparse_linalg_unloaded():
+    # only exact_exit_steps (spsolve) and solve_weak_pde (splu) need it, and
+    # each imports it when called
+    assert _loaded_by_package_import(("scipy.sparse.linalg",)) == "[]"
 
 
 def test_spectral_constants_high_precision():

@@ -577,6 +577,52 @@ def test_picard_killed_time_dependent_equals_path_major_oracle(kernels, graphs):
         assert not Z[:, k.is_boundary].any()
 
 
+@pytest.mark.parametrize("m", (3, 4, 5))
+@pytest.mark.parametrize("duration", ("deterministic", "killed"))
+@pytest.mark.parametrize("scheme", ("explicit", "picard-in-step"))
+def test_dp_equals_per_layer_sweep(kernels, graphs, m, duration, scheme):
+    # one [P; Q] product per layer gives the bytes of separate P and Q
+    # products, with phi(t) and Z = 0 pinned on V_0 layer by layer
+    g, k = graphs(m), kernels(m)
+    p = BsdeProblem(
+        g=lambda t, x, y: -0.5 * y + 0.1 * np.cos(t),
+        f=lambda t, x, y, z: 0.5 * np.sin(y) + 0.25 * z,
+        terminal_psi=bump(g), horizon=0.25, k0=1.0, k1=0.25, duration=duration,
+        boundary_phi=(lambda t: np.array([0.1 + t, 0.0, -0.2 * t])) if duration == "killed" else None,
+    )
+    sol = solve_dp(p, k, g, scheme=scheme)
+    Y, Z = vbeta_oracle.solve_dp(p, k, scheme)
+    assert sol.Y.tobytes() == Y.tobytes()
+    assert sol.Z.tobytes() == Z.tobytes()
+
+
+def test_linear_mc_starts_share_one_table_build(kernels, graphs, monkeypatch):
+    # a 3-start call gives the bytes of three 1-start calls with seeds
+    # seed + i, and builds the four-step tables once, not once per start
+    g, k = graphs(3), kernels(3)
+    p = BsdeProblem(g=lambda t, x, y: 0.5 * y, f=lambda t, x, y, z: 0.3 * y + 0.4 * z,
+                    terminal_psi=bump(g), horizon=0.5, duration="killed",
+                    boundary_phi=lambda t: np.array([0.2 + 0.1 * t, -0.4 * t, 0.3]))
+    builds = []
+    build = walk._block_tables
+
+    def counted(*args):
+        builds.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(walk, "_block_tables", counted)
+    starts = [5, 9, 14]
+    many = linear_closed_form(0.5, 0.3, 0.4, p, k, g, mc_starts=starts, mc_paths=3000,
+                              seed=11)["mc"]
+    assert len(builds) == 1
+    for i, s in enumerate(starts):
+        one = linear_closed_form(0.5, 0.3, 0.4, p, k, g, mc_starts=[s], mc_paths=3000,
+                                 seed=11 + i)["mc"]
+        assert list(one) == [s]
+        assert repr(one[s]) == repr(many[s])
+    assert len(builds) == 1 + len(starts)
+
+
 @pytest.mark.parametrize("solver", ("dp", "picard", "pde"))
 def test_field_limits_rejected_before_allocating(kernels, graphs, solver):
     # (K+1) * V past walk.MAX_RECORDED_ENTRIES: 6 vertices by 1.5e8 layers

@@ -1,16 +1,19 @@
 """Weak-form solver: masses, maximum principle, energy identity, Feynman-Kac."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gasketlab import (
     BsdeProblem,
     UsageError,
     WeakPdeProblem,
     assemble_masses,
+    build_level_graph,
     solve_dp,
     solve_weak_pde,
     feynman_kac_check,
@@ -18,7 +21,10 @@ from gasketlab import (
 from gasketlab.harmonic import CellGradientTables
 from gasketlab.measures import kusuoka_measure
 from gasketlab.pde import BROWNIAN_GRADIENT_SCALE, stiffness_matrix
+from gasketlab.walk import layer_at, step_duration
 from gasketlab.problems import build_problem_pair, validate_problem_dict
+
+import pde_oracle
 
 
 def bump(g):
@@ -178,6 +184,7 @@ def test_residuals_reported(graphs):
     sol = solve_weak_pde(p, g)
     assert sol.residuals.shape == (int(round(0.2 / sol.time_step)),)
     assert np.isfinite(sol.residuals).all()
+    assert sol.meta["max_imex_residual"] == float(sol.residuals.max()) > 0
 
 
 def _add_at_average(g, tables, grads):
@@ -215,6 +222,88 @@ def test_residuals_equal_add_at_oracle(graphs, m):
         res = (mu / h) * (uk - sol.u[k + 1]) + (S @ uk) - load
         expect[k] = float(np.abs(res[inter]).max())
     assert expect.tobytes() == sol.residuals.tobytes()
+
+
+SIN_KILLED = {"driver": {"name": "sin", "a": -1.0, "fy": 0.5, "fz": 0.25},
+              "terminal": {"name": "bump"}, "duration": {"kind": "killed", "T": 0.25}}
+PROBE_TIMES = (0.0, 0.0625, 0.125, 0.1875)
+# the fk-ladder sups of the per-layer loop with the plain (trans="N") solve
+PLAIN_SOLVE_SUPS = {3: 0.00538330021865302, 4: 0.0008432991922922295,
+                    5: 0.00022516996662524935}
+
+
+def _fk_sup(u, h, Y, dt, g, horizon):
+    """Largest |u - Y| over the V_2 probes at PROBE_TIMES, as the fk-ladder reads it."""
+    ids = np.array([g.index_by_coord[(v.x, v.y)] for v in build_level_graph(2).vertices])
+    return max(float(np.abs(u[layer_at(t, h, horizon)][ids] - Y[layer_at(t, dt, horizon)][ids]).max())
+               for t in PROBE_TIMES)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_weak_pde_equals_per_layer_oracle(kernels, graphs, m):
+    # the chain-only loop, the blocked residual pass and the transposed solve
+    # give the bytes of the per-layer loop solving transposed; against the
+    # plain solve u moves by at most 1e-14 and the FK sups by 1e-11 relative
+    g = graphs(m)
+    wp, bp = build_problem_pair(validate_problem_dict(SIN_KILLED), m)
+    sol = solve_weak_pde(wp, g)
+    u, grads, residuals = pde_oracle.solve_weak_pde(wp, "T", g)
+    assert sol.u.tobytes() == u.tobytes()
+    assert sol.gradients.tobytes() == grads.tobytes()
+    assert sol.residuals.tobytes() == residuals.tobytes()
+    u_plain = pde_oracle.solve_weak_pde(wp, "N", g)[0]
+    assert np.abs(sol.u - u_plain).max() <= 1e-14
+    if m >= 3:
+        Y, dt = solve_dp(bp, kernels(m), g).Y, kernels(m).dt
+        sup = _fk_sup(sol.u, sol.time_step, Y, dt, g, wp.horizon)
+        sup_plain = _fk_sup(u_plain, sol.time_step, Y, dt, g, wp.horizon)
+        assert abs(sup - sup_plain) <= 1e-11 * sup_plain
+        assert abs(sup_plain - PLAIN_SOLVE_SUPS[m]) <= 1e-11 * PLAIN_SOLVE_SUPS[m]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_weak_pde_time_dependent_equals_per_layer_oracle(graphs, m):
+    # g and f read t, and phi(t) slopes: the flat residual pass calls the
+    # drivers with an array t and still gives the per-layer bytes
+    g = graphs(m)
+    p = WeakPdeProblem(g=lambda t, x, u: -u + 0.1 * np.cos(3.0 * t + x),
+                       f=lambda t, x, u, z: 0.5 * np.sin(u) * (1.0 + t) + 0.25 * z,
+                       terminal_psi=bump, horizon=0.1, level=m,
+                       boundary_phi=lambda t: np.array([0.1 + t, 0.0, -0.2 * t]))
+    sol = solve_weak_pde(p, g)
+    u, grads, residuals = pde_oracle.solve_weak_pde(p, "T", g)
+    assert sol.u.tobytes() == u.tobytes()
+    assert sol.gradients.tobytes() == grads.tobytes()
+    assert sol.residuals.tobytes() == residuals.tobytes()
+    assert sol.meta["max_imex_residual"] == float(residuals.max())
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_interior_matrix_is_exactly_symmetric(graphs, m):
+    # diag(mu/h) + S on the interior equals its transpose entry for entry,
+    # so the transposed solve solves the same system
+    g = graphs(m)
+    mu = np.array([float(x) for x in assemble_masses(g)[0]])
+    inter = np.ones(g.n_vertices, dtype=bool)
+    inter[list(g.boundary_ids)] = False
+    A = sp.csr_matrix(sp.diags(mu / step_duration(m)) + stiffness_matrix(g))[inter][:, inter]
+    assert (A != A.T).nnz == 0
+
+
+def test_weak_pde_keeps_no_whole_field_temporaries(graphs):
+    # at m = 5, T = 1/4 the traced peak stays within 4 MB of the returned
+    # arrays: no (K+1, V) residual or average field is made
+    g = graphs(5)
+    wp, _ = build_problem_pair(validate_problem_dict(SIN_KILLED), 5)
+    solve_weak_pde(build_problem_pair(validate_problem_dict(SIN_KILLED), 1)[0])  # loads splu
+    tracemalloc.start()
+    try:
+        sol = solve_weak_pde(wp, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sol.u.nbytes + sol.gradients.nbytes + sol.residuals.nbytes
+    assert peak <= kept + 4 * 2**20
 
 
 def test_realized_horizon_reported(graphs):

@@ -2,7 +2,8 @@
 
 The norm rebuilds the path weights on every call and evaluates on (N, K+1)
 arrays with a two-array gather. The Picard loop calls the drivers once per
-layer, with a scalar t, and forms Z layer by layer. The package evaluates the
+layer, with a scalar t, and forms Z layer by layer. The DP layers run on the
+same sweep, with separate P and Q products per layer. The package evaluates the
 norm time-major, in cache-sized blocks, against weights built once per
 ensemble, and calls the drivers once per sweep, keeping every operand order,
 so the tests can require `==` between the two.
@@ -81,3 +82,25 @@ def picard_iterate(problem, kernel, n_iters, paths, weights, initial=None,
     ratios = [distances[i + 1] / distances[i]
               for i in range(len(distances) - 1) if distances[i] > 0]
     return {"distances": distances, "ratios": ratios, "final": (Y, Z)}
+
+
+def solve_dp(problem, kernel, scheme):
+    """(Y, Z) of the DP layers, explicit or picard-in-step, on the per-layer sweep."""
+    dt, dqv = kernel.dt, kernel.dqv
+    xs = np.arange(kernel.n_vertices)
+
+    def explicit(k, t, ey, z):
+        return ey + problem.g(t, xs, ey) * dt + problem.f(t, xs, ey, z) * dqv
+
+    def in_step(k, t, ey, z):
+        y = ey
+        for _ in range(50):
+            y_new = ey + problem.g(t, xs, y) * dt + problem.f(t, xs, y, z) * dqv
+            delta = float(np.abs(y_new - y).max())
+            y = y_new
+            if delta < 1e-12:
+                return y
+        raise AssertionError("in-step fixed point did not converge")
+
+    terminal = _pinned_terminal(problem, kernel, None)
+    return _sweep(problem, kernel, terminal, explicit if scheme == "explicit" else in_step)
