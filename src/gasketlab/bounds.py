@@ -173,17 +173,20 @@ def fit_moment_constant(qv_samples: dict) -> dict:
 
 def check_moment_bound(qv_samples: dict, C: float) -> dict:
     """Margins of the fitted moment envelope; all must be >= 0."""
+    return _moment_margins(fit_moment_constant(qv_samples)["cells"], C)
+
+
+def _moment_margins(cells: list, C: float) -> dict:
+    """check_moment_bound on the moments of fit_moment_constant's cells."""
     from scipy.special import gammaln
     rows = []
     ok = True
-    for t, samples in sorted(qv_samples.items()):
-        arr = np.asarray(samples, dtype=float)
-        for p in range(1, P_MAX + 1):
-            lhs = float((arr ** p).mean()) / math.factorial(p)
-            rhs = (C * t ** GAMMA_S) ** p * math.exp(-gammaln(p * GAMMA_S + 1.0))
-            rows.append({"t": t, "p": p, "lhs": lhs, "rhs": rhs,
-                         "margin": rhs - lhs})
-            ok &= lhs <= rhs * (1 + 1e-12)
+    for cell in cells:
+        t, p, lhs = cell["t"], cell["p"], cell["moment_over_pfact"]
+        rhs = (C * t ** GAMMA_S) ** p * math.exp(-gammaln(p * GAMMA_S + 1.0))
+        rows.append({"t": t, "p": p, "lhs": lhs, "rhs": rhs,
+                     "margin": rhs - lhs})
+        ok &= lhs <= rhs * (1 + 1e-12)
     return {"rows": rows, "holds": ok}
 
 
@@ -206,7 +209,8 @@ def check_mittag_leffler_bound(expint_table: dict, C: float) -> dict:
 
 def fit_joint_constant(qv_samples: dict, expint_table: dict) -> dict:
     """One constant satisfying both bound families: the moment fit, enlarged
-    by bisection if the Mittag-Leffler side needs more room."""
+    by bisection if the Mittag-Leffler side needs more room. The margins
+    read the fit's moments, so the samples are raised to each power once."""
     fit = fit_moment_constant(qv_samples)
     c = fit["C"]
     if not check_mittag_leffler_bound(expint_table, c)["holds"]:
@@ -225,6 +229,6 @@ def fit_joint_constant(qv_samples: dict, expint_table: dict) -> dict:
     return {
         "C": c,
         "moment_fit": fit,
-        "moments": check_moment_bound(qv_samples, c),
+        "moments": _moment_margins(fit["cells"], c),
         "mittag_leffler": check_mittag_leffler_bound(expint_table, c),
     }

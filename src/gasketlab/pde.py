@@ -120,13 +120,16 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     so its transposed SuperLU solve, the faster one, solves the same system.
     meta["max_imex_residual"] is the largest residual.
 
-    CapacityError, before anything is assembled, when a (K+1, V) field
-    passes walk.MAX_RECORDED_ENTRIES.
+    UsageError at level 0, whose vertices all lie on V_0, and CapacityError
+    when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES, both before
+    anything is assembled.
     """
     if g is None:
         g = build_level_graph(problem.level)
     if g.level != problem.level:
         raise UsageError("graph level does not match problem level")
+    if g.level < 1:
+        raise UsageError("V_0 has no interior vertex to solve for; solve at level 1 or deeper")
     h = problem.time_step
     for lip in (problem.lip_g, problem.lip_f):
         if lip is not None and h * lip >= 1:
@@ -277,7 +280,8 @@ def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
     of the killed DP run is the BSDE value started at time t_k. A probe time
     outside [0, T] of a level's problem raises UsageError, and so does a
     horizon, when given, that differs from T by more than 1e-12 relative,
-    and so does a deterministic duration (see require_killed).
+    and so do a deterministic duration (see require_killed) and a level-0
+    rung (see solve_weak_pde).
     """
     probe_graph = build_level_graph(probe_level)
     probe_coords = [(v.x, v.y) for v in probe_graph.vertices]

@@ -20,12 +20,14 @@ one-step operator satisfies P = I + dt*L exactly, L being the generator of
 
 Path generation is block-based with counter RNG streams keyed (seed, block):
 results are bit-identical for a given seed regardless of worker count. One
-raw random byte per live path carries four steps (see walk_steps), and a
-killed walk stops drawing for a path once it reaches V_0. Every ensemble,
-bsde's weighted linear MC included, runs through _run_blocks, which sums a
-per-slot clock along each path (<W> in exact integer units, or the MC's log
-step weights) and returns one flat dict of per-path arrays. Its four-step
-tables hold 256 codes per vertex, so walks run at levels up to 8
+raw random byte per live path carries four steps (see walk_steps). The loop
+carries state for the live paths only: a killed walk stops drawing for a
+path once it reaches V_0, which it reads off the block-end vertex, and ends
+once no path is live. Every ensemble, bsde's weighted linear MC included,
+runs through _run_blocks, which sums a per-slot clock along each path (<W>
+in exact integer units, or the MC's log step weights) while some requested
+layer still reads it, and returns one flat dict of per-path arrays. Its
+four-step tables hold 256 codes per vertex, so walks run at levels up to 8
 (MAX_TABLE_BYTES); deeper ones raise CapacityError.
 """
 
@@ -257,10 +259,13 @@ class BlockTables:
     j = (byte >> 2s) & (deg(y) - 1), bits 2s..2s+1 of the byte. Row s of
     slot and pos is the slot taken at substep s and the position after it.
     In killed mode a path that has landed on V_0 takes the slot 4V (zero
-    clock, zero dW) and stays where it landed; hit is the first substep
-    1..4 that lands on V_0, or 0 for none (always 0 in reflected mode). Row
-    r - 1 of clock is the clock summed over the first r substeps, so over
-    the substeps before the hit and the hit itself in killed mode.
+    clock, zero dW) and stays where it landed, so pos[r - 1] lies on V_0
+    (ids 0, 1, 2) exactly when one of the first r substeps lands there:
+    walk_steps reads its stops off that row. hit is the first substep 1..4
+    that lands on V_0, or 0 for none (always 0 in reflected mode); the loop
+    reads it only for the paths that stop. Row r - 1 of clock is the clock
+    summed over the first r substeps, so over the substeps before the hit
+    and the hit itself in killed mode.
     """
     slot: np.ndarray | None  # (4, 256V) intp; recording runs only
     pos: np.ndarray          # (4, 256V) intp
@@ -294,6 +299,8 @@ def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
     n_codes = 256 * kernel.n_vertices
     y, byte = np.divmod(np.arange(n_codes), 256)
     nbr, isb, mask = kernel.nbr.ravel(), kernel.is_boundary, kernel.deg - 1
+    # walk_steps reads a stop as a block-end position below 3
+    assert np.array_equal(np.flatnonzero(isb), [0, 1, 2])
     clock = np.append(clock, 0)  # slot 4V: a stopped path's substep
     slot = np.empty((4, n_codes), dtype=np.intp) if record else None
     pos = np.empty((4, n_codes), dtype=np.intp)
@@ -323,7 +330,7 @@ def walk_steps(tables: BlockTables, pos: np.ndarray, n_steps: int,
     """Take n_steps uniform neighbour steps from pos, four per random byte.
 
     Yields (k, r, idx, code, stop) per block of r = min(4, n_steps - k)
-    steps, with blocks at k = 0, 4, 8, ...: one byte per stepping path, in
+    steps, with blocks at k = 0, 4, 8, ...: one byte per live path, in
     order from the raw 64-bit Philox words taken little-endian, and
     code = 256*x + byte for a path at x. Substep s takes neighbour slot
     (byte >> 2s) & (deg - 1): every degree is 2 or 4, so each substep is
@@ -336,12 +343,16 @@ def walk_steps(tables: BlockTables, pos: np.ndarray, n_steps: int,
     set, not on the layers a caller reads. With the default <W> clock the
     sums are integer units, divided by D once (see _run_blocks).
 
-    idx holds the indices into pos of the paths that step in the block
-    (None when every path does: always in reflected mode). stop, in killed
-    mode, marks those of them that land on V_0 within the block's r steps
-    (None when none does); they are drawn for no more. The first substep
-    moves every path, so a V_0 start leaves V_0 (the t > 0 convention).
-    Callers may keep the yielded arrays but must not write to them.
+    The state is the live paths' positions alone. idx holds their indices
+    into pos (None while every path is live: always in reflected mode).
+    stop, in killed mode, marks those of them that land on V_0 within the
+    block's r steps (None when none does); they are drawn for no more. A
+    stopped path stays where it landed, so the stops are read off the
+    block-end position tables.pos[r - 1][code] that the next block starts
+    from: V_0 is ids 0, 1, 2 in every LevelGraph (checked by _block_tables).
+    The first substep moves every path, so a V_0 start leaves V_0 (the
+    t > 0 convention). The walk ends, drawing nothing more, once no path is
+    live. Callers may keep the yielded arrays but must not write to them.
     """
     draw = rng.bit_generator.random_raw
     idx = None
@@ -350,18 +361,19 @@ def walk_steps(tables: BlockTables, pos: np.ndarray, n_steps: int,
         n = len(pos)
         code = pos << 8
         code |= draw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
+        pos = tables.pos[r - 1][code]
         stop = None
         if killed:
-            h = tables.hit[code]
-            stop = (h > 0) & (h <= r)
+            stop = pos < 3
             if not stop.any():
                 stop = None
         yield k, r, idx, code, stop
-        pos = tables.pos[r - 1][code]
         if stop is not None:
             keep = ~stop
             idx = np.flatnonzero(keep) if idx is None else idx[keep]
             pos = pos[keep]
+            if not len(pos):
+                return
 
 
 def _simulate_block(kernel, tables, job):
@@ -374,8 +386,11 @@ def _simulate_block(kernel, tables, job):
     else:
         pos = np.full(n_paths, start_vertex, dtype=np.int64)
 
-    # pos is kept for stopped paths only: live ones read theirs from the tables
+    # pos and acc hold the stopped paths' final position and clock; the live
+    # ones' positions live in walk_steps and their clock, compacted in the
+    # same order, in live_acc. Neither is kept once no later layer reads it.
     acc = np.zeros(n_paths, dtype=tables.clock.dtype)
+    live_acc = acc
     hit_step = np.full(n_paths, -1, dtype=np.int64)
     out = {"clock": np.empty((n_paths, len(layers)), dtype=acc.dtype),
            "pos": np.empty((n_paths, len(layers)), dtype=np.int64),
@@ -393,6 +408,7 @@ def _simulate_block(kernel, tables, job):
         out["pos"][:, 0] = pos
         col = 1
 
+    walked = 0
     for k, r, idx, code, stop in walk_steps(tables, pos, n_steps, rng, killed):
         rows = slice(None) if idx is None else idx
         while col < len(layers) and layers[col] <= k + r:  # snapshots in the block
@@ -400,7 +416,7 @@ def _simulate_block(kernel, tables, job):
             if idx is not None:
                 out["clock"][:, col] = acc
                 out["pos"][:, col] = pos
-            out["clock"][rows, col] = acc[rows] + tables.clock[s][code]
+            out["clock"][rows, col] = live_acc + tables.clock[s][code]
             out["pos"][rows, col] = tables.pos[s][code]
             col += 1
         if record:
@@ -411,11 +427,22 @@ def _simulate_block(kernel, tables, job):
                 vertices[rows, k + s + 1] = tables.pos[s][code]
                 out["dW"][rows, k + s] = dW[slot]
                 out["dqv"][rows, k + s] = dqv[slot]
-        acc[rows] += tables.clock[r - 1][code]
+        walked = k + r
+        read = col < len(layers)  # a later layer reads the clock and position
+        if read:
+            live_acc += tables.clock[r - 1][code]
         if stop is not None:
             done = np.flatnonzero(stop) if idx is None else idx[stop]
             hit_step[done] = k + tables.hit[code[stop]].astype(np.int64)
-            pos[done] = tables.pos[r - 1][code[stop]]
+            if read:
+                pos[done] = tables.pos[r - 1][code[stop]]
+                acc[done] = live_acc[stop]
+                live_acc = live_acc[~stop]
+    # a killed walk ends once no path is live: later layers read the stopped state
+    out["clock"][:, col:] = acc[:, None]
+    out["pos"][:, col:] = pos[:, None]
+    if record:
+        vertices[:, walked + 1:] = vertices[:, walked, None]
     return out
 
 
@@ -483,7 +510,8 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
     else:
         results = [_simulate_block(kernel, tables, j) for j in jobs]
     del tables  # not held while the blocks are merged
-    out = {key: np.concatenate([r[key] for r in results]) for key in results[0]}
+    out = results[0] if len(results) == 1 else {
+        key: np.concatenate([r[key] for r in results]) for key in results[0]}
     if default_clock:  # <W> summed in integer units: one division per value
         out["clock"] = out["clock"] / clock_denominator(cfg.level)
     return out

@@ -188,3 +188,28 @@ def test_ml_bound_checker_and_joint_fit():
     assert joint["mittag_leffler"]["holds"]
     rows = check_mittag_leffler_bound(expint, joint["C"])["rows"]
     assert all(r["margin"] >= 0 for r in rows)
+
+
+class _CountedSamples:
+    """A sample array that counts the times it is read as an array."""
+
+    def __init__(self, values):
+        self.values, self.reads = values, 0
+
+    def __array__(self, dtype=None, copy=None):
+        self.reads += 1
+        return self.values if dtype is None else self.values.astype(dtype, copy=False)
+
+
+def test_joint_fit_builds_the_moment_table_once():
+    # the margins read the fit's moments: each sample array is read (and
+    # raised to each power) once, and the parts equal the public functions'
+    rng = np.random.default_rng(4)
+    qv = {t: t * (1 + 0.1 * rng.standard_normal(2000)) for t in (0.25, 0.5, 1.0)}
+    expint = {(beta, t): float(np.exp(beta * qv[t]).mean())
+              for beta in (0.25, 1.0) for t in (0.25, 1.0)}
+    counted = {t: _CountedSamples(v) for t, v in qv.items()}
+    joint = fit_joint_constant(counted, expint)
+    assert [s.reads for s in counted.values()] == [1, 1, 1]
+    assert repr(joint["moment_fit"]) == repr(fit_moment_constant(qv))
+    assert repr(joint["moments"]) == repr(check_moment_bound(qv, joint["C"]))

@@ -111,6 +111,13 @@ def test_bsde_and_pde_outputs(tmp_path):
     assert gheader == ["layer", "word", "grad"]
 
 
+def test_pde_at_level_zero_is_a_usage_error(tmp_path, capsys):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(PROBLEM))
+    assert run(["pde", "--problem", pf, "--level", 0, "--out", tmp_path / "u.csv"]) == 2
+    assert "interior" in capsys.readouterr().err
+
+
 def test_bsde_iters_flag_removed(tmp_path):
     pf = tmp_path / "p.json"
     pf.write_text(json.dumps(PROBLEM))

@@ -17,6 +17,7 @@ from gasketlab import (
     solve_dp,
     solve_weak_pde,
     feynman_kac_check,
+    pde,
 )
 from gasketlab.harmonic import CellGradientTables
 from gasketlab.measures import kusuoka_measure
@@ -345,6 +346,28 @@ def test_feynman_kac_horizon_must_match_the_problem():
             feynman_kac_check(make, [2], [0.0, 0.25], horizon=horizon)
     given = feynman_kac_check(make, [2], [0.0, 0.25], horizon=0.5 * (1 + 1e-14))
     assert given == feynman_kac_check(make, [2], [0.0, 0.25])
+
+
+def test_level_zero_rejected_before_assembly(monkeypatch):
+    # V_0 has no interior vertex: both used to end in a bare ValueError from
+    # the residual maximum, after the whole solve
+    spec = validate_problem_dict({
+        "driver": {"name": "zero"},
+        "terminal": {"name": "bump"},
+        "duration": {"kind": "killed", "T": 0.5},
+    })
+
+    def make(level):
+        return build_problem_pair(spec, level)
+
+    def no_assembly(g):
+        raise AssertionError("assembled")
+
+    monkeypatch.setattr(pde, "assemble_masses", no_assembly)
+    with pytest.raises(UsageError, match="interior"):
+        solve_weak_pde(make(0)[0])
+    with pytest.raises(UsageError, match="interior"):
+        feynman_kac_check(make, [0], [0.0, 0.25], probe_level=0)
 
 
 def test_feynman_kac_rejects_a_deterministic_duration():

@@ -15,11 +15,14 @@ from gasketlab import (
     NumericOverflowError,
     UsageError,
     WalkConfig,
+    bsde,
     ensemble_qv_stats,
     exit_time_stats,
     expint_estimate,
     harmonic_restrict,
+    linear_closed_form,
     occupation_histogram,
+    problems,
     simulate_paths,
     walk,
 )
@@ -190,8 +193,12 @@ def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
         full_pos = pos.copy()
         hit = np.full(n_paths, -1, dtype=np.int64)
         blocks = 0
-        for (k1, r1, idx, code, stop), (k2, r2, live, slot2, pos2, hit2) in zip(
-                ours, ref, strict=True):
+        for k2, r2, live, slot2, pos2, hit2 in ref:
+            if killed and not live.any():  # no live path: the walk has ended
+                assert next(ours, None) is None
+                assert (slot2 == -1).all() and same_bytes(hit, hit2), (n_steps, k2)
+                continue
+            k1, r1, idx, code, stop = next(ours)
             assert k1 == k2 == 4 * blocks and r1 == r2 == min(4, n_steps - k1)
             rows = slice(None) if idx is None else idx
             if killed:
@@ -212,10 +219,178 @@ def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
                 hit[done] = k1 + tables.hit[code[stop]].astype(np.int64)
             assert same_bytes(hit, hit2), (n_steps, k1)
             blocks += 1
-        assert blocks == -(-n_steps // 4)
+        assert next(ours, None) is None
+        assert blocks == -(-n_steps // 4) or killed and (hit > 0).all()
         assert hit.max() <= n_steps  # no hit past the horizon counts
         if blocks > 1:  # a killed run's last block skips stopped paths
             assert (idx is not None) == killed and (not killed or len(idx) < n_paths)
+
+
+class _CountingRng:
+    """A Generator's raw words, with the size of every request kept."""
+
+    def __init__(self, key):
+        self.bit_generator = self
+        self._raw = Philox(key=key).random_raw
+        self.requests = []
+
+    def random_raw(self, n):
+        self.requests.append(n)
+        return self._raw(n)
+
+
+def test_killed_walk_stops_drawing_once_no_path_is_live(kernels):
+    # level 1 from an interior vertex: every step reaches V_0 with chance
+    # 1/2, so all 300 paths stop long before the 120 steps. One request per
+    # block, each for the live paths' bytes, and none once no path is live.
+    k = kernels(1)
+    tables = walk._block_tables(k, True, unit_clock(k), record=False)
+    pos = np.full(300, 4, dtype=np.int64)
+    assert not k.is_boundary[4]
+    rng = _CountingRng([5, 0])
+    live = [len(code) for _, _, _, code, _ in walk_steps(tables, pos, 120, rng, True)]
+    assert live[0] == 300 and 0 < len(live) < 30
+    assert rng.requests == [-(-n // 8) for n in live]
+
+
+def oracle_run(k, cfg, clock=None):
+    """_run_blocks' outputs at every layer 0..K, from the oracle's full-width
+    steps: (clock, pos, hit_step, vertices, dW, dqv), clock and pos with K + 1
+    columns. Each block's clock is summed over its substeps first and then
+    added to the path's running sum, as the four-step tables do."""
+    units = clock is None
+    clock = np.append(unit_clock(k) if units else clock, 0)  # slot -1: no step
+    dW = np.append(k.dW.ravel(), 0.0)
+    dqv = np.append(np.repeat(k.dqv, 4), 0.0)
+    K = cfg.n_steps
+    blocks = []
+    for b, lo in enumerate(range(0, cfg.path_count, cfg.block_size)):
+        n = min(cfg.block_size, cfg.path_count - lo)
+        if cfg.start == "mu":
+            start = Generator(Philox(key=[cfg.seed, 2**32 + b])).choice(
+                k.n_vertices, size=n, p=k.mu_weight)
+        else:
+            start = np.full(n, cfg.start, dtype=np.int64)
+        acc = np.zeros(n, dtype=clock.dtype)
+        c = np.zeros((n, K + 1), dtype=clock.dtype)
+        v = np.empty((n, K + 1), dtype=np.int64)
+        w, q = np.zeros((n, K)), np.zeros((n, K))
+        v[:, 0] = start
+        for j, r, live, slot, path, hit in walk_oracle.walk_steps(
+                k, start, K, Generator(Philox(key=[cfg.seed, b])), cfg.killed):
+            drawn = slice(None) if live is None else live
+            partial = np.cumsum(clock[slot], axis=0)
+            for s in range(r):
+                c[:, j + s + 1] = acc
+                c[drawn, j + s + 1] = acc[drawn] + partial[s][drawn]
+                v[:, j + s + 1] = path[s]
+                w[:, j + s], q[:, j + s] = dW[slot[s]], dqv[slot[s]]
+            acc[drawn] += partial[r - 1][drawn]
+        blocks.append((c, v, hit, w, q))
+    c, v, hit, w, q = (np.concatenate(parts) for parts in zip(*blocks))
+    if units:
+        c = c / walk.clock_denominator(k.level)
+    return c, v, hit, v, w, q
+
+
+RUN_KEYS = ("clock", "pos", "hit_step", "vertices", "dW", "dqv")
+
+
+def assert_run_equals_oracle(run, ref, layers, record):
+    assert sorted(run) == sorted(RUN_KEYS[:6 if record else 3])
+    for key, expect in zip(RUN_KEYS, ref):
+        if key in ("clock", "pos"):
+            expect = expect[:, list(layers)]
+        if key in run:
+            assert same_bytes(run[key], expect), (key, layers)
+
+
+@pytest.mark.parametrize("start", ("mu", "interior", "V0"))
+@pytest.mark.parametrize("killed", (False, True))
+def test_run_blocks_equal_oracle_for_every_layer_set(kernels, graphs, killed, start):
+    # level 2, K = 225, three blocks of up to 300 paths: every output of
+    # every mode, with no layer, layer 0 only, the last layer only, layers
+    # after every killed path has stopped, and a mix across the residues
+    k, g = kernels(2), graphs(2)
+    vertex = {"mu": "mu", "interior": 9, "V0": 1}[start]
+    assert start == "mu" or k.is_boundary[vertex] == (start == "V0")
+    cfg = WalkConfig(level=2, horizon=3.0, path_count=700, seed=23, killed=killed,
+                     start=vertex, block_size=300)
+    K = cfg.n_steps
+    ref = oracle_run(k, cfg)
+    hit = ref[2]
+    late = (K - 5, K - 2) if killed else (K - 1,)
+    if killed:  # the late layers come after every path has stopped
+        assert 0 < hit.min() and hit.max() < K - 5
+    for layers in ((), (0,), (K,), late, (0, 1, 2, 3, 4, 5, 37, K)):
+        for record in (False, True):
+            run = walk._run_blocks(cfg, k, g, layers=layers, record=record)
+            assert_run_equals_oracle(run, ref, layers, record)
+
+
+@pytest.mark.parametrize("killed", (False, True))
+def test_weighted_mc_clock_equals_oracle(kernels, graphs, monkeypatch, killed):
+    # linear_closed_form's MC on a problem with some negative step weight:
+    # each start's walk sums the complex log-weight clock as the oracle does
+    k, g = kernels(3), graphs(3)
+    a, b, c = 0.5, 0.3, 30.0
+    spec = problems.validate_problem_dict({
+        "driver": {"name": "linear", "a": a, "b": b, "c": c},
+        "terminal": {"name": "bump"},
+        "duration": {"kind": "killed" if killed else "deterministic", "T": 0.05}})
+    _, problem = problems.build_problem_pair(spec, 3)
+    seen = []
+    run_blocks = bsde._run_blocks
+
+    def spy(cfg, kernel, graph, **kwargs):
+        seen.append((cfg, kwargs, run_blocks(cfg, kernel, graph, **kwargs)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(bsde, "_run_blocks", spy)
+    linear_closed_form(a, b, c, problem, k, g, mc_starts=[5, 20], mc_paths=600, seed=3)
+    assert [cfg.start for cfg, _, _ in seen] == [5, 20]
+    for cfg, kwargs, run in seen:
+        assert kwargs["clock"].dtype == np.complex128 and cfg.killed == killed
+        assert_run_equals_oracle(run, oracle_run(k, cfg, kwargs["clock"]),
+                                 kwargs["layers"], False)
+
+
+@pytest.mark.parametrize("killed", (False, True))
+def test_run_blocks_in_a_pool_equal_oracle(kernels, graphs, monkeypatch, killed):
+    # block_size < path_count with two workers: the pool is started, and its
+    # merged blocks equal the oracle's
+    k, g = kernels(3), graphs(3)
+    pools = []
+
+    class Pool(walk.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(walk, "ProcessPoolExecutor", Pool)
+    cfg = WalkConfig(level=3, horizon=0.4, path_count=500, seed=5, killed=killed,
+                     block_size=200, workers=2)
+    layers = (0, 9, 60, cfg.n_steps)
+    run = walk._run_blocks(cfg, k, g, layers=layers)
+    assert pools == [2]
+    assert_run_equals_oracle(run, oracle_run(k, cfg), layers, False)
+
+
+def test_lone_block_result_returned_uncopied(kernels, graphs, monkeypatch):
+    # one block: _run_blocks hands back the block's own arrays, no merge copy
+    k, g = kernels(2), graphs(2)
+    blocks = []
+    simulate = walk._simulate_block
+
+    def spy(*args):
+        blocks.append(simulate(*args))
+        return blocks[-1]
+
+    monkeypatch.setattr(walk, "_simulate_block", spy)
+    cfg = WalkConfig(level=2, horizon=0.2, path_count=100, seed=2, killed=True)
+    run = walk._run_blocks(cfg, k, g, record=True)
+    assert len(blocks) == 1
+    assert all(run[key] is blocks[0][key] for key in ("vertices", "dW", "dqv", "hit_step"))
 
 
 class _ByteSource:
