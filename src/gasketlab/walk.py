@@ -23,7 +23,8 @@ results are bit-identical for a given seed regardless of worker count. One
 raw random byte per live path carries four steps (see walk_steps). The loop
 carries state for the live paths only: a killed walk stops drawing for a
 path once it reaches V_0, which it reads off the block-end vertex, and ends
-once no path is live. Every ensemble, bsde's weighted linear MC included,
+once no path is live; a reflected walk that records nothing ends at its last
+requested layer. Every ensemble, bsde's weighted linear MC included,
 runs through _run_blocks, which sums a per-slot clock along each path (<W>
 in exact integer units, or the MC's log step weights) while some requested
 layer still reads it, and returns one flat dict of per-path arrays. Its
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -395,11 +396,12 @@ def _simulate_block(kernel, tables, job):
     out = {"clock": np.empty((n_paths, len(layers)), dtype=acc.dtype),
            "pos": np.empty((n_paths, len(layers)), dtype=np.int64),
            "hit_step": hit_step}
-    if record:
-        vertices = out["vertices"] = np.empty((n_paths, n_steps + 1), dtype=np.int64)
-        out["dW"] = np.zeros((n_paths, n_steps))
-        out["dqv"] = np.zeros((n_paths, n_steps))
-        vertices[:, 0] = pos
+    if record:  # time-major, one row per step; the result holds the transposes
+        vertices = np.empty((n_steps + 1, n_paths), dtype=np.int64)
+        dW_rows = np.zeros((n_steps, n_paths))
+        dqv_rows = np.zeros((n_steps, n_paths))
+        out["vertices"], out["dW"], out["dqv"] = vertices.T, dW_rows.T, dqv_rows.T
+        vertices[0] = pos
         dW = np.append(kernel.dW.ravel(), 0.0)
         dqv = np.append(np.repeat(kernel.dqv, 4), 0.0)
     col = 0
@@ -407,9 +409,11 @@ def _simulate_block(kernel, tables, job):
         out["clock"][:, 0] = acc
         out["pos"][:, 0] = pos
         col = 1
+    # nothing past the last layer reads a reflected walk that does not record
+    walk_to = n_steps if killed or record else (layers[-1] if layers else 0)
 
     walked = 0
-    for k, r, idx, code, stop in walk_steps(tables, pos, n_steps, rng, killed):
+    for k, r, idx, code, stop in walk_steps(tables, pos, walk_to, rng, killed):
         rows = slice(None) if idx is None else idx
         while col < len(layers) and layers[col] <= k + r:  # snapshots in the block
             s = layers[col] - k - 1
@@ -422,11 +426,11 @@ def _simulate_block(kernel, tables, job):
         if record:
             for s in range(r):
                 if idx is not None:
-                    vertices[:, k + s + 1] = vertices[:, k + s]
+                    vertices[k + s + 1] = vertices[k + s]
                 slot = tables.slot[s][code]
-                vertices[rows, k + s + 1] = tables.pos[s][code]
-                out["dW"][rows, k + s] = dW[slot]
-                out["dqv"][rows, k + s] = dqv[slot]
+                vertices[k + s + 1, rows] = tables.pos[s][code]
+                dW_rows[k + s, rows] = dW[slot]
+                dqv_rows[k + s, rows] = dqv[slot]
         walked = k + r
         read = col < len(layers)  # a later layer reads the clock and position
         if read:
@@ -442,7 +446,7 @@ def _simulate_block(kernel, tables, job):
     out["clock"][:, col:] = acc[:, None]
     out["pos"][:, col:] = pos[:, None]
     if record:
-        vertices[:, walked + 1:] = vertices[:, walked, None]
+        vertices[walked + 1:] = vertices[walked]
     return out
 
 
@@ -479,8 +483,10 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
 
     Returns one flat dict of arrays with a row per path: "clock" and "pos",
     with a column per layer of layers (distinct, sorted, in 0..cfg.n_steps);
-    "hit_step", the V_0 arrival step or -1; and when recording, the path-major
-    "vertices", "dW" and "dqv" of PathEnsemble.
+    "hit_step", the V_0 arrival step or -1; and when recording, the
+    "vertices", "dW" and "dqv" of PathEnsemble: (N, K+1) and (N, K)
+    transposes of C-contiguous time-major arrays.
+    A reflected run that records nothing stops at its last layer.
     """
     if kernel.level != cfg.level or g is not None and g.level != cfg.level:
         graph_level = "none" if g is None else g.level
@@ -510,16 +516,26 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
     else:
         results = [_simulate_block(kernel, tables, j) for j in jobs]
     del tables  # not held while the blocks are merged
+    # joined along the path axis, the last of each array's time-major storage
     out = results[0] if len(results) == 1 else {
-        key: np.concatenate([r[key] for r in results]) for key in results[0]}
+        key: np.concatenate([r[key].T for r in results], axis=-1).T for key in results[0]}
     if default_clock:  # <W> summed in integer units: one division per value
         out["clock"] = out["clock"] / clock_denominator(cfg.level)
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathEnsemble:
-    """Fully recorded trajectories (small ensembles only)."""
+    """Fully recorded trajectories (small ensembles only).
+
+    Row i of each array is path i. simulate_paths stores them time-major, so
+    vertices.T and dqv.T are C-contiguous (K+1, N) and (K, N) arrays, one row
+    per step, which the V^beta norm reads as they are. The ensemble is
+    frozen and its arrays read-only (views, so the arrays passed in keep
+    their flags): bsde caches the path part of the V^beta norm for the
+    latest BetaWeights in _norm_parts, and a write would leave it stale.
+    dataclasses.replace builds a new ensemble with an empty cache.
+    """
 
     config: WalkConfig
     vertices: np.ndarray   # (N, K+1)
@@ -527,6 +543,13 @@ class PathEnsemble:
     dqv: np.ndarray        # (N, K)
     hit_step: np.ndarray   # (N,) first arrival step at V_0, -1 if none
     dt: float
+    _norm_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("vertices", "dW", "dqv", "hit_step"):
+            view = getattr(self, name).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
 
     @property
     def cum_qv(self) -> np.ndarray:
@@ -543,7 +566,12 @@ class PathEnsemble:
 
 def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
                    g: LevelGraph | None = None) -> PathEnsemble:
-    """Simulate and record full trajectories; guarded by a memory cap."""
+    """Simulate and record full trajectories; guarded by a memory cap.
+
+    Each block records time-major, one row of every path per step, and the
+    blocks are joined along the path axis; the returned PathEnsemble holds
+    the transposes, read-only (see PathEnsemble).
+    """
     entries = cfg.path_count * (cfg.n_steps + 1)
     if entries > MAX_RECORDED_ENTRIES:
         raise CapacityError(

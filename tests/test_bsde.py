@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gasketlab import (
     BetaWeights,
@@ -418,7 +419,9 @@ def test_vbeta_blocks_equal_path_major_oracle(kernels, graphs, monkeypatch, rows
 
 def test_vbeta_norm_closure_keeps_no_state(kernels, graphs):
     # one closure, called alternately on two field pairs, returns exactly what
-    # a fresh closure returns for each: its reused buffers carry nothing over
+    # a fresh closure on a fresh ensemble returns for each: its reused buffers
+    # carry nothing over. Two closures on one ensemble share its cached path
+    # part and nothing else, so calling them in turn changes nothing either.
     g, k = graphs(3), kernels(3)
     ens = simulate_paths(WalkConfig(level=3, horizon=1.0, path_count=300, seed=7), k, g)
     w = BetaWeights(4.0, 4.0)
@@ -426,11 +429,54 @@ def test_vbeta_norm_closure_keeps_no_state(kernels, graphs):
     a = rng.standard_normal((2, ens.n_steps + 1, g.n_vertices))
     b = 1e3 * rng.standard_normal((2, ens.n_steps + 1, g.n_vertices))
     b[0, -1] = 0.0  # b's sup reads the running sums, a's mostly the last layer
-    fresh = [_vbeta_norm_on(ens, w)(*pair) for pair in (a, b)]
+    fresh = [_vbeta_norm_on(dataclasses.replace(ens), w)(*pair) for pair in (a, b)]
     norm = _vbeta_norm_on(ens, w)
     for _ in range(3):
         assert [norm(*pair) for pair in (a, b)] == fresh
     assert fresh[0] != fresh[1]
+    first, second = _vbeta_norm_on(ens, w), _vbeta_norm_on(ens, w)
+    for _ in range(2):
+        assert [first(*a), second(*b), first(*b), second(*a)] == fresh + fresh[::-1]
+
+
+def test_vbeta_path_part_built_once_per_ensemble(kernels, graphs, monkeypatch):
+    # criterion 08's pattern, two picard_iterate calls and one vbeta_norm on
+    # one ensemble and weights, builds the path part once (counted through
+    # walk.clock_cumsum along the time axis, which sums its <W>); the cache
+    # keeps the latest weights only, and a dataclasses.replace'd ensemble
+    # starts empty
+    g, k = graphs(2), kernels(2)
+    p = BsdeProblem(g=lambda t, x, y: -0.5 * y, f=lambda t, x, y, z: 0.5 * np.sin(y) + z,
+                    terminal_psi=bump(g), horizon=0.2, k0=1.0, k1=1.0)
+    ens = simulate_paths(WalkConfig(level=2, horizon=0.2, path_count=200, seed=3), k, g)
+    w, other = BetaWeights(36.0, 36.0), BetaWeights(2.0, 3.0)
+    seed_field = solve_dp(BsdeProblem(g=zero_g, f=zero_f, terminal_psi=p.terminal_psi,
+                                      horizon=0.2), k, g).Y
+    builds = []
+    cumsum = walk.clock_cumsum
+
+    def counted(dqv, level, axis, out=None):
+        builds.append(axis)
+        return cumsum(dqv, level, axis, out=out)
+
+    monkeypatch.setattr(walk, "clock_cumsum", counted)
+    runs = [picard_iterate(p, k, 6, ens, w, g, initial=init) for init in (None, seed_field)]
+    y, z = runs[0]["final"]
+    norm = vbeta_norm(ens, y, z, w)
+    assert builds == [0]
+    assert norm == vbeta_norm(ens, y, z, BetaWeights(36.0, 36.0))  # an equal key
+    assert builds == [0] and list(ens._norm_parts) == [w]
+    norm_other = vbeta_norm(ens, y, z, other)
+    assert builds == [0, 0] and list(ens._norm_parts) == [other]
+    assert vbeta_norm(ens, y, z, w) == norm
+    assert builds == [0, 0, 0] and list(ens._norm_parts) == [w]
+    copy = dataclasses.replace(ens)
+    assert copy._norm_parts == {}
+    assert vbeta_norm(copy, y, z, w) == norm
+    assert builds == [0] * 4
+    monkeypatch.undo()
+    assert norm == vbeta_oracle.vbeta_norm(ens, y, z, w)
+    assert norm_other == vbeta_oracle.vbeta_norm(ens, y, z, other)
 
 
 DRIVERS = (
@@ -594,6 +640,85 @@ def test_dp_equals_per_layer_sweep(kernels, graphs, m, duration, scheme):
     Y, Z = vbeta_oracle.solve_dp(p, k, scheme)
     assert sol.Y.tobytes() == Y.tobytes()
     assert sol.Z.tobytes() == Z.tobytes()
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_csr_product_equals_matmul(kernels, m):
+    # the backward layers' product, scipy's csr_matvec into a zeroed buffer,
+    # against scipy's own `@`, for P and [P; Q], on fields with signed zeros:
+    # this fails if the installed scipy's private kernel changes behaviour
+    k = kernels(m)
+    rng = np.random.default_rng(m)
+    y = rng.standard_normal(k.n_vertices)
+    y[::3] = -0.0
+    zero = np.full(k.n_vertices, -0.0)
+    for matrix in (k.P, sp.vstack([k.P, k.Q], format="csr")):
+        product, out = bsde._csr_product(matrix)
+        for x in (y, zero, 1e300 * y, y):  # the last one after a product left out dirty
+            product(x)
+            expect = matrix @ x
+            assert out.tobytes() == expect.tobytes()
+        product(zero)
+        assert not np.signbit(out).any()  # 0.0 + w * (-0.0) is +0.0, as in scipy
+        for short in (y[:-1], y[:1]):  # the kernel itself would read past the end
+            with pytest.raises(ValueError, match="columns"):
+                product(short)
+
+
+def closed_form_by_matmul(a, b, c, problem, kernel):
+    """linear_closed_form's (Y0, Z0) from separate `@` products per layer."""
+    dt = kernel.dt
+    V = bsde._pinned_terminal(problem, kernel, None)
+    drift = 1.0 + a * dt + b * kernel.dqv
+    for k in range(layer_count(problem.horizon, dt) - 1, -1, -1):
+        ez = kernel.Q @ V
+        V = drift * (kernel.P @ V) + c * ez
+        if problem.duration == "killed":
+            V[kernel.is_boundary] = problem.boundary_phi(k * dt)
+    z0 = ez / kernel.dqv
+    if problem.duration == "killed":
+        z0[kernel.is_boundary] = 0.0
+    return V, z0
+
+
+@pytest.mark.parametrize("m", (2, 4))
+@pytest.mark.parametrize("duration", ("deterministic", "killed"))
+def test_linear_closed_form_equals_per_layer_products(kernels, graphs, m, duration):
+    g, k = graphs(m), kernels(m)
+    for a, b, c in ((0.5, 0.3, 0.4), (-0.5, 0.0, -0.0)):
+        p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g) - 0.5, horizon=0.1,
+                        duration=duration,
+                        boundary_phi=(lambda t: np.array([t, -t, -0.0]))
+                        if duration == "killed" else None)
+        got = linear_closed_form(a, b, c, p, k, g)
+        Y0, Z0 = closed_form_by_matmul(a, b, c, p, k)
+        assert got["Y0"].tobytes() == Y0.tobytes()
+        assert got["Z0"].tobytes() == Z0.tobytes()
+
+
+@pytest.mark.parametrize("duration", ("deterministic", "killed"))
+def test_signed_zero_drivers_equal_per_layer_oracle(kernels, graphs, duration):
+    # g = -y/2 and f = -z/2 turn zero fields into -0.0, so the frozen
+    # layer adds -0.0 driver rows to +0.0 products: DP and Picard keep the
+    # per-layer bytes, sign bits included
+    g, k = graphs(3), kernels(3)
+    p = BsdeProblem(g=lambda t, x, y: -0.5 * y, f=lambda t, x, y, z: -0.5 * z,
+                    terminal_psi=np.full(k.n_vertices, -0.0), horizon=0.05,
+                    duration=duration)
+    xs = np.arange(k.n_vertices)
+    assert np.signbit(p.g(0.0, xs, np.zeros(k.n_vertices)) * k.dt).all()
+    for scheme in ("explicit", "picard-in-step"):
+        sol = solve_dp(p, k, g, scheme=scheme)
+        Y, Z = vbeta_oracle.solve_dp(p, k, scheme)
+        assert sol.Y.tobytes() == Y.tobytes() and sol.Z.tobytes() == Z.tobytes()
+    ens = simulate_paths(WalkConfig(level=3, horizon=0.05, path_count=50, seed=2,
+                                    killed=duration == "killed"), k, g)
+    w = BetaWeights(2.0, 2.0)
+    got = picard_iterate(p, k, 3, ens, w, g)
+    ref = vbeta_oracle.picard_iterate(p, k, 3, ens, w)
+    assert got["distances"] == ref["distances"]
+    for mine, theirs in zip(got["final"], ref["final"]):
+        assert mine.tobytes() == theirs.tobytes()
 
 
 def test_linear_mc_starts_share_one_table_build(kernels, graphs, monkeypatch):

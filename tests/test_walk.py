@@ -1,5 +1,6 @@
 """Step-kernel invariants and walk statistics."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -227,11 +228,11 @@ def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
 
 
 class _CountingRng:
-    """A Generator's raw words, with the size of every request kept."""
+    """A bit generator's raw words, with the size of every request kept."""
 
-    def __init__(self, key):
+    def __init__(self, bit_generator):
         self.bit_generator = self
-        self._raw = Philox(key=key).random_raw
+        self._raw = bit_generator.random_raw
         self.requests = []
 
     def random_raw(self, n):
@@ -247,7 +248,7 @@ def test_killed_walk_stops_drawing_once_no_path_is_live(kernels):
     tables = walk._block_tables(k, True, unit_clock(k), record=False)
     pos = np.full(300, 4, dtype=np.int64)
     assert not k.is_boundary[4]
-    rng = _CountingRng([5, 0])
+    rng = _CountingRng(Philox(key=[5, 0]))
     live = [len(code) for _, _, _, code, _ in walk_steps(tables, pos, 120, rng, True)]
     assert live[0] == 300 and 0 < len(live) < 30
     assert rng.requests == [-(-n // 8) for n in live]
@@ -291,6 +292,39 @@ def oracle_run(k, cfg, clock=None):
     if units:
         c = c / walk.clock_denominator(k.level)
     return c, v, hit, v, w, q
+
+
+def test_reflected_walk_stops_at_its_last_layer(kernels, graphs, monkeypatch):
+    # a reflected walk that records nothing draws only the blocks up to its
+    # last layer, with the oracle's bytes; killed and recording runs still
+    # walk to the horizon, for hit_step and the recorded steps
+    k, g = kernels(3), graphs(3)
+    requests = []
+    steps = walk.walk_steps
+
+    def counted(tables, pos, n_steps, rng, killed):
+        requests.append(_CountingRng(rng.bit_generator))
+        return steps(tables, pos, n_steps, requests[-1], killed)
+
+    monkeypatch.setattr(walk, "walk_steps", counted)
+    cfg = WalkConfig(level=3, horizon=0.4, path_count=300, seed=4, block_size=200)
+    K, words = cfg.n_steps, [-(-200 // 8), -(-100 // 8)]
+    refs = {killed: oracle_run(k, dataclasses.replace(cfg, killed=killed))
+            for killed in (False, True)}
+    assert (refs[True][2] == -1).any()  # some killed path lives to the horizon
+    for layers in ((), (0,), (0, 9, 50), (3, 4, 5), (K - 2,)):
+        for killed, record in ((False, False), (False, True), (True, False)):
+            requests.clear()
+            run = walk._run_blocks(dataclasses.replace(cfg, killed=killed), k, g,
+                                   layers=layers, record=record)
+            assert_run_equals_oracle(run, refs[killed], layers, record)
+            last = K if killed or record else (layers[-1] if layers else 0)
+            blocks = -(-last // 4)
+            if killed:  # the live paths' bytes, block by block to the horizon
+                assert [len(r.requests) for r in requests] == [blocks, blocks]
+                assert [r.requests[0] for r in requests] == words
+            else:
+                assert [r.requests for r in requests] == [[n] * blocks for n in words]
 
 
 RUN_KEYS = ("clock", "pos", "hit_step", "vertices", "dW", "dqv")
@@ -374,6 +408,41 @@ def test_run_blocks_in_a_pool_equal_oracle(kernels, graphs, monkeypatch, killed)
     run = walk._run_blocks(cfg, k, g, layers=layers)
     assert pools == [2]
     assert_run_equals_oracle(run, oracle_run(k, cfg), layers, False)
+
+
+@pytest.mark.parametrize("killed", (False, True))
+@pytest.mark.parametrize("block_size, workers", ((25_000, 1), (130, 1), (130, 2)))
+def test_recorded_paths_equal_oracle(kernels, graphs, killed, block_size, workers):
+    # simulate_paths in one block, three, and three in a pool: every recorded
+    # array has the oracle's bytes, stored time-major (the transposes are
+    # C-contiguous) and read-only
+    k, g = kernels(2), graphs(2)
+    cfg = WalkConfig(level=2, horizon=0.6, path_count=350, seed=19, killed=killed,
+                     start=9, block_size=block_size, workers=workers)
+    ens = simulate_paths(cfg, k, g)
+    _, _, hit, vertices, dW, dqv = oracle_run(k, cfg)
+    for name, expect in (("vertices", vertices), ("dW", dW), ("dqv", dqv), ("hit_step", hit)):
+        got = getattr(ens, name)
+        assert same_bytes(got, expect), name
+        assert got.T.flags.c_contiguous and not got.flags.writeable, name
+    assert (hit > 0).any() == killed
+
+
+def test_path_ensemble_is_read_only(kernels, graphs):
+    # the V^beta norm caches parts built from these arrays: a write raises
+    k, g = kernels(2), graphs(2)
+    ens = simulate_paths(WalkConfig(level=2, horizon=0.2, path_count=20, seed=1), k, g)
+    for name in ("vertices", "dW", "dqv", "hit_step"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ens, name)[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ens, name).T[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ens, name, getattr(ens, name).copy())
+    mine = np.zeros((20, ens.n_steps))
+    other = dataclasses.replace(ens, dqv=mine)
+    assert mine.flags.writeable and not other.dqv.flags.writeable
+    assert same_bytes(other.cum_qv, np.zeros_like(mine))
 
 
 def test_lone_block_result_returned_uncopied(kernels, graphs, monkeypatch):
