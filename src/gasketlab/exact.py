@@ -5,9 +5,17 @@ A_i = A_INT[i]/5, P = P_INT/3, Y_i = P A_i P = Y_INT[i]/5, and the midpoint
 map F_i on a cell's corner coordinates is MID_INT[i]/2. A state is a 3-vector
 of ints over one denominator: 5^k * d after k restriction steps from data
 with common denominator d (3 * 5^k on the Y-route, which starts from P; 2^k * d
-on the midpoint route). `cell_leaves` is the one cell-tree traversal.
-Fractions are built only at the API boundary; normalised Fractions are
-canonical, so they equal what step-by-step Fraction arithmetic gives.
+on the midpoint route). Fractions are built only at the API boundary;
+normalised Fractions are canonical, so they equal what step-by-step Fraction
+arithmetic gives.
+
+`cell_leaves` is the one cell-tree traversal, level-order in int64. Only
+fixed routes travel it: the unit triples down A, P down Y, corner coordinates
+down the midpoint maps. Up to each route's level guard every entry and sum of
+squares stays far below 2^63 (A-route entries are at most 5^m; a test bounds
+all three in Python ints). User data never enters int64: by linearity its
+leaf states are the unit-triple leaves times its integer numerators, in
+exact Python ints (`times_numerators`). Single words stay in Python ints.
 
 Word convention: a cell word w = w1 w2 ... wm over {1,2,3} addresses the cell
 F_{w1} o F_{w2} o ... o F_{wm} (unit gasket). Restriction matrices compose in
@@ -20,12 +28,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import UsageError
 
 IntMat = tuple[tuple[int, int, int], ...]
 
 # Projection onto the mean-zero plane: P = I - (1/3) ones, over 3.
 P_INT: IntMat = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))
+BASIS: IntMat = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the unit triples; A_[w] are their leaves
 
 # Harmonic restriction matrices over 5: row j of A_i gives the harmonic value
 # at the j-th corner image of cell i in terms of the three parent corner values.
@@ -45,39 +56,26 @@ MID_INT: dict[int, IntMat] = {
 }
 
 
-def _imat_mul(x: IntMat, y: IntMat) -> IntMat:
-    return tuple(
-        tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j] + x[i][2] * y[2][j] for j in range(3))
-        for i in range(3)
-    )
-
-
 # Y_i = P A_i P = (P_INT A_INT[i] P_INT) / 45, and every entry divides by 9.
 Y_INT: dict[int, IntMat] = {
-    i: tuple(tuple(x // 9 for x in row) for row in _imat_mul(_imat_mul(P_INT, a), P_INT))
+    i: tuple(map(tuple, (np.array(P_INT) @ a @ np.array(P_INT) // 9).tolist()))
     for i, a in A_INT.items()
 }
 
 
-class RatMat(tuple):
-    """A 3x3 matrix as a tuple of Fraction rows that keeps its integer
-    numerators `num` over the single denominator `den`."""
-
-    def __new__(cls, num: IntMat, den: int):
-        self = super().__new__(cls, (tuple(Fraction(x, den) for x in row) for row in num))
-        self.num, self.den = num, den
-        return self
-
-
-P_MAT = RatMat(P_INT, 3)
-A_MATS: dict[int, RatMat] = {i: RatMat(a, 5) for i, a in A_INT.items()}
-Y_MATS: dict[int, RatMat] = {i: RatMat(y, 5) for i, y in Y_INT.items()}
+def as_rational(x) -> Fraction:
+    """x as a Fraction, a float at its exact binary value. UsageError for NaN,
+    an infinity, None or anything else that is not a finite rational."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise UsageError(f"{x!r} is not a finite rational") from exc
 
 
 def to_numerators(values) -> tuple[tuple[int, ...], int]:
     """Integer numerators of rational `values` over the lcm of their
-    denominators; a float is taken at its exact binary value."""
-    fr = [x if type(x) in (int, Fraction) else Fraction(x) for x in values]
+    denominators (see as_rational)."""
+    fr = [x if type(x) in (int, Fraction) else as_rational(x) for x in values]
     d = math.lcm(*[x.denominator for x in fr])
     return tuple([x.numerator * (d // x.denominator) for x in fr]), d
 
@@ -91,55 +89,50 @@ def _imat_vec(x: IntMat, v) -> tuple[int, int, int]:
 
 
 def pairwise_sq(v) -> int:
-    """sum_{i<j} (v_i - v_j)^2 = 3 v^T P v, for integer v."""
+    """sum_{i<j} (v_i - v_j)^2 = 3 v^T P v, for integer v, or elementwise for
+    v[0], v[1], v[2] integer arrays."""
     d01, d02, d12 = v[0] - v[1], v[0] - v[2], v[1] - v[2]
     return d01 * d01 + d02 * d02 + d12 * d12
 
 
-_SYMBOLS = ((1, "1"), (2, "2"), (3, "3"))
-
-
-def _child(i: int, states: tuple, gens: tuple) -> tuple:
-    return tuple([_imat_vec(g[i], v) for g, v in zip(gens, states)])
-
-
-def restrict_states(word: str, states: tuple, gens: tuple) -> tuple:
-    """Carry integer states down one word: state k moves by gens[k][symbol],
-    A_INT or Y_INT, so each letter puts a factor 5 on its denominator."""
+def restrict_states(word: str, states: tuple, gens: dict[int, IntMat]) -> tuple:
+    """Carry integer states down one word: letter i moves every state by
+    gens[i], A_INT or Y_INT, so each letter puts a factor 5 on its denominator."""
     for s in word:
-        states = _child(int(s), states, gens)
+        g = gens[int(s)]
+        states = tuple([_imat_vec(g, v) for v in states])
     return states
 
 
-def cell_leaves(m: int, states: tuple, gens: tuple):
-    """Yield (word, states) for every level-m cell, depth first, so in reverse
-    lexicographic order.
+def cell_leaves(m: int, root, gens: dict[int, IntMat]) -> tuple[list[str], np.ndarray]:
+    """Words and leaf states of every level-m cell, in lexicographic order.
 
-    The root carries `states`; a child's state k is gens[k][i] times its
-    parent's, as in `restrict_states`. Leaf states are integer numerators
-    over 5^m (2^m for MID_INT) times the root's denominators. UsageError
-    for a negative m, whose tree has no leaves.
+    The rows of `root` are the root's k states; a child's states are gens[i]
+    times its parent's, as in `restrict_states`. Level by level, all cells of
+    a level are one int64 array, made by one product with the three maps
+    side by side. Returns the 3^m words and a (3^m, 3, k) array, [c, :, j]
+    being cell c's state j over 5^m (2^m for MID_INT) times the root's
+    denominators. Reversed, both are in depth-first order. UsageError for a
+    negative m, whose tree has no leaves.
     """
     if m < 0:
         raise UsageError(f"level {m} is negative")
-    stack = [("", states)]
-    while stack:
-        word, st = stack.pop()
-        if len(word) == m:
-            yield word, st
-        else:
-            stack.extend([(word + s, _child(i, st, gens)) for i, s in _SYMBOLS])
+    k = len(root)
+    # a state row v times maps is the row (G1 v, G2 v, G3 v)
+    maps = np.hstack([np.array(gens[i], dtype=np.int64).T for i in (1, 2, 3)])
+    words = [""]
+    states = np.array(root, dtype=np.int64)  # (cells * k, 3): one state per row
+    for _ in range(m):
+        # rows (parent, state) x columns (child, corner) -> rows (parent, child, state)
+        states = (states @ maps).reshape(-1, k, 3, 3).transpose(0, 2, 1, 3).reshape(-1, 3)
+        words = [w + s for w in words for s in "123"]
+    return words, states.reshape(-1, k, 3).transpose(0, 2, 1)
 
 
-def mat_mul(x: RatMat, y: RatMat) -> RatMat:
-    return RatMat(_imat_mul(x.num, y.num), x.den * y.den)
-
-
-def mat_vec(x: RatMat, v) -> tuple[Fraction, Fraction, Fraction]:
-    """x v for a rational vector v, exact."""
-    nums, d = to_numerators(v)
-    den = x.den * d
-    return tuple([Fraction(n, den) for n in _imat_vec(x.num, nums)])
+def times_numerators(leaves: np.ndarray, nums) -> np.ndarray:
+    """leaves @ nums in exact Python ints (object dtype). On A-route leaves of
+    BASIS this is, by linearity, the leaves of data with numerators nums."""
+    return leaves.astype(object) @ np.array(nums, dtype=object)
 
 
 def quad_form_p(v) -> Fraction:

@@ -2,9 +2,10 @@
 
 Coordinates are exact rationals in the basis (1, sqrt(3)): a vertex stores
 (x, y) with Euclidean position (x, y*sqrt(3)). On V_m both are integer
-numerators over 2^(m+1), carried down the cell tree by `exact.cell_leaves`
-with the midpoint matrices, so vertex deduplication is by integer key, never
-by tolerance.
+numerators over 2^(m+1) (2^13 at MAX_LEVEL), carried down the
+cell tree by `exact.cell_leaves`, one level at a time in int64, with the
+midpoint matrices. Vertex deduplication is by integer key, never by
+tolerance.
 
 Corner order is significant everywhere: a cell's corners are listed as the
 images of (p1, p2, p3), because the restriction matrices act on triples in
@@ -92,27 +93,27 @@ def build_level_graph(m: int) -> LevelGraph:
         raise CapacityError(f"level {m} outside guard range 0..{MAX_LEVEL}")
 
     # corners' x and y numerators over 2, carried to 2^(m+1) by the midpoint
-    # maps; p1, p2, p3 take ids 0, 1, 2
+    # maps, one int key x * side + y per point; p1, p2, p3 take ids 0, 1, 2
     root = ((0, 2, 1), (0, 0, 1))
-    index = {(x << m, y << m): i for i, (x, y) in enumerate(zip(*root))}
-    cells = {
-        w: tuple([index.setdefault(c, len(index)) for c in zip(*xy)])
-        for w, xy in reversed(list(cell_leaves(m, root, (MID_INT, MID_INT))))
-    }
+    words, xy = cell_leaves(m, root, MID_INT)
+    side = 2 ** (m + 1) + 1
+    index = {(x * side + y) << m: i for i, (x, y) in enumerate(zip(*root))}
+    ids = [index.setdefault(k, len(index))
+           for k in (xy[:, :, 0] * side + xy[:, :, 1]).ravel().tolist()]
+    cells = dict(zip(words, zip(ids[0::3], ids[1::3], ids[2::3])))
 
-    edge_set: set[tuple[int, int]] = set()
-    for a, b, c in cells.values():
-        for e in ((a, b), (a, c), (b, c)):
-            edge_set.add((min(e), max(e)))
-    edges = tuple(sorted(edge_set))
-
+    # each side lies in one cell, so no neighbour is listed twice
     nbrs: list[list[int]] = [[] for _ in range(len(index))]
-    for a, b in edges:
-        nbrs[a].append(b)
-        nbrs[b].append(a)
+    for a, b, c in cells.values():
+        nbrs[a] += (b, c)
+        nbrs[b] += (a, c)
+        nbrs[c] += (a, b)
+    neighbors_of = tuple([tuple(sorted(ns)) for ns in nbrs])
+    edges = tuple([(a, b) for a, ns in enumerate(neighbors_of) for b in ns if b > a])
 
     den = 2 ** (m + 1)
-    coords = [(Fraction(x, den), Fraction(y, den)) for x, y in index]
+    frac = [Fraction(k, den) for k in range(den + 1)]  # every coordinate is one of these
+    coords = [(frac[k // side], frac[k % side]) for k in index]
     vertices = tuple(Vertex(i, x, y, i < 3) for i, (x, y) in enumerate(coords))
 
     g = LevelGraph(
@@ -120,7 +121,7 @@ def build_level_graph(m: int) -> LevelGraph:
         vertices=vertices,
         edges=edges,
         cells=cells,
-        neighbors_of=tuple(tuple(sorted(ns)) for ns in nbrs),
+        neighbors_of=neighbors_of,
         boundary_ids=(0, 1, 2),
         index_by_coord={c: i for i, c in enumerate(coords)},
     )
@@ -149,18 +150,6 @@ def vertex_by_coord(g: LevelGraph, coord: Coord) -> int:
     if key not in g.index_by_coord:
         raise UsageError(f"no vertex at exact coordinate {coord}")
     return g.index_by_coord[key]
-
-
-def subtriangle_vertex_map(g_child: LevelGraph, g_parent: LevelGraph, i: int) -> list[int]:
-    """Ids in g_child of F_i(V_parent): entry v is the image of parent vertex v."""
-    if g_child.level != g_parent.level + 1:
-        raise UsageError("child graph must be one level deeper than parent")
-    pi = BOUNDARY_COORDS[i - 1]
-    out = []
-    for v in g_parent.vertices:
-        img = ((v.x + pi[0]) / 2, (v.y + pi[1]) / 2)
-        out.append(g_child.index_by_coord[img])
-    return out
 
 
 def graph_to_json(g: LevelGraph) -> dict:

@@ -19,24 +19,27 @@ import numpy as np
 from .errors import UsageError
 from .exact import (
     A_INT,
-    P_MAT,
+    BASIS,
+    P_INT,
+    as_rational,
     cell_leaves,
     quad_form_p,
     restrict_states,
+    times_numerators,
     to_numerators,
     validate_word,
 )
 from .gasket import LevelGraph, build_level_graph
 
 Triple = tuple[Fraction, Fraction, Fraction]
-_A_ROUTE = (A_INT,)
-_BASIS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def _as_triple(u) -> Triple:
-    if len(u) != 3:
+    """Boundary data as three Fractions; UsageError unless u holds exactly
+    three finite rationals."""
+    if not hasattr(u, "__len__") or len(u) != 3:
         raise UsageError("boundary data must have exactly 3 values")
-    return tuple(Fraction(x) for x in u)
+    return tuple([as_rational(x) for x in u])
 
 
 def harmonic_restrict(u, word: str) -> Triple:
@@ -47,42 +50,36 @@ def harmonic_restrict(u, word: str) -> Triple:
     """
     validate_word(word)
     nums, d = to_numerators(_as_triple(u))
-    (v,) = restrict_states(word, (nums,), _A_ROUTE)
+    (v,) = restrict_states(word, (nums,), A_INT)
     return tuple(Fraction(x, d * 5 ** len(word)) for x in v)
 
 
 def harmonic_extend_to_level(u, m: int, g: LevelGraph | None = None) -> list[Fraction]:
     """Values of Hu at every vertex of V_m, exact.
 
-    Well-definedness (the same vertex reached through different cells gets the
-    same value) is asserted during the fill.
+    Hu = u_1 h_1 + u_2 h_2 + u_3 h_3, so the values are corner_harmonics(g)
+    times u's integer numerators, in exact Python ints. Well-definedness (the
+    same vertex reached through different cells gets the same value) is
+    asserted on that basis table, and holds for every triple by linearity.
     """
     if g is None:
         g = build_level_graph(m)
     elif g.level != m:
         raise UsageError("graph level does not match m")
     nums, d = to_numerators(_as_triple(u))
-    vals: list[int | None] = [None] * g.n_vertices
-    for word, (triple,) in cell_leaves(m, (nums,), _A_ROUTE):
-        for vid, val in zip(g.cells[word], triple):
-            if vals[vid] is None:
-                vals[vid] = val
-            else:
-                assert vals[vid] == val, "harmonic extension ill-defined"
     den = d * 5**m
-    return [Fraction(x, den) for x in vals]
+    return [Fraction(x, den) for x in times_numerators(corner_harmonics(g), nums).tolist()]
 
 
 def corner_harmonics(g: LevelGraph) -> np.ndarray:
     """(V, 3) int64 numerators over 5^m of h_1, h_2, h_3 on V_m.
 
     Column i is the harmonic extension of the i-th unit triple; one cell-tree
-    traversal carries all three. Well-definedness is asserted as in
-    harmonic_extend_to_level.
+    traversal carries all three. Well-definedness is asserted: every cell
+    that reaches a vertex gives it the same values.
     """
-    words, leaves = zip(*cell_leaves(g.level, _BASIS, _A_ROUTE * 3))
+    words, values = cell_leaves(g.level, BASIS, A_INT)  # (cell, corner, i)
     corners = np.array([g.cells[w] for w in words], dtype=np.int64)
-    values = np.array(leaves, dtype=np.int64).transpose(0, 2, 1)  # (cell, corner, i)
     table = np.empty((g.n_vertices, 3), dtype=np.int64)
     table[corners] = values
     assert (table[corners] == values).all(), "harmonic extension ill-defined"
@@ -132,7 +129,7 @@ class CellGradientTables:
         self.words = list(g.cells)
         self.corners = np.array([g.cells[w] for w in self.words], dtype=np.int64)
         self.scale = 1.5 * (5.0 / 3.0) ** g.level
-        pf = np.array([[float(x) for x in row] for row in P_MAT])
+        pf = np.array(P_INT) / 3
         # b[k] = P A_[w]: the centered corner patterns of (h1,h2,h3) on cell k,
         # A_[w] being the cell's (corner, harmonic) values
         b = pf @ (corner_harmonics(g) / 5**g.level)[self.corners]

@@ -15,22 +15,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .errors import UsageError
 from .exact import (
     A_INT,
+    BASIS,
     P_INT,
     Y_INT,
     cell_leaves,
     pairwise_sq,
     restrict_states,
+    times_numerators,
     to_numerators,
     validate_word,
 )
 from .harmonic import _as_triple
 
 MAX_TABLE_LEVEL = 10
-# Y-route states: the three columns of Y_[w], starting from P's (P_INT is symmetric)
-_Y_ROUTE = (Y_INT,) * 3
 
 
 def _kusuoka(columns, m: int) -> Fraction:
@@ -60,7 +62,8 @@ def hausdorff_mass(word: str) -> Fraction:
 
 def kusuoka_mass(word: str) -> Fraction:
     validate_word(word)
-    return _kusuoka(restrict_states(word, P_INT, _Y_ROUTE), len(word))
+    # Y-route states are the columns of Y_[w], starting from P's (P_INT is symmetric)
+    return _kusuoka(restrict_states(word, P_INT, Y_INT), len(word))
 
 
 def hausdorff_measure(m: int) -> CellMeasure:
@@ -73,8 +76,11 @@ def hausdorff_measure(m: int) -> CellMeasure:
 def kusuoka_measure(m: int) -> CellMeasure:
     if m > MAX_TABLE_LEVEL:
         raise UsageError(f"table level above guard {MAX_TABLE_LEVEL}")
-    masses = {w: _kusuoka(cols, m) for w, cols in cell_leaves(m, P_INT, _Y_ROUTE)}
-    return CellMeasure("kusuoka", m, masses)
+    words, cols = cell_leaves(m, P_INT, Y_INT)
+    den = 18 * 15**m  # as in _kusuoka
+    masses = [Fraction(s, den) for s in (cols * cols).sum(axis=(1, 2)).tolist()]
+    # keys in depth-first (reverse lexicographic) order, part of the table's output
+    return CellMeasure("kusuoka", m, dict(zip(reversed(words), reversed(masses))))
 
 
 def energy_measure_table(u, m: int) -> CellMeasure:
@@ -84,27 +90,29 @@ def energy_measure_table(u, m: int) -> CellMeasure:
     base = _as_triple(u)
     nums, d = to_numerators(base)
     # (3/2)(5/3)^m v^T P v with v = leaf numerators / (5^m d)
+    words, leaves = cell_leaves(m, BASIS, A_INT)
+    sq = pairwise_sq(times_numerators(leaves, nums).T).tolist()
     den = 2 * 15**m * d * d
-    masses = {w: Fraction(pairwise_sq(v), den) for w, (v,) in cell_leaves(m, (nums,), (A_INT,))}
+    masses = dict(zip(reversed(words), [Fraction(x, den) for x in reversed(sq)]))
     return CellMeasure(f"energy-of({tuple(str(x) for x in base)})", m, masses)
 
 
 def kusuoka_identity_check(m: int) -> Fraction:
     """Max cell defect of nu = (1/3)(nu_<h1> + nu_<h2> + nu_<h3>), exact.
 
-    The two sides go through independent product routes, carried side by
-    side: Y-products for nu, A-products of the basis triples for the energy
-    measures. With nu(w) = S / (18 * 15^m) and nu_<hj>(w) = Q_j / (2 * 15^m),
-    the defect of a cell is |S - 3 sum_j Q_j| / (18 * 15^m).
+    The two sides go through independent product routes, two traversals in
+    the same lexicographic cell order: Y-products for nu, A-products of the
+    basis triples for the energy measures. With nu(w) = S / (18 * 15^m) and
+    nu_<hj>(w) = Q_j / (2 * 15^m), the defect of a cell is
+    |S - 3 sum_j Q_j| / (18 * 15^m).
     """
     if m > 8:
         raise UsageError("identity check guarded to m <= 8")
-    basis = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    worst = 0
-    for _, st in cell_leaves(m, P_INT + basis, _Y_ROUTE + (A_INT,) * 3):
-        nu = sum(x * x for col in st[:3] for x in col)
-        worst = max(worst, abs(nu - 3 * sum(pairwise_sq(t) for t in st[3:])))
-    return Fraction(worst, 18 * 15**m)
+    _, ys = cell_leaves(m, P_INT, Y_INT)
+    _, hs = cell_leaves(m, BASIS, A_INT)  # (cell, corner, j)
+    nu = (ys * ys).sum(axis=(1, 2))
+    q = pairwise_sq(hs.transpose(1, 0, 2)).sum(axis=1)
+    return Fraction(int(np.abs(nu - 3 * q).max()), 18 * 15**m)
 
 
 def singularity_diagnostic(m: int) -> dict:

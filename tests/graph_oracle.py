@@ -2,9 +2,12 @@
 
 The package carries integer coordinate numerators down `exact.cell_leaves`;
 this module keeps the level-by-level refinement with Fraction midpoints and
-Fraction-pair keys, so the tests can require equal graphs.
+Fraction-pair keys, so the tests can require equal graphs. It also holds
+`subtriangle_vertex_map`, the vertex map of F_i that the self-similarity
+tests use.
 """
 
+from gasketlab import UsageError
 from gasketlab.gasket import BOUNDARY_COORDS, LevelGraph, Vertex
 
 
@@ -59,3 +62,15 @@ def build_level_graph(m: int) -> LevelGraph:
         boundary_ids=boundary_ids,
         index_by_coord=index,
     )
+
+
+def subtriangle_vertex_map(g_child: LevelGraph, g_parent: LevelGraph, i: int) -> list[int]:
+    """Ids in g_child of F_i(V_parent): entry v is the image of parent vertex v."""
+    if g_child.level != g_parent.level + 1:
+        raise UsageError("child graph must be one level deeper than parent")
+    pi = BOUNDARY_COORDS[i - 1]
+    out = []
+    for v in g_parent.vertices:
+        img = ((v.x + pi[0]) / 2, (v.y + pi[1]) / 2)
+        out.append(g_child.index_by_coord[img])
+    return out

@@ -8,10 +8,12 @@ exact Fraction clock rates, so the tests can require byte equality.
 import math
 from fractions import Fraction
 
+import fraction_oracle
 import numpy as np
 import scipy.sparse as sp
+from traversal_oracle import cell_leaves
 
-from gasketlab.exact import A_INT, P_MAT, cell_leaves
+from gasketlab.exact import A_INT
 from gasketlab.harmonic import harmonic_extend_to_level
 from gasketlab.walk import StepKernel, step_duration
 
@@ -79,7 +81,7 @@ def gradient_tables(g):
     """(corners, nu, pattern) of CellGradientTables, one cell at a time."""
     words = list(g.cells)
     corners = np.array([g.cells[w] for w in words], dtype=np.int64)
-    pf = np.array([[float(x) for x in row] for row in P_MAT])
+    pf = np.array([[float(x) for x in row] for row in fraction_oracle.P])
     nus = np.empty(len(words))
     pats = np.empty((len(words), 3))
     columns = dict(cell_leaves(g.level, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (A_INT,) * 3))

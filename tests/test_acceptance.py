@@ -9,6 +9,7 @@ import math
 import time
 from fractions import Fraction
 
+import graph_oracle
 import numpy as np
 import pytest
 
@@ -31,7 +32,7 @@ from gasketlab import (
 )
 from gasketlab.bounds import GAMMA_S, SPECTRAL_DIMENSION, beta_chain_identity, fit_joint_constant
 from gasketlab.bsde import linear_closed_form
-from gasketlab.exact import A_MATS, mat_vec, quad_form_p
+from gasketlab.exact import A_INT, pairwise_sq, to_numerators
 from gasketlab.problems import build_problem_pair, validate_problem_dict
 from gasketlab.walk import (
     ensemble_qv_snapshots,
@@ -54,17 +55,23 @@ def rand_triple(rng):
 
 
 def level_energies(u, m_max):
-    """E^(m)(Hu) for m = 0..m_max via one exact DFS over the cell tree."""
-    acc = [Fraction(0)] * (m_max + 1)
-    factor = [Fraction(5, 3) ** m for m in range(m_max + 1)]
-    stack = [(0, tuple(Fraction(x) for x in u))]
+    """E^(m)(Hu) for m = 0..m_max via one exact DFS over the cell tree.
+
+    Triples travel as integer numerators, over 5^k d at depth k (d being u's
+    common denominator), so E^(k) = sum_w (3/2)(5/3)^k v^T P v is the sum of
+    the pairwise squares over 2 * 15^k * d^2.
+    """
+    nums, d = to_numerators(u)
+    acc = [0] * (m_max + 1)
+    stack = [(0, nums)]
     while stack:
-        depth, triple = stack.pop()
-        acc[depth] += factor[depth] * Fraction(3, 2) * quad_form_p(triple)
+        depth, t = stack.pop()
+        acc[depth] += pairwise_sq(t)
         if depth < m_max:
             for i in (1, 2, 3):
-                stack.append((depth + 1, mat_vec(A_MATS[i], triple)))
-    return acc
+                stack.append((depth + 1, tuple(sum(a * x for a, x in zip(row, t))
+                                               for row in A_INT[i])))
+    return [Fraction(a, 2 * 15**k * d * d) for k, a in enumerate(acc)]
 
 
 def test_criterion_01_exact_energy_identity(graphs):
@@ -86,7 +93,6 @@ def test_criterion_01_exact_energy_identity(graphs):
 
 
 def test_criterion_02_exact_self_similarity(graphs):
-    from gasketlab.gasket import subtriangle_vertex_map
 
     t0 = time.monotonic()
     rng = np.random.default_rng(102)
@@ -101,7 +107,7 @@ def test_criterion_02_exact_self_similarity(graphs):
             lhs = graph_energy(gc, u, v)
             rhs = Fraction(0)
             for i in (1, 2, 3):
-                mp = subtriangle_vertex_map(gc, gp, i)
+                mp = graph_oracle.subtriangle_vertex_map(gc, gp, i)
                 rhs += graph_energy(gp, [u[mp[x]] for x in range(gp.n_vertices)],
                                     [v[mp[x]] for x in range(gp.n_vertices)])
             assert lhs == Fraction(5, 3) * rhs

@@ -1,9 +1,11 @@
 """Harmonic extension, energies, energy measures and discrete gradients."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import fraction_oracle as oracle
+import graph_oracle
 import numpy as np
 import pytest
 
@@ -11,14 +13,14 @@ from gasketlab import (
     UsageError,
     cell_energy_measure,
     discrete_gradient,
+    energy_measure_table,
     graph_energy,
     harmonic_energy,
     harmonic_extend_to_level,
     harmonic_restrict,
     oscillation_constant_probe,
 )
-from gasketlab.exact import A_MATS, P_MAT, Y_MATS, mat_mul, mat_vec
-from gasketlab.gasket import subtriangle_vertex_map
+from gasketlab.exact import A_INT, P_INT, Y_INT
 from gasketlab.harmonic import CellGradientTables
 from gasketlab.measures import kusuoka_measure
 
@@ -32,19 +34,29 @@ def rand_triple(rng):
 
 # --- matrix identities --------------------------------------------------------
 
+def over(mat, den):
+    """An integer matrix over den as Fraction rows."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row in mat)
+
+
 def test_matrix_identities():
     ones = (Fraction(1), Fraction(1), Fraction(1))
-    assert mat_mul(P_MAT, P_MAT) == P_MAT
-    assert mat_vec(P_MAT, ones) == (0, 0, 0)
+    p = over(P_INT, 3)
+    assert oracle.mat_mul(p, p) == p
+    assert oracle.mat_vec(p, ones) == (0, 0, 0)
     for i in (1, 2, 3):
-        assert mat_vec(A_MATS[i], ones) == ones
-        assert mat_vec(Y_MATS[i], ones) == (0, 0, 0)
+        assert oracle.mat_vec(over(A_INT[i], 5), ones) == ones
+        assert oracle.mat_vec(over(Y_INT[i], 5), ones) == (0, 0, 0)
+        # the integer tables against the oracle's own literals: Y_i = P A_i P
+        assert over(A_INT[i], 5) == oracle.A[i]
+        assert over(Y_INT[i], 5) == oracle.Y[i]
+    assert p == oracle.P
 
 
 def test_y1_eigenvalues_on_range_p():
     # characteristic polynomial of the explicit rational 3x3 matrix:
     # det(Y1 - x) = -x (x - 3/5)(x - 1/5)
-    y = Y_MATS[1]
+    y = over(Y_INT[1], 5)
     tr = y[0][0] + y[1][1] + y[2][2]
     m2 = sum(
         y[i][i] * y[j][j] - y[i][j] * y[j][i]
@@ -66,7 +78,7 @@ def test_restrict_examples():
     assert harmonic_restrict(E1, "") == E1
     assert harmonic_restrict(E1, "1") == (1, Fraction(2, 5), Fraction(2, 5))
     # matrix-product oracle for "12": A_2 A_1 u
-    expect = mat_vec(A_MATS[2], mat_vec(A_MATS[1], E1))
+    expect = oracle.mat_vec(oracle.A[2], oracle.mat_vec(oracle.A[1], E1))
     assert harmonic_restrict(E1, "12") == expect
 
 
@@ -171,7 +183,7 @@ def test_self_similarity_random_tables(graphs):
         lhs = graph_energy(gc, u, v)
         rhs = Fraction(0)
         for i in (1, 2, 3):
-            mapping = subtriangle_vertex_map(gc, gp, i)
+            mapping = graph_oracle.subtriangle_vertex_map(gc, gp, i)
             ui = [u[mapping[x]] for x in range(gp.n_vertices)]
             vi = [v[mapping[x]] for x in range(gp.n_vertices)]
             rhs += graph_energy(gp, ui, vi)
@@ -282,6 +294,50 @@ def test_discrete_gradient_rejects_a_degenerate_cell(graphs):
     tables.nu[tables.word_index["2"]] = 0.0
     with pytest.raises(UsageError, match="degenerate"):
         discrete_gradient([1.0] * g.n_vertices, "2", g, tables)
+
+
+BAD_ENTRIES = (float("nan"), float("inf"), float("-inf"), np.float64("nan"), "abc", "1/0", None)
+BOUNDARY_ENTRY_POINTS = {
+    "harmonic_restrict": lambda u: harmonic_restrict(u, "12"),
+    "harmonic_extend_to_level": lambda u: harmonic_extend_to_level(u, 2),
+    "harmonic_energy": harmonic_energy,
+    "cell_energy_measure": lambda u: cell_energy_measure(u, "12"),
+    "energy_measure_table": lambda u: energy_measure_table(u, 2),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES, ids=repr)
+@pytest.mark.parametrize("entry", BOUNDARY_ENTRY_POINTS)
+def test_non_rational_boundary_entry_is_a_usage_error(entry, bad):
+    # used to raise a bare ValueError (NaN, "abc"), OverflowError (inf),
+    # ZeroDivisionError ("1/0") or TypeError (None)
+    with pytest.raises(UsageError, match="not a finite rational"):
+        BOUNDARY_ENTRY_POINTS[entry]((1, bad, 0))
+
+
+@pytest.mark.parametrize("u", (None, 5, (1, 2)), ids=repr)
+@pytest.mark.parametrize("entry", BOUNDARY_ENTRY_POINTS)
+def test_boundary_data_that_is_not_a_triple_is_a_usage_error(entry, u):
+    with pytest.raises(UsageError, match="exactly 3 values"):
+        BOUNDARY_ENTRY_POINTS[entry](u)
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES[:-1], ids=repr)
+def test_non_rational_table_entry_is_a_usage_error(graphs, bad):
+    g = graphs(1)
+    table = [Fraction(1)] * g.n_vertices
+    table[4] = bad
+    with pytest.raises(UsageError, match="not a finite rational"):
+        graph_energy(g, table)
+
+
+def test_extension_asserts_well_definedness(graphs):
+    # two cells that trade corners give their shared vertices two values
+    g = graphs(2)
+    cells = dict(g.cells)
+    cells["11"], cells["33"] = cells["33"], cells["11"]
+    with pytest.raises(AssertionError, match="ill-defined"):
+        harmonic_extend_to_level(E1, 2, dataclasses.replace(g, cells=cells))
 
 
 def test_oscillation_probe():

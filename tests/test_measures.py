@@ -98,16 +98,18 @@ def test_energy_measure_table():
     assert energy_measure_table(u, 3).total() == harmonic_energy(u)
 
 
-@pytest.mark.parametrize("m", range(7))
+@pytest.mark.parametrize("m", range(9))  # up to the check's guard
 def test_kusuoka_identity_exact(m):
     assert kusuoka_identity_check(m) == 0
 
 
 @pytest.mark.parametrize("m", range(7))
 def test_tables_equal_fraction_oracle(m):
-    assert kusuoka_measure(m).masses == oracle.kusuoka_table(m)
+    # item lists, not dicts: the key order (depth first) is part of the table
+    assert list(kusuoka_measure(m).masses.items()) == list(oracle.kusuoka_table(m).items())
     for u in oracle.seeded_triples(31):
-        assert energy_measure_table(u, m).masses == oracle.energy_table(u, m)
+        table = energy_measure_table(u, m).masses
+        assert list(table.items()) == list(oracle.energy_table(u, m).items())
 
 
 def test_singularity_diagnostic_values():

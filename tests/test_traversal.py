@@ -1,0 +1,155 @@
+"""The level-order int64 cell-tree traversal against its depth-first oracle.
+
+`traversal_oracle.cell_leaves` is the per-node Python-int generator the
+package used before; every table, extension and graph built on the new
+traversal must equal what that generator gives, in the same key order.
+"""
+
+from fractions import Fraction
+
+import fraction_oracle
+import numpy as np
+import pytest
+import traversal_oracle as dfs
+
+from gasketlab import (
+    UsageError,
+    energy_measure_table,
+    harmonic_extend_to_level,
+    kusuoka_identity_check,
+    kusuoka_measure,
+)
+from gasketlab.exact import (
+    A_INT,
+    BASIS,
+    MID_INT,
+    P_INT,
+    Y_INT,
+    cell_leaves,
+    pairwise_sq,
+    restrict_states,
+    to_numerators,
+)
+from gasketlab.gasket import MAX_LEVEL
+from gasketlab.harmonic import corner_harmonics
+from gasketlab.measures import MAX_TABLE_LEVEL
+
+LEVELS = range(9)
+MID_ROOT = ((0, 2, 1), (0, 0, 1))  # corner x and y numerators over 2, as in build_level_graph
+ROUTES = {"A": (BASIS, A_INT), "Y": (P_INT, Y_INT), "mid": (MID_ROOT, MID_INT)}
+# zero, negative, float, string and rational entries, then seeded rational ones
+TRIPLES = fraction_oracle.seeded_triples(53) + [(-0.75, 1e-3, 3.5), (-2.5, -1, "-7/3")]
+INT64_LIMIT = 2**63
+
+
+def kusuoka_oracle(m):
+    return {w: Fraction(sum(x * x for col in cols for x in col), 18 * 15**m)
+            for w, cols in dfs.cell_leaves(m, P_INT, (Y_INT,) * 3)}
+
+
+def energy_oracle(u, m):
+    nums, d = to_numerators([Fraction(x) for x in u])
+    return {w: Fraction(pairwise_sq(v), 2 * 15**m * d * d)
+            for w, (v,) in dfs.cell_leaves(m, (nums,), (A_INT,))}
+
+
+def extension_oracle(u, g):
+    """The per-vertex fill over the depth-first leaves, asserting agreement."""
+    nums, d = to_numerators([Fraction(x) for x in u])
+    vals = [None] * g.n_vertices
+    for word, (triple,) in dfs.cell_leaves(g.level, (nums,), (A_INT,)):
+        for vid, val in zip(g.cells[word], triple):
+            assert vals[vid] in (None, val)
+            vals[vid] = val
+    return [Fraction(x, d * 5**g.level) for x in vals]
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("m", LEVELS)
+def test_leaves_equal_depth_first_oracle(m, route):
+    root, gens = ROUTES[route]
+    words, leaves = cell_leaves(m, root, gens)
+    ref = list(dfs.cell_leaves(m, root, (gens,) * len(root)))
+    assert leaves.dtype == np.int64 and leaves.shape == (3**m, 3, len(root))
+    # reversed, the level-order result is the depth-first one
+    assert words[::-1] == [w for w, _ in ref]
+    assert [tuple(map(tuple, c.T.tolist())) for c in leaves[::-1]] == [st for _, st in ref]
+
+
+@pytest.mark.parametrize("m", LEVELS)
+def test_tables_equal_depth_first_oracle_in_key_order(m):
+    nu = kusuoka_measure(m)
+    assert (nu.kind, nu.level) == ("kusuoka", m)
+    assert list(nu.masses.items()) == list(kusuoka_oracle(m).items())
+    for u in TRIPLES:
+        table = energy_measure_table(u, m)
+        assert table.kind == f"energy-of({tuple(str(Fraction(x)) for x in u)})"
+        assert list(table.masses.items()) == list(energy_oracle(u, m).items())
+
+
+@pytest.mark.parametrize("m", LEVELS)
+def test_extension_and_corner_harmonics_equal_oracle(graphs, m):
+    g = graphs(m)
+    table = corner_harmonics(g)
+    assert table.dtype == np.int64 and table.shape == (g.n_vertices, 3)
+    for i, e in enumerate(BASIS):
+        assert table[:, i].tolist() == [x * 5**m for x in extension_oracle(e, g)]
+    for u in TRIPLES:
+        assert harmonic_extend_to_level(u, m, g) == extension_oracle(u, g)
+    assert harmonic_extend_to_level(TRIPLES[1], m) == extension_oracle(TRIPLES[1], g)
+
+
+def entry_bound(root, gens, m):
+    """Entrywise bound, in Python ints, on every level-m leaf state.
+
+    |G_i x| <= |G_i| |x| entrywise, so U_{l+1} = max_i |G_i| U_l bounds the
+    level-(l+1) states when U_l bounds the level-l ones.
+    """
+    bound = [[abs(x) for x in state] for state in root]
+    for _ in range(m):
+        bound = [[max(sum(abs(g[r][c]) * s[c] for c in range(3)) for g in gens.values())
+                  for r in range(3)] for s in bound]
+    return bound
+
+
+def pairwise_bound(state_bound):
+    a, b, c = state_bound
+    return (a + b) ** 2 + (a + c) ** 2 + (b + c) ** 2
+
+
+@pytest.mark.parametrize("route, guard", [
+    ("A", MAX_LEVEL),        # corner_harmonics and the extension on any admitted graph
+    ("A", MAX_TABLE_LEVEL),  # energy tables
+    ("Y", MAX_TABLE_LEVEL),  # Kusuoka tables
+    ("mid", MAX_LEVEL),      # level graphs
+])
+def test_fixed_routes_fit_int64_up_to_their_guards(route, guard):
+    root, gens = ROUTES[route]
+    bound = entry_bound(root, gens, guard)
+    largest = max(max(s) for s in bound)
+    squares = sum(x * x for s in bound for x in s)
+    assert largest < INT64_LIMIT and squares < INT64_LIMIT
+    if route == "A":  # rows of A_i sum to 5, so no entry passes 5^m, and 1^m reaches it
+        assert largest == 5**guard == restrict_states("1" * guard, BASIS, A_INT)[0][0]
+    if route == "mid":  # coordinates lie in [0, 1]: numerators over 2^(m+1)
+        assert largest == 2 ** (guard + 1)
+
+
+def test_identity_check_fits_int64_up_to_its_guard():
+    """|S - 3 sum_j Q_j| with S the Y-route square sum and Q_j the pairwise
+    squares of the A-route leaves stays below 2^63 at m = 8."""
+    m = 8
+    with pytest.raises(UsageError, match="guarded to m <= 8"):
+        kusuoka_identity_check(m + 1)
+    s = sum(x * x for col in entry_bound(P_INT, Y_INT, m) for x in col)
+    q = sum(pairwise_bound(col) for col in entry_bound(BASIS, A_INT, m))
+    assert s + 3 * q < INT64_LIMIT
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_entry_bound_holds_on_every_leaf(route):
+    root, gens = ROUTES[route]
+    m = 6
+    bound = entry_bound(root, gens, m)
+    for _, states in dfs.cell_leaves(m, root, (gens,) * len(root)):
+        assert all(abs(x) <= b for st, bs in zip(states, bound) for x, b in zip(st, bs))
