@@ -108,6 +108,8 @@ def _terminal_values(psi, graph, n_vertices: int) -> np.ndarray:
     psi = np.array(psi, dtype=float)
     if psi.shape != (n_vertices,):
         raise UsageError("terminal data must be one value per vertex")
+    if not np.isfinite(psi).all():
+        raise UsageError("terminal data must be finite")
     return psi
 
 

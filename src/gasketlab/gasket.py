@@ -44,7 +44,10 @@ class Vertex:
 
 @dataclass(frozen=True)
 class LevelGraph:
-    """Immutable level-m graph; safe to share across threads after build."""
+    """Immutable level-m graph; safe to share across threads after build.
+
+    _derived caches read-only tables of the graph alone (corner_harmonics).
+    """
 
     level: int
     vertices: tuple[Vertex, ...]
@@ -53,6 +56,7 @@ class LevelGraph:
     neighbors_of: tuple[tuple[int, ...], ...]
     boundary_ids: tuple[int, int, int]
     index_by_coord: dict[Coord, int] = field(repr=False, default_factory=dict)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:

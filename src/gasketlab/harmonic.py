@@ -75,14 +75,19 @@ def corner_harmonics(g: LevelGraph) -> np.ndarray:
     """(V, 3) int64 numerators over 5^m of h_1, h_2, h_3 on V_m.
 
     Column i is the harmonic extension of the i-th unit triple; one cell-tree
-    traversal carries all three. Well-definedness is asserted: every cell
-    that reaches a vertex gives it the same values.
+    traversal carries all three, once per graph: the read-only table is
+    cached on g. Well-definedness is asserted: every cell that reaches a
+    vertex gives it the same values.
     """
-    words, values = cell_leaves(g.level, BASIS, A_INT)  # (cell, corner, i)
-    corners = np.array([g.cells[w] for w in words], dtype=np.int64)
-    table = np.empty((g.n_vertices, 3), dtype=np.int64)
-    table[corners] = values
-    assert (table[corners] == values).all(), "harmonic extension ill-defined"
+    table = g._derived.get("corner_harmonics")
+    if table is None:
+        words, values = cell_leaves(g.level, BASIS, A_INT)  # (cell, corner, i)
+        corners = np.array([g.cells[w] for w in words], dtype=np.int64)
+        table = np.empty((g.n_vertices, 3), dtype=np.int64)
+        table[corners] = values
+        assert (table[corners] == values).all(), "harmonic extension ill-defined"
+        table.flags.writeable = False
+        g._derived["corner_harmonics"] = table
     return table
 
 
@@ -122,9 +127,22 @@ def cell_energy_measure(u, word: str):
 
 
 class CellGradientTables:
-    """Per-cell float tables backing fast gradient evaluation at one level."""
+    """Per-cell tables and the compiled gradient operator at one level.
+
+    The cell's pattern p and r = (1,1,1)/sqrt(3) x p are orthonormal and
+    orthogonal to (1,1,1), so with d = (v1 - v0, v2 - v0) and
+    s = sqrt(scale / nu) the gradient is sign(a) hypot(a, b), where
+    a = s (p1 d1 + p2 d2) and b = s (r1 d1 + r2 d2): rank 2. gradients()
+    makes two products through bsde._csr_product, the +-1 differences, then
+    the per-cell 2x2 map, so a constant gives exactly 0.0. They write into
+    buffers the tables own: one thread at a time.
+    """
 
     def __init__(self, g: LevelGraph):
+        import scipy.sparse as sp
+
+        from .bsde import _csr_product  # bsde imports walk, which imports this module
+
         self.level = g.level
         self.words = list(g.cells)
         self.corners = np.array([g.cells[w] for w in self.words], dtype=np.int64)
@@ -137,24 +155,31 @@ class CellGradientTables:
         e = np.linalg.svd(b)[0][:, :, 0]  # principal pattern per cell
         d = np.einsum("ki,kij->kj", e, b)  # h_j's component along it
         flip = np.where(np.abs(d[:, 0]) < 1e-13, d[:, 1] < 0, d[:, 0] > 0)
-        self.pattern = np.where(flip[:, None], -e, e)
+        self.pattern = p = np.where(flip[:, None], -e, e)
         self.word_index = {w: k for k, w in enumerate(self.words)}
-        # (3, ncells) copies: reductions over three rows run about twice as
-        # fast as over the short last axis, and add the corners in the same order
-        self._corners_t = np.ascontiguousarray(self.corners.T)
-        self._pattern_t = np.ascontiguousarray(self.pattern.T)
 
-    def gradients(self, values: np.ndarray) -> np.ndarray:
-        """Signed gradient per cell for a vertex-value array."""
-        v = values.take(self._corners_t)
-        vc = v - np.add.reduce(v) / 3  # centred corner values
-        q = np.add.reduce(vc * vc)
-        q *= self.scale  # (3/2)(5/3)^m v^T P v
-        q /= self.nu
-        np.sqrt(q, out=q)
-        vc *= self._pattern_t
-        q *= np.sign(np.add.reduce(vc))
-        return q
+        nc = len(self.words)
+        c0, c1, c2 = self.corners.T
+        k, ptr = np.arange(nc), np.arange(0, 4 * nc + 1, 2)  # two entries a row
+        diff = sp.csr_matrix((np.tile([1.0, -1.0], 2 * nc), np.column_stack(
+            [np.r_[c1, c2], np.r_[c0, c0]]).ravel(), ptr), shape=(2 * nc, g.n_vertices))
+        s = np.sqrt(self.scale / self.nu)
+        r = (p[:, [0, 1]] - p[:, [2, 0]]) / math.sqrt(3.0)  # (r1, r2)
+        proj = sp.csr_matrix(((np.tile(s, 2)[:, None] * np.r_[p[:, 1:], r]).ravel(),
+                              np.tile(np.column_stack([k, k + nc]), (2, 1)).ravel(), ptr),
+                             shape=(2 * nc, 2 * nc))
+        self._differences, self._d = _csr_product(diff)
+        self._project, self._ab = _csr_product(proj)
+        self._a, self._b = self._ab[:nc], self._ab[nc:]
+        self._sign = np.empty(nc)
+
+    def gradients(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Signed gradient per cell of a vertex-value array, into out or a fresh array."""
+        self._differences(values)
+        self._project(self._d)
+        out = np.hypot(self._a, self._b, out=out)
+        out *= np.sign(self._a, out=self._sign)
+        return out
 
 
 def discrete_gradient(u_table, word: str, g: LevelGraph, tables: CellGradientTables | None = None) -> float:

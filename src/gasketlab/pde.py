@@ -17,6 +17,10 @@ energy density because the clock's Revuz measure is nu while quadratic
 variation flows at rate 2 x energy measure. Without the factor the two
 solvers converge to different limits; with it the cross-solver gap closes
 under refinement.
+
+A layer is three compiled sparse products, with operators assembled once per
+solve (solve_weak_pde): B for the right-hand side, CellGradientTables for the
+rank-2 cell gradients and W for their interior average.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .bsde import _terminal_values, solve_dp
+from .bsde import _csr_product, _terminal_values, solve_dp
 from .errors import UsageError
 from .gasket import LevelGraph, build_level_graph
 from .harmonic import CellGradientTables
@@ -100,29 +104,30 @@ class WeakPdeSolution:
 def stiffness_matrix(g: LevelGraph) -> sp.csr_matrix:
     """S[i,j] = E^(m)(hat_i, hat_j) = (1/2)(5/3)^m (D - Adj)."""
     con = 0.5 * (5.0 / 3.0) ** g.level
-    n = g.n_vertices
-    rows, cols, vals = [], [], []
-    for a, b in g.edges:
-        rows += [a, b, a, b]
-        cols += [b, a, a, b]
-        vals += [-con, -con, con, con]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    a, b = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    # per edge the entries (a,b), (b,a), (a,a), (b,b), summed in edge order
+    return sp.csr_matrix((np.tile([-con, -con, con, con], len(a)),
+                          (np.column_stack([a, b, a, b]).ravel(), np.column_stack([b, a, a, b]).ravel())),
+                         shape=(g.n_vertices, g.n_vertices))
 
 
 def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> WeakPdeSolution:
     """Backward IMEX solve of the weak form, every layer kept.
 
-    The layer loop carries only the dependency chain: the interior
-    right-hand side, the solve, the cell gradients of u^k and the interior
-    nu-average of the scaled gradients, which is the next layer's driver
-    argument. The IMEX residuals, which nothing in the loop reads, come after
-    it in row blocks (_imex_residuals). A_ii = diag(mu/h) + S_ii is symmetric,
-    so its transposed SuperLU solve, the faster one, solves the same system.
-    meta["max_imex_residual"] is the largest residual.
+    V_0 is ids 0-2, the interior 3:. A layer makes three products through
+    bsde._csr_product: B on the window u[k:k+2] gives the interior
+    right-hand side (mu/h) u^{k+1} - A_ib phi(t_k), to which g mu and f nu
+    are added; A_ii = diag(mu/h) + S_ii is exactly symmetric, so its faster
+    transposed SuperLU solve gives u^k; CellGradientTables.gradients takes
+    its cell gradients, and W, the sqrt(2)-scaled nu-weighted average of the
+    two cells around each interior vertex, the next layer's driver argument
+    z. The IMEX residuals come after the loop in row blocks
+    (_imex_residuals); meta["max_imex_residual"] is the largest.
 
     UsageError at level 0, whose vertices all lie on V_0, and CapacityError
     when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES, both before
-    anything is assembled.
+    anything is assembled. UsageError names a driver g or f whose result
+    does not have its input's shape.
     """
     if g is None:
         g = build_level_graph(problem.level)
@@ -130,6 +135,7 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
         raise UsageError("graph level does not match problem level")
     if g.level < 1:
         raise UsageError("V_0 has no interior vertex to solve for; solve at level 1 or deeper")
+    assert g.boundary_ids == (0, 1, 2)
     h = problem.time_step
     for lip in (problem.lip_g, problem.lip_f):
         if lip is not None and h * lip >= 1:
@@ -142,26 +148,18 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     nu = np.array([float(x) for x in nu_ex])
     S = stiffness_matrix(g)
     tables = CellGradientTables(g)
-    bnd = np.array(g.boundary_ids)
-    inter = np.ones(n, dtype=bool)
-    inter[bnd] = False
-    ii = np.flatnonzero(inter)
-    avg = _interior_average(tables, ii)
-
-    mu_h = mu / h
-    A = sp.csr_matrix(sp.diags(mu_h) + S)
-    A_ii = A[inter][:, inter].tocsc()
+    W = _interior_average(tables, n)
+    A = sp.csr_matrix(sp.diags(mu / h) + S)
     from scipy.sparse.linalg import splu  # imported here: keeps the package import light
 
     try:
-        lu = splu(A_ii)
+        lu = splu(A[3:, 3:].tocsc())
     except RuntimeError as exc:  # pragma: no cover
         raise UsageError(f"assembly failed: {exc}") from exc
-    # A_ib @ u_b from its few nonzeros: bincount adds each row's terms to 0.0
-    # in the order of the CSC arrays, as the sparse product does
-    A_ib = A[inter][:, ~inter].tocsc()
-    b_rows, b_pos = np.unique(A_ib.indices, return_inverse=True)
-    b_vertex = np.flatnonzero(~inter).repeat(np.diff(A_ib.indptr))
+    # columns: u^k's V_0 entries, then u^{k+1}'s interior ones
+    rhs_of, rhs = _csr_product(sp.hstack([-A[3:, :3], sp.csr_matrix((n - 3, n)),
+                                          sp.diags(mu[3:] / h, format="csr")], format="csr"))
+    average, z = _csr_product(W)
 
     psi = _terminal_values(problem.terminal_psi, g, n)
     u = np.empty((K + 1, n))
@@ -170,25 +168,26 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     phi_T = np.asarray(problem.boundary_phi(problem.horizon), dtype=float)
     # compatibility recorded, not enforced: the terminal map's case split
     # allows phi(T,.) != psi on V_0
-    mismatch = float(np.abs(psi[bnd] - phi_T).max())
-    u[K][bnd] = phi_T
-    grads[K] = tables.gradients(u[K])
+    mismatch = float(np.abs(psi[:3] - phi_T).max())
+    u[K, :3] = phi_T
+    tables.gradients(u[K], out=grads[K])
+    average(grads[K])
 
-    mu_i, nu_i, mu_h_i = mu[ii], nu[ii], mu_h[ii]
-    ui = u[K][ii]
-    z = avg(grads[K])
+    ii, mu_i, nu_i = np.arange(3, n), mu[3:], nu[3:]
+    _driver_values("g", problem.g((K - 1) * h, ii, u[K, 3:]), n - 3)
+    _driver_values("f", problem.f((K - 1) * h, ii, u[K, 3:], z), n - 3)
     for k in range(K - 1, -1, -1):
         t = k * h
-        uk = u[k]
-        uk[bnd] = problem.boundary_phi(t)
-        rhs = mu_h_i * ui + (problem.g(t, ii, ui) * mu_i + problem.f(t, ii, ui, z) * nu_i)
-        rhs[b_rows] -= np.bincount(b_pos, weights=A_ib.data * uk[b_vertex])
-        ui = lu.solve(rhs, trans="T")
-        uk[ii] = ui
-        grads[k] = tables.gradients(uk)
-        z = avg(grads[k])
+        u[k, :3] = problem.boundary_phi(t)
+        ui = u[k + 1, 3:]
+        rhs_of(u[k:k + 2].ravel())
+        rhs += problem.g(t, ii, ui) * mu_i
+        rhs += problem.f(t, ii, ui, z) * nu_i
+        u[k, 3:] = lu.solve(rhs, trans="T")
+        tables.gradients(u[k], out=grads[k])
+        average(grads[k])
 
-    residuals = _imex_residuals(problem, u, grads, mu, nu, S, ii, avg)
+    residuals = _imex_residuals(problem, u, grads, mu, nu, S, W)
     return WeakPdeSolution(
         u=u, gradients=grads, residuals=residuals, level=g.level,
         time_step=h, cell_words=tables.words,
@@ -198,64 +197,60 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     )
 
 
-def _interior_average(tables: CellGradientTables, interior: np.ndarray):
-    """avg(grads) -> z at the interior vertices, on one layer or a block of them.
+def _interior_average(tables: CellGradientTables, n: int) -> sp.csr_matrix:
+    """W: z = W @ grads at the interior vertices 3:, the nu-weighted average
+    of the sqrt(2)-scaled gradients of the two cells around each."""
+    cells = np.arange(len(tables.words)).repeat(3)
+    rows = tables.corners.ravel() - 3
+    rows, cells = rows[rows >= 0], cells[rows >= 0]
+    assert (np.bincount(rows) == 2).all(), "an interior vertex lies in two cells"
+    around = np.bincount(rows, weights=tables.nu[cells])
+    return sp.csr_matrix((BROWNIAN_GRADIENT_SCALE * tables.nu[cells] / around[rows], (rows, cells)),
+                         shape=(n - 3, len(tables.words)))
 
-    z is the nu-weighted average of the sqrt(2)-scaled gradients of the two
-    cells around each interior vertex, summed in cell order, as the product
-    with the cell incidence sums them.
-    """
-    flat = tables.corners.ravel()
-    by_vertex = np.argsort(flat, kind="stable")  # cell order within a vertex
-    first = np.searchsorted(flat[by_vertex], interior)
-    assert (np.bincount(flat)[interior] == 2).all(), "an interior vertex lies in two cells"
-    c0, c1 = by_vertex[first] // 3, by_vertex[first + 1] // 3
-    nu = tables.nu
-    around = nu[c0] + nu[c1]
 
-    def avg(grads: np.ndarray) -> np.ndarray:
-        w = nu * (BROWNIAN_GRADIENT_SCALE * grads)
-        z = w.take(c0, axis=-1)
-        z += w.take(c1, axis=-1)
-        z /= around
-        return z
-
-    return avg
+def _driver_values(name: str, values, points: int):
+    """values, or UsageError naming the driver unless it gave one per point."""
+    if np.shape(values) != (points,):
+        raise UsageError(f"driver {name} returned shape {np.shape(values)} for {points} "
+                         "points; PDE drivers are elementwise")
+    return values
 
 
 _RESIDUAL_BLOCK_BYTES = 2**17  # one (rows, V) float array of the residual pass
 
 
-def _imex_residuals(problem: WeakPdeProblem, u, grads, mu, nu, S, interior,
-                    avg) -> np.ndarray:
+def _imex_residuals(problem: WeakPdeProblem, u, grads, mu, nu, S, W) -> np.ndarray:
     """IMEX lag per layer k < K: the largest interior defect
 
         (mu/h)(u^k - u^{k+1}) + S u^k - g(t_k, x, u^k) mu - f(t_k, x, u^k, z(u^k)) nu
 
-    when the nonlinearity is re-evaluated at u^k, z(u^k) being the average of
-    layer k's gradients. Rows go in blocks of about _RESIDUAL_BLOCK_BYTES a
-    (rows, V) array, each with one call of g and of f on flat arrays (drivers
-    are elementwise, t included) and one S product, so no (K+1, V) array is
-    made; every entry is summed in the order of the per-layer form.
+    when the nonlinearity is re-evaluated at u^k, z(u^k) = W @ grads[k] being
+    the average of layer k's gradients. Rows go in blocks of about
+    _RESIDUAL_BLOCK_BYTES a (rows, V) array, each with one call of g and of f
+    on flat arrays (drivers are elementwise, t included) and one product
+    each with S and W, so no (K+1, V) array is made; every entry is summed
+    in the order of the per-layer form.
     """
-    K = u.shape[0] - 1
+    K, n = u.shape[0] - 1, u.shape[1]
     h = problem.time_step
-    n_i = interior.size
-    mu_h_i, mu_i, nu_i = (mu / h)[interior], mu[interior], nu[interior]
-    S_i = S[interior]
-    rows = max(1, min(K, _RESIDUAL_BLOCK_BYTES // (8 * u.shape[1])))
-    xs = np.tile(interior, rows)
+    n_i = n - 3
+    mu_h_i, mu_i, nu_i = (mu / h)[3:], mu[3:], nu[3:]
+    S_i = S[3:]
+    rows = max(1, min(K, _RESIDUAL_BLOCK_BYTES // (8 * n)))
+    xs = np.tile(np.arange(3, n), rows)
     out = np.empty(K)
     for lo in range(0, K, rows):
         hi = min(K, lo + rows)
         r = hi - lo
         block = u[lo:hi]
-        ui = block[:, interior]
+        ui = block[:, 3:]
         ts = np.repeat(np.arange(lo, hi) * h, n_i)
-        flat_u = ui.ravel()
-        load = (problem.g(ts, xs[:r * n_i], flat_u).reshape(r, n_i) * mu_i
-                + problem.f(ts, xs[:r * n_i], flat_u, avg(grads[lo:hi]).ravel()).reshape(r, n_i) * nu_i)
-        res = mu_h_i * (ui - u[lo + 1:hi + 1, interior])
+        flat_u, x = ui.ravel(), xs[:r * n_i]
+        z = (W @ grads[lo:hi].T).T.ravel()
+        load = (_driver_values("g", problem.g(ts, x, flat_u), r * n_i).reshape(r, n_i) * mu_i
+                + _driver_values("f", problem.f(ts, x, flat_u, z), r * n_i).reshape(r, n_i) * nu_i)
+        res = mu_h_i * (ui - u[lo + 1:hi + 1, 3:])
         res += (S_i @ block.T).T
         res -= load
         np.abs(res, out=res)

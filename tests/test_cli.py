@@ -118,6 +118,15 @@ def test_pde_at_level_zero_is_a_usage_error(tmp_path, capsys):
     assert "interior" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pde", "bsde"])
+def test_non_finite_terminal_data_is_a_usage_error(tmp_path, capsys, command):
+    # JSON's NaN passes the schema as a number; the solvers reject it
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({**PROBLEM, "terminal": {"name": "constant", "value": math.nan}}))
+    assert run([command, "--problem", pf, "--level", 2, "--out", tmp_path / "u.csv"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_bsde_iters_flag_removed(tmp_path):
     pf = tmp_path / "p.json"
     pf.write_text(json.dumps(PROBLEM))

@@ -7,6 +7,7 @@ from fractions import Fraction
 import fraction_oracle as oracle
 import graph_oracle
 import numpy as np
+import pde_oracle
 import pytest
 
 from gasketlab import (
@@ -263,6 +264,39 @@ def test_gradient_magnitude_matches_energy_ratio(graphs):
         grad = discrete_gradient(tab, w, g, tables)
         expect = float(cell_energy_measure(u, w) / nu.masses[w])
         assert abs(grad * grad - expect) < 1e-11 * max(1.0, expect)
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_gradients_equal_centred_corner_formula(graphs, m):
+    # the rank-2 map from corner differences against the centred corner
+    # triple it replaced: equal to the ulp level
+    tables = CellGradientTables(graphs(m))
+    vals = np.random.default_rng(m).standard_normal(graphs(m).n_vertices)
+    ref = pde_oracle.gradients(tables, vals)
+    assert np.abs(tables.gradients(vals) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", range(7))
+def test_gradients_of_constants_are_exactly_zero(graphs, m):
+    # corner differences of a constant are exactly 0.0, and so is the map
+    tables = CellGradientTables(graphs(m))
+    for c in (0.7, -3.0, 1e12, 2.0**-40):
+        grads = tables.gradients(np.full(graphs(m).n_vertices, c))
+        assert grads.tobytes() == np.zeros(len(tables.words)).tobytes()
+
+
+def test_gradients_return_no_view_of_a_buffer(graphs):
+    g = graphs(3)
+    tables = CellGradientTables(g)
+    rng = np.random.default_rng(8)
+    first = tables.gradients(rng.standard_normal(g.n_vertices))
+    kept = first.copy()
+    second = tables.gradients(rng.standard_normal(g.n_vertices))
+    assert first.tobytes() == kept.tobytes() and not np.shares_memory(first, second)
+    for buffer in (tables._d, tables._ab):
+        assert not np.shares_memory(first, buffer)
+    out = np.empty(len(tables.words))
+    assert tables.gradients(g.n_vertices * [1.0], out=out) is out and not out.any()
 
 
 def test_discrete_gradient_is_the_table_entry(graphs):

@@ -99,6 +99,30 @@ def test_extension_and_corner_harmonics_equal_oracle(graphs, m):
     assert harmonic_extend_to_level(TRIPLES[1], m) == extension_oracle(TRIPLES[1], g)
 
 
+def test_corner_harmonics_one_traversal_per_graph(monkeypatch):
+    # the step kernel, the gradient tables and every extension share the
+    # table cached on the graph: one A-route traversal per graph, read-only
+    from gasketlab import build_level_graph, build_step_kernel, harmonic
+    from gasketlab.harmonic import CellGradientTables
+
+    calls = []
+
+    def spy(m, root, gens):
+        calls.append(m)
+        return cell_leaves(m, root, gens)
+
+    monkeypatch.setattr(harmonic, "cell_leaves", spy)
+    for m in (3, 4):
+        g = build_level_graph(m)
+        build_step_kernel(g)
+        CellGradientTables(g)
+        for u in TRIPLES[:10]:
+            harmonic_extend_to_level(u, m, g)
+        table = corner_harmonics(g)
+        assert table is corner_harmonics(g) and not table.flags.writeable
+    assert calls == [3, 4]
+
+
 def entry_bound(root, gens, m):
     """Entrywise bound, in Python ints, on every level-m leaf state.
 
