@@ -113,11 +113,19 @@ def _terminal_values(psi, graph, n_vertices: int) -> np.ndarray:
     return psi
 
 
+def _require_finite_boundary(values) -> None:
+    """UsageError unless every given phi value is finite; called outside the layer loops."""
+    if not np.isfinite(values).all():
+        raise UsageError("boundary data must be finite")
+
+
 def _pinned_terminal(problem: BsdeProblem, kernel: StepKernel, graph) -> np.ndarray:
     """The terminal layer: terminal data, with phi(T) on V_0 in killed mode."""
     y = _terminal_values(problem.terminal_psi, graph, kernel.n_vertices)
     if problem.duration == "killed":
-        y[kernel.is_boundary] = problem.boundary_phi(problem.horizon)
+        phi_T = problem.boundary_phi(problem.horizon)
+        _require_finite_boundary(phi_T)
+        y[kernel.is_boundary] = phi_T
     return y
 
 
@@ -158,6 +166,8 @@ def _sweep(problem: BsdeProblem, kernel: StepKernel, terminal: np.ndarray, layer
     products. The layer products go through _csr_product into one buffer
     per call, and ey is a view of it: a layer may write into ey and return
     it, but must not keep it, since the next layer's product overwrites it.
+    Killed mode checks Y[:, V_0] for a non-finite phi after the loop, or on a
+    layer's SchemeError, since such a phi stalls the in-step fixed point.
     """
     dt = kernel.dt
     V = kernel.n_vertices
@@ -173,15 +183,22 @@ def _sweep(problem: BsdeProblem, kernel: StepKernel, terminal: np.ndarray, layer
     else:
         product, ey = _csr_product(kernel.P)
         z = None
-    for k in range(K - 1, -1, -1):
-        t = k * dt
-        product(Y[k + 1])
-        if layer_reads_z:
-            z = np.divide(qy, kernel.dqv, out=Z[k])
-        y = layer(k, t, ey, z)
+    try:
+        for k in range(K - 1, -1, -1):
+            t = k * dt
+            product(Y[k + 1])
+            if layer_reads_z:
+                z = np.divide(qy, kernel.dqv, out=Z[k])
+            y = layer(k, t, ey, z)
+            if killed:
+                y[bnd] = problem.boundary_phi(t)
+            Y[k] = y
+    except SchemeError:
         if killed:
-            y[bnd] = problem.boundary_phi(t)
-        Y[k] = y
+            _require_finite_boundary(Y[k + 1:, bnd])
+        raise
+    if killed:
+        _require_finite_boundary(Y[:, bnd])
     if not layer_reads_z:
         Z[:K] = (kernel.Q @ Y[1:].T).T
         Z[:K] /= kernel.dqv
@@ -455,6 +472,8 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
         V = drift * ey + c * ez
         if killed:
             V[bnd] = problem.boundary_phi(k * dt)
+    if killed:  # a non-finite phi(t) reaches the last layer through V_0's neighbours
+        _require_finite_boundary(V)
     z0 = ez / kernel.dqv
     if killed:
         z0[bnd] = 0.0
@@ -492,6 +511,7 @@ def _mc_linear(kernel, problem, a, b, c, starts, n_paths, seed, psi, killed):
         if arrived.any():  # phi once per distinct hit step
             steps, which = np.unique(hit[arrived], return_inverse=True)
             phi = np.array([problem.boundary_phi(int(k) * kernel.dt) for k in steps], dtype=float)
+            _require_finite_boundary(phi)
             value[arrived] = phi[which, pos[arrived]]
         samples = np.exp(r["clock"][:, 0]).real * value
         out[start] = {"estimate": float(samples.mean()),

@@ -158,6 +158,8 @@ def _parse_start(s: str):
 
 
 def _cmd_walk(args):
+    if args.emit != "histogram" and (args.at_time is not None or args.cell_level is not None):
+        raise UsageError("--at-time and --cell-level apply only to --emit histogram")
     g = build_level_graph(args.level)
     kernel = build_step_kernel(g)
     cfg = WalkConfig(
@@ -326,40 +328,39 @@ def _cmd_check_identity(args):
 # --- parser -------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--workers", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--format", choices=["csv", "json"], default=argparse.SUPPRESS)
-
     ap = argparse.ArgumentParser(
         prog="gasketlab",
         description="Dirichlet-form calculus, walks, BSDE and weak-PDE solvers "
                     "on finite gasket approximations",
-        parents=[common],
     )
-    # global-flag defaults are filled after parsing: set_defaults would mutate
-    # the shared parent actions and let subparsers clobber pre-subcommand flags
     sub = ap.add_subparsers(dest="subcommand", parser_class=argparse.ArgumentParser)
+    flags = {"seed": {"type": int, "default": 0},
+             "workers": {"type": int, "default": 1},
+             "format": {"choices": ["csv", "json"], "default": "csv"}}
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, *flag_names, group=sub, **kw):
+        """A subcommand that takes, of the flags above, only those it reads."""
+        p = group.add_parser(name, **kw)
+        for flag in flag_names:
+            p.add_argument(f"--{flag}", **flags[flag])
+        return p
 
     p = add("graph", help="export a level graph as JSON")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = add("harmonic", help="harmonic extension table as CSV")
+    p = add("harmonic", "format", help="harmonic extension table as CSV")
     p.add_argument("--boundary", required=True, help="u1,u2,u3 rationals")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--out", required=True)
 
-    p = add("measure", help="cell-measure table as CSV")
+    p = add("measure", "format", help="cell-measure table as CSV")
     p.add_argument("--kind", choices=["mu", "nu", "energy"], required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--boundary")
     p.add_argument("--out", required=True)
 
-    p = add("walk", help="simulate the level-m random walk")
+    p = add("walk", "seed", "workers", "format", help="simulate the level-m random walk")
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--horizon", type=float, default=1.0)
@@ -370,14 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cell-level", type=int, default=None)
     p.add_argument("--out", required=True)
 
-    p = add("bsde", help="solve a BSDE problem file by chain DP")
+    p = add("bsde", "format", help="solve a BSDE problem file by chain DP")
     p.add_argument("--problem", required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--scheme", choices=["explicit", "picard-in-step"], default="explicit")
     p.add_argument("--stride", type=int, default=1, help="emit every k-th layer")
     p.add_argument("--out", required=True)
 
-    p = add("pde", help="solve a weak-form PDE problem file")
+    p = add("pde", "format", help="solve a weak-form PDE problem file")
     p.add_argument("--problem", required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--steps", type=int, default=None)
@@ -387,33 +388,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("check", help="cross-validation pipelines")
     csub = p.add_subparsers(dest="check_kind")
 
-    c = csub.add_parser("fk", parents=[common])
+    c = add("fk", "format", group=csub)
     c.add_argument("--problem", required=True)
     c.add_argument("--levels", default="3,4,5")
     c.add_argument("--probe-times", default="0.0,0.25,0.5,0.75")
     c.add_argument("--out", required=True)
 
-    c = csub.add_parser("bounds", parents=[common])
+    c = add("bounds", "seed", "workers", group=csub)
     c.add_argument("--which", choices=["ml", "beta-chain", "moments", "expint"],
                    required=True)
     c.add_argument("--level", type=int, default=4)
     c.add_argument("--paths", type=int, default=20000)
     c.add_argument("--out", required=True)
 
-    c = csub.add_parser("contraction", parents=[common])
+    c = add("contraction", "seed", "workers", group=csub)
     c.add_argument("--level", type=int, default=3)
     c.add_argument("--paths", type=int, default=500)
     c.add_argument("--iters", type=int, default=12)
     c.add_argument("--out", required=True)
 
-    c = csub.add_parser("identity", parents=[common])
+    c = add("identity", group=csub)
     c.add_argument("--levels", default="1,3,5")
     c.add_argument("--out", required=True)
 
     return ap
 
-
-GLOBAL_DEFAULTS = {"seed": 0, "workers": 1, "format": "csv"}
 
 # keyed by subcommand, or by check kind under `check`
 COMMANDS = {
@@ -433,9 +432,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    for key, value in GLOBAL_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
     if not args.subcommand:
         print("error: config missing required fields: subcommand, out",
               file=sys.stderr)

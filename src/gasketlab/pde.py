@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .bsde import _csr_product, _terminal_values, solve_dp
+from .bsde import _csr_product, _require_finite_boundary, _terminal_values, solve_dp
 from .errors import UsageError
 from .gasket import LevelGraph, build_level_graph
 from .harmonic import CellGradientTables
@@ -127,7 +127,7 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     UsageError at level 0, whose vertices all lie on V_0, and CapacityError
     when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES, both before
     anything is assembled. UsageError names a driver g or f whose result
-    does not have its input's shape.
+    does not have its input's shape, and non-finite phi, checked after the loop.
     """
     if g is None:
         g = build_level_graph(problem.level)
@@ -166,6 +166,7 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     grads = np.empty((K + 1, len(tables.words)))
     u[K] = psi
     phi_T = np.asarray(problem.boundary_phi(problem.horizon), dtype=float)
+    _require_finite_boundary(phi_T)
     # compatibility recorded, not enforced: the terminal map's case split
     # allows phi(T,.) != psi on V_0
     mismatch = float(np.abs(psi[:3] - phi_T).max())
@@ -186,6 +187,7 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
         u[k, 3:] = lu.solve(rhs, trans="T")
         tables.gradients(u[k], out=grads[k])
         average(grads[k])
+    _require_finite_boundary(u[:, :3])
 
     residuals = _imex_residuals(problem, u, grads, mu, nu, S, W)
     return WeakPdeSolution(

@@ -387,25 +387,30 @@ def test_criterion_11_bounds(kernels, graphs):
                f"({elapsed:.1f}s)")
 
 
-def test_criterion_12_cli_reproducibility(tmp_path):
+def test_criterion_12_cli_reproducibility(tmp_path, pool_spy):
     from gasketlab.cli import main
 
     outs = {}
+    # 50001 paths are three 25000-path blocks: --workers 4 runs them in a pool
+    for workers in (1, 4):
+        out = tmp_path / f"stats_w{workers}.json"
+        rc = main(["walk", "--seed", "99", "--workers", str(workers),
+                   "--level", "3", "--paths", "50001", "--horizon", "0.5",
+                   "--emit", "stats", "--out", str(out)])
+        assert rc == 0
+        outs[f"stats{workers}"] = out.read_bytes()
+    assert pool_spy == [4]
+    assert outs["stats1"] == outs["stats4"]
+
+    # 2000 recorded paths are one block: no pool, the same bytes either way
     for workers in (1, 4):
         out = tmp_path / f"paths_w{workers}.csv"
-        rc = main(["--seed", "99", "--workers", str(workers),
-                   "walk", "--level", "3", "--paths", "2000",
+        rc = main(["walk", "--seed", "99", "--workers", str(workers),
+                   "--level", "3", "--paths", "2000",
                    "--horizon", "0.5", "--emit", "paths", "--out", str(out)])
         assert rc == 0
-        outs[workers] = out.read_bytes()
-    assert outs[1] == outs[4]
-
-    for workers in (1, 2):
-        out = tmp_path / f"nu_w{workers}.csv"
-        rc = main(["--workers", str(workers), "measure", "--kind", "nu",
-                   "--level", "3", "--out", str(out)])
-        assert rc == 0
-        outs[f"nu{workers}"] = out.read_bytes()
-    assert outs["nu1"] == outs["nu2"]
-    report(12, "CLI outputs byte-identical across worker counts (walk paths, "
-               "measure table)")
+        outs[f"paths{workers}"] = out.read_bytes()
+    assert pool_spy == [4]
+    assert outs["paths1"] == outs["paths4"]
+    report(12, "CLI outputs byte-identical across worker counts: walk stats over "
+               "three blocks, in a 4-worker process pool; walk paths in one block")

@@ -318,6 +318,68 @@ def test_realized_horizon_reported(kernels, graphs):
     assert sol.meta["realized_horizon"] == 469 * k.dt
 
 
+def phi_bad_at(when, bad, horizon):
+    """phi, zero except bad on p1 at t = 0, inside [0.4 T, 0.6 T], or from T on."""
+    def phi(t):
+        hit = {"0": t == 0, "interior": 0.4 * horizon <= t <= 0.6 * horizon,
+               "T": t >= horizon}[when]
+        return np.array([bad if hit else 0.0, 0.0, 0.0])
+    return phi
+
+
+def killed_linear(g, phi, horizon=0.05):
+    gf, ff, k0, k1 = make_drivers({"driver": {"name": "linear", "a": 0.3, "b": 0.2, "c": 0.1}})
+    return BsdeProblem(g=gf, f=ff, terminal_psi=bump(g), horizon=horizon, k0=k0, k1=k1,
+                       duration="killed", boundary_phi=phi)
+
+
+# an interior inf meets inf - inf in the layers before the check after the
+# loop, and numpy warns there; the solve still ends in UsageError
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("when", ("T", "interior", "0"))
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+@pytest.mark.parametrize("solver", ("explicit", "picard-in-step", "picard", "closed-form",
+                                    "weak-pde"))
+def test_non_finite_boundary_data_rejected(kernels, graphs, solver, bad, when):
+    # at m = 2, T = 0.05 a NaN phi used to leave 33 of 75 DP entries, 13 of
+    # 15 closed-form Y0 entries and 53 of 75 entries of the weak solve's u NaN
+    # (max_imex_residual nan); picard-in-step ended in SchemeError
+    g, k = graphs(2), kernels(2)
+    p = killed_linear(g, phi_bad_at(when, bad, 0.05))
+    solve = {
+        "weak-pde": lambda: solve_weak_pde(WeakPdeProblem(
+            g=p.g, f=p.f, terminal_psi=bump, horizon=0.05, level=2,
+            boundary_phi=p.boundary_phi), g),
+        "explicit": lambda: solve_dp(p, k, g),
+        "picard-in-step": lambda: solve_dp(p, k, g, scheme="picard-in-step"),
+        "picard": lambda: picard_iterate(
+            p, k, 2, simulate_paths(WalkConfig(level=2, horizon=0.05, path_count=20, seed=1),
+                                    k, g), BetaWeights(1, 1), g),
+        "closed-form": lambda: linear_closed_form(0.3, 0.2, 0.1, p, k, g),
+    }[solver]
+    with pytest.raises(UsageError, match="boundary data must be finite"):
+        solve()
+
+
+@pytest.mark.parametrize("when", ("T", "interior", "0"))
+@pytest.mark.parametrize("bad", (math.nan, math.inf))
+def test_mc_linear_rejects_non_finite_boundary_data_it_reads(kernels, graphs, bad, when):
+    # the MC route reads phi only at the hit steps, 1..K: a path that starts
+    # off V_0 never reads phi(0)
+    g, k = graphs(2), kernels(2)
+    p = killed_linear(g, phi_bad_at(when, bad, 0.05))
+    psi = bump(g)
+
+    def run():
+        return bsde._mc_linear(k, p, 0.3, 0.2, 0.1, [3, 4, 5], 400, 7, psi, True)
+
+    if when == "0":
+        assert all(math.isfinite(r["estimate"]) for r in run().values())
+        return
+    with pytest.raises(UsageError, match="boundary data must be finite"):
+        run()
+
+
 # --- V^beta norm -------------------------------------------------------------------
 
 def test_vbeta_zero_field(kernels, graphs):

@@ -1,15 +1,17 @@
 """Command-line interface: outputs, schema validation, reproducibility."""
 
+import argparse
 import csv
 import inspect
 import json
 import math
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from gasketlab.cli import COMMANDS, main
+from gasketlab.cli import COMMANDS, build_parser, main
 from gasketlab.errors import UsageError
 from gasketlab.problems import validate_problem_dict
 from gasketlab.walk import step_duration
@@ -127,6 +129,17 @@ def test_non_finite_terminal_data_is_a_usage_error(tmp_path, capsys, command):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", (math.nan, math.inf))
+@pytest.mark.parametrize("command", ["pde", "bsde"])
+def test_non_finite_boundary_data_is_a_usage_error(tmp_path, capsys, command, value):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps({**PROBLEM, "boundary": {"values": [value, 0, 0]}}))
+    out = tmp_path / "u.csv"
+    assert run([command, "--problem", pf, "--level", 2, "--out", out]) == 2
+    assert "boundary data must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bsde_iters_flag_removed(tmp_path):
     pf = tmp_path / "p.json"
     pf.write_text(json.dumps(PROBLEM))
@@ -144,7 +157,7 @@ def test_json_format_tables(tmp_path, command, keys):
     pf = tmp_path / "p.json"
     pf.write_text(json.dumps(PROBLEM))
     out = tmp_path / "t.json"
-    assert run(["--format", "json", *command, "--problem", pf, "--out", out]) == 0
+    assert run([*command, "--format", "json", "--problem", pf, "--out", out]) == 0
     rows = json.loads(out.read_text())
     assert rows and all(set(r) == keys for r in rows)
     assert all(isinstance(r[k], float) for r in rows for k in keys & {"Y", "sup_error"})
@@ -297,6 +310,89 @@ def test_walk_stats_single_path_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# each leaf subcommand with its required arguments, and the leaves that read
+# each of the three shared flags; every other placement exits 2 in argparse
+LEAVES = {
+    "graph": ["graph", "--level", "1"],
+    "harmonic": ["harmonic", "--boundary", "1,0,0", "--level", "1"],
+    "measure": ["measure", "--kind", "nu", "--level", "1"],
+    "walk": ["walk", "--level", "1"],
+    "bsde": ["bsde", "--problem", "p.json", "--level", "1"],
+    "pde": ["pde", "--problem", "p.json", "--level", "1"],
+    "check fk": ["check", "fk", "--problem", "p.json"],
+    "check bounds": ["check", "bounds", "--which", "ml"],
+    "check contraction": ["check", "contraction"],
+    "check identity": ["check", "identity"],
+}
+FLAG_READERS = {
+    "--seed": {"walk", "check bounds", "check contraction"},
+    "--workers": {"walk", "check bounds", "check contraction"},
+    "--format": {"harmonic", "measure", "walk", "bsde", "pde", "check fk"},
+}
+FLAG_VALUES = {"--seed": ("3", 3), "--workers": ("2", 2), "--format": ("json", "json")}
+
+
+def all_parsers(parser, name=""):
+    """(name, parser) for the top-level parser, the check group and every leaf."""
+    yield name, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for child, p in action.choices.items():
+                yield from all_parsers(p, f"{name} {child}".strip())
+
+
+def test_shared_flags_are_placed_only_on_their_readers():
+    placed = {(name, opt) for name, p in all_parsers(build_parser())
+              for action in p._actions for opt in action.option_strings if opt in FLAG_READERS}
+    assert placed == {(leaf, flag) for flag, leaves in FLAG_READERS.items() for leaf in leaves}
+    assert len(placed) == 12
+
+
+@pytest.mark.parametrize("flag", FLAG_READERS)
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_shared_flag_placements(capsys, leaf, flag):
+    text, value = FLAG_VALUES[flag]
+    argv = [*LEAVES[leaf], flag, text, "--out", "x"]
+    if leaf in FLAG_READERS[flag]:
+        assert getattr(build_parser().parse_args(argv), flag[2:]) == value
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {text}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", FLAG_READERS)
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_shared_flags_before_the_subcommand_exit_2(leaf, flag):
+    # before the subcommand or between check and its kind, even for a reader
+    words = LEAVES[leaf]
+    cut = 1 if words[0] == "check" else 0
+    argv = [*words[:cut], flag, FLAG_VALUES[flag][0], *words[cut:], "--out", "x"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line for line in block.splitlines() if line.startswith("gasketlab ")]
+    assert len(lines) >= 8
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
+@pytest.mark.parametrize("emit", ("paths", "stats"))
+@pytest.mark.parametrize("flag", (["--at-time", "0.25"], ["--cell-level", "1"]))
+def test_walk_histogram_flags_need_emit_histogram(tmp_path, capsys, emit, flag):
+    out = tmp_path / "w.out"
+    assert run(["walk", "--level", 1, "--paths", 10, "--horizon", 0.5, "--emit", emit,
+                *flag, "--out", out]) == 2
+    assert "--emit histogram" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_arithmetic_flag_removed(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["--arithmetic", "exact", "graph", "--level", 1, "--out", tmp_path / "g.json"])
@@ -337,34 +433,37 @@ def test_problem_schema_missing_field():
     assert "terminal" in str(exc.value) or "required" in str(exc.value)
 
 
-def test_reproducibility_across_workers(tmp_path):
+def test_reproducibility_across_workers_single_block(tmp_path):
+    # 600 paths are one 25000-path block: --workers 3 is accepted, but no
+    # pool is started (the multi-block test below reaches it)
     outs = []
     for workers, name in ((1, "a.csv"), (3, "b.csv")):
         out = tmp_path / name
-        assert run(["--seed", "11", "--workers", workers,
-                    "walk", "--level", 2, "--paths", 600, "--horizon", 0.5,
+        assert run(["walk", "--seed", "11", "--workers", workers,
+                    "--level", 2, "--paths", 600, "--horizon", 0.5,
                     "--emit", "paths", "--out", out]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
 
-def test_reproducibility_across_workers_multi_block(tmp_path):
+def test_reproducibility_across_workers_multi_block(tmp_path, pool_spy):
     # 50001 paths make three default 25000-path blocks, so --workers 3
     # runs them in a process pool
     outs = []
     for workers, name in ((1, "a.json"), (3, "b.json")):
         out = tmp_path / name
-        assert run(["--seed", "11", "--workers", workers,
-                    "walk", "--level", 1, "--paths", 50001, "--horizon", 0.2,
+        assert run(["walk", "--seed", "11", "--workers", workers,
+                    "--level", 1, "--paths", 50001, "--horizon", 0.2,
                     "--emit", "stats", "--out", out]) == 0
         outs.append(out.read_bytes())
+    assert pool_spy == [3]
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["qv"]["paths"] == 50001
 
 
 def test_measure_json_format(tmp_path):
     out = tmp_path / "nu.json"
-    assert run(["--format", "json", "measure", "--kind", "nu", "--level", 1,
+    assert run(["measure", "--format", "json", "--kind", "nu", "--level", 1,
                 "--out", out]) == 0
     doc = json.loads(out.read_text())
     assert len(doc) == 3

@@ -390,23 +390,15 @@ def test_weighted_mc_clock_equals_oracle(kernels, graphs, monkeypatch, killed):
 
 
 @pytest.mark.parametrize("killed", (False, True))
-def test_run_blocks_in_a_pool_equal_oracle(kernels, graphs, monkeypatch, killed):
+def test_run_blocks_in_a_pool_equal_oracle(kernels, graphs, pool_spy, killed):
     # block_size < path_count with two workers: the pool is started, and its
     # merged blocks equal the oracle's
     k, g = kernels(3), graphs(3)
-    pools = []
-
-    class Pool(walk.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(walk, "ProcessPoolExecutor", Pool)
     cfg = WalkConfig(level=3, horizon=0.4, path_count=500, seed=5, killed=killed,
                      block_size=200, workers=2)
     layers = (0, 9, 60, cfg.n_steps)
     run = walk._run_blocks(cfg, k, g, layers=layers)
-    assert pools == [2]
+    assert pool_spy == [2]
     assert_run_equals_oracle(run, oracle_run(k, cfg), layers, False)
 
 
