@@ -27,7 +27,7 @@ from numpy.random import Generator, Philox
 from scipy.sparse._sparsetools import csr_matvec
 
 from . import walk
-from .errors import DeclaredConstantError, SchemeError, UsageError
+from .errors import DeclaredConstantError, NumericOverflowError, SchemeError, UsageError
 from .gasket import vertex_count
 from .walk import (PathEnsemble, StepKernel, WalkConfig, _run_blocks, field_layers,
                    heavy_tailed, layer_count)
@@ -119,6 +119,23 @@ def _require_finite_boundary(values) -> None:
         raise UsageError("boundary data must be finite")
 
 
+# the backward loops run under this; the checks after them decide what the caller sees
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+
+
+def _require_finite_fields(dt: float, **fields) -> None:
+    """NumericOverflowError unless each (K+1, ...) field is finite; it names the
+    highest non-finite layer, the first the backward loop reached. Called after
+    the loop and after the phi check, so a non-finite phi stays a UsageError."""
+    last = {name: int(np.flatnonzero(~np.isfinite(f).all(axis=1))[-1])
+            for name, f in fields.items() if not np.isfinite(f).all()}
+    if last:
+        k = max(last.values())
+        raise NumericOverflowError(f"{' and '.join(last)} not finite from layer {k} "
+                                   f"(t = {k * dt:.6g}) down: the driver left the "
+                                   "floating-point range")
+
+
 def _pinned_terminal(problem: BsdeProblem, kernel: StepKernel, graph) -> np.ndarray:
     """The terminal layer: terminal data, with phi(T) on V_0 in killed mode."""
     y = _terminal_values(problem.terminal_psi, graph, kernel.n_vertices)
@@ -167,7 +184,9 @@ def _sweep(problem: BsdeProblem, kernel: StepKernel, terminal: np.ndarray, layer
     per call, and ey is a view of it: a layer may write into ey and return
     it, but must not keep it, since the next layer's product overwrites it.
     Killed mode checks Y[:, V_0] for a non-finite phi after the loop, or on a
-    layer's SchemeError, since such a phi stalls the in-step fixed point.
+    layer's SchemeError, since such a phi stalls the in-step fixed point. The
+    loop runs with numpy's floating-point warnings off; after the phi check,
+    NumericOverflowError names the first layer where Y or Z is not finite.
     """
     dt = kernel.dt
     V = kernel.n_vertices
@@ -183,27 +202,29 @@ def _sweep(problem: BsdeProblem, kernel: StepKernel, terminal: np.ndarray, layer
     else:
         product, ey = _csr_product(kernel.P)
         z = None
-    try:
-        for k in range(K - 1, -1, -1):
-            t = k * dt
-            product(Y[k + 1])
-            if layer_reads_z:
-                z = np.divide(qy, kernel.dqv, out=Z[k])
-            y = layer(k, t, ey, z)
+    with np.errstate(**_QUIET):
+        try:
+            for k in range(K - 1, -1, -1):
+                t = k * dt
+                product(Y[k + 1])
+                if layer_reads_z:
+                    z = np.divide(qy, kernel.dqv, out=Z[k])
+                y = layer(k, t, ey, z)
+                if killed:
+                    y[bnd] = problem.boundary_phi(t)
+                Y[k] = y
+        except SchemeError:
             if killed:
-                y[bnd] = problem.boundary_phi(t)
-            Y[k] = y
-    except SchemeError:
+                _require_finite_boundary(Y[k + 1:, bnd])
+            raise
         if killed:
-            _require_finite_boundary(Y[k + 1:, bnd])
-        raise
-    if killed:
-        _require_finite_boundary(Y[:, bnd])
-    if not layer_reads_z:
-        Z[:K] = (kernel.Q @ Y[1:].T).T
-        Z[:K] /= kernel.dqv
+            _require_finite_boundary(Y[:, bnd])
+        if not layer_reads_z:
+            Z[:K] = (kernel.Q @ Y[1:].T).T
+            Z[:K] /= kernel.dqv
     if killed:
         Z[:K, bnd] = 0.0
+    _require_finite_fields(dt, Y=Y, Z=Z)
     return Y, Z
 
 
@@ -231,7 +252,9 @@ def solve_dp(problem: BsdeProblem, kernel: StepKernel, graph=None,
     explicit: the driver's y-argument is the one-step conditional expectation.
     picard-in-step: the y-argument is the in-step fixed point (<=50 inner
     iterations, tolerance 1e-12). CapacityError, before the fields are
-    allocated, when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES.
+    allocated, when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES;
+    NumericOverflowError when a driver takes Y or Z out of the floating-point
+    range (see _sweep).
     """
     if scheme not in ("explicit", "picard-in-step"):
         raise UsageError(f"unknown scheme {scheme!r}")
@@ -457,6 +480,8 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
     mc_starts; other starts or path counts raise UsageError. Start i walks
     walk._run_blocks' streams (seed + i, block) on the per-slot clock log(rho),
     complex if some rho < 0: its i*pi makes Re exp(clock) carry the sign.
+    The exact route raises NumericOverflowError when Y0 or Z0 is not finite,
+    or UsageError when a phi(t) it pinned is.
     """
     dt = kernel.dt
     K = layer_count(problem.horizon, dt)
@@ -467,14 +492,18 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
     drift = 1.0 + a * dt + b * kernel.dqv
     product, out = _csr_product(sp.vstack([kernel.P, kernel.Q], format="csr"))
     ey, ez = out[:kernel.n_vertices], out[kernel.n_vertices:]
-    for k in range(K - 1, -1, -1):
-        product(V)
-        V = drift * ey + c * ez
-        if killed:
-            V[bnd] = problem.boundary_phi(k * dt)
-    if killed:  # a non-finite phi(t) reaches the last layer through V_0's neighbours
-        _require_finite_boundary(V)
-    z0 = ez / kernel.dqv
+    with np.errstate(**_QUIET):
+        for k in range(K - 1, -1, -1):
+            product(V)
+            V = drift * ey + c * ez
+            if killed:
+                V[bnd] = problem.boundary_phi(k * dt)
+        z0 = ez / kernel.dqv
+    if not (np.isfinite(V).all() and np.isfinite(z0).all()):
+        if killed:  # a non-finite phi(t) reaches layer 0 through V_0's neighbours
+            _require_finite_boundary([problem.boundary_phi(k * dt) for k in range(K)])
+        raise NumericOverflowError("Y0 or Z0 of the linear closed form is not finite: "
+                                   "the driver left the floating-point range")
     if killed:
         z0[bnd] = 0.0
     out = {"Y0": V, "Z0": z0}

@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 
@@ -33,7 +32,7 @@ from .gasket import build_level_graph, graph_to_json
 from .harmonic import harmonic_extend_to_level
 from .measures import energy_measure_table, hausdorff_measure, kusuoka_identity_check, kusuoka_measure
 from .pde import feynman_kac_check, require_killed, solve_weak_pde
-from .problems import build_problem_pair, load_problem_file, make_terminal
+from .problems import build_problem_pair, load_problem_file, make_terminal, schema_violation
 from .walk import (
     WalkConfig,
     build_step_kernel,
@@ -83,17 +82,12 @@ def _write_json(path: str, obj) -> None:
 
 
 def _validate_runconfig(cfg: dict) -> dict:
-    import jsonschema
-
-    with resources.files("gasketlab.schemas").joinpath("runconfig.schema.json").open() as fh:
-        schema = json.load(fh)
-    try:
-        jsonschema.validate(cfg, schema)
-    except jsonschema.ValidationError as exc:
-        if exc.validator == "required":
-            raise UsageError(f"config missing required fields: {exc.message}") from exc
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise UsageError(f"config invalid at {path}: {exc.message}") from exc
+    bad = schema_violation(cfg, "runconfig.schema.json")
+    if bad:
+        path, kw, message = bad
+        if kw == "required":
+            raise UsageError(f"config missing required fields: {message}")
+        raise UsageError(f"config invalid at {path}: {message}")
     return cfg
 
 
@@ -431,7 +425,13 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    words = sys.argv[1:] if argv is None else list(argv)
+    # a flag before the subcommand or the check kind: argparse would read its
+    # value as the subcommand and name only that
+    first = words[1:2] if words[:1] == ["check"] else words[:1]
+    if first and first[0].startswith("-") and first[0] not in ("-h", "--help"):
+        ap.error(f"{first[0].split('=')[0]} goes after the subcommand")
+    args = ap.parse_args(words)
     if not args.subcommand:
         print("error: config missing required fields: subcommand, out",
               file=sys.stderr)

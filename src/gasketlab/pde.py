@@ -32,7 +32,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .bsde import _csr_product, _require_finite_boundary, _terminal_values, solve_dp
+from .bsde import (_QUIET, _csr_product, _require_finite_boundary, _require_finite_fields,
+                   _terminal_values, solve_dp)
 from .errors import UsageError
 from .gasket import LevelGraph, build_level_graph
 from .harmonic import CellGradientTables
@@ -127,7 +128,9 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     UsageError at level 0, whose vertices all lie on V_0, and CapacityError
     when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES, both before
     anything is assembled. UsageError names a driver g or f whose result
-    does not have its input's shape, and non-finite phi, checked after the loop.
+    does not have its input's shape, and non-finite phi, checked after the loop,
+    which runs with numpy's floating-point warnings off; NumericOverflowError
+    then names the first layer where u or the gradients are not finite.
     """
     if g is None:
         g = build_level_graph(problem.level)
@@ -177,17 +180,19 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     ii, mu_i, nu_i = np.arange(3, n), mu[3:], nu[3:]
     _driver_values("g", problem.g((K - 1) * h, ii, u[K, 3:]), n - 3)
     _driver_values("f", problem.f((K - 1) * h, ii, u[K, 3:], z), n - 3)
-    for k in range(K - 1, -1, -1):
-        t = k * h
-        u[k, :3] = problem.boundary_phi(t)
-        ui = u[k + 1, 3:]
-        rhs_of(u[k:k + 2].ravel())
-        rhs += problem.g(t, ii, ui) * mu_i
-        rhs += problem.f(t, ii, ui, z) * nu_i
-        u[k, 3:] = lu.solve(rhs, trans="T")
-        tables.gradients(u[k], out=grads[k])
-        average(grads[k])
+    with np.errstate(**_QUIET):
+        for k in range(K - 1, -1, -1):
+            t = k * h
+            u[k, :3] = problem.boundary_phi(t)
+            ui = u[k + 1, 3:]
+            rhs_of(u[k:k + 2].ravel())
+            rhs += problem.g(t, ii, ui) * mu_i
+            rhs += problem.f(t, ii, ui, z) * nu_i
+            u[k, 3:] = lu.solve(rhs, trans="T")
+            tables.gradients(u[k], out=grads[k])
+            average(grads[k])
     _require_finite_boundary(u[:, :3])
+    _require_finite_fields(h, u=u, gradients=grads)
 
     residuals = _imex_residuals(problem, u, grads, mu, nu, S, W)
     return WeakPdeSolution(

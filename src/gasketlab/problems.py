@@ -8,6 +8,7 @@ pde module consumes the identical data in weak form.
 
 from __future__ import annotations
 
+import functools
 import json
 from importlib import resources
 
@@ -19,20 +20,114 @@ from .gasket import LevelGraph
 from .harmonic import harmonic_extend_to_level
 from .pde import WeakPdeProblem
 
+# the JSON Schema keywords schema_violation checks; the annotations are read past
+SCHEMA_KEYWORDS = frozenset({
+    "type", "enum", "minimum", "maximum", "exclusiveMinimum", "minLength",
+    "minItems", "maxItems", "items", "required", "properties", "additionalProperties"})
+_ANNOTATIONS = frozenset({"$schema", "$id", "title"})
+_PY_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "null": type(None)}
+_TYPE_NAMES = {"number", "integer", *_PY_TYPES}
 
+
+@functools.cache
 def _schema(name: str) -> dict:
+    """The shipped schema file `name`, loaded once; ValueError names a keyword
+    that schema_violation does not check, so no schema edit is skipped silently."""
     with resources.files("gasketlab.schemas").joinpath(name).open() as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    _check_keywords(schema, name)
+    return schema
+
+
+def _check_keywords(schema: dict, where: str) -> None:
+    for kw, arg in schema.items():
+        if kw not in SCHEMA_KEYWORDS | _ANNOTATIONS:
+            raise ValueError(f"{where}: unsupported schema keyword {kw!r}")
+        if kw == "type" and not set([arg] if isinstance(arg, str) else arg) <= _TYPE_NAMES:
+            raise ValueError(f"{where}: unknown type {arg!r}")
+        if kw == "additionalProperties" and not isinstance(arg, bool):
+            raise ValueError(f"{where}: additionalProperties must be true or false")
+        if kw == "enum" and not all(isinstance(v, str) for v in arg):
+            raise ValueError(f"{where}: enum values must be strings")  # `in` would match True to 1
+        if kw == "items":
+            _check_keywords(arg, f"{where}/items")
+        elif kw == "properties":
+            for k, sub in arg.items():
+                _check_keywords(sub, f"{where}/{k}")
+
+
+def _is_type(x, name: str) -> bool:
+    """JSON Schema's type test: a bool is no number, and 1.0 is an integer."""
+    if name in ("number", "integer"):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            return False
+        return name == "number" or isinstance(x, int) or x.is_integer()
+    return isinstance(x, _PY_TYPES[name])
+
+
+def _violations(x, schema: dict, path: tuple):
+    """(path, keyword, message) of each violation of schema by x, in the
+    schema's keyword order; a keyword for another JSON type than x's passes,
+    and NaN fails no bound."""
+    for kw, arg in schema.items():
+        if kw == "type":
+            names = [arg] if isinstance(arg, str) else arg
+            if not any(_is_type(x, t) for t in names):
+                yield path, kw, f"{x!r} is not of type {', '.join(map(repr, names))}"
+        elif kw == "enum":
+            if x not in arg:
+                yield path, kw, f"{x!r} is not one of {arg!r}"
+        elif isinstance(x, dict):
+            if kw == "required":
+                yield from ((path, kw, f"{k!r} is a required property") for k in arg if k not in x)
+            elif kw == "properties":
+                for k, sub in arg.items():
+                    if k in x:
+                        yield from _violations(x[k], sub, (*path, k))
+            elif kw == "additionalProperties" and not arg:
+                extra = sorted((k for k in x if k not in schema.get("properties", {})), key=str)
+                if extra:
+                    names = ", ".join(map(repr, extra))
+                    yield path, kw, (f"Additional properties are not allowed ({names} "
+                                     f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        elif isinstance(x, list):
+            if kw == "items":
+                for i, item in enumerate(x):
+                    yield from _violations(item, arg, (*path, i))
+            elif kw == "minItems" and len(x) < arg:
+                yield path, kw, f"{x!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+            elif kw == "maxItems" and len(x) > arg:
+                yield path, kw, f"{x!r} is too long"
+        elif isinstance(x, str):
+            if kw == "minLength" and len(x) < arg:
+                yield path, kw, f"{x!r} {'should be non-empty' if arg == 1 else 'is too short'}"
+        elif _is_type(x, "number"):
+            if kw == "minimum" and x < arg:
+                yield path, kw, f"{x!r} is less than the minimum of {arg!r}"
+            elif kw == "maximum" and x > arg:
+                yield path, kw, f"{x!r} is greater than the maximum of {arg!r}"
+            elif kw == "exclusiveMinimum" and x <= arg:
+                yield path, kw, f"{x!r} is less than or equal to the minimum of {arg!r}"
+
+
+def schema_violation(doc, schema_name: str) -> tuple[str, str, str] | None:
+    """(path, keyword, message) of doc's first violation of the shipped schema
+    schema_name, in document order, or None. path joins keys and indices
+    with "/" ("driver/name"), or is "<root>".
+
+    It checks the keywords in SCHEMA_KEYWORDS with JSON Schema 2020-12's
+    meaning; _schema refuses any other keyword when it loads the file.
+    """
+    for path, kw, message in _violations(doc, _schema(schema_name), ()):
+        return "/".join(map(str, path)) or "<root>", kw, message
+    return None
 
 
 def validate_problem_dict(spec: dict) -> dict:
-    import jsonschema
-
-    try:
-        jsonschema.validate(spec, _schema("problem.schema.json"))
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise UsageError(f"problem file invalid at {path}: {exc.message}") from exc
+    """spec, or UsageError naming where it breaks schemas/problem.schema.json."""
+    bad = schema_violation(spec, "problem.schema.json")
+    if bad:
+        raise UsageError(f"problem file invalid at {bad[0]}: {bad[2]}")
     return spec
 
 

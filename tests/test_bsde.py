@@ -14,6 +14,8 @@ from gasketlab import (
     BsdeProblem,
     CapacityError,
     DeclaredConstantError,
+    NumericOverflowError,
+    SchemeError,
     UsageError,
     WalkConfig,
     contraction_constant,
@@ -334,8 +336,7 @@ def killed_linear(g, phi, horizon=0.05):
 
 
 # an interior inf meets inf - inf in the layers before the check after the
-# loop, and numpy warns there; the solve still ends in UsageError
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+# loop, which run with numpy's warnings off, so no RuntimeWarning comes first
 @pytest.mark.parametrize("when", ("T", "interior", "0"))
 @pytest.mark.parametrize("bad", (math.nan, math.inf))
 @pytest.mark.parametrize("solver", ("explicit", "picard-in-step", "picard", "closed-form",
@@ -359,6 +360,32 @@ def test_non_finite_boundary_data_rejected(kernels, graphs, solver, bad, when):
     }[solver]
     with pytest.raises(UsageError, match="boundary data must be finite"):
         solve()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme, error", (("explicit", NumericOverflowError),
+                                           ("picard-in-step", SchemeError)))
+def test_dp_blow_up_is_a_typed_error(kernels, graphs, scheme, error):
+    # g = y^2 from terminal value 3 leaves the float range before T = 2; at m = 2
+    # the explicit DP used to return 1680 NaN and 15 inf entries of Y
+    g, k = graphs(2), kernels(2)
+    p = BsdeProblem(g=lambda t, x, y: y * y, f=lambda t, x, y, z: np.zeros_like(y),
+                    terminal_psi=np.full(g.n_vertices, 3.0), horizon=2.0)
+    with pytest.raises(error, match="not finite from layer" if error is NumericOverflowError
+                       else "did not converge"):
+        solve_dp(p, k, g, scheme=scheme)
+
+
+@pytest.mark.filterwarnings("error")
+def test_closed_form_blow_up_is_a_typed_error(kernels, graphs):
+    # a = 50 at m = 2 multiplies Y by 3 per step, past the float range in 1000 steps
+    g, k = graphs(2), kernels(2)
+    p = BsdeProblem(g=None, f=None, terminal_psi=np.full(g.n_vertices, 3.0), horizon=40.0)
+    with pytest.raises(NumericOverflowError, match="closed form is not finite"):
+        linear_closed_form(50.0, 0.0, 0.0, p, k, g)
+    killed = dataclasses.replace(p, duration="killed", boundary_phi=lambda t: np.ones(3))
+    with pytest.raises(NumericOverflowError, match="closed form is not finite"):
+        linear_closed_form(50.0, 0.0, 0.0, killed, k, g)
 
 
 @pytest.mark.parametrize("when", ("T", "interior", "0"))

@@ -374,6 +374,20 @@ def test_shared_flags_before_the_subcommand_exit_2(leaf, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("check", (False, True))
+@pytest.mark.parametrize("flag", FLAG_READERS)
+def test_flag_before_the_subcommand_is_named(capsys, flag, check):
+    # argparse alone would read the flag's value as the subcommand:
+    # "invalid choice: '1'"
+    argv = [flag, FLAG_VALUES[flag][0], "bounds" if check else "walk", "--out", "x"]
+    with pytest.raises(SystemExit) as exc:
+        main(["check", *argv] if check else argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{flag} goes after the subcommand" in err
+    assert "invalid choice" not in err
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```", 2)[1]

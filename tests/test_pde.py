@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 from gasketlab import (
     BsdeProblem,
+    NumericOverflowError,
     UsageError,
     WeakPdeProblem,
     assemble_masses,
@@ -368,6 +369,17 @@ def test_non_finite_terminal_data_rejected(kernels, graphs, bad):
                      terminal_psi=psi, horizon=0.1, duration="killed")
     with pytest.raises(UsageError, match="finite"):
         solve_dp(bp, kernels(2), g)
+
+
+@pytest.mark.filterwarnings("error")
+def test_blow_up_is_a_typed_error(graphs):
+    # g = 5u^2 from terminal value 3 at m = 2: u used to hold 228 NaN entries
+    # and max_imex_residual nan
+    g = graphs(2)
+    p = WeakPdeProblem(g=lambda t, x, u: 5 * u * u, f=zero_f, horizon=0.5, level=2,
+                       terminal_psi=np.full(g.n_vertices, 3.0))
+    with pytest.raises(NumericOverflowError, match="not finite from layer"):
+        solve_weak_pde(p, g)
 
 
 def test_realized_horizon_reported(graphs):
