@@ -8,7 +8,7 @@ under refinement, linear and nonlinear alike.
 """
 
 from gasketlab import feynman_kac_check
-from gasketlab.problems import build_problem_pair, validate_problem_dict
+from gasketlab.problems import build_problem, validate_problem_dict
 
 NONLINEAR = validate_problem_dict({
     "driver": {"name": "sin", "a": -1.0, "fy": 0.5, "fz": 0.25},
@@ -24,7 +24,8 @@ LINEAR = validate_problem_dict({
 times = [0.0, 0.25, 0.5, 0.75]
 for name, spec in (("nonlinear  g=-u, f=0.5 sin(u)+0.25 z", NONLINEAR),
                    ("linear     (a,b,c)=(0.5,0.3,0.4)", LINEAR)):
-    rep = feynman_kac_check(lambda m: build_problem_pair(spec, m), (3, 4, 5), times)
+    p = build_problem(spec)
+    rep = feynman_kac_check(lambda m: (p, p), (3, 4, 5), times)
     print(f"{name}:")
     for m, e in zip(rep["levels"], rep["sup_errors"]):
         print(f"  level {m}: sup |u(t,x) - Y_0^(t)(x)| over probes = {e:.3e}")

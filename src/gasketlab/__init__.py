@@ -55,7 +55,6 @@ from .measures import (
     singularity_diagnostic,
 )
 from .pde import (
-    WeakPdeProblem,
     WeakPdeSolution,
     assemble_masses,
     feynman_kac_check,

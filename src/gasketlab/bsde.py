@@ -48,9 +48,9 @@ def contraction_constant(k0: float, k1: float, w: BetaWeights) -> float:
     return math.sqrt(k0 * k0 / w.b0 + k1 * k1 / w.b1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BsdeProblem:
-    """Driver pair, terminal data and duration for the chain BSDE.
+    """Driver pair, terminal data and duration, for the chain BSDE and the weak PDE.
 
     duration 'deterministic' runs on the reflected chain to horizon T;
     'killed' runs to T ^ sigma_V0 with boundary rows pinned to phi(t).
@@ -77,7 +77,7 @@ class BsdeProblem:
         if self.duration not in ("deterministic", "killed"):
             raise UsageError("duration must be 'deterministic' or 'killed'")
         if self.duration == "killed" and self.boundary_phi is None:
-            self.boundary_phi = lambda t: np.zeros(3)
+            object.__setattr__(self, "boundary_phi", lambda t: np.zeros(3))
 
     def check_beta_margins(self, w: BetaWeights) -> None:
         if self.kappa0 is None or self.kappa1 is None:
@@ -310,7 +310,8 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     A sweep reads only the previous iterate, so g and f are called once each
     per sweep, on flat K*V arrays; each layer adds (E[Y_{k+1} | x] + g dt) +
     f dqv in that order, and Z comes from one product after the loop.
-    CapacityError when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES.
+    CapacityError when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES;
+    NumericOverflowError when an iterate (see _sweep) or a distance is not finite.
     """
     if n_iters < 1:
         raise UsageError(f"n_iters must be at least 1, got {n_iters}")
@@ -338,10 +339,13 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     distances = []
     for _ in range(n_iters):
         y_old, z_old = y_prev[:K].ravel(), z_prev[:K].ravel()
-        G = (problem.g(ts, xs, y_old) * dt).reshape(K, V)
-        F = problem.f(ts, xs, y_old, z_old).reshape(K, V) * kernel.dqv
-        Y, Z = _sweep(problem, kernel, terminal, frozen, layer_reads_z=False)
-        d = norm(Y - y_prev, Z - z_prev)
+        with np.errstate(**_QUIET):  # a non-finite G or F ends in _sweep's typed error
+            G = (problem.g(ts, xs, y_old) * dt).reshape(K, V)
+            F = problem.f(ts, xs, y_old, z_old).reshape(K, V) * kernel.dqv
+            Y, Z = _sweep(problem, kernel, terminal, frozen, layer_reads_z=False)
+            d = norm(Y - y_prev, Z - z_prev)
+        if not math.isfinite(d):
+            raise NumericOverflowError(f"the V^beta distance of sweep {len(distances) + 1} is not finite")
         distances.append(d)
         y_prev, z_prev = Y, Z
         if d <= stop_rel * distances[0]:

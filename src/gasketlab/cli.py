@@ -31,8 +31,8 @@ from .errors import GasketLabError, UsageError
 from .gasket import build_level_graph, graph_to_json
 from .harmonic import harmonic_extend_to_level
 from .measures import energy_measure_table, hausdorff_measure, kusuoka_identity_check, kusuoka_measure
-from .pde import feynman_kac_check, require_killed, solve_weak_pde
-from .problems import build_problem_pair, load_problem_file, make_terminal, schema_violation
+from .pde import feynman_kac_check, solve_weak_pde
+from .problems import build_problem, load_problem_file, make_terminal, schema_violation
 from .walk import (
     WalkConfig,
     build_step_kernel,
@@ -46,6 +46,11 @@ from .walk import (
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _config(args) -> dict:
+    """The flags that have a value, with the defaults a command resolved itself."""
+    return {k: v for k, v in vars(args).items() if v is not None}
 
 
 def _write_sidecar(out_path: str, config: dict, t0: float) -> None:
@@ -154,6 +159,9 @@ def _parse_start(s: str):
 def _cmd_walk(args):
     if args.emit != "histogram" and (args.at_time is not None or args.cell_level is not None):
         raise UsageError("--at-time and --cell-level apply only to --emit histogram")
+    if args.emit == "stats" and args.format is not None:
+        raise UsageError("--format does not apply to --emit stats, which writes JSON")
+    args.format = None if args.emit == "stats" else args.format or "csv"
     g = build_level_graph(args.level)
     kernel = build_step_kernel(g)
     cfg = WalkConfig(
@@ -185,23 +193,18 @@ def _cmd_walk(args):
 
 
 def _cmd_bsde(args):
-    spec = load_problem_file(args.problem)
+    problem = build_problem(load_problem_file(args.problem))
     g = build_level_graph(args.level)
-    kernel = build_step_kernel(g)
-    _, bp = build_problem_pair(spec, args.level)
-    sol = solve_dp(bp, kernel, g, scheme=args.scheme)
+    sol = solve_dp(problem, build_step_kernel(g), g, scheme=args.scheme)
     _write_table(args.out, ["step", "vertex_id", "Y", "Z"],
                  [*_layer_vertex(sol.Y.shape, args.stride),
                   sol.Y[::args.stride].ravel(), sol.Z[::args.stride].ravel()], args.format)
 
 
 def _cmd_pde(args):
-    spec = load_problem_file(args.problem)
-    require_killed(spec["duration"]["kind"])
-    g = build_level_graph(args.level)
-    ts = None if args.steps is None else spec["duration"]["T"] / args.steps
-    wp, _ = build_problem_pair(spec, args.level, time_step=ts)
-    sol = solve_weak_pde(wp, g)
+    problem = build_problem(load_problem_file(args.problem))
+    ts = None if args.steps is None else problem.horizon / args.steps
+    sol = solve_weak_pde(problem, build_level_graph(args.level), ts)
     _write_table(args.out, ["layer", "vertex_id", "u"],
                  [*_layer_vertex(sol.u.shape, args.stride), sol.u[::args.stride].ravel()],
                  args.format)
@@ -212,14 +215,10 @@ def _cmd_pde(args):
 
 
 def _cmd_check_fk(args):
-    spec = load_problem_file(args.problem)
+    problem = build_problem(load_problem_file(args.problem))
     levels = _parse_list(args.levels, "--levels", int)
     probe_times = _parse_list(args.probe_times, "--probe-times", float)
-
-    def make(level):
-        return build_problem_pair(spec, level)
-
-    rep = feynman_kac_check(make, levels, probe_times)
+    rep = feynman_kac_check(lambda level: (problem, problem), levels, probe_times)
     _write_table(args.out, ["level", "sup_error"],
                  [rep["levels"], [float(s) for s in rep["sup_errors"]]], args.format)
     return 0 if rep["decreasing"] else 3
@@ -227,6 +226,10 @@ def _cmd_check_fk(args):
 
 def _cmd_check_bounds(args):
     which = args.which
+    ensemble = {"level": 4, "paths": 20000, "seed": 0, "workers": 1}  # the flags' defaults
+    given = [f"--{k}" for k in ensemble if getattr(args, k) is not None]
+    if which in ("beta-chain", "ml") and given:
+        raise UsageError(f"--which {which} reads none of {', '.join(given)}")
     if which == "beta-chain":
         report = {
             "cases": [beta_chain_identity(p, gam)
@@ -248,6 +251,7 @@ def _cmd_check_bounds(args):
         _write_json(args.out, report)
         return 0
     # moments / expint need an ensemble
+    vars(args).update({k: v for k, v in ensemble.items() if getattr(args, k) is None})
     g = build_level_graph(args.level)
     kernel = build_step_kernel(g)
     cfg = WalkConfig(level=args.level, horizon=1.0, path_count=args.paths,
@@ -355,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add("walk", "seed", "workers", "format", help="simulate the level-m random walk")
+    p.set_defaults(format=None)  # _cmd_walk resolves it: --emit stats reads none
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--horizon", type=float, default=1.0)
@@ -380,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = add("check", help="cross-validation pipelines")
-    csub = p.add_subparsers(dest="check_kind")
+    csub = p.add_subparsers(dest="check_kind", required=True,
+                            metavar="{fk,bounds,contraction,identity}")
 
     c = add("fk", "format", group=csub)
     c.add_argument("--problem", required=True)
@@ -391,8 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = add("bounds", "seed", "workers", group=csub)
     c.add_argument("--which", choices=["ml", "beta-chain", "moments", "expint"],
                    required=True)
-    c.add_argument("--level", type=int, default=4)
-    c.add_argument("--paths", type=int, default=20000)
+    c.add_argument("--level", type=int)
+    c.add_argument("--paths", type=int)
+    c.set_defaults(seed=None, workers=None)  # _cmd_check_bounds resolves these four
     c.add_argument("--out", required=True)
 
     c = add("contraction", "seed", "workers", group=csub)
@@ -438,18 +445,15 @@ def main(argv=None) -> int:
         ap.print_help()
         return 2
 
-    config = {k: v for k, v in vars(args).items() if v is not None}
     t0 = time.time()
     try:
-        _validate_runconfig(config)
+        _validate_runconfig(_config(args))
         name = args.check_kind if args.subcommand == "check" else args.subcommand
-        if name not in COMMANDS:
-            raise UsageError("check requires one of: fk, bounds, contraction, identity")
         rc = COMMANDS[name](args)
     except GasketLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_sidecar(args.out, config, t0)
+    _write_sidecar(args.out, _config(args), t0)
     return rc or 0
 
 

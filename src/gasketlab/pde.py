@@ -32,8 +32,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .bsde import (_QUIET, _csr_product, _require_finite_boundary, _require_finite_fields,
-                   _terminal_values, solve_dp)
+from .bsde import (_QUIET, BsdeProblem, _csr_product, _require_finite_boundary,
+                   _require_finite_fields, _terminal_values, solve_dp)
 from .errors import UsageError
 from .gasket import LevelGraph, build_level_graph
 from .harmonic import CellGradientTables
@@ -64,34 +64,6 @@ def assemble_masses(g: LevelGraph) -> tuple[list[Fraction], list[Fraction]]:
 
 
 @dataclass
-class WeakPdeProblem:
-    """Reaction pair, boundary/terminal data, horizon and discretization.
-
-    g(t, x, u) and f(t, x, u, z) are called elementwise on equal-shape
-    arrays of times, vertex ids and values, t included (t may also be a
-    scalar), and return the value at each point: a layer of the solve passes
-    its interior vertices and the scalar t_k, the residual pass a block of
-    layers at once, and each point must come out the same.
-    """
-
-    g: callable                  # (t, x_ids, u) -> array, mu-loaded
-    f: callable                  # (t, x_ids, u, grad) -> array, nu-loaded
-    terminal_psi: object         # array over vertices or callable graph->array
-    horizon: float
-    level: int
-    boundary_phi: object = None  # callable t -> (3,) values on (p1,p2,p3)
-    time_step: float | None = None
-    lip_g: float | None = None
-    lip_f: float | None = None
-
-    def __post_init__(self):
-        if self.boundary_phi is None:
-            self.boundary_phi = lambda t: np.zeros(3)
-        if self.time_step is None:
-            self.time_step = step_duration(self.level)
-
-
-@dataclass
 class WeakPdeSolution:
     u: np.ndarray                  # (K+1, V)
     gradients: np.ndarray          # (K+1, ncells), isometric normalization
@@ -112,8 +84,10 @@ def stiffness_matrix(g: LevelGraph) -> sp.csr_matrix:
                          shape=(g.n_vertices, g.n_vertices))
 
 
-def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> WeakPdeSolution:
-    """Backward IMEX solve of the weak form, every layer kept.
+def solve_weak_pde(problem: BsdeProblem, g: LevelGraph,
+                   time_step: float | None = None) -> WeakPdeSolution:
+    """Backward IMEX solve of the weak form on g's level, every layer kept;
+    the step h defaults to walk.step_duration(g.level), and h (K0 + K1) < 1.
 
     V_0 is ids 0-2, the interior 3:. A layer makes three products through
     bsde._csr_product: B on the window u[k:k+2] gives the interior
@@ -125,24 +99,23 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     z. The IMEX residuals come after the loop in row blocks
     (_imex_residuals); meta["max_imex_residual"] is the largest.
 
-    UsageError at level 0, whose vertices all lie on V_0, and CapacityError
-    when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES, both before
-    anything is assembled. UsageError names a driver g or f whose result
-    does not have its input's shape, and non-finite phi, checked after the loop,
-    which runs with numpy's floating-point warnings off; NumericOverflowError
-    then names the first layer where u or the gradients are not finite.
+    UsageError for a duration other than "killed" (phi is pinned on V_0) or
+    at level 0, whose vertices all lie on V_0, and CapacityError when a
+    (K+1, V) field passes walk.MAX_RECORDED_ENTRIES, all before anything is
+    assembled. UsageError names a driver g or f whose result does not have
+    its input's shape, and non-finite phi, checked after the loop, which
+    runs with numpy's floating-point warnings off; NumericOverflowError then
+    names the first layer where u or the gradients are not finite.
     """
-    if g is None:
-        g = build_level_graph(problem.level)
-    if g.level != problem.level:
-        raise UsageError("graph level does not match problem level")
+    if problem.duration != "killed":
+        raise UsageError(f"the weak solver pins phi on V_0: it solves killed problems, "
+                         f"not {problem.duration} ones")
     if g.level < 1:
         raise UsageError("V_0 has no interior vertex to solve for; solve at level 1 or deeper")
     assert g.boundary_ids == (0, 1, 2)
-    h = problem.time_step
-    for lip in (problem.lip_g, problem.lip_f):
-        if lip is not None and h * lip >= 1:
-            raise UsageError("time step violates the h*Lip < 1 guard")
+    h = step_duration(g.level) if time_step is None else time_step
+    if h * (problem.k0 + problem.k1) >= 1:
+        raise UsageError("time step violates the h*(K0 + K1) < 1 guard")
     n = g.n_vertices
     K = field_layers(problem.horizon, h, n)
 
@@ -194,7 +167,7 @@ def solve_weak_pde(problem: WeakPdeProblem, g: LevelGraph | None = None) -> Weak
     _require_finite_boundary(u[:, :3])
     _require_finite_fields(h, u=u, gradients=grads)
 
-    residuals = _imex_residuals(problem, u, grads, mu, nu, S, W)
+    residuals = _imex_residuals(problem, h, u, grads, mu, nu, S, W)
     return WeakPdeSolution(
         u=u, gradients=grads, residuals=residuals, level=g.level,
         time_step=h, cell_words=tables.words,
@@ -227,7 +200,7 @@ def _driver_values(name: str, values, points: int):
 _RESIDUAL_BLOCK_BYTES = 2**17  # one (rows, V) float array of the residual pass
 
 
-def _imex_residuals(problem: WeakPdeProblem, u, grads, mu, nu, S, W) -> np.ndarray:
+def _imex_residuals(problem: BsdeProblem, h: float, u, grads, mu, nu, S, W) -> np.ndarray:
     """IMEX lag per layer k < K: the largest interior defect
 
         (mu/h)(u^k - u^{k+1}) + S u^k - g(t_k, x, u^k) mu - f(t_k, x, u^k, z(u^k)) nu
@@ -240,7 +213,6 @@ def _imex_residuals(problem: WeakPdeProblem, u, grads, mu, nu, S, W) -> np.ndarr
     in the order of the per-layer form.
     """
     K, n = u.shape[0] - 1, u.shape[1]
-    h = problem.time_step
     n_i = n - 3
     mu_h_i, mu_i, nu_i = (mu / h)[3:], mu[3:], nu[3:]
     S_i = S[3:]
@@ -265,25 +237,17 @@ def _imex_residuals(problem: WeakPdeProblem, u, grads, mu, nu, S, W) -> np.ndarr
     return out
 
 
-def require_killed(duration: str) -> None:
-    """UsageError unless duration is "killed": the weak solver pins phi on V_0."""
-    if duration != "killed":
-        raise UsageError(f"the weak solver pins phi on V_0: it solves killed problems, "
-                         f"not {duration} ones")
-
-
 def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
                       horizon: float | None = None) -> dict:
     """Cross-validate the weak solver against the chain BSDE on a level ladder.
 
-    make_problem(level) must return a pair (WeakPdeProblem, BsdeProblem) for
-    the same data. Probes are the vertices of V_{probe_level} (present at all
+    make_problem(level) returns a pair of BsdeProblems, for the weak solver
+    and the DP. Probes are the vertices of V_{probe_level} (present at all
     deeper levels) times the given probe times; the field value Y at layer k
-    of the killed DP run is the BSDE value started at time t_k. A probe time
-    outside [0, T] of a level's problem raises UsageError, and so does a
-    horizon, when given, that differs from T by more than 1e-12 relative,
-    and so do a deterministic duration (see require_killed) and a level-0
-    rung (see solve_weak_pde).
+    of the killed DP run is the BSDE value started at time t_k. UsageError
+    for a pair whose horizons or durations differ, a probe time outside [0, T],
+    a horizon, when given, that differs from T by more than 1e-12 relative,
+    a deterministic duration and a level-0 rung (see solve_weak_pde).
     """
     probe_graph = build_level_graph(probe_level)
     probe_coords = [(v.x, v.y) for v in probe_graph.vertices]
@@ -293,8 +257,9 @@ def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
         if m < probe_level:
             raise UsageError("probe level exceeds a ladder level")
         wp, bp = make_problem(m)
-        require_killed(bp.duration)
-        T = min(wp.horizon, bp.horizon)
+        if (wp.horizon, wp.duration) != (bp.horizon, bp.duration):
+            raise UsageError(f"the level-{m} problem pair differs in horizon or duration")
+        T = bp.horizon
         if horizon is not None and abs(horizon - T) > 1e-12 * T:
             raise UsageError(f"horizon {horizon} differs from the level-{m} problem horizon {T}")
         outside = [t for t in probe_times if not 0 <= t <= T]
@@ -308,8 +273,8 @@ def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
         errs = {}
         worst = 0.0
         for t in probe_times:
-            k_pde = layer_at(t, sol_pde.time_step, wp.horizon)
-            k = layer_at(t, kernel.dt, bp.horizon)
+            k_pde = layer_at(t, sol_pde.time_step, T)
+            k = layer_at(t, kernel.dt, T)
             diff = np.abs(sol_pde.u[k_pde][ids] - sol_bsde.Y[k][ids])
             for pid, d in zip(ids, diff):
                 errs[(t, int(pid))] = float(d)

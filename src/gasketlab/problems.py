@@ -1,9 +1,9 @@
 """Named problem builders shared by the CLI and the check pipelines.
 
 A problem file declares a driver pair, terminal data, optional boundary data
-(phi_i(t) = values_i + slope_i * t) and the duration. The same description
-feeds both solvers: the bsde module consumes (g, f, psi, phi, duration), the
-pde module consumes the identical data in weak form.
+(phi_i(t) = values_i + slope_i * t) and the duration. build_problem turns it
+into one BsdeProblem, which both solvers read: the bsde module's chain BSDE
+and, for a killed duration, pde.solve_weak_pde.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .bsde import BsdeProblem
 from .errors import UsageError
 from .gasket import LevelGraph
 from .harmonic import harmonic_extend_to_level
-from .pde import WeakPdeProblem
 
 # the JSON Schema keywords schema_violation checks; the annotations are read past
 SCHEMA_KEYWORDS = frozenset({
@@ -222,22 +221,17 @@ def make_boundary(spec: dict):
     return lambda t: vals + slope * t
 
 
-def build_problem_pair(spec: dict, level: int,
-                       time_step: float | None = None):
-    """(WeakPdeProblem, BsdeProblem) for one validated description."""
+def build_problem(spec: dict) -> BsdeProblem:
+    """The problem of one validated description, for either solver."""
     g_fun, f_fun, k0, k1 = make_drivers(spec)
-    lip = spec.get("lipschitz", {})
-    k0 = lip.get("K0", k0)
-    k1 = lip.get("K1", k1)
-    psi = make_terminal(spec)
-    phi = make_boundary(spec)
-    dur = spec["duration"]
-    wp = WeakPdeProblem(
-        g=g_fun, f=f_fun, terminal_psi=psi, horizon=dur["T"], level=level,
-        boundary_phi=phi, time_step=time_step, lip_g=k0, lip_f=k0 + k1,
-    )
-    bp = BsdeProblem(
-        g=g_fun, f=f_fun, terminal_psi=psi, horizon=dur["T"], k0=k0, k1=k1,
-        duration=dur["kind"], boundary_phi=phi,
-    )
-    return wp, bp
+    dur, lip = spec["duration"], spec.get("lipschitz", {})
+    return BsdeProblem(g=g_fun, f=f_fun, terminal_psi=make_terminal(spec), horizon=dur["T"],
+                       k0=lip.get("K0", k0), k1=lip.get("K1", k1), duration=dur["kind"],
+                       boundary_phi=make_boundary(spec))
+
+
+def build_problem_pair(spec: dict, level: int):
+    """(p, p) for p = build_problem(spec): the benchmark's entry point, which
+    ROADMAP item 7's benchmark-only change deletes. level is not read."""
+    p = build_problem(spec)
+    return p, p

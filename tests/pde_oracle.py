@@ -22,7 +22,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gasketlab.bsde import _terminal_values
-from gasketlab.gasket import build_level_graph
 from gasketlab.harmonic import CellGradientTables
 from gasketlab.pde import BROWNIAN_GRADIENT_SCALE, assemble_masses, stiffness_matrix
 from gasketlab.walk import layer_count
@@ -37,11 +36,8 @@ def gradients(tables, values):
     return sgn * np.sqrt(q / tables.nu)
 
 
-def solve_weak_pde_parent(problem, g=None):
-    """(u, gradients, residuals) of the parent's per-layer IMEX loop."""
-    if g is None:
-        g = build_level_graph(problem.level)
-    h = problem.time_step
+def solve_weak_pde_parent(problem, g, h):
+    """(u, gradients, residuals) of the parent's per-layer IMEX loop at step h."""
     n = g.n_vertices
     K = layer_count(problem.horizon, h)
 
@@ -108,11 +104,8 @@ def product_gradients(tables, values):
     return np.sign(a) * np.hypot(a, b)
 
 
-def solve_weak_pde_products(problem, g=None):
-    """(u, gradients, residuals) of the three-product layer, per layer."""
-    if g is None:
-        g = build_level_graph(problem.level)
-    h = problem.time_step
+def solve_weak_pde_products(problem, g, h):
+    """(u, gradients, residuals) of the three-product layer, per layer, at step h."""
     n = g.n_vertices
     K = layer_count(problem.horizon, h)
 

@@ -33,7 +33,7 @@ from gasketlab import (
 from gasketlab.bounds import GAMMA_S, SPECTRAL_DIMENSION, beta_chain_identity, fit_joint_constant
 from gasketlab.bsde import linear_closed_form
 from gasketlab.exact import A_INT, pairwise_sq, to_numerators
-from gasketlab.problems import build_problem_pair, validate_problem_dict
+from gasketlab.problems import build_problem, validate_problem_dict
 from gasketlab.walk import (
     ensemble_qv_snapshots,
     ensemble_qv_stats,
@@ -217,7 +217,7 @@ def mc_07_linear_triangle(kernels, graphs, seed, band=0.02):
         "terminal": {"name": "bump"},
         "duration": {"kind": "deterministic", "T": 1.0},
     })
-    _, bp = build_problem_pair(spec, m)
+    bp = build_problem(spec)
     sol = solve_dp(bp, k, g)
     starts = [0, g.index_by_coord[MIDPOINT_OPP_P1]]
     cf = linear_closed_form(0.5, 0.3, 0.4, bp, k, g, mc_starts=starts,
@@ -304,11 +304,10 @@ def test_criterion_09_feynman_kac(graphs):
     })
     times = [0.0, 0.25, 0.5, 0.75]
 
-    rep_n = feynman_kac_check(lambda m: build_problem_pair(nonlinear, m),
-                              (3, 4, 5), times)
+    pn, pl = build_problem(nonlinear), build_problem(linear)
+    rep_n = feynman_kac_check(lambda m: (pn, pn), (3, 4, 5), times)
     assert rep_n["decreasing"], rep_n["sup_errors"]
-    rep_l = feynman_kac_check(lambda m: build_problem_pair(linear, m),
-                              (5,), times)
+    rep_l = feynman_kac_check(lambda m: (pl, pl), (5,), times)
     baseline = rep_l["sup_errors"][0]
     final = rep_n["sup_errors"][-1]
     assert final <= 2.0 * baseline

@@ -28,7 +28,7 @@ from gasketlab import (
 )
 from gasketlab import bsde, walk
 from gasketlab.bsde import _vbeta_norm_on, linear_closed_form
-from gasketlab.pde import WeakPdeProblem, solve_weak_pde
+from gasketlab.pde import solve_weak_pde
 from gasketlab.problems import make_drivers
 from gasketlab.walk import layer_count
 
@@ -348,8 +348,8 @@ def test_non_finite_boundary_data_rejected(kernels, graphs, solver, bad, when):
     g, k = graphs(2), kernels(2)
     p = killed_linear(g, phi_bad_at(when, bad, 0.05))
     solve = {
-        "weak-pde": lambda: solve_weak_pde(WeakPdeProblem(
-            g=p.g, f=p.f, terminal_psi=bump, horizon=0.05, level=2,
+        "weak-pde": lambda: solve_weak_pde(BsdeProblem(
+            g=p.g, f=p.f, terminal_psi=bump, horizon=0.05, duration="killed",
             boundary_phi=p.boundary_phi), g),
         "explicit": lambda: solve_dp(p, k, g),
         "picard-in-step": lambda: solve_dp(p, k, g, scheme="picard-in-step"),
@@ -386,6 +386,23 @@ def test_closed_form_blow_up_is_a_typed_error(kernels, graphs):
     killed = dataclasses.replace(p, duration="killed", boundary_phi=lambda t: np.ones(3))
     with pytest.raises(NumericOverflowError, match="closed form is not finite"):
         linear_closed_form(50.0, 0.0, 0.0, killed, k, g)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("initial, match", ((None, "distance of sweep 10 is not finite"),
+                                            (1e200, "not finite from layer")))
+def test_picard_blow_up_is_a_typed_error(kernels, graphs, initial, match):
+    # g = y^2 from terminal value 3 at m = 2, T = 2: from zero, the V^beta norm
+    # used to square a finite iterate past 1e154 and raise "overflow
+    # encountered in multiply"; from a 1e200 field the drivers overflow on
+    # the previous iterate
+    g, k = graphs(2), kernels(2)
+    p = BsdeProblem(g=lambda t, x, y: y * y, f=lambda t, x, y, z: np.zeros_like(y),
+                    terminal_psi=np.full(g.n_vertices, 3.0), horizon=2.0)
+    ens = simulate_paths(WalkConfig(level=2, horizon=2.0, path_count=50, seed=1), k, g)
+    start = None if initial is None else np.full((ens.n_steps + 1, g.n_vertices), initial)
+    with pytest.raises(NumericOverflowError, match=match):
+        picard_iterate(p, k, 12, ens, BetaWeights(1, 1), g, initial=start)
 
 
 @pytest.mark.parametrize("when", ("T", "interior", "0"))
@@ -849,8 +866,8 @@ def test_field_limits_rejected_before_allocating(kernels, graphs, solver):
     run = {
         "dp": lambda: solve_dp(p, k, g),
         "picard": lambda: picard_iterate(p, k, 2, ens, BetaWeights(1, 1), g),
-        "pde": lambda: solve_weak_pde(WeakPdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g),
-                                                     horizon=horizon, level=1), g),
+        "pde": lambda: solve_weak_pde(BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g),
+                                                  horizon=horizon, duration="killed"), g),
     }[solver]
     tracemalloc.start()
     try:
@@ -904,10 +921,10 @@ def test_picard_zero_data_stays_zero(kernels, graphs):
 
 # --- monotonicity spot checks -----------------------------------------------------------
 
-def _mono_problem(gfun, kappa0):
+def _mono_problem(gfun, kappa0, k0=2.0):
     return BsdeProblem(
         g=gfun, f=lambda t, x, y, z: np.zeros_like(y),
-        terminal_psi=np.zeros(3), horizon=1.0, k0=2.0, k1=0.0,
+        terminal_psi=np.zeros(3), horizon=1.0, k0=k0, k1=0.0,
         kappa0=kappa0, kappa1=0.0,
     )
 
@@ -932,8 +949,7 @@ def test_monotonicity_violation_detected():
 
 def test_beta_margin_guard():
     # g = -40y satisfies kappa0 = 40, but beta0 - kappa0 <= 0 at beta0 = 36
-    p = _mono_problem(lambda t, x, y: -40.0 * y, 40.0)
-    p.k0 = 80.0
+    p = _mono_problem(lambda t, x, y: -40.0 * y, 40.0, k0=80.0)
     with pytest.raises(UsageError):
         monotonicity_check(p, weights=BetaWeights(36, 36), samples=16, seed=0)
 

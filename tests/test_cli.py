@@ -407,6 +407,56 @@ def test_walk_histogram_flags_need_emit_histogram(tmp_path, capsys, emit, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_walk_stats_rejects_format(tmp_path, capsys, fmt):
+    # stats are always JSON; --format csv used to be accepted and ignored
+    out = tmp_path / "w.out"
+    assert run(["walk", "--level", 1, "--paths", 10, "--emit", "stats", "--format", fmt,
+                "--out", out]) == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ("ml", "beta-chain"))
+@pytest.mark.parametrize("flag", (["--level", "9"], ["--paths", "1"], ["--seed", "3"],
+                                  ["--workers", "2"]))
+def test_check_bounds_rejects_ensemble_flags_it_does_not_read(tmp_path, capsys, which, flag):
+    # `--which ml --level 9 --paths 1` used to exit 0
+    out = tmp_path / "b.json"
+    assert run(["check", "bounds", "--which", which, *flag, "--out", out]) == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sidecar_records_the_defaults_a_command_resolves(tmp_path):
+    # walk's --format and check bounds' ensemble flags default to None in the
+    # parser, so the mode that ignores them can tell them apart from a given
+    # value; the modes that read them record the values they ran with, and
+    # walk stats, which reads no --format, records none
+    walk_out, bounds_out = tmp_path / "w.csv", tmp_path / "b.json"
+    assert run(["walk", "--level", 1, "--paths", 10, "--emit", "paths", "--out", walk_out]) == 0
+    assert run(["walk", "--level", 1, "--paths", 10, "--out", tmp_path / "s.json"]) == 0
+    assert "format" not in json.loads((tmp_path / "s.json.meta.json").read_text())["config"]
+    assert run(["check", "bounds", "--which", "moments", "--level", 1, "--paths", 50,
+                "--out", bounds_out]) == 0
+    walk_cfg = json.loads((tmp_path / "w.csv.meta.json").read_text())["config"]
+    bounds_cfg = json.loads((tmp_path / "b.json.meta.json").read_text())["config"]
+    assert walk_cfg["format"] == "csv"
+    assert walk_out.read_text().startswith("path_id,step,")
+    assert {k: bounds_cfg[k] for k in ("level", "paths", "seed", "workers")} == {
+        "level": 1, "paths": 50, "seed": 0, "workers": 1}
+
+
+def test_check_without_a_kind_names_the_kinds(capsys):
+    # it used to say "config missing required fields: 'out' is a required property"
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "required: {fk,bounds,contraction,identity}" in err
+    assert "'out'" not in err
+
+
 def test_arithmetic_flag_removed(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["--arithmetic", "exact", "graph", "--level", 1, "--out", tmp_path / "g.json"])

@@ -1,5 +1,6 @@
 """Weak-form solver: masses, maximum principle, energy identity, Feynman-Kac."""
 
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +13,6 @@ from gasketlab import (
     BsdeProblem,
     NumericOverflowError,
     UsageError,
-    WeakPdeProblem,
     assemble_masses,
     build_level_graph,
     solve_dp,
@@ -24,7 +24,7 @@ from gasketlab.harmonic import CellGradientTables
 from gasketlab.measures import kusuoka_measure
 from gasketlab.pde import BROWNIAN_GRADIENT_SCALE, stiffness_matrix
 from gasketlab.walk import layer_at, step_duration
-from gasketlab.problems import build_problem_pair, validate_problem_dict
+from gasketlab.problems import build_problem, validate_problem_dict
 
 import pde_oracle
 
@@ -41,6 +41,12 @@ def zero_g(t, x, u):
 
 def zero_f(t, x, u, z):
     return np.zeros_like(u)
+
+
+def pair_of(spec):
+    """feynman_kac_check's factory: the problem of spec for both solvers, at every level."""
+    p = build_problem(spec)
+    return lambda level: (p, p)
 
 
 def test_assemble_masses_level0(graphs):
@@ -106,9 +112,9 @@ def test_stiffness_is_graph_energy(graphs):
 def test_constant_solution_preserved(graphs):
     g = graphs(2)
     c = 0.7
-    p = WeakPdeProblem(
+    p = BsdeProblem(
         g=zero_g, f=zero_f, terminal_psi=np.full(g.n_vertices, c),
-        horizon=0.5, level=2, boundary_phi=lambda t: np.full(3, c),
+        horizon=0.5, boundary_phi=lambda t: np.full(3, c), duration="killed",
     )
     sol = solve_weak_pde(p, g)
     assert np.abs(sol.u - c).max() < 1e-12
@@ -121,8 +127,8 @@ def test_constant_solution_preserved(graphs):
 
 def test_maximum_principle_decay(graphs):
     g = graphs(3)
-    p = WeakPdeProblem(
-        g=zero_g, f=zero_f, terminal_psi=bump(g), horizon=1.0, level=3,
+    p = BsdeProblem(
+        g=zero_g, f=zero_f, terminal_psi=bump(g), horizon=1.0, duration="killed",
     )
     sol = solve_weak_pde(p, g)
     sups = np.abs(sol.u).max(axis=1)
@@ -132,19 +138,19 @@ def test_maximum_principle_decay(graphs):
 
 def test_step_guard(graphs):
     g = graphs(1)
-    p = WeakPdeProblem(
+    p = BsdeProblem(
         g=zero_g, f=zero_f, terminal_psi=np.zeros(g.n_vertices),
-        horizon=1.0, level=1, time_step=0.5, lip_g=4.0,
+        horizon=1.0, k0=4.0, duration="killed",
     )
     with pytest.raises(UsageError):
-        solve_weak_pde(p, g)
+        solve_weak_pde(p, g, time_step=0.5)
 
 
 def test_horizon_rounding_to_no_layer_rejected(graphs):
     # T = 0.001 at m = 2 is 0.075 steps; it used to return u = psi alone
     g = graphs(2)
-    p = WeakPdeProblem(g=zero_g, f=zero_f, terminal_psi=np.zeros(g.n_vertices),
-                       horizon=0.001, level=2)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=np.zeros(g.n_vertices),
+                    horizon=0.001, duration="killed")
     with pytest.raises(UsageError, match="horizon"):
         solve_weak_pde(p, g)
 
@@ -157,11 +163,10 @@ def test_horizon_rounding_to_no_layer_rejected(graphs):
 ])
 def test_non_finite_or_empty_time_grid_rejected(graphs, field, value):
     g = graphs(2)
-    p = WeakPdeProblem(g=zero_g, f=zero_f, terminal_psi=np.zeros(g.n_vertices),
-                       horizon=1.0, level=2)
-    setattr(p, field, value)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=np.zeros(g.n_vertices),
+                    horizon=value if field == "horizon" else 1.0, duration="killed")
     with pytest.raises(UsageError, match="finite"):
-        solve_weak_pde(p, g)
+        solve_weak_pde(p, g, value if field == "time_step" else None)
 
 
 def test_discrete_energy_identity(graphs):
@@ -170,8 +175,8 @@ def test_discrete_energy_identity(graphs):
     mu_ex, _ = assemble_masses(g)
     mu = np.array([float(x) for x in mu_ex])
     S = stiffness_matrix(g)
-    p = WeakPdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g), horizon=0.5,
-                       level=2)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g), horizon=0.5,
+                    duration="killed")
     sol = solve_weak_pde(p, g)
     h = sol.time_step
     K = sol.u.shape[0] - 1
@@ -191,18 +196,18 @@ def test_linear_example_vs_closed_form(kernels, graphs):
     })
     m = 4
     g, k = graphs(m), kernels(m)
-    wp, bp = build_problem_pair(spec, m)
-    sol_pde = solve_weak_pde(wp, g)
-    cf = linear_closed_form(0.4, 0.2, 0.3, bp, k, g)
+    p = build_problem(spec)
+    sol_pde = solve_weak_pde(p, g)
+    cf = linear_closed_form(0.4, 0.2, 0.3, p, k, g)
     err = np.abs(sol_pde.u[0] - cf["Y0"]).max()
     assert err < 0.01
 
 
 def test_residuals_reported(graphs):
     g = graphs(2)
-    p = WeakPdeProblem(
+    p = BsdeProblem(
         g=lambda t, x, u: -u, f=zero_f, terminal_psi=bump(g), horizon=0.2,
-        level=2,
+        duration="killed",
     )
     sol = solve_weak_pde(p, g)
     assert sol.residuals.shape == (int(round(0.2 / sol.time_step)),)
@@ -229,8 +234,8 @@ def test_residuals_equal_add_at_oracle(graphs, m):
     g = graphs(m)
     gfun = lambda t, x, u: -u + 0.1 * np.cos(t)
     ffun = lambda t, x, u, z: 0.5 * np.sin(u) + 0.25 * z
-    p = WeakPdeProblem(g=gfun, f=ffun, terminal_psi=bump, horizon=0.1, level=m,
-                       boundary_phi=lambda t: np.array([0.1 + t, 0.0, -0.2 * t]))
+    p = BsdeProblem(g=gfun, f=ffun, terminal_psi=bump, horizon=0.1, duration="killed",
+                    boundary_phi=lambda t: np.array([0.1 + t, 0.0, -0.2 * t]))
     sol = solve_weak_pde(p, g)
     mu_ex, nu_ex = assemble_masses(g)
     mu = np.array([float(x) for x in mu_ex])
@@ -281,16 +286,17 @@ def test_weak_pde_equals_per_layer_oracle(kernels, graphs, m):
     # pass give the bytes of the three-product layer written per layer; the
     # parent loop is met to the ulp level, and the FK sups to 1e-11 relative
     g = graphs(m)
-    wp, bp = build_problem_pair(validate_problem_dict(SIN_KILLED), m)
-    sol = solve_weak_pde(wp, g)
-    u, grads, residuals = pde_oracle.solve_weak_pde_products(wp, g)
+    p = build_problem(validate_problem_dict(SIN_KILLED))
+    h = step_duration(m)
+    sol = solve_weak_pde(p, g)
+    u, grads, residuals = pde_oracle.solve_weak_pde_products(p, g, h)
     assert sol.u.tobytes() == u.tobytes()
     assert sol.gradients.tobytes() == grads.tobytes()
     assert sol.residuals.tobytes() == residuals.tobytes()
-    _assert_near_parent(sol, pde_oracle.solve_weak_pde_parent(wp, g))
+    _assert_near_parent(sol, pde_oracle.solve_weak_pde_parent(p, g, h))
     if m >= 3:
-        Y, dt = solve_dp(bp, kernels(m), g).Y, kernels(m).dt
-        sup = _fk_sup(sol.u, sol.time_step, Y, dt, g, wp.horizon)
+        Y, dt = solve_dp(p, kernels(m), g).Y, kernels(m).dt
+        sup = _fk_sup(sol.u, sol.time_step, Y, dt, g, p.horizon)
         assert abs(sup - PLAIN_SOLVE_SUPS[m]) <= 1e-11 * PLAIN_SOLVE_SUPS[m]
 
 
@@ -299,17 +305,18 @@ def test_weak_pde_time_dependent_equals_per_layer_oracle(graphs, m):
     # g and f read t, and phi(t) slopes: the flat residual pass calls the
     # drivers with an array t and still gives the per-layer bytes
     g = graphs(m)
-    p = WeakPdeProblem(g=lambda t, x, u: -u + 0.1 * np.cos(3.0 * t + x),
-                       f=lambda t, x, u, z: 0.5 * np.sin(u) * (1.0 + t) + 0.25 * z,
-                       terminal_psi=bump, horizon=0.1, level=m,
-                       boundary_phi=lambda t: np.array([0.1 + t, 0.0, -0.2 * t]))
+    p = BsdeProblem(g=lambda t, x, u: -u + 0.1 * np.cos(3.0 * t + x),
+                    f=lambda t, x, u, z: 0.5 * np.sin(u) * (1.0 + t) + 0.25 * z,
+                    terminal_psi=bump, horizon=0.1, duration="killed",
+                    boundary_phi=lambda t: np.array([0.1 + t, 0.0, -0.2 * t]))
+    h = step_duration(m)
     sol = solve_weak_pde(p, g)
-    u, grads, residuals = pde_oracle.solve_weak_pde_products(p, g)
+    u, grads, residuals = pde_oracle.solve_weak_pde_products(p, g, h)
     assert sol.u.tobytes() == u.tobytes()
     assert sol.gradients.tobytes() == grads.tobytes()
     assert sol.residuals.tobytes() == residuals.tobytes()
     assert sol.meta["max_imex_residual"] == float(residuals.max())
-    _assert_near_parent(sol, pde_oracle.solve_weak_pde_parent(p, g))
+    _assert_near_parent(sol, pde_oracle.solve_weak_pde_parent(p, g, h))
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -328,11 +335,11 @@ def test_weak_pde_keeps_no_whole_field_temporaries(graphs):
     # at m = 5, T = 1/4 the traced peak stays within 4 MB of the returned
     # arrays: no (K+1, V) residual or average field is made
     g = graphs(5)
-    wp, _ = build_problem_pair(validate_problem_dict(SIN_KILLED), 5)
-    solve_weak_pde(build_problem_pair(validate_problem_dict(SIN_KILLED), 1)[0])  # loads splu
+    p = build_problem(validate_problem_dict(SIN_KILLED))
+    solve_weak_pde(p, graphs(1))  # loads splu
     tracemalloc.start()
     try:
-        sol = solve_weak_pde(wp, g)
+        sol = solve_weak_pde(p, g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -350,7 +357,8 @@ def test_driver_of_the_wrong_shape_rejected(graphs, driver, value):
     g = graphs(2)
     drivers = {"g": zero_g, "f": zero_f}
     drivers[driver] = lambda t, x, u, *z: value(u)
-    p = WeakPdeProblem(g=drivers["g"], f=drivers["f"], terminal_psi=bump, horizon=0.1, level=2)
+    p = BsdeProblem(g=drivers["g"], f=drivers["f"], terminal_psi=bump, horizon=0.1,
+                    duration="killed")
     with pytest.raises(UsageError, match=f"driver {driver} returned shape"):
         solve_weak_pde(p, g)
 
@@ -363,8 +371,8 @@ def test_non_finite_terminal_data_rejected(kernels, graphs, bad):
     psi = bump(g)
     psi[7] = bad
     with pytest.raises(UsageError, match="finite"):
-        solve_weak_pde(WeakPdeProblem(g=zero_g, f=zero_f, terminal_psi=psi, horizon=0.1,
-                                      level=2), g)
+        solve_weak_pde(BsdeProblem(g=zero_g, f=zero_f, terminal_psi=psi, horizon=0.1,
+                                   duration="killed"), g)
     bp = BsdeProblem(g=lambda t, x, y: np.zeros_like(y), f=lambda t, x, y, z: np.zeros_like(y),
                      terminal_psi=psi, horizon=0.1, duration="killed")
     with pytest.raises(UsageError, match="finite"):
@@ -376,8 +384,8 @@ def test_blow_up_is_a_typed_error(graphs):
     # g = 5u^2 from terminal value 3 at m = 2: u used to hold 228 NaN entries
     # and max_imex_residual nan
     g = graphs(2)
-    p = WeakPdeProblem(g=lambda t, x, u: 5 * u * u, f=zero_f, horizon=0.5, level=2,
-                       terminal_psi=np.full(g.n_vertices, 3.0))
+    p = BsdeProblem(g=lambda t, x, u: 5 * u * u, f=zero_f, horizon=0.5, duration="killed",
+                    terminal_psi=np.full(g.n_vertices, 3.0))
     with pytest.raises(NumericOverflowError, match="not finite from layer"):
         solve_weak_pde(p, g)
 
@@ -385,7 +393,7 @@ def test_blow_up_is_a_typed_error(graphs):
 def test_realized_horizon_reported(graphs):
     # T = 0.25 at m = 4 is 468.75 steps; the solve runs 469 layers
     g = graphs(4)
-    p = WeakPdeProblem(g=zero_g, f=zero_f, terminal_psi=bump, horizon=0.25, level=4)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump, horizon=0.25, duration="killed")
     sol = solve_weak_pde(p, g)
     assert sol.u.shape[0] == 470
     assert sol.meta["realized_horizon"] == 469 * sol.time_step
@@ -398,8 +406,7 @@ def test_feynman_kac_probe_time_outside_horizon_rejected():
         "duration": {"kind": "killed", "T": 0.5},
     })
 
-    def make(level):
-        return build_problem_pair(spec, level)
+    make = pair_of(spec)
 
     for t in (-0.25, 0.75):
         with pytest.raises(UsageError, match="probe times"):
@@ -413,8 +420,7 @@ def test_feynman_kac_horizon_must_match_the_problem():
         "duration": {"kind": "killed", "T": 0.5},
     })
 
-    def make(level):
-        return build_problem_pair(spec, level)
+    make = pair_of(spec)
 
     for horizon in (1.0, 0.25, 0.5 * (1 + 1e-9)):
         with pytest.raises(UsageError, match="horizon"):
@@ -432,17 +438,62 @@ def test_level_zero_rejected_before_assembly(monkeypatch):
         "duration": {"kind": "killed", "T": 0.5},
     })
 
-    def make(level):
-        return build_problem_pair(spec, level)
+    make = pair_of(spec)
 
     def no_assembly(g):
         raise AssertionError("assembled")
 
     monkeypatch.setattr(pde, "assemble_masses", no_assembly)
     with pytest.raises(UsageError, match="interior"):
-        solve_weak_pde(make(0)[0])
+        solve_weak_pde(make(0)[0], build_level_graph(0))
     with pytest.raises(UsageError, match="interior"):
         feynman_kac_check(make, [0], [0.0, 0.25], probe_level=0)
+
+
+def test_deterministic_problem_rejected_before_assembly(monkeypatch, graphs):
+    # the weak solver pins phi on V_0; psi = 1 with a zero driver used to give
+    # u_0 between 0.0 and 0.487 where the reflected problem has u = 1
+    g = graphs(2)
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=np.ones(g.n_vertices), horizon=0.25)
+
+    def no_assembly(g):
+        raise AssertionError("assembled")
+
+    monkeypatch.setattr(pde, "assemble_masses", no_assembly)
+    with pytest.raises(UsageError, match="killed"):
+        solve_weak_pde(p, g)
+
+
+def test_feynman_kac_rejects_a_pair_that_disagrees():
+    # a pair with T = 0.5 and T = 0.25 used to be compared on [0, 0.25] and
+    # return a sup of 0.292 as an ordinary report
+    spec = {"driver": {"name": "zero"}, "terminal": {"name": "bump"},
+            "duration": {"kind": "killed", "T": 0.5}}
+    p = build_problem(validate_problem_dict(spec))
+    short = build_problem(validate_problem_dict({**spec, "duration": {"kind": "killed", "T": 0.25}}))
+    reflected = build_problem(validate_problem_dict(
+        {**spec, "duration": {"kind": "deterministic", "T": 0.5}}))
+    for other in (short, reflected):
+        for pair in ((p, other), (other, p)):
+            with pytest.raises(UsageError, match="differs in horizon or duration"):
+                feynman_kac_check(lambda m: pair, [2], [0.0, 0.125])
+
+
+def test_package_exports_one_problem_type():
+    import gasketlab
+
+    # the weak solver's own problem class and its killed-only guard are gone
+    assert [n for n in gasketlab.__all__ if n.endswith("Problem")] == ["BsdeProblem"]
+    assert [n for n in dir(pde) if n.endswith("Problem")] == ["BsdeProblem"]
+    assert not [n for n in dir(pde) if n.startswith("require")]
+
+
+def test_problem_is_frozen():
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=np.zeros(6), horizon=0.5,
+                    duration="killed")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.horizon = 0.25
+    assert p.boundary_phi(0.1).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_feynman_kac_rejects_a_deterministic_duration():
@@ -454,7 +505,7 @@ def test_feynman_kac_rejects_a_deterministic_duration():
         "duration": {"kind": "deterministic", "T": 0.25},
     })
     with pytest.raises(UsageError, match="killed"):
-        feynman_kac_check(lambda m: build_problem_pair(spec, m), [2, 3], [0.0, 0.125])
+        feynman_kac_check(pair_of(spec), [2, 3], [0.0, 0.125])
 
 
 def test_feynman_kac_driverless_tiny_gap(kernels, graphs):
@@ -464,8 +515,7 @@ def test_feynman_kac_driverless_tiny_gap(kernels, graphs):
         "duration": {"kind": "killed", "T": 0.5},
     })
 
-    def make(level):
-        return build_problem_pair(spec, level)
+    make = pair_of(spec)
 
     rep = feynman_kac_check(make, [3], [0.0, 0.25], horizon=0.5)
     # same linear algebra up to the stepping scheme: gap is time-discretization only
@@ -479,8 +529,7 @@ def test_feynman_kac_decreasing_small_ladder():
         "duration": {"kind": "killed", "T": 1.0},
     })
 
-    def make(level):
-        return build_problem_pair(spec, level)
+    make = pair_of(spec)
 
     rep = feynman_kac_check(make, [2, 3, 4], [0.0, 0.25, 0.5, 0.75])
     assert rep["decreasing"]
@@ -497,8 +546,7 @@ def test_refinement_consistency(graphs):
     fields = []
     for m in (2, 3, 4):
         g = graphs(m)
-        wp, _ = build_problem_pair(spec, m)
-        sol = solve_weak_pde(wp, g)
+        sol = solve_weak_pde(build_problem(spec), g)
         ids = [g.index_by_coord[c] for c in probe]
         fields.append(sol.u[0][ids])
     d1 = np.abs(fields[1] - fields[0]).max()

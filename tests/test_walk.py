@@ -372,7 +372,7 @@ def test_weighted_mc_clock_equals_oracle(kernels, graphs, monkeypatch, killed):
         "driver": {"name": "linear", "a": a, "b": b, "c": c},
         "terminal": {"name": "bump"},
         "duration": {"kind": "killed" if killed else "deterministic", "T": 0.05}})
-    _, problem = problems.build_problem_pair(spec, 3)
+    problem = problems.build_problem(spec)
     seen = []
     run_blocks = bsde._run_blocks
 
