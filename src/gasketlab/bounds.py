@@ -139,18 +139,6 @@ def beta_chain_identity(p: int, gamma: float) -> dict:
             "rel_gap": abs(lhs - rhs) / rhs}
 
 
-def nested_simplex_integral_p2(gamma: float) -> float:
-    """Fully nested 2-D route for p = 2 (crosscheck for the chain reduction):
-    the inner theta_1 integral desingularized by theta_1 = theta_2 * x leaves
-    the outer weight theta_2^{2 gamma - 1} with no upper-endpoint factor."""
-    from scipy.integrate import quad
-    inner, _ = quad(lambda x: 1.0, 0.0, 1.0, weight="alg",
-                    wvar=(gamma - 1.0, gamma - 1.0))
-    outer, _ = quad(lambda t: 1.0, 0.0, 1.0, weight="alg",
-                    wvar=(2.0 * gamma - 1.0, 0.0))
-    return inner * outer
-
-
 def fit_moment_constant(qv_samples: dict) -> dict:
     """Smallest C with E[A_t^p]/p! <= (C t^GAMMA_S)^p / Gamma(p GAMMA_S + 1)
     per (p, t) cell, p = 1..P_MAX, and the single joint constant (their max).

@@ -465,9 +465,14 @@ def vbeta_norm(paths: PathEnsemble, y_field: np.ndarray, z_field: np.ndarray,
     calls and vbeta_norm calls on one ensemble share it; each call builds
     its own work buffers, and picard_iterate reuses them for every sweep.
     The field part runs time-major in cache-sized row blocks, with every sum
-    in the order of the whole-array form.
+    in the order of the whole-array form. It runs with numpy's floating-point
+    warnings off; NumericOverflowError when the norm is not finite.
     """
-    return _vbeta_norm_on(paths, weights)(y_field, z_field)
+    with np.errstate(**_QUIET):
+        value = _vbeta_norm_on(paths, weights)(y_field, z_field)
+    if not math.isfinite(value):
+        raise NumericOverflowError("the V^beta norm is not finite")
+    return value
 
 
 # --- linear closed form -------------------------------------------------------

@@ -13,9 +13,10 @@ arithmetic gives.
 fixed routes travel it: the unit triples down A, P down Y, corner coordinates
 down the midpoint maps. Up to each route's level guard every entry and sum of
 squares stays far below 2^63 (A-route entries are at most 5^m; a test bounds
-all three in Python ints). User data never enters int64: by linearity its
-leaf states are the unit-triple leaves times its integer numerators, in
-exact Python ints (`times_numerators`). Single words stay in Python ints.
+all three in Python ints). User data enters int64 only under a bound: by
+linearity its leaf states are the unit-triple leaves times its integer
+numerators (`times_numerators`), in int64 when max|leaf| sum|nums| < 2^29,
+else in exact Python ints. Single words stay in Python ints.
 
 Word convention: a cell word w = w1 w2 ... wm over {1,2,3} addresses the cell
 F_{w1} o F_{w2} o ... o F_{wm} (unit gasket). Restriction matrices compose in
@@ -130,9 +131,35 @@ def cell_leaves(m: int, root, gens: dict[int, IntMat]) -> tuple[list[str], np.nd
 
 
 def times_numerators(leaves: np.ndarray, nums) -> np.ndarray:
-    """leaves @ nums in exact Python ints (object dtype). On A-route leaves of
-    BASIS this is, by linearity, the leaves of data with numerators nums."""
+    """leaves @ nums, exact. On A-route leaves of BASIS this is, by linearity,
+    the leaves of data with numerators nums. In int64 when
+    max|leaf| * sum|nums| < 2^29: every entry is then below 2^29 and its
+    pairwise_sq below 3 (2^30)^2 < 2^63. Else in Python ints (object dtype)."""
+    if int(np.abs(leaves).max(initial=0)) * sum(map(abs, nums)) < 2**29:
+        return leaves @ np.array(nums, dtype=np.int64)
     return leaves.astype(object) @ np.array(nums, dtype=object)
+
+
+def fractions_over(nums, den: int) -> list[Fraction]:
+    """[Fraction(n, den) for n in nums] for ints or an int array nums and a
+    positive den (UsageError otherwise), built in bulk: one gcd reduces each
+    pair (np.gcd for int64 nums and den), and each Fraction gets its coprime
+    pair by setting its two slots, skipping Fraction.__new__'s normalisation.
+    Fraction has no __dict__: were a slot renamed, the assignment would raise."""
+    if den <= 0:
+        raise UsageError(f"denominator {den} is not positive")
+    if isinstance(nums, np.ndarray) and nums.dtype == np.int64 and den < 2**63:
+        g = np.gcd(nums, den)
+        pairs = zip((nums // g).tolist(), (den // g).tolist())
+    else:
+        ints = nums.tolist() if isinstance(nums, np.ndarray) else nums
+        pairs = ((n // g, den // g) for n in ints for g in (math.gcd(n, den),))
+    new, out = object.__new__, []
+    for n, d in pairs:
+        f = new(Fraction)
+        f._numerator, f._denominator = n, d
+        out.append(f)
+    return out
 
 
 def quad_form_p(v) -> Fraction:

@@ -23,6 +23,8 @@ from .exact import (
     P_INT,
     as_rational,
     cell_leaves,
+    fractions_over,
+    pairwise_sq,
     quad_form_p,
     restrict_states,
     times_numerators,
@@ -58,7 +60,7 @@ def harmonic_extend_to_level(u, m: int, g: LevelGraph | None = None) -> list[Fra
     """Values of Hu at every vertex of V_m, exact.
 
     Hu = u_1 h_1 + u_2 h_2 + u_3 h_3, so the values are corner_harmonics(g)
-    times u's integer numerators, in exact Python ints. Well-definedness (the
+    times u's integer numerators (exact.times_numerators). Well-definedness (the
     same vertex reached through different cells gets the same value) is
     asserted on that basis table, and holds for every triple by linearity.
     """
@@ -67,8 +69,7 @@ def harmonic_extend_to_level(u, m: int, g: LevelGraph | None = None) -> list[Fra
     elif g.level != m:
         raise UsageError("graph level does not match m")
     nums, d = to_numerators(_as_triple(u))
-    den = d * 5**m
-    return [Fraction(x, den) for x in times_numerators(corner_harmonics(g), nums).tolist()]
+    return fractions_over(times_numerators(corner_harmonics(g), nums), d * 5**m)
 
 
 def corner_harmonics(g: LevelGraph) -> np.ndarray:
@@ -111,9 +112,13 @@ def harmonic_energy(u):
 
 
 def cell_energy_measure(u, word: str):
-    """nu_<Hu>(cell w) = (3/2)(5/3)^m (A_w u)^T P (A_w u), exact."""
-    v = harmonic_restrict(u, word)
-    return Fraction(3, 2) * Fraction(5, 3) ** len(word) * quad_form_p(v)
+    """nu_<Hu>(cell w) = (3/2)(5/3)^m (A_w u)^T P (A_w u), exact: with n the
+    numerators of u over d, pairwise_sq(A_INT[w] n) / (2 * 15^m * d^2), as
+    in energy_measure_table."""
+    validate_word(word)
+    nums, d = to_numerators(_as_triple(u))
+    (v,) = restrict_states(word, (nums,), A_INT)
+    return Fraction(pairwise_sq(v), 2 * 15 ** len(word) * d * d)
 
 
 # --- discrete gradients -----------------------------------------------------

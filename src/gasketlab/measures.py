@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -24,6 +25,7 @@ from .exact import (
     P_INT,
     Y_INT,
     cell_leaves,
+    fractions_over,
     pairwise_sq,
     restrict_states,
     times_numerators,
@@ -33,6 +35,16 @@ from .exact import (
 from .harmonic import _as_triple
 
 MAX_TABLE_LEVEL = 10
+
+
+@cache
+def _unit_leaves(m: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """cell_leaves(m, BASIS, A_INT), filled on first use and kept per level,
+    its array read-only. All levels up to MAX_TABLE_LEVEL take about 12 MB,
+    6.4 MB of leaves and the rest words."""
+    words, leaves = cell_leaves(m, BASIS, A_INT)
+    leaves.flags.writeable = False
+    return tuple(words), leaves
 
 
 def _kusuoka(columns, m: int) -> Fraction:
@@ -78,9 +90,9 @@ def kusuoka_measure(m: int) -> CellMeasure:
         raise UsageError(f"table level above guard {MAX_TABLE_LEVEL}")
     words, cols = cell_leaves(m, P_INT, Y_INT)
     den = 18 * 15**m  # as in _kusuoka
-    masses = [Fraction(s, den) for s in (cols * cols).sum(axis=(1, 2)).tolist()]
+    masses = fractions_over((cols * cols).sum(axis=(1, 2))[::-1], den)
     # keys in depth-first (reverse lexicographic) order, part of the table's output
-    return CellMeasure("kusuoka", m, dict(zip(reversed(words), reversed(masses))))
+    return CellMeasure("kusuoka", m, dict(zip(reversed(words), masses)))
 
 
 def energy_measure_table(u, m: int) -> CellMeasure:
@@ -90,10 +102,9 @@ def energy_measure_table(u, m: int) -> CellMeasure:
     base = _as_triple(u)
     nums, d = to_numerators(base)
     # (3/2)(5/3)^m v^T P v with v = leaf numerators / (5^m d)
-    words, leaves = cell_leaves(m, BASIS, A_INT)
-    sq = pairwise_sq(times_numerators(leaves, nums).T).tolist()
-    den = 2 * 15**m * d * d
-    masses = dict(zip(reversed(words), [Fraction(x, den) for x in reversed(sq)]))
+    words, leaves = _unit_leaves(m)
+    sq = pairwise_sq(times_numerators(leaves, nums).T)
+    masses = dict(zip(reversed(words), fractions_over(sq[::-1], 2 * 15**m * d * d)))
     return CellMeasure(f"energy-of({tuple(str(x) for x in base)})", m, masses)
 
 
@@ -109,7 +120,7 @@ def kusuoka_identity_check(m: int) -> Fraction:
     if m > 8:
         raise UsageError("identity check guarded to m <= 8")
     _, ys = cell_leaves(m, P_INT, Y_INT)
-    _, hs = cell_leaves(m, BASIS, A_INT)  # (cell, corner, j)
+    _, hs = _unit_leaves(m)  # (cell, corner, j)
     nu = (ys * ys).sum(axis=(1, 2))
     q = pairwise_sq(hs.transpose(1, 0, 2)).sum(axis=1)
     return Fraction(int(np.abs(nu - 3 * q).max()), 18 * 15**m)

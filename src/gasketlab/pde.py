@@ -35,6 +35,7 @@ import scipy.sparse as sp
 from .bsde import (_QUIET, BsdeProblem, _csr_product, _require_finite_boundary,
                    _require_finite_fields, _terminal_values, solve_dp)
 from .errors import UsageError
+from .exact import fractions_over
 from .gasket import LevelGraph, build_level_graph
 from .harmonic import CellGradientTables
 from .measures import kusuoka_measure
@@ -59,8 +60,7 @@ def assemble_masses(g: LevelGraph) -> tuple[list[Fraction], list[Fraction]]:
         for c in g.cells[w]:
             cells[c] += 1
             nu_num[c] += num
-    return ([Fraction(k, 3 ** (m + 1)) for k in cells],
-            [Fraction(k, 3 * nu_den) for k in nu_num])
+    return fractions_over(cells, 3 ** (m + 1)), fractions_over(nu_num, 3 * nu_den)
 
 
 @dataclass

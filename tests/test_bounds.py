@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from beta_chain_oracle import nested_simplex_integral_p2
 
 from gasketlab import (
     GAMMA_S,
@@ -23,7 +24,6 @@ from gasketlab.bounds import (
     check_moment_bound,
     fit_joint_constant,
     fit_moment_constant,
-    nested_simplex_integral_p2,
 )
 
 

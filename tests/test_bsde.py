@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -488,6 +489,22 @@ def test_vbeta_equals_path_major_oracle(kernels, graphs, killed, horizon, beta, 
         one = dataclasses.replace(ens, vertices=ens.vertices[i:i + 1], dW=ens.dW[i:i + 1],
                                   dqv=ens.dqv[i:i + 1], hit_step=ens.hit_step[i:i + 1])
         assert vbeta_norm(one, y, z, w) == vbeta_oracle.vbeta_norm(one, y, z, w)
+
+
+@pytest.mark.parametrize("action", ("error", "ignore"))
+@pytest.mark.parametrize("which", ("y", "z"))
+def test_vbeta_norm_overflow_is_a_typed_error(kernels, graphs, which, action):
+    # finite fields of 1e200 square past the float range: the norm used to
+    # return inf with warnings ignored and raise numpy's RuntimeWarning with
+    # warnings as errors
+    g, k = graphs(2), kernels(2)
+    ens = simulate_paths(WalkConfig(level=2, horizon=1.0, path_count=20, seed=1), k, g)
+    big = np.full((ens.n_steps + 1, g.n_vertices), 1e200)
+    fields = (big, np.zeros_like(big)) if which == "y" else (np.zeros_like(big), big)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(NumericOverflowError, match="V\\^beta norm is not finite"):
+            vbeta_norm(ens, *fields, BetaWeights(1, 1))
 
 
 def test_vbeta_rejects_a_field_of_another_level(kernels, graphs):

@@ -349,6 +349,13 @@ def test_non_rational_boundary_entry_is_a_usage_error(entry, bad):
         BOUNDARY_ENTRY_POINTS[entry]((1, bad, 0))
 
 
+@pytest.mark.parametrize("word", ("14", "1a", "0"))
+@pytest.mark.parametrize("entry", (harmonic_restrict, cell_energy_measure))
+def test_word_off_the_alphabet_is_a_usage_error(entry, word):
+    with pytest.raises(UsageError, match="must use symbols 1,2,3"):
+        entry((1, 0, 0), word)
+
+
 @pytest.mark.parametrize("u", (None, 5, (1, 2)), ids=repr)
 @pytest.mark.parametrize("entry", BOUNDARY_ENTRY_POINTS)
 def test_boundary_data_that_is_not_a_triple_is_a_usage_error(entry, u):

@@ -14,6 +14,7 @@ import traversal_oracle as dfs
 
 from gasketlab import (
     UsageError,
+    cell_energy_measure,
     energy_measure_table,
     harmonic_extend_to_level,
     kusuoka_identity_check,
@@ -26,13 +27,16 @@ from gasketlab.exact import (
     P_INT,
     Y_INT,
     cell_leaves,
+    fractions_over,
     pairwise_sq,
     restrict_states,
+    times_numerators,
     to_numerators,
 )
 from gasketlab.gasket import MAX_LEVEL
 from gasketlab.harmonic import corner_harmonics
 from gasketlab.measures import MAX_TABLE_LEVEL
+from gasketlab.pde import assemble_masses
 
 LEVELS = range(9)
 MID_ROOT = ((0, 2, 1), (0, 0, 1))  # corner x and y numerators over 2, as in build_level_graph
@@ -177,3 +181,127 @@ def test_entry_bound_holds_on_every_leaf(route):
     bound = entry_bound(root, gens, m)
     for _, states in dfs.cell_leaves(m, root, (gens,) * len(root)):
         assert all(abs(x) <= b for st, bs in zip(states, bound) for x, b in zip(st, bs))
+
+
+# --- int64 products under a bound, and bulk-built Fractions -------------------
+
+def same_fractions(got, want):
+    """Equal lists of Fractions, down to the type of each part and the hash."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is Fraction and type(a.numerator) is int and type(a.denominator) is int
+        assert (a.numerator, a.denominator, hash(a), repr(a)) == \
+            (b.numerator, b.denominator, hash(b), repr(b))
+
+
+BIG = 2**63 + 5
+
+
+@pytest.mark.parametrize("nums, den", [
+    (np.array([0, 6, -6, 7, -15, 2**40, -(2**40) - 3, 2**62], dtype=np.int64), 2 * 15**6 * 36),
+    (np.array([0, 3, -9, 2**62], dtype=np.int64), 3 * 2**63),  # den past int64: math.gcd
+    ([0, 1, -1, 12, -18, BIG, -BIG * 3, 10**40], 6),             # Python ints past 2^63
+    ([0, 5, -10, 3**50, BIG], 5 * BIG),
+    (np.array([4, -8, 10**30], dtype=object), 2**70),            # an object array
+    ([], 7),
+])
+def test_fractions_over_equals_fraction(nums, den):
+    want = [Fraction(n, den) for n in (nums.tolist() if isinstance(nums, np.ndarray) else nums)]
+    same_fractions(fractions_over(nums, den), want)
+    assert fractions_over(nums, den) == want
+
+
+def test_fractions_over_rejects_a_denominator_that_is_not_positive():
+    for den in (0, -3):
+        with pytest.raises(UsageError, match="not positive"):
+            fractions_over([1, 2], den)
+
+
+def test_fractions_over_builds_values_fraction_arithmetic_accepts():
+    a, b = fractions_over(np.array([6, -4], dtype=np.int64), 8)
+    assert (a, b) == (Fraction(3, 4), Fraction(-1, 2))
+    assert a + b == Fraction(1, 4) and a * b == Fraction(-3, 8) and a / b == -Fraction(3, 2)
+    assert {a: 1}[Fraction(3, 4)] == 1 and a > b and float(a) == 0.75 and str(b) == "-1/2"
+
+
+@pytest.mark.parametrize("m", (0, 3, 6))
+def test_times_numerators_equal_on_both_sides_of_the_int64_bound(m):
+    _, leaves = cell_leaves(m, BASIS, A_INT)
+    edge = (2**29 - 1) // 5**m  # the largest sum |nums| on the int64 side
+    for total, dtype in ((edge, np.int64), (edge + 1, object)):
+        for nums in ((total, 0, 0), (-total, 0, 0), (total // 3, -(total // 3), total - 2 * (total // 3)),
+                     (0, total - 1, -1)):
+            got = times_numerators(leaves, nums)
+            assert got.dtype == dtype
+            want = leaves.astype(object) @ np.array(nums, dtype=object)
+            assert got.tolist() == want.tolist()
+            assert pairwise_sq(got.T).tolist() == pairwise_sq(want.T).tolist()
+
+
+# past the int64 product: numerators beyond the bound, then an int64 product
+# over a denominator beyond 2^63
+PYTHON_INT_TRIPLES = [(10**22, 0, 1), (Fraction(1, 2**63), 0, Fraction(-3, 2**63))]
+
+
+@pytest.mark.parametrize("u", PYTHON_INT_TRIPLES)
+@pytest.mark.parametrize("m", (0, 2, 4))
+def test_tables_past_the_int64_bound_equal_the_fraction_oracle(graphs, u, m):
+    nums, d = to_numerators([Fraction(x) for x in u])
+    large = u[0] == 10**22
+    assert (times_numerators(cell_leaves(m, BASIS, A_INT)[1], nums).dtype == object) == large
+    assert large or d * 5**m >= INT64_LIMIT
+    table = energy_measure_table(u, m).masses
+    assert list(table.items()) == list(fraction_oracle.energy_table(u, m).items())
+    same_fractions(list(table.values()), list(fraction_oracle.energy_table(u, m).values()))
+    g = graphs(m)
+    got = harmonic_extend_to_level(u, m, g)
+    same_fractions(got, fraction_oracle.extension(u, g))
+
+
+@pytest.mark.parametrize("m", (0, 1, 3))
+def test_cell_energy_measure_equals_the_fraction_oracle(m):
+    for u in TRIPLES + PYTHON_INT_TRIPLES:
+        table = fraction_oracle.energy_table(u, m)
+        same_fractions([cell_energy_measure(u, w) for w in table], list(table.values()))
+
+
+@pytest.mark.parametrize("m", (0, 1, 3, 4))
+def test_kusuoka_table_and_masses_equal_the_fraction_oracle(graphs, m):
+    nu = fraction_oracle.kusuoka_table(m)
+    table = kusuoka_measure(m).masses
+    assert list(table) == list(nu)
+    same_fractions(list(table.values()), list(nu.values()))
+    g = graphs(m)
+    want_mu, want_nu = [Fraction(0)] * g.n_vertices, [Fraction(0)] * g.n_vertices
+    for w, corners in g.cells.items():
+        for c in corners:
+            want_mu[c] += Fraction(1, 3 ** (m + 1))
+            want_nu[c] += nu[w] / 3
+    mu_got, nu_got = assemble_masses(g)
+    same_fractions(mu_got, want_mu)
+    same_fractions(nu_got, want_nu)
+
+
+def test_energy_tables_share_one_read_only_traversal_per_level(monkeypatch):
+    from gasketlab import measures
+
+    calls = []
+
+    def spy(m, root, gens):
+        calls.append(m)
+        return cell_leaves(m, root, gens)
+
+    measures._unit_leaves.cache_clear()
+    monkeypatch.setattr(measures, "cell_leaves", spy)
+    for u in TRIPLES + PYTHON_INT_TRIPLES:
+        for m in (2, 3):
+            assert list(energy_measure_table(u, m).masses.items()) == \
+                list(energy_oracle(u, m).items())
+    assert kusuoka_identity_check(3) == 0
+    assert calls == [2, 3, 3]  # the identity check's Y-route traversal is its own
+    for m in (2, 3):
+        words, leaves = measures._unit_leaves(m)
+        assert not leaves.flags.writeable and type(words) is tuple
+        with pytest.raises(ValueError):
+            leaves[0, 0, 0] = 7
+    measures._unit_leaves.cache_clear()
