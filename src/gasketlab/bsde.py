@@ -534,8 +534,10 @@ def _mc_linear(kernel, problem, a, b, c, starts, n_paths, seed, psi, killed):
     psi on a V_0 hit; start i walks seed + i. The four-step tables depend
     only on the kernel, the mode and the clock, so every start shares one set."""
     w = 1.0 + a * kernel.dt + b * np.repeat(kernel.dqv, 4) + c * kernel.dW.ravel()
-    # complex only when needed: a complex accumulator slows the whole step loop
-    clock = np.log(w) if (w > 0).all() else np.log(w.astype(complex))
+    # complex only when needed: a complex accumulator slows the whole step loop.
+    # A zero weight's log is -inf, whose exp is the product's exact 0.
+    with np.errstate(divide="ignore"):
+        clock = np.log(w) if (w > 0).all() else np.log(w.astype(complex))
     tables = walk._block_tables(kernel, killed, clock, False)
     out = {}
     for i, start in enumerate(starts):
@@ -551,11 +553,39 @@ def _mc_linear(kernel, problem, a, b, c, starts, n_paths, seed, psi, killed):
             phi = np.array([problem.boundary_phi(int(k) * kernel.dt) for k in steps], dtype=float)
             _require_finite_boundary(phi)
             value[arrived] = phi[which, pos[arrived]]
-        samples = np.exp(r["clock"][:, 0]).real * value
-        out[start] = {"estimate": float(samples.mean()),
-                      "stderr": float(samples.std(ddof=1) / math.sqrt(n_paths)),
-                      "unstable": heavy_tailed(samples)}
+        estimate, stderr, unstable = _mc_moments(r["clock"][:, 0], value)
+        out[start] = {"estimate": estimate, "stderr": stderr, "unstable": unstable}
     return out
+
+
+def _mc_moments(log_w: np.ndarray, value: np.ndarray) -> tuple[float, float, bool]:
+    """Mean, standard error and heavy_tailed flag of Re exp(log_w) * value.
+
+    Plain first, so that every finite result keeps its bytes. When the
+    samples, their mean or their spread leave the floating-point range, the
+    same moments of the samples scaled by 2^-e, e from the largest Re log_w,
+    are taken and scaled back exactly by ldexp. NumericOverflowError when
+    those are not finite either.
+    """
+    n = len(log_w)
+    with np.errstate(**_QUIET):
+        samples = np.exp(log_w).real * value
+        moments = (float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(n)))
+        if all(map(math.isfinite, moments)):
+            return *moments, heavy_tailed(samples)
+        top = float(log_w.real.max())
+        if math.isfinite(top):
+            e = math.floor(top / math.log(2))
+            samples = np.exp(log_w - e * math.log(2)).real * value
+            try:
+                moments = (math.ldexp(samples.mean(), e),
+                           math.ldexp(samples.std(ddof=1) / math.sqrt(n), e))
+            except OverflowError:
+                pass
+            if all(map(math.isfinite, moments)):
+                return *moments, heavy_tailed(samples)
+    raise NumericOverflowError("the Monte Carlo estimate or its standard error is not "
+                               "finite: the step weights' product left the floating-point range")
 
 
 # --- monotonicity spot checks --------------------------------------------------

@@ -100,10 +100,44 @@ def graph_energy(g: LevelGraph, u_table, v_table=None):
     for t in (u_table, v_table):
         if len(t) != n or any(x is None for x in t):
             raise UsageError("tables must assign a value to every vertex of V_m")
-    un, ud = to_numerators(u_table)
-    vn, vd = (un, ud) if v_table is u_table else to_numerators(v_table)
-    acc = sum((un[a] - un[b]) * (vn[a] - vn[b]) for a, b in g.edges)
+    un, ud = _vertex_numerators(u_table)
+    vn, vd = (un, ud) if v_table is u_table else _vertex_numerators(v_table)
+    # each edge term is at most 4 max|un| max|vn|: under this bound their sum
+    # fits in int64, past it the terms are summed as Python ints
+    if (isinstance(un, np.ndarray) and isinstance(vn, np.ndarray)
+            and 4 * g.n_edges * int(np.abs(un).max()) * int(np.abs(vn).max()) < 2**63):
+        a, b = _edge_ends(g)
+        acc = int(np.dot(un[a] - un[b], vn[a] - vn[b]))
+    else:
+        un, vn = list(map(int, un)), list(map(int, vn))
+        acc = sum((un[a] - un[b]) * (vn[a] - vn[b]) for a, b in g.edges)
     return Fraction(5**g.level * acc, 2 * 3**g.level * ud * vd)
+
+
+def _vertex_numerators(table):
+    """to_numerators(table): an int64 array when max|numerator| * lcm < 2^62
+    (then every numerator over the lcm fits), else a list of Python ints. A
+    table of Fractions is read straight off their two slots, the ones
+    exact.fractions_over sets; any other entry goes through as_rational."""
+    try:
+        nums, dens = [x._numerator for x in table], [x._denominator for x in table]
+    except AttributeError:
+        fr = [x if type(x) in (int, Fraction) else as_rational(x) for x in table]
+        nums, dens = [x.numerator for x in fr], [x.denominator for x in fr]
+    d = math.lcm(*set(dens))
+    if max(max(nums), -min(nums)) * d < 2**62:
+        return np.array(nums, dtype=np.int64) * (d // np.array(dens, dtype=np.int64)), d
+    return [n * (d // q) for n, q in zip(nums, dens)], d
+
+
+def _edge_ends(g: LevelGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The two end ids of every edge of g, as read-only int64 arrays cached on g."""
+    ends = g._derived.get("edge_ends")
+    if ends is None:
+        ends = np.array(g.edges, dtype=np.int64).T
+        ends.flags.writeable = False
+        g._derived["edge_ends"] = ends
+    return ends[0], ends[1]
 
 
 def harmonic_energy(u):

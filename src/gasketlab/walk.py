@@ -29,7 +29,11 @@ runs through _run_blocks, which sums a per-slot clock along each path (<W>
 in exact integer units, or the MC's log step weights) while some requested
 layer still reads it, and returns one flat dict of per-path arrays. Its
 four-step tables hold 256 codes per vertex, so walks run at levels up to 8
-(MAX_TABLE_BYTES); deeper ones raise CapacityError.
+(MAX_TABLE_BYTES); deeper ones raise CapacityError. Substep s of a table
+depends only on the vertex and the byte's low 2(s + 1) bits, so each is
+built on those prefixes and repeated over the rest. Starts drawn from mu
+are Generator.choice's, bit for bit, found from a bucket table in place of
+its binary search per path (_mu_starts).
 """
 
 from __future__ import annotations
@@ -278,8 +282,10 @@ def table_bytes(n_vertices: int, clock_dtype, record: bool) -> int:
     """Bytes of the BlockTables of a walk on n_vertices vertices.
 
     Per code: four rows of pos and of clock sums, four of slot when
-    recording, and one hit byte. Building them holds about 33 bytes per code
-    more while it runs: the start positions, the bytes and one substep's slots.
+    recording, and one hit byte. Building them holds at most about 19 bytes
+    per code more while it runs, 11 when recording (traced at m = 5 and 6,
+    int64 and complex128 clocks): the last substep's slots, and the earlier
+    substeps' arrays over a quarter of the codes or fewer.
     """
     rows = np.dtype(np.intp).itemsize * (2 if record else 1) + np.dtype(clock_dtype).itemsize
     return 256 * n_vertices * (4 * rows + 1)
@@ -297,32 +303,45 @@ def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
         raise CapacityError(
             f"the level-{kernel.level} four-step tables take {size} bytes, over the "
             f"{MAX_TABLE_BYTES} cap; walk at level 8 or below")
-    n_codes = 256 * kernel.n_vertices
-    y, byte = np.divmod(np.arange(n_codes), 256)
+    n = kernel.n_vertices
     nbr, isb, mask = kernel.nbr.ravel(), kernel.is_boundary, kernel.deg - 1
     # walk_steps reads a stop as a block-end position below 3
     assert np.array_equal(np.flatnonzero(isb), [0, 1, 2])
     clock = np.append(clock, 0)  # slot 4V: a stopped path's substep
-    slot = np.empty((4, n_codes), dtype=np.intp) if record else None
-    pos = np.empty((4, n_codes), dtype=np.intp)
-    sums = np.empty((4, n_codes), dtype=clock.dtype)
-    hit = np.zeros(n_codes, dtype=np.uint8)
-    for s in range(4):  # in place, so a build holds little beside the tables
-        step = byte >> 2 * s
-        step &= mask[y]
+    slot = np.empty((4, 256 * n), dtype=np.intp) if record else None
+    pos = np.empty((4, 256 * n), dtype=np.intp)
+    sums = np.empty((4, 256 * n), dtype=clock.dtype)
+    # Substep s reads the start x and the byte's low 2(s + 1) bits alone, so
+    # it runs on the V * 4^(s+1) prefixes (x, low bits) and is then repeated
+    # over the high bits. Prefix arrays are (V, digit s, lower prefix), and
+    # row s of a table, reshaped (V, high bits, prefix), is row s of them.
+    # Row 3 has no high bits: its prefix arrays are written in place.
+    def row(table, s):
+        return table[3].reshape(n, 4, 64) if s == 3 and table is not None else None
+
+    digit = np.arange(4)[:, None]
+    y = np.arange(n)[:, None, None]  # the position before substep s, per prefix
+    hit = np.zeros_like(y, dtype=np.uint8)
+    for s in range(4):
+        step = np.bitwise_and(mask[y], digit, out=row(slot, s))
         step += 4 * y
-        np.take(nbr, step, out=pos[s])
+        # in range: "clip" only spares an out= take its buffered copy
+        p = np.take(nbr, step, out=row(pos, s), mode="clip")
         if killed:
-            stay = hit > 0
+            stay = np.broadcast_to(hit > 0, step.shape)
             step[stay] = len(nbr)
-            pos[s][stay] = y[stay]
-            hit[~stay & isb[pos[s]]] = s + 1
-        if record:
-            slot[s] = step
-        np.take(clock, step, out=sums[s])
+            p[stay] = np.broadcast_to(y, p.shape)[stay]
+            hit = np.where(~stay & isb[p], np.uint8(s + 1), hit)
+        c = np.take(clock, step, out=row(sums, s), mode="clip")
         if s:
-            sums[s] += sums[s - 1]
-        y = pos[s]
+            c += acc
+        if s < 3:
+            wide = (n, 4 ** (3 - s), 4 ** (s + 1))
+            for table, rows in ((pos, p), (sums, c), (slot, step)):
+                if table is not None:
+                    table[s].reshape(wide)[:] = rows.reshape(n, 1, -1)
+        y, acc, hit = (a.reshape(n, 1, -1) for a in (p, c, hit))
+    hit = hit.ravel() if killed else np.zeros(256 * n, dtype=np.uint8)
     return BlockTables(slot=slot, pos=pos, hit=hit, clock=sums)
 
 
@@ -346,35 +365,59 @@ def walk_steps(tables: BlockTables, pos: np.ndarray, n_steps: int,
 
     The state is the live paths' positions alone. idx holds their indices
     into pos (None while every path is live: always in reflected mode).
-    stop, in killed mode, marks those of them that land on V_0 within the
-    block's r steps (None when none does); they are drawn for no more. A
-    stopped path stays where it landed, so the stops are read off the
-    block-end position tables.pos[r - 1][code] that the next block starts
-    from: V_0 is ids 0, 1, 2 in every LevelGraph (checked by _block_tables).
-    The first substep moves every path, so a V_0 start leaves V_0 (the
-    t > 0 convention). The walk ends, drawing nothing more, once no path is
-    live. Callers may keep the yielded arrays but must not write to them.
+    stop, in killed mode, holds the positions in the live set of those that
+    land on V_0 within the block's r steps (None when none does); they are
+    drawn for no more. A stopped path stays where it landed, so the stops
+    are read off the block-end position tables.pos[r - 1][code] that the
+    next block starts from: V_0 is ids 0, 1, 2 in every LevelGraph (checked
+    by _block_tables). The first substep moves every path, so a V_0 start
+    leaves V_0 (the t > 0 convention). The walk ends, drawing nothing more,
+    once no path is live. Callers may keep the yielded arrays but must not
+    write to them.
     """
     draw = rng.bit_generator.random_raw
     idx = None
+    code = pos << 8
     for k in range(0, n_steps, 4):
         r = min(4, n_steps - k)
-        n = len(pos)
-        code = pos << 8
+        n = len(code)
         code |= draw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
-        pos = tables.pos[r - 1][code]
+        end = tables.pos[r - 1][code]
         stop = None
         if killed:
-            stop = pos < 3
-            if not stop.any():
-                stop = None
+            landed = end < 3
+            if landed.any():
+                stop = np.flatnonzero(landed)
         yield k, r, idx, code, stop
         if stop is not None:
-            keep = ~stop
+            keep = ~landed
             idx = np.flatnonzero(keep) if idx is None else idx[keep]
-            pos = pos[keep]
-            if not len(pos):
+            if not len(idx):
                 return
+            end = end[keep]
+        code = end
+        code <<= 8
+
+
+def _mu_starts(srng: Generator, weight: np.ndarray, n: int) -> np.ndarray:
+    """srng.choice(len(weight), size=n, p=weight), bit for bit, without its
+    binary search per path.
+
+    choice counts the entries of cdf = weight.cumsum() / its last entry that
+    are <= u, for u = srng.random(n). Here a power-of-two table of at least
+    4V buckets holds that count at each bucket's left edge, and each path
+    steps up from its bucket's count while cdf[idx] <= u, as often as the
+    fullest bucket needs. The result is the same integer count.
+    """
+    cdf = weight.cumsum()
+    cdf /= cdf[-1]
+    u = srng.random(n)
+    buckets = 1 << (4 * len(weight) - 1).bit_length()
+    first = cdf.searchsorted(np.arange(buckets + 1) / buckets, side="right")
+    idx = first[(u * buckets).astype(np.intp)]  # exact: buckets is a power of two
+    for _ in range(int(np.diff(first).max())):
+        idx += cdf[idx] <= u
+    return idx
 
 
 def _simulate_block(kernel, tables, job):
@@ -383,7 +426,7 @@ def _simulate_block(kernel, tables, job):
 
     if start_vertex is None:
         srng = Generator(Philox(key=[seed, _START_STREAM_OFFSET + block]))
-        pos = srng.choice(kernel.n_vertices, size=n_paths, p=kernel.mu_weight)
+        pos = _mu_starts(srng, kernel.mu_weight, n_paths)
     else:
         pos = np.full(n_paths, start_vertex, dtype=np.int64)
 
@@ -436,12 +479,13 @@ def _simulate_block(kernel, tables, job):
         if read:
             live_acc += tables.clock[r - 1][code]
         if stop is not None:
-            done = np.flatnonzero(stop) if idx is None else idx[stop]
-            hit_step[done] = k + tables.hit[code[stop]].astype(np.int64)
+            done = stop if idx is None else idx[stop]
+            stopped = code[stop]
+            hit_step[done] = k + tables.hit[stopped].astype(np.int64)
             if read:
-                pos[done] = tables.pos[r - 1][code[stop]]
+                pos[done] = tables.pos[r - 1][stopped]
                 acc[done] = live_acc[stop]
-                live_acc = live_acc[~stop]
+                live_acc = np.delete(live_acc, stop)
     # a killed walk ends once no path is live: later layers read the stopped state
     out["clock"][:, col:] = acc[:, None]
     out["pos"][:, col:] = pos[:, None]
@@ -450,6 +494,7 @@ def _simulate_block(kernel, tables, job):
     return out
 
 
+_PER_PATH = ("clock", "pos", "hit_step")  # C-order (N, ...) block results
 _worker_walk = None  # (kernel, tables) in a pool worker, set once per worker
 
 
@@ -516,9 +561,11 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
     else:
         results = [_simulate_block(kernel, tables, j) for j in jobs]
     del tables  # not held while the blocks are merged
-    # joined along the path axis, the last of each array's time-major storage
+    # joined along the path axis: the first of the per-path arrays, the last
+    # of the recorded arrays' time-major storage
     out = results[0] if len(results) == 1 else {
-        key: np.concatenate([r[key].T for r in results], axis=-1).T for key in results[0]}
+        key: np.concatenate([r[key] for r in results]) if key in _PER_PATH else
+        np.concatenate([r[key].T for r in results], axis=-1).T for key in results[0]}
     if default_clock:  # <W> summed in integer units: one division per value
         out["clock"] = out["clock"] / clock_denominator(cfg.level)
     return out

@@ -389,6 +389,53 @@ def test_closed_form_blow_up_is_a_typed_error(kernels, graphs):
         linear_closed_form(50.0, 0.0, 0.0, killed, k, g)
 
 
+@pytest.mark.parametrize("action", ("error", "ignore"))
+def test_mc_linear_overflow_and_zero_weights(kernels, graphs, action):
+    # a = 3e4 at m = 2, T = 1: every path's weight product is the exact
+    # Y0 = 401^75 = 1.72e195, whose spread used to square past the float
+    # range: stderr inf with warnings ignored, numpy's "overflow encountered
+    # in square" with warnings as errors
+    g, k = graphs(2), kernels(2)
+    p = BsdeProblem(g=lambda t, x, y: 3e4 * y, f=lambda t, x, y, z: np.zeros_like(y),
+                    terminal_psi=np.ones(g.n_vertices), horizon=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        out = linear_closed_form(3e4, 0.0, 0.0, p, k, g, mc_starts=[5], mc_paths=100)
+    mc = out["mc"][5]
+    assert 1e195 < out["Y0"][5] < 1e196
+    assert mc["estimate"] == pytest.approx(out["Y0"][5], rel=1e-12)
+    assert 0 <= mc["stderr"] < 1e-12 * mc["estimate"] and not mc["unstable"]
+    # a = -75 makes every step weight 1 + a dt exactly 0: its log, -inf, used
+    # to raise "divide by zero encountered in log" with warnings as errors
+    assert 1 + -75.0 * k.dt == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        out = linear_closed_form(-75.0, 0.0, 0.0, p, k, g, mc_starts=[5], mc_paths=100)
+    assert out["Y0"][5] == 0 and out["mc"][5]["estimate"] == out["mc"][5]["stderr"] == 0
+
+
+@pytest.mark.parametrize("action", ("error", "ignore"))
+def test_mc_moments_take_the_scaled_route_only_past_the_float_range(action):
+    rng = np.random.default_rng(4)
+    log_w, value = rng.normal(size=500) + 0.3j * rng.normal(size=500), rng.normal(size=500)
+    samples = np.exp(log_w).real * value
+    plain = (float(samples.mean()), float(samples.std(ddof=1) / math.sqrt(500)),
+             bsde.heavy_tailed(samples))
+    # 2^1000 * (1, 2, -4): finite samples and mean, a spread that squares past the range
+    ln2 = math.log(2)
+    big = np.array([1000 * ln2, 1001 * ln2, 1002 * ln2 + math.pi * 1j])
+    ref = np.array([1.0, 2.0, -4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert bsde._mc_moments(log_w, value) == plain
+        estimate, stderr, _ = bsde._mc_moments(big, np.ones(3))
+        assert estimate == pytest.approx(2.0**1000 * ref.mean(), rel=1e-12)
+        assert stderr == pytest.approx(2.0**1000 * ref.std(ddof=1) / math.sqrt(3), rel=1e-12)
+        for bad in (np.array([1100.0, 1100.0]), np.array([1.0, math.nan])):
+            with pytest.raises(NumericOverflowError, match="Monte Carlo estimate"):
+                bsde._mc_moments(bad, np.ones(2))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("initial, match", ((None, "distance of sweep 10 is not finite"),
                                             (1e200, "not finite from layer")))

@@ -16,12 +16,13 @@ from gasketlab import (
     discrete_gradient,
     energy_measure_table,
     graph_energy,
+    harmonic,
     harmonic_energy,
     harmonic_extend_to_level,
     harmonic_restrict,
     oscillation_constant_probe,
 )
-from gasketlab.exact import A_INT, P_INT, Y_INT
+from gasketlab.exact import A_INT, P_INT, Y_INT, to_numerators
 from gasketlab.harmonic import CellGradientTables
 from gasketlab.measures import kusuoka_measure
 
@@ -189,6 +190,40 @@ def test_self_similarity_random_tables(graphs):
             vi = [v[mapping[x]] for x in range(gp.n_vertices)]
             rhs += graph_energy(gp, ui, vi)
         assert lhs == Fraction(5, 3) * rhs
+
+
+def python_int_graph_energy(g, u_table, v_table):
+    """graph_energy as one Python-int sum over the edges of to_numerators'
+    numerators."""
+    un, ud = to_numerators(u_table)
+    vn, vd = to_numerators(v_table)
+    acc = sum((un[a] - un[b]) * (vn[a] - vn[b]) for a, b in g.edges)
+    return Fraction(5**g.level * acc, 2 * 3**g.level * ud * vd)
+
+
+@pytest.mark.parametrize("m", (0, 1, 3, 5))
+def test_graph_energy_routes_equal_python_int_sum(graphs, monkeypatch, m):
+    # the int64 edge sum runs only under its bound: extended triples and
+    # small ints take it; numerators past 2^62, or int64 numerators whose
+    # edge terms could pass 2^63, are summed as Python ints
+    g = graphs(m)
+    rng = np.random.default_rng(m)
+    small = harmonic_extend_to_level(rand_triple(rng), m, g)
+    other = harmonic_extend_to_level(rand_triple(rng), m, g)
+    ints = [int(x) for x in rng.integers(-50, 50, g.n_vertices)]
+    huge = harmonic_extend_to_level((Fraction(10**22, 3), 1, Fraction(-3, 7)), m, g)
+    wide = [Fraction(2**40 + int(x), 3) for x in rng.integers(0, 1000, g.n_vertices)]
+    assert isinstance(harmonic._vertex_numerators(huge)[0], list)
+    assert isinstance(harmonic._vertex_numerators(wide)[0], np.ndarray)
+    int64_sums = []
+    ends = harmonic._edge_ends
+    monkeypatch.setattr(harmonic, "_edge_ends", lambda g: int64_sums.append(1) or ends(g))
+    for u, v, int64 in ((small, small, True), (small, other, True), (ints, small, True),
+                        (huge, huge, False), (small, huge, False), (wide, wide, False),
+                        (wide, ints, True)):
+        int64_sums.clear()
+        assert graph_energy(g, u, v) == python_int_graph_energy(g, u, v)
+        assert int64_sums == ([1] if int64 else [])
 
 
 # --- cell energy measures --------------------------------------------------------

@@ -216,7 +216,7 @@ def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
                 assert same_bytes(full_pos, pos2[s]), (n_steps, k1, s)
             assert same_bytes(full_slot, slot2), (n_steps, k1)
             if stop is not None:
-                done = np.flatnonzero(stop) if idx is None else idx[stop]
+                done = stop if idx is None else idx[stop]  # positions in the live set
                 hit[done] = k1 + tables.hit[code[stop]].astype(np.int64)
             assert same_bytes(hit, hit2), (n_steps, k1)
             blocks += 1
@@ -485,6 +485,64 @@ def test_block_tables_compose_four_single_steps(kernels, m, killed):
     assert (tables.hit > 0).any() == killed
     clock = np.append(unit_clock(k), 0)[np.where(slot < 0, 4 * k.n_vertices, slot)]
     assert same_bytes(tables.clock, np.cumsum(clock, axis=0))
+
+
+@pytest.mark.parametrize("killed", (False, True))
+@pytest.mark.parametrize("m", range(1, 7))
+def test_block_tables_equal_code_by_code_oracle(kernels, m, killed):
+    # the tables built on the byte's low-bit prefixes vs every code walked
+    # through the four substeps: byte for byte, recording or not, for the
+    # integer <W> clock and float and complex per-slot clocks
+    k = kernels(m)
+    units = unit_clock(k)
+    for clock in (units, units / 7.0, (units / 3.0).astype(complex) * (1 - 0.5j)):
+        for record in (False, True):
+            ours = walk._block_tables(k, killed, clock, record)
+            ref = walk_oracle.block_tables(k, killed, clock, record)
+            assert (ours.slot is None) == (ref.slot is None) == (not record)
+            for name in ("slot", "pos", "hit", "clock") if record else ("pos", "hit", "clock"):
+                assert same_bytes(getattr(ours, name), getattr(ref, name)), (name, clock.dtype)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_mu_starts_equal_generator_choice(kernels, m):
+    # the bucket-table count is choice's searchsorted count on the same
+    # uniforms and cdf: equal arrays, dtype included, and the stream left
+    # at the same point
+    k = kernels(m)
+    for seed in (0, 1, 7, 2**31 + 5):
+        for n in (1, 7, 8, 25_000):
+            expect = Generator(Philox(key=[seed, 2**32 + m]))
+            ours = Generator(Philox(key=[seed, 2**32 + m]))
+            want = expect.choice(k.n_vertices, size=n, p=k.mu_weight)
+            assert same_bytes(walk._mu_starts(ours, k.mu_weight, n), want), (seed, n)
+            assert ours.random() == expect.random()
+
+
+@pytest.mark.parametrize("killed", (False, True))
+@pytest.mark.parametrize("workers", (1, 2))
+def test_multi_block_run_equals_its_blocks(kernels, graphs, pool_spy, killed, workers):
+    # four blocks of up to 130 paths from mu, in a pool with two workers: every
+    # output of the merged run is the concatenation of the blocks run one at a
+    # time, <W> divided by D
+    k, g = kernels(3), graphs(3)
+    cfg = WalkConfig(level=3, horizon=0.3, path_count=470, seed=13, killed=killed,
+                     block_size=130, workers=workers)
+    units = unit_clock(k)
+    for layers, record in (((0, 7, cfg.n_steps), False), ((5, 40), True)):
+        run = walk._run_blocks(cfg, k, g, layers=layers, record=record)
+        tables = walk._block_tables(k, killed, units, record)
+        blocks = [walk._simulate_block(k, tables, (min(130, 470 - lo), cfg.n_steps, 13, b,
+                                                   killed, None, layers, record))
+                  for b, lo in enumerate(range(0, 470, 130))]
+        assert sorted(run) == sorted(blocks[0])
+        for key in run:
+            whole = np.concatenate([block[key] for block in blocks])
+            if key == "clock":
+                whole = whole / walk.clock_denominator(3)
+            assert same_bytes(run[key], whole), (key, record)
+        assert (run["hit_step"] > 0).any() == killed
+    assert pool_spy == ([2, 2] if workers == 2 else [])
 
 
 @pytest.mark.parametrize("m", range(8))

@@ -13,9 +13,15 @@ is the mask of paths drawn for (None in reflected mode), slot and pos are
 (r, n) with slot -1 where a path did not step, and hit_step is the first
 V_0 arrival step so far, or -1. The tests require byte equality after
 scattering the package's compacted yields.
+
+`block_tables` is the code-by-code reference for the package's four-step
+tables: it walks all 256*V codes through the four substeps in turn, where the
+package builds each substep on the distinct low-bit prefixes of the byte.
 """
 
 import numpy as np
+
+from gasketlab.walk import BlockTables
 
 
 def _bytes(rng, n):
@@ -46,3 +52,33 @@ def walk_steps(kernel, pos, n_steps, rng, killed):
                 hit_step[arrived] = k + s + 1
                 live = live & ~arrived
         yield k, r, drawn if killed else None, slot, path, hit_step.copy()
+
+
+def block_tables(kernel, killed, clock, record):
+    """BlockTables over the codes 256*x + byte, one substep at a time over
+    every code; clock is the per-slot clock over the 4V slots."""
+    n_codes = 256 * kernel.n_vertices
+    y, byte = np.divmod(np.arange(n_codes), 256)
+    nbr, isb, mask = kernel.nbr.ravel(), kernel.is_boundary, kernel.deg - 1
+    clock = np.append(clock, 0)  # slot 4V: a stopped path's substep
+    slot = np.empty((4, n_codes), dtype=np.intp) if record else None
+    pos = np.empty((4, n_codes), dtype=np.intp)
+    sums = np.empty((4, n_codes), dtype=clock.dtype)
+    hit = np.zeros(n_codes, dtype=np.uint8)
+    for s in range(4):
+        step = byte >> 2 * s
+        step &= mask[y]
+        step += 4 * y
+        np.take(nbr, step, out=pos[s])
+        if killed:
+            stay = hit > 0
+            step[stay] = len(nbr)
+            pos[s][stay] = y[stay]
+            hit[~stay & isb[pos[s]]] = s + 1
+        if record:
+            slot[s] = step
+        np.take(clock, step, out=sums[s])
+        if s:
+            sums[s] += sums[s - 1]
+        y = pos[s]
+    return BlockTables(slot=slot, pos=pos, hit=hit, clock=sums)
