@@ -143,15 +143,30 @@ def fit_moment_constant(qv_samples: dict) -> dict:
     """Smallest C with E[A_t^p]/p! <= (C t^GAMMA_S)^p / Gamma(p GAMMA_S + 1)
     per (p, t) cell, p = 1..P_MAX, and the single joint constant (their max).
 
-    qv_samples maps t -> array of <W>_t samples.
+    qv_samples maps t -> array of <W>_t samples. UsageError names a time
+    that is not finite and positive, or that has no samples, a non-finite
+    one or a negative one; NumericOverflowError names a (t, p) cell whose
+    moment or constant leaves the floating-point range.
     """
     from scipy.special import gammaln
+    if not qv_samples:
+        raise UsageError("no sample times to fit")
     cells = []
     for t, samples in sorted(qv_samples.items()):
         arr = np.asarray(samples, dtype=float)
+        flaw = ("is not finite and positive" if not (math.isfinite(t) and t > 0) else
+                "has no samples" if not arr.size else
+                "has a sample that is not finite" if not np.isfinite(arr).all() else
+                "has a negative sample" if (arr < 0).any() else None)
+        if flaw:
+            raise UsageError(f"sample time {t} {flaw}")
         for p in range(1, P_MAX + 1):
-            mom = float((arr ** p).mean()) / math.factorial(p)
+            with np.errstate(over="ignore"):
+                mom = float((arr ** p).mean()) / math.factorial(p)
             c = (mom * math.exp(gammaln(p * GAMMA_S + 1.0))) ** (1.0 / p) / t ** GAMMA_S
+            if not math.isfinite(c):
+                raise NumericOverflowError(f"the moment of order {p} at t = {t} leaves "
+                                           "the floating-point range")
             cells.append({"t": t, "p": p, "C": c, "moment_over_pfact": mom})
     cstar = max(cell["C"] for cell in cells)
     p1 = {cell["t"]: cell["moment_over_pfact"] / cell["t"]
@@ -198,7 +213,11 @@ def check_mittag_leffler_bound(expint_table: dict, C: float) -> dict:
 def fit_joint_constant(qv_samples: dict, expint_table: dict) -> dict:
     """One constant satisfying both bound families: the moment fit, enlarged
     by bisection if the Mittag-Leffler side needs more room. The margins
-    read the fit's moments, so the samples are raised to each power once."""
+    read the fit's moments, so the samples are raised to each power once.
+    UsageError names the Mittag-Leffler entries that are not finite."""
+    bad = [key for key, value in expint_table.items() if not math.isfinite(value)]
+    if bad:
+        raise UsageError(f"Mittag-Leffler table entries {bad} are not finite")
     fit = fit_moment_constant(qv_samples)
     c = fit["C"]
     if not check_mittag_leffler_bound(expint_table, c)["holds"]:

@@ -13,6 +13,11 @@ Drivers are Markovian and elementwise: g(t, x, y) and f(t, x, y, z) take
 equal-shape arrays of times, vertex ids and values (t may also be a scalar)
 and return the value at each point. A DP layer passes one layer and its t_k,
 a Picard sweep every layer at once, and each point must come out the same.
+
+The DP, each Picard sweep, the closed form's exact route and the weak PDE
+(pde.solve_weak_pde) are one backward recursion on one time grid, run by one
+loop, _backward: it owns the loop, the warnings, phi on V_0, what is kept
+and the checks after the loop, and each solver passes a layer function.
 """
 
 from __future__ import annotations
@@ -121,24 +126,19 @@ def _require_finite_boundary(values) -> None:
 
 # the backward loops run under this; the checks after them decide what the caller sees
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
+_BLOCK_BYTES = 2**17  # one temporary of a pass over a kept field, in row blocks
 
 
-def _require_finite_fields(dt: float, **fields) -> None:
-    """NumericOverflowError unless each (K+1, ...) field is finite; it names the
-    highest non-finite layer, the first the backward loop reached. Called after
-    the loop and after the phi check, so a non-finite phi stays a UsageError."""
-    last = {name: int(np.flatnonzero(~np.isfinite(f).all(axis=1))[-1])
-            for name, f in fields.items() if not np.isfinite(f).all()}
-    if last:
-        k = max(last.values())
-        raise NumericOverflowError(f"{' and '.join(last)} not finite from layer {k} "
-                                   f"(t = {k * dt:.6g}) down: the driver left the "
-                                   "floating-point range")
+def _block_rows(n_rows: int, width: int, itemsize: int = 8) -> int:
+    """Rows per block of a pass over a (n_rows, width) field whose temporaries
+    hold itemsize bytes per entry: about _BLOCK_BYTES each."""
+    return max(1, min(n_rows, _BLOCK_BYTES // (itemsize * width)))
 
 
-def _pinned_terminal(problem: BsdeProblem, kernel: StepKernel, graph) -> np.ndarray:
-    """The terminal layer: terminal data, with phi(T) on V_0 in killed mode."""
-    y = _terminal_values(problem.terminal_psi, graph, kernel.n_vertices)
+def _pinned_terminal(problem: BsdeProblem, kernel: StepKernel, graph, psi=None) -> np.ndarray:
+    """The terminal layer: terminal data (psi when given, already evaluated),
+    with phi(T) on V_0 in killed mode."""
+    y = _terminal_values(problem.terminal_psi if psi is None else psi, graph, kernel.n_vertices)
     if problem.duration == "killed":
         phi_T = problem.boundary_phi(problem.horizon)
         _require_finite_boundary(phi_T)
@@ -169,63 +169,83 @@ def _csr_product(matrix: sp.csr_matrix):
     return product, out
 
 
-def _sweep(problem: BsdeProblem, kernel: StepKernel, terminal: np.ndarray, layer,
-           layer_reads_z: bool = True):
-    """One backward pass from the terminal layer; returns (Y, Z), each (K+1, V).
+def _backward(problem: BsdeProblem, dt: float, layer, fields: dict, *, pin_first: bool = False,
+              finish=None, zero: tuple = (), last_of: str | None = None) -> tuple:
+    """The backward layer loop of every solver: layers K-1 down to 0, t = k dt.
 
-    layer(k, t, ey, z) gives Y_k from ey = E[Y_{k+1} | x] and the covariation
-    ratio z = E[Y_{k+1} dW | x] / dqv. In killed mode phi(t) is then pinned on
-    V_0 and Z_k = 0 there. The terminal row of Z is zero. A layer that reads
-    z gets ey and z from one product with [P; Q], stacked once per call; its
-    rows keep their order, so both equal the separate products. A layer that
-    never reads z (layer_reads_z False) gets None, and Z[:K] comes from one
-    product with the whole Y[1:] after the loop, the same bits as per-layer
-    products. The layer products go through _csr_product into one buffer
-    per call, and ey is a view of it: a layer may write into ey and return
-    it, but must not keep it, since the next layer's product overwrites it.
-    Killed mode checks Y[:, V_0] for a non-finite phi after the loop, or on a
-    layer's SchemeError, since such a phi stalls the in-step fixed point. The
-    loop runs with numpy's floating-point warnings off; after the phi check,
-    NumericOverflowError names the first layer where Y or Z is not finite.
+    fields maps two names to terminal rows (layer K): the solution's, one
+    value per vertex, then its companion's (Z, or the PDE's gradients).
+    layer(i, t, y, z) writes row i of the solution, and of the companion
+    unless finish does, from row i + 1; it may raise SchemeError. By
+    default every layer is kept, K is walk.field_layers' (its CapacityError
+    comes before any allocation) and i = k. With last_of, K is
+    walk.layer_count's and each field keeps two rows: i = 0, and every other
+    layer sees them reversed, so row 1 always holds the layer before. In
+    killed mode phi(t) is pinned on V_0 (ids 0-2) of the solution, before
+    the layer with pin_first, else after it.
+
+    The loop and finish(y, z), called after it, run with numpy's
+    floating-point warnings off. Then: UsageError when a pinned phi is not
+    finite (on a SchemeError, one pinned before it); the V_0 columns of the
+    fields named in zero are zeroed in killed mode; NumericOverflowError
+    when a kept field is not finite. It names each such field, and the
+    highest non-finite layer, the first the loop reached, from a pass in row
+    blocks; with last_of, it names last_of instead of a layer. Returns the
+    two fields, or their layer 0 with last_of.
     """
-    dt = kernel.dt
-    V = kernel.n_vertices
-    K = field_layers(problem.horizon, dt, V)
     killed = problem.duration == "killed"
-    bnd = np.flatnonzero(kernel.is_boundary)  # ids: quicker to assign through than the mask
-    Y = np.empty((K + 1, V))
-    Z = np.zeros((K + 1, V))
-    Y[K] = terminal
-    if layer_reads_z:
-        product, out = _csr_product(sp.vstack([kernel.P, kernel.Q], format="csr"))
-        ey, qy = out[:V], out[V:]
-    else:
-        product, ey = _csr_product(kernel.P)
-        z = None
+    first, second = fields.values()
+    K = (layer_count(problem.horizon, dt) if last_of else
+         field_layers(problem.horizon, dt, len(first)))
+    top = 1 if last_of else K
+    y, z = np.empty((top + 1, len(first))), np.empty((top + 1, len(second)))
+    y[top], z[top] = first, second
+    views = ((y, z), (y[::-1], z[::-1]))  # last_of: layer k sees views[(K - 1 - k) % 2]
+    phi = problem.boundary_phi
+    pin_before, pin_after = killed and pin_first, killed and not pin_first
+    carry = killed and bool(last_of)  # layer 0 alone does not keep the pinned phi
+    pinned = np.empty((K, 3)) if carry else y[:K, :3]
+    i = 0
     with np.errstate(**_QUIET):
         try:
             for k in range(K - 1, -1, -1):
                 t = k * dt
-                product(Y[k + 1])
-                if layer_reads_z:
-                    z = np.divide(qy, kernel.dqv, out=Z[k])
-                y = layer(k, t, ey, z)
-                if killed:
-                    y[bnd] = problem.boundary_phi(t)
-                Y[k] = y
+                if last_of:
+                    y, z = views[(K - 1 - k) % 2]
+                else:
+                    i = k
+                if pin_before:
+                    y[i, :3] = phi(t)
+                layer(i, t, y, z)
+                if pin_after:
+                    y[i, :3] = phi(t)
+                if carry:
+                    pinned[k] = y[0, :3]
         except SchemeError:
             if killed:
-                _require_finite_boundary(Y[k + 1:, bnd])
+                _require_finite_boundary(pinned[k + 1:])
             raise
         if killed:
-            _require_finite_boundary(Y[:, bnd])
-        if not layer_reads_z:
-            Z[:K] = (kernel.Q @ Y[1:].T).T
-            Z[:K] /= kernel.dqv
+            _require_finite_boundary(pinned)
+        if finish is not None:
+            finish(y, z)
+    kept = {name: a[:1] if last_of else a for name, a in zip(fields, (y, z))}
     if killed:
-        Z[:K, bnd] = 0.0
-    _require_finite_fields(dt, Y=Y, Z=Z)
-    return Y, Z
+        for name in zero:
+            kept[name][:, :3] = 0.0
+    last = {}
+    for name, a in kept.items():
+        n = _block_rows(len(a), a.shape[1], itemsize=1)  # the temporary is bool
+        for lo in range(0, len(a), n):
+            if not np.isfinite(a[lo:lo + n]).all():
+                last[name] = lo + int(np.flatnonzero(~np.isfinite(a[lo:lo + n]).all(axis=1))[-1])
+    if last:
+        k, names = max(last.values()), " and ".join(last)
+        raise NumericOverflowError(
+            (f"{last_of} is not finite in {names}" if last_of else
+             f"{names} not finite from layer {k} (t = {k * dt:.6g}) down")
+            + ": the driver left the floating-point range")
+    return tuple(a[0] for a in kept.values()) if last_of else (y, z)
 
 
 def _spot_check_lipschitz(problem: BsdeProblem, kernel: StepKernel, seed=1234):
@@ -251,10 +271,14 @@ def solve_dp(problem: BsdeProblem, kernel: StepKernel, graph=None,
 
     explicit: the driver's y-argument is the one-step conditional expectation.
     picard-in-step: the y-argument is the in-step fixed point (<=50 inner
-    iterations, tolerance 1e-12). CapacityError, before the fields are
-    allocated, when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES;
-    NumericOverflowError when a driver takes Y or Z out of the floating-point
-    range (see _sweep).
+    iterations, tolerance 1e-12). A layer gets E[Y_{k+1} | x] and the
+    covariation ratio Z_k = E[Y_{k+1} dW | x] / dqv from one product with
+    [P; Q], stacked once per call; its rows keep their order, so both equal
+    the separate products. On _backward's loop, phi(t) is pinned on V_0
+    after each layer, and Z_k = 0 there, in killed mode. CapacityError,
+    before the fields are allocated, when a (K+1, V) field passes
+    walk.MAX_RECORDED_ENTRIES; NumericOverflowError when a driver takes Y
+    or Z out of the floating-point range.
     """
     if scheme not in ("explicit", "picard-in-step"):
         raise UsageError(f"unknown scheme {scheme!r}")
@@ -263,15 +287,22 @@ def solve_dp(problem: BsdeProblem, kernel: StepKernel, graph=None,
         raise UsageError("explicit scheme requires dt*K0 < 1")
     _spot_check_lipschitz(problem, kernel)
 
-    xs = np.arange(kernel.n_vertices)
+    V = kernel.n_vertices
+    xs = np.arange(V)
     dqv = kernel.dqv
+    product, out = _csr_product(sp.vstack([kernel.P, kernel.Q], format="csr"))
+    ey, qy = out[:V], out[V:]
     inner_iterations = 0
 
-    def explicit(k, t, ey, z):
-        return ey + problem.g(t, xs, ey) * dt + problem.f(t, xs, ey, z) * dqv
+    def explicit(k, t, Y, Z):
+        product(Y[k + 1])
+        z = np.divide(qy, dqv, out=Z[k])
+        Y[k] = ey + problem.g(t, xs, ey) * dt + problem.f(t, xs, ey, z) * dqv
 
-    def in_step(k, t, ey, z):
+    def in_step(k, t, Y, Z):
         nonlocal inner_iterations
+        product(Y[k + 1])
+        z = np.divide(qy, dqv, out=Z[k])
         y = ey
         for _ in range(50):
             y_new = ey + problem.g(t, xs, y) * dt + problem.f(t, xs, y, z) * dqv
@@ -279,12 +310,14 @@ def solve_dp(problem: BsdeProblem, kernel: StepKernel, graph=None,
             y = y_new
             inner_iterations += 1
             if delta < 1e-12:
-                return y
+                Y[k] = y
+                return
         raise SchemeError("picard-in-step fixed point did not converge",
                           {"layer": k, "last_delta": delta})
 
-    Y, Z = _sweep(problem, kernel, _pinned_terminal(problem, kernel, graph),
-                  explicit if scheme == "explicit" else in_step)
+    Y, Z = _backward(problem, dt, explicit if scheme == "explicit" else in_step,
+                     {"Y": _pinned_terminal(problem, kernel, graph), "Z": np.zeros(V)},
+                     zero=("Z",))
     return BsdeSolution(Y=Y, Z=Z, level=kernel.level, dt=dt, scheme=scheme,
                         iterations=inner_iterations,
                         meta={"realized_horizon": (Y.shape[0] - 1) * dt})
@@ -309,9 +342,10 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
 
     A sweep reads only the previous iterate, so g and f are called once each
     per sweep, on flat K*V arrays; each layer adds (E[Y_{k+1} | x] + g dt) +
-    f dqv in that order, and Z comes from one product after the loop.
-    CapacityError when a (K+1, V) field passes walk.MAX_RECORDED_ENTRIES;
-    NumericOverflowError when an iterate (see _sweep) or a distance is not finite.
+    f dqv in that order, and Z comes from one product with the whole Y[1:]
+    after the loop, the bits of per-layer products. CapacityError when a
+    (K+1, V) field passes walk.MAX_RECORDED_ENTRIES; NumericOverflowError
+    when an iterate (see _backward) or a distance is not finite.
     """
     if n_iters < 1:
         raise UsageError(f"n_iters must be at least 1, got {n_iters}")
@@ -324,25 +358,30 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     shape = (K + 1, V)
     if initial is not None and np.shape(initial) != shape:
         raise UsageError(f"initial field has shape {np.shape(initial)}, expected {shape}")
-    terminal = _pinned_terminal(problem, kernel, graph)
+    terminal = {"Y": _pinned_terminal(problem, kernel, graph), "Z": np.zeros(V)}
     norm = _vbeta_norm_on(paths, weights)
     y_prev = np.zeros(shape) if initial is None else np.array(initial, dtype=float)
     z_prev = np.zeros(shape)
     ts = np.repeat(np.arange(K) * dt, V)
     xs = np.tile(np.arange(V), K)
+    product, ey = _csr_product(kernel.P)
 
-    def frozen(k, t, ey, z):  # G, F: this sweep's drivers on the previous iterate
-        ey += G[k]
-        ey += F[k]
-        return ey
+    def frozen(k, t, Y, Z):  # G, F: this sweep's drivers on the previous iterate
+        product(Y[k + 1])
+        y = np.add(ey, G[k], out=Y[k])
+        y += F[k]
+
+    def z_after(Y, Z):  # one product for every layer
+        Z[:K] = (kernel.Q @ Y[1:].T).T
+        Z[:K] /= kernel.dqv
 
     distances = []
     for _ in range(n_iters):
         y_old, z_old = y_prev[:K].ravel(), z_prev[:K].ravel()
-        with np.errstate(**_QUIET):  # a non-finite G or F ends in _sweep's typed error
+        with np.errstate(**_QUIET):  # a non-finite G or F ends in _backward's typed error
             G = (problem.g(ts, xs, y_old) * dt).reshape(K, V)
             F = problem.f(ts, xs, y_old, z_old).reshape(K, V) * kernel.dqv
-            Y, Z = _sweep(problem, kernel, terminal, frozen, layer_reads_z=False)
+            Y, Z = _backward(problem, dt, frozen, terminal, finish=z_after, zero=("Z",))
             d = norm(Y - y_prev, Z - z_prev)
         if not math.isfinite(d):
             raise NumericOverflowError(f"the V^beta distance of sweep {len(distances) + 1} is not finite")
@@ -489,33 +528,29 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
     mc_starts; other starts or path counts raise UsageError. Start i walks
     walk._run_blocks' streams (seed + i, block) on the per-slot clock log(rho),
     complex if some rho < 0: its i*pi makes Re exp(clock) carry the sign.
-    The exact route raises NumericOverflowError when Y0 or Z0 is not finite,
-    or UsageError when a phi(t) it pinned is.
+    The exact route is _backward keeping layer 0 only: NumericOverflowError
+    when Y0 or Z0 is not finite, or UsageError when a phi(t) it pinned is.
+    A callable terminal is evaluated once, for both routes.
     """
     dt = kernel.dt
-    K = layer_count(problem.horizon, dt)
-    killed = problem.duration == "killed"
-    bnd = kernel.is_boundary
-
-    V = _pinned_terminal(problem, kernel, graph)
+    V = kernel.n_vertices
+    psi = _terminal_values(problem.terminal_psi, graph, V)
     drift = 1.0 + a * dt + b * kernel.dqv
     product, out = _csr_product(sp.vstack([kernel.P, kernel.Q], format="csr"))
-    ey, ez = out[:kernel.n_vertices], out[kernel.n_vertices:]
-    with np.errstate(**_QUIET):
-        for k in range(K - 1, -1, -1):
-            product(V)
-            V = drift * ey + c * ez
-            if killed:
-                V[bnd] = problem.boundary_phi(k * dt)
-        z0 = ez / kernel.dqv
-    if not (np.isfinite(V).all() and np.isfinite(z0).all()):
-        if killed:  # a non-finite phi(t) reaches layer 0 through V_0's neighbours
-            _require_finite_boundary([problem.boundary_phi(k * dt) for k in range(K)])
-        raise NumericOverflowError("Y0 or Z0 of the linear closed form is not finite: "
-                                   "the driver left the floating-point range")
-    if killed:
-        z0[bnd] = 0.0
-    out = {"Y0": V, "Z0": z0}
+    ey, ez = out[:V], out[V:]
+
+    def layer(i, t, Y, Z):
+        product(Y[i + 1])
+        y = np.multiply(drift, ey, out=Y[i])
+        y += c * ez
+
+    def z_at_0(Y, Z):  # ez is Q times layer 1 after the loop
+        np.divide(ez, kernel.dqv, out=Z[0])
+
+    y0, z0 = _backward(problem, dt, layer,
+                       {"Y0": _pinned_terminal(problem, kernel, graph, psi), "Z0": np.zeros(V)},
+                       finish=z_at_0, zero=("Z0",), last_of="the linear closed form")
+    out = {"Y0": y0, "Z0": z0}
 
     if mc_paths and mc_starts is not None:
         if mc_paths < 2:
@@ -524,8 +559,8 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
         outside = [sx for sx in starts if not 0 <= sx < kernel.n_vertices]
         if outside:
             raise UsageError(f"MC starts {outside} are not vertices 0..{kernel.n_vertices - 1}")
-        psi = _terminal_values(problem.terminal_psi, graph, kernel.n_vertices)
-        out["mc"] = _mc_linear(kernel, problem, a, b, c, starts, mc_paths, seed, psi, killed)
+        out["mc"] = _mc_linear(kernel, problem, a, b, c, starts, mc_paths, seed, psi,
+                               problem.duration == "killed")
     return out
 
 

@@ -20,7 +20,9 @@ under refinement.
 
 A layer is three compiled sparse products, with operators assembled once per
 solve (solve_weak_pde): B for the right-hand side, CellGradientTables for the
-rank-2 cell gradients and W for their interior average.
+rank-2 cell gradients and W for their interior average. The layers run on
+the BSDE solvers' backward loop, bsde._backward, which owns the loop, phi
+on V_0 and the checks after it.
 """
 
 from __future__ import annotations
@@ -32,13 +34,14 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .bsde import (_QUIET, BsdeProblem, _csr_product, _require_finite_boundary,
-                   _require_finite_fields, _terminal_values, solve_dp)
+from .bsde import (BsdeProblem, _backward, _block_rows, _csr_product, _require_finite_boundary,
+                   _terminal_values, solve_dp)
 from .errors import UsageError
-from .exact import fractions_over
+from .exact import P_INT, Y_INT, cell_leaves, fractions_over
 from .gasket import LevelGraph, build_level_graph
 from .harmonic import CellGradientTables
-from .measures import kusuoka_measure
+# not called here: perfbench's tracer shims pde.kusuoka_measure by name
+from .measures import kusuoka_measure  # noqa: F401
 from .walk import build_step_kernel, field_layers, layer_at, step_duration
 
 BROWNIAN_GRADIENT_SCALE = math.sqrt(2.0)
@@ -49,18 +52,17 @@ def assemble_masses(g: LevelGraph) -> tuple[list[Fraction], list[Fraction]]:
     three corners. Both vectors sum to 1.
 
     A vertex sums integer numerators, its cell count over 3^(m+1) and its
-    Kusuoka numerators over 54 * 15^m, and one Fraction is built per mass.
+    Kusuoka numerators over 54 * 15^m: the int64 Y-route sums of each cell
+    (as kusuoka_measure reads them) are scattered onto its corners, and one
+    Fraction is built per mass.
     """
     m = g.level
-    nu_den = 18 * 15**m  # a common denominator of every level-m Kusuoka mass
-    cells = [0] * g.n_vertices
-    nu_num = [0] * g.n_vertices
-    for w, mass in kusuoka_measure(m).masses.items():
-        num = mass.numerator * (nu_den // mass.denominator)
-        for c in g.cells[w]:
-            cells[c] += 1
-            nu_num[c] += num
-    return fractions_over(cells, 3 ** (m + 1)), fractions_over(nu_num, 3 * nu_den)
+    words, cols = cell_leaves(m, P_INT, Y_INT)
+    corners = np.array([g.cells[w] for w in words], dtype=np.int64)
+    nu_num = np.zeros(g.n_vertices, dtype=np.int64)
+    np.add.at(nu_num, corners, (cols * cols).sum(axis=(1, 2))[:, None])
+    cells = np.bincount(corners.ravel(), minlength=g.n_vertices)
+    return fractions_over(cells, 3 ** (m + 1)), fractions_over(nu_num, 3 * 18 * 15**m)
 
 
 @dataclass
@@ -89,15 +91,17 @@ def solve_weak_pde(problem: BsdeProblem, g: LevelGraph,
     """Backward IMEX solve of the weak form on g's level, every layer kept;
     the step h defaults to walk.step_duration(g.level), and h (K0 + K1) < 1.
 
-    V_0 is ids 0-2, the interior 3:. A layer makes three products through
-    bsde._csr_product: B on the window u[k:k+2] gives the interior
-    right-hand side (mu/h) u^{k+1} - A_ib phi(t_k), to which g mu and f nu
-    are added; A_ii = diag(mu/h) + S_ii is exactly symmetric, so its faster
-    transposed SuperLU solve gives u^k; CellGradientTables.gradients takes
-    its cell gradients, and W, the sqrt(2)-scaled nu-weighted average of the
-    two cells around each interior vertex, the next layer's driver argument
-    z. The IMEX residuals come after the loop in row blocks
-    (_imex_residuals); meta["max_imex_residual"] is the largest.
+    V_0 is ids 0-2, the interior 3:. The loop is bsde._backward's, which
+    pins phi(t_k) on row k's V_0 before each layer: the layer reads it. A
+    layer makes three products through bsde._csr_product: B on the window
+    u[k:k+2] gives the interior right-hand side (mu/h) u^{k+1} - A_ib
+    phi(t_k), to which g mu and f nu are added; A_ii = diag(mu/h) + S_ii is
+    exactly symmetric, so its faster transposed SuperLU solve gives u^k;
+    CellGradientTables.gradients takes its cell gradients, and W, the
+    sqrt(2)-scaled nu-weighted average of the two cells around each interior
+    vertex, the next layer's driver argument z. The IMEX residuals come
+    after the loop in row blocks (_imex_residuals);
+    meta["max_imex_residual"] is the largest.
 
     UsageError for a duration other than "killed" (phi is pinned on V_0) or
     at level 0, whose vertices all lie on V_0, and CapacityError when a
@@ -137,36 +141,31 @@ def solve_weak_pde(problem: BsdeProblem, g: LevelGraph,
                                           sp.diags(mu[3:] / h, format="csr")], format="csr"))
     average, z = _csr_product(W)
 
-    psi = _terminal_values(problem.terminal_psi, g, n)
-    u = np.empty((K + 1, n))
-    grads = np.empty((K + 1, len(tables.words)))
-    u[K] = psi
+    u_K = _terminal_values(problem.terminal_psi, g, n)
     phi_T = np.asarray(problem.boundary_phi(problem.horizon), dtype=float)
     _require_finite_boundary(phi_T)
     # compatibility recorded, not enforced: the terminal map's case split
     # allows phi(T,.) != psi on V_0
-    mismatch = float(np.abs(psi[:3] - phi_T).max())
-    u[K, :3] = phi_T
-    tables.gradients(u[K], out=grads[K])
-    average(grads[K])
+    mismatch = float(np.abs(u_K[:3] - phi_T).max())
+    u_K[:3] = phi_T
+    grads_K = np.empty(len(tables.words))
+    tables.gradients(u_K, out=grads_K)
+    average(grads_K)
 
     ii, mu_i, nu_i = np.arange(3, n), mu[3:], nu[3:]
-    _driver_values("g", problem.g((K - 1) * h, ii, u[K, 3:]), n - 3)
-    _driver_values("f", problem.f((K - 1) * h, ii, u[K, 3:], z), n - 3)
-    with np.errstate(**_QUIET):
-        for k in range(K - 1, -1, -1):
-            t = k * h
-            u[k, :3] = problem.boundary_phi(t)
-            ui = u[k + 1, 3:]
-            rhs_of(u[k:k + 2].ravel())
-            rhs += problem.g(t, ii, ui) * mu_i
-            rhs += problem.f(t, ii, ui, z) * nu_i
-            u[k, 3:] = lu.solve(rhs, trans="T")
-            tables.gradients(u[k], out=grads[k])
-            average(grads[k])
-    _require_finite_boundary(u[:, :3])
-    _require_finite_fields(h, u=u, gradients=grads)
+    _driver_values("g", problem.g((K - 1) * h, ii, u_K[3:]), n - 3)
+    _driver_values("f", problem.f((K - 1) * h, ii, u_K[3:], z), n - 3)
 
+    def layer(k, t, u, grads):
+        ui = u[k + 1, 3:]
+        rhs_of(u[k:k + 2].ravel())
+        np.add(rhs, problem.g(t, ii, ui) * mu_i, out=rhs)
+        np.add(rhs, problem.f(t, ii, ui, z) * nu_i, out=rhs)
+        u[k, 3:] = lu.solve(rhs, trans="T")
+        tables.gradients(u[k], out=grads[k])
+        average(grads[k])
+
+    u, grads = _backward(problem, h, layer, {"u": u_K, "gradients": grads_K}, pin_first=True)
     residuals = _imex_residuals(problem, h, u, grads, mu, nu, S, W)
     return WeakPdeSolution(
         u=u, gradients=grads, residuals=residuals, level=g.level,
@@ -197,26 +196,23 @@ def _driver_values(name: str, values, points: int):
     return values
 
 
-_RESIDUAL_BLOCK_BYTES = 2**17  # one (rows, V) float array of the residual pass
-
-
 def _imex_residuals(problem: BsdeProblem, h: float, u, grads, mu, nu, S, W) -> np.ndarray:
     """IMEX lag per layer k < K: the largest interior defect
 
         (mu/h)(u^k - u^{k+1}) + S u^k - g(t_k, x, u^k) mu - f(t_k, x, u^k, z(u^k)) nu
 
     when the nonlinearity is re-evaluated at u^k, z(u^k) = W @ grads[k] being
-    the average of layer k's gradients. Rows go in blocks of about
-    _RESIDUAL_BLOCK_BYTES a (rows, V) array, each with one call of g and of f
-    on flat arrays (drivers are elementwise, t included) and one product
-    each with S and W, so no (K+1, V) array is made; every entry is summed
-    in the order of the per-layer form.
+    the average of layer k's gradients. Rows go in the blocks of
+    bsde._block_rows, as _backward's finite check does, each with one call
+    of g and of f on flat arrays (drivers are elementwise, t included) and
+    one product each with S and W, so no (K+1, V) array is made; every entry
+    is summed in the order of the per-layer form.
     """
     K, n = u.shape[0] - 1, u.shape[1]
     n_i = n - 3
     mu_h_i, mu_i, nu_i = (mu / h)[3:], mu[3:], nu[3:]
     S_i = S[3:]
-    rows = max(1, min(K, _RESIDUAL_BLOCK_BYTES // (8 * n)))
+    rows = _block_rows(K, n)
     xs = np.tile(np.arange(3, n), rows)
     out = np.empty(K)
     for lo in range(0, K, rows):

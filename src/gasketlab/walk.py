@@ -138,10 +138,8 @@ class StepKernel:
     deg: np.ndarray          # (V,)
     dW: np.ndarray           # (V,4) martingale increment per neighbor slot
     dqv: np.ndarray          # (V,) per-step quadratic-variation rate
-    direction: np.ndarray    # (V,3) principal unit direction e(x)
     is_boundary: np.ndarray  # (V,) bool
     mu_weight: np.ndarray    # (V,) lumped Hausdorff vertex masses (sums to 1)
-    h_values: np.ndarray     # (V,3) float corner-harmonic values
     P: sp.csr_matrix         # one-step operator: (P @ y)(x) = E[y(X_1) | X_0 = x]
     Q: sp.csr_matrix         # P with dW on each slot: (Q @ y)(x) = E[y(X_1) dW | X_0 = x]
 
@@ -170,7 +168,6 @@ def build_step_kernel(g: LevelGraph) -> StepKernel:
     dqv = (sq.astype(object) / (6 * 25**m * deg.astype(object))).astype(float)
 
     dWm = np.zeros((n, 4))
-    direction = np.zeros((n, 3))
     for d in np.unique(deg):  # every vertex has degree 2 or 4
         xs = np.nonzero(deg == d)[0]
         dh = hf[nbr[xs, :d]] - hf[xs, None]  # (k, d, 3)
@@ -184,7 +181,6 @@ def build_step_kernel(g: LevelGraph) -> StepKernel:
         raw -= raw.mean(axis=1, keepdims=True)
         scale = np.sqrt(dqv[xs] / (raw * raw).mean(axis=(1, 2)))
         dWm[xs, :d] = raw[:, :, 0] * scale[:, None]
-        direction[xs] = e
 
     isb = np.zeros(n, dtype=bool)
     isb[list(g.boundary_ids)] = True
@@ -199,8 +195,7 @@ def build_step_kernel(g: LevelGraph) -> StepKernel:
 
     return StepKernel(
         level=m, dt=step_duration(m), nbr=nbr, deg=deg, dW=dWm, dqv=dqv,
-        direction=direction, is_boundary=isb,
-        mu_weight=mu_w, h_values=hf, P=pmat, Q=qmat,
+        is_boundary=isb, mu_weight=mu_w, P=pmat, Q=qmat,
     )
 
 
@@ -731,9 +726,13 @@ def occupation_histogram(cfg: WalkConfig, kernel: StepKernel, t: float,
 
 
 def heavy_tailed(samples: np.ndarray) -> bool:
-    """True when the top 1% of |samples| carries more than half their mass."""
+    """True when the top 1% of |samples| carries more than half their mass.
+
+    np.partition finds the top 1%, which is then sorted, so it is summed in
+    the order, and to the bits, of a full sort's tail."""
     mass = np.abs(samples)
-    top = np.sort(mass)[-max(1, len(mass) // 100):].sum()
+    n = max(1, len(mass) // 100)
+    top = np.sort(np.partition(mass, len(mass) - n)[-n:]).sum() if len(mass) else 0.0
     return bool(top > 0.5 * mass.sum())
 
 

@@ -19,6 +19,21 @@ from gasketlab.walk import StepKernel, step_duration
 
 
 def step_kernel(g) -> StepKernel:
+    return step_kernel_parts(g)[0]
+
+
+def directions(g) -> np.ndarray:
+    """(V, 3) principal unit direction e(x) of each vertex's increments."""
+    return step_kernel_parts(g)[1]
+
+
+def corner_harmonic_values(g) -> np.ndarray:
+    """(V, 3) float values of the three corner harmonics h_i."""
+    return step_kernel_parts(g)[2]
+
+
+def step_kernel_parts(g) -> tuple:
+    """(kernel, directions, corner-harmonic values), one vertex at a time."""
     m = g.level
     n = g.n_vertices
     h_exact = [harmonic_extend_to_level(
@@ -70,11 +85,11 @@ def step_kernel(g) -> StepKernel:
     pmat = sp.csr_matrix((weight, (rows, nbr[real])), shape=(n, n))
     qmat = sp.csr_matrix((weight * dWm[real], (rows, nbr[real])), shape=(n, n))
 
-    return StepKernel(
+    kernel = StepKernel(
         level=m, dt=step_duration(m), nbr=nbr, deg=deg, dW=dWm, dqv=dqv,
-        direction=direction, is_boundary=isb,
-        mu_weight=mu_w, h_values=hf, P=pmat, Q=qmat,
+        is_boundary=isb, mu_weight=mu_w, P=pmat, Q=qmat,
     )
+    return kernel, direction, hf
 
 
 def gradient_tables(g):

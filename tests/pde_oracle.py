@@ -1,4 +1,5 @@
-"""Reference weak-PDE solves: the parent layer loop and the three-product layer.
+"""Reference weak-PDE solves: the parent layer loop and the three-product layer,
+and the per-cell vertex masses.
 
 `solve_weak_pde_parent` is the loop the package replaced. Each layer solves
 with the sparse boundary product and boolean masks, takes the gradients from
@@ -22,9 +23,26 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from gasketlab.bsde import _terminal_values
+from gasketlab.exact import fractions_over
 from gasketlab.harmonic import CellGradientTables
+from gasketlab.measures import kusuoka_measure
 from gasketlab.pde import BROWNIAN_GRADIENT_SCALE, assemble_masses, stiffness_matrix
 from gasketlab.walk import layer_count
+
+
+def assemble_masses_by_cell(g):
+    """(mu, nu) vertex masses, each Kusuoka Fraction turned back into its
+    numerator over 18 * 15^m and added to its three corners cell by cell."""
+    m = g.level
+    nu_den = 18 * 15**m
+    cells = [0] * g.n_vertices
+    nu_num = [0] * g.n_vertices
+    for w, mass in kusuoka_measure(m).masses.items():
+        num = mass.numerator * (nu_den // mass.denominator)
+        for c in g.cells[w]:
+            cells[c] += 1
+            nu_num[c] += num
+    return fractions_over(cells, 3 ** (m + 1)), fractions_over(nu_num, 3 * nu_den)
 
 
 def gradients(tables, values):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gasketlab import (
     GAMMA_S,
     SPECTRAL_DIMENSION,
     GasketLabError,
+    NumericOverflowError,
     SchemeError,
     UsageError,
     mittag_leffler,
@@ -213,3 +215,43 @@ def test_joint_fit_builds_the_moment_table_once():
     assert [s.reads for s in counted.values()] == [1, 1, 1]
     assert repr(joint["moment_fit"]) == repr(fit_moment_constant(qv))
     assert repr(joint["moments"]) == repr(check_moment_bound(qv, joint["C"]))
+
+
+@pytest.mark.parametrize("action", ("error", "ignore"))
+@pytest.mark.parametrize("qv, error, match", [
+    # used to give C = inf, or "overflow encountered in power" under -W error
+    ({0.5: np.full(10, 1e80)}, NumericOverflowError, r"order 4 at t = 0.5"),
+    ({0.5: np.full(10, 1e300)}, NumericOverflowError, r"order 2 at t = 0.5"),
+    # used to give C = nan
+    ({0.5: np.array([0.4, math.nan])}, UsageError, r"0.5 has a sample that is not finite"),
+    ({0.5: np.array([0.4, math.inf])}, UsageError, r"0.5 has a sample that is not finite"),
+    # used to give C = nan, or "Mean of empty slice"
+    ({0.25: np.ones(3), 0.5: np.array([])}, UsageError, r"sample time 0.5 has no samples"),
+    # used to raise a bare ZeroDivisionError
+    ({0.0: np.ones(3)}, UsageError, r"sample time 0.0 is not finite and positive"),
+    ({-1.0: np.ones(3)}, UsageError, r"sample time -1.0 is not finite and positive"),
+    ({math.inf: np.ones(3)}, UsageError, r"sample time inf is not finite and positive"),
+    # used to raise a TypeError about complex numbers
+    ({0.5: np.array([0.4, -0.1])}, UsageError, r"sample time 0.5 has a negative sample"),
+    ({}, UsageError, "no sample times"),
+])
+def test_moment_fit_rejects_bad_samples(action, qv, error, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(error, match=match):
+            fit_moment_constant(qv)
+        with pytest.raises(error, match=match):
+            fit_joint_constant(qv, {(1.0, 0.5): 1.5})
+
+
+@pytest.mark.parametrize("action", ("error", "ignore"))
+@pytest.mark.parametrize("bad", (math.inf, math.nan))
+def test_joint_fit_names_non_finite_mittag_leffler_entries(action, bad):
+    # an infinite entry used to double the bracket until the series raised
+    # "term overflow at p=1221", naming no entry
+    qv = {t: np.full(50, t) for t in (0.25, 0.5)}
+    table = {(1.0, 0.25): 1.3, (1.0, 0.5): bad, (2.0, 0.5): 2.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(UsageError, match=r"entries \[\(1.0, 0.5\)\] are not finite"):
+            fit_joint_constant(qv, table)

@@ -33,6 +33,7 @@ from gasketlab.pde import solve_weak_pde
 from gasketlab.problems import make_drivers
 from gasketlab.walk import layer_count
 
+import kernel_oracle
 import vbeta_oracle
 
 
@@ -85,7 +86,7 @@ def test_driverless_z_tracks_gradient_sign(kernels, graphs):
     inter = ~k.is_boundary
     z = sol.Z[0][inter]
     assert (z <= 1e-12).all()  # zero only where h1 is locally flat
-    strong = np.abs(k.direction[inter][:, 0]) > 0.1
+    strong = np.abs(kernel_oracle.directions(g)[inter][:, 0]) > 0.1
     assert (z[strong] < 0).all()
 
 
@@ -387,6 +388,69 @@ def test_closed_form_blow_up_is_a_typed_error(kernels, graphs):
     killed = dataclasses.replace(p, duration="killed", boundary_phi=lambda t: np.ones(3))
     with pytest.raises(NumericOverflowError, match="closed form is not finite"):
         linear_closed_form(50.0, 0.0, 0.0, killed, k, g)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solver", ("explicit", "picard-in-step", "closed-form"))
+def test_non_finite_phi_comes_before_an_overflowing_driver(kernels, graphs, solver):
+    # both faults in one killed problem: the phi check runs first, so the
+    # UsageError wins over the NumericOverflowError the same driver gives
+    # with finite phi (picard-in-step: over the SchemeError, as phi is bad
+    # above the layer that fails to converge)
+    g, k = graphs(2), kernels(2)
+    T = 40.0 if solver == "closed-form" else 0.5
+    p = BsdeProblem(g=lambda t, x, y: 5 * y * y, f=lambda t, x, y, z: np.zeros_like(y),
+                    terminal_psi=np.full(g.n_vertices, 3.0), horizon=T, duration="killed",
+                    boundary_phi=lambda t: np.array([math.nan if t > 0.9 * T else 0.0, 0.0, 0.0]))
+    solve = {"explicit": lambda q: solve_dp(q, k, g),
+             "picard-in-step": lambda q: solve_dp(q, k, g, scheme="picard-in-step"),
+             "closed-form": lambda q: linear_closed_form(50.0, 0.0, 0.0, q, k, g)}[solver]
+    fault = {"explicit": (NumericOverflowError, "Y and Z not finite from layer"),
+             "picard-in-step": (SchemeError, "did not converge"),
+             "closed-form": (NumericOverflowError, "closed form is not finite in Y0")}[solver]
+    with pytest.raises(fault[0], match=fault[1]):
+        solve(dataclasses.replace(p, boundary_phi=lambda t: np.zeros(3)))
+    with pytest.raises(UsageError, match="boundary data must be finite"):
+        solve(p)
+
+
+@pytest.mark.parametrize("duration", ("deterministic", "killed"))
+def test_overflow_names_the_highest_non_finite_layer(kernels, graphs, duration):
+    # at m = 5 the finite check walks Y and Z in 14 row blocks; the layer it
+    # names is the highest one where the per-layer loop, run without checks,
+    # has a non-finite Y or Z, the first the backward loop reached
+    g, k = graphs(5), kernels(5)
+    p = BsdeProblem(g=lambda t, x, y: 5 * y * y, f=lambda t, x, y, z: np.zeros_like(y),
+                    terminal_psi=np.full(g.n_vertices, 3.0), horizon=0.5, duration=duration)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y, Z = vbeta_oracle.solve_dp(p, k, "explicit")
+    bad = np.flatnonzero(~(np.isfinite(Y) & np.isfinite(Z)).all(axis=1))
+    assert 0 < bad[-1] < len(Y) - 400
+    top = int(bad[-1])
+    with pytest.raises(NumericOverflowError,
+                       match=rf"Y and Z not finite from layer {top} \(t = {top * k.dt:.6g}\) down"):
+        solve_dp(p, k, g)
+
+
+def test_closed_form_evaluates_a_callable_terminal_once(kernels, graphs):
+    # the exact route's terminal layer and the MC's psi come from one call
+    g, k = graphs(2), kernels(2)
+    calls = []
+
+    def terminal(graph):
+        calls.append(graph)
+        return bump(graph)
+
+    for duration in ("deterministic", "killed"):
+        calls.clear()
+        p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=terminal, horizon=0.05,
+                        duration=duration)
+        out = linear_closed_form(0.5, 0.3, 0.4, p, k, g, mc_starts=[5, 7], mc_paths=50)
+        assert calls == [g]
+        ref = linear_closed_form(0.5, 0.3, 0.4, dataclasses.replace(p, terminal_psi=bump(g)),
+                                 k, g, mc_starts=[5, 7], mc_paths=50)
+        assert out["Y0"].tobytes() == ref["Y0"].tobytes()
+        assert repr(out["mc"]) == repr(ref["mc"])
 
 
 @pytest.mark.parametrize("action", ("error", "ignore"))

@@ -319,6 +319,17 @@ def test_weak_pde_time_dependent_equals_per_layer_oracle(graphs, m):
     _assert_near_parent(sol, pde_oracle.solve_weak_pde_parent(p, g, h))
 
 
+@pytest.mark.parametrize("m", range(1, 9))
+def test_assemble_masses_equal_per_cell_oracle(graphs, m):
+    # the int64 Y-route sums scattered with np.add.at give the Fractions of
+    # the per-cell loop over kusuoka_measure, numerator and denominator
+    # alike, as Python ints
+    for got, ref in zip(assemble_masses(graphs(m)), pde_oracle.assemble_masses_by_cell(graphs(m))):
+        pairs = [(x.numerator, x.denominator) for x in got]
+        assert pairs == [(x.numerator, x.denominator) for x in ref]
+        assert {type(v) for pair in pairs for v in pair} == {int}
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_interior_matrix_is_exactly_symmetric(graphs, m):
     # diag(mu/h) + S on the interior equals its transpose entry for entry,
@@ -388,6 +399,21 @@ def test_blow_up_is_a_typed_error(graphs):
                     terminal_psi=np.full(g.n_vertices, 3.0))
     with pytest.raises(NumericOverflowError, match="not finite from layer"):
         solve_weak_pde(p, g)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_phi_comes_before_an_overflowing_driver(graphs):
+    # g = 5u^2 from 3 overflows at m = 2 (NumericOverflowError); with a NaN
+    # phi near T as well, the phi check after the loop raises first
+    g = graphs(2)
+    p = BsdeProblem(g=lambda t, x, u: 5 * u * u, f=zero_f, horizon=0.5, duration="killed",
+                    terminal_psi=np.full(g.n_vertices, 3.0))
+    with pytest.raises(NumericOverflowError, match="u and gradients not finite from layer"):
+        solve_weak_pde(p, g)
+    bad = dataclasses.replace(
+        p, boundary_phi=lambda t: np.array([math.nan if t > 0.45 else 0.0, 0.0, 0.0]))
+    with pytest.raises(UsageError, match="boundary data must be finite"):
+        solve_weak_pde(bad, g)
 
 
 def test_realized_horizon_reported(graphs):
