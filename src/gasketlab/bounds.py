@@ -55,12 +55,18 @@ def mittag_leffler(a: float, b: float, z: float) -> float:
 
 
 def _ml_series(a: float, b: float, z: float) -> tuple[float, float]:
-    """The fsum of the series and the largest term magnitude."""
+    """The fsum of the series and the largest term magnitude.
+
+    Past the index bound the stopping test reads a running sum, within
+    4 (p + 2) 2^-53 sum |terms| of the partial fsum, and takes the fsum only
+    when that interval straddles the threshold: it stops where a per-term
+    fsum would, in one pass."""
     from scipy.special import gammaln  # imported here, as quad is: keeps the package import light
     terms = [1.0 / math.gamma(b)]
     if z == 0.0:
         return terms[0], abs(terms[0])
-    largest = abs(terms[0])
+    s = terms[0]
+    largest = s_abs = abs(s)
     logaz = math.log(abs(z))
     sign = -1.0 if z < 0 else 1.0
     p = 1
@@ -73,9 +79,15 @@ def _ml_series(a: float, b: float, z: float) -> tuple[float, float]:
         t = math.exp(logt)
         largest = max(largest, t)
         terms.append(t * (sign ** p))
-        partial = abs(math.fsum(terms))
-        if t <= 1e-14 * max(partial, 1e-300) and a * p + b > abs(z) ** (1.0 / a) + a:
-            break
+        s += terms[-1]
+        s_abs += t
+        if a * p + b > abs(z) ** (1.0 / a) + a:
+            err = 4.0 * (p + 2) * 2.0**-53 * s_abs
+            if t <= 1e-14 * max(abs(s) - err, 1e-300):
+                break
+            if t <= 1e-14 * max(abs(s) + err, 1e-300) and \
+                    t <= 1e-14 * max(abs(math.fsum(terms)), 1e-300):
+                break
         p += 1
         if p > 100_000:
             raise UsageError("Mittag-Leffler series did not settle")
@@ -214,25 +226,52 @@ def fit_joint_constant(qv_samples: dict, expint_table: dict) -> dict:
     """One constant satisfying both bound families: the moment fit, enlarged
     by bisection if the Mittag-Leffler side needs more room. The margins
     read the fit's moments, so the samples are raised to each power once.
-    UsageError names the Mittag-Leffler entries that are not finite."""
+    UsageError names the Mittag-Leffler entries that are not finite.
+
+    A constant at which some bound leaves the floating-point range counts as
+    too large. When no smaller one holds, NumericOverflowError names the
+    entries that the largest constant with finite bounds leaves uncovered.
+    """
     bad = [key for key, value in expint_table.items() if not math.isfinite(value)]
     if bad:
         raise UsageError(f"Mittag-Leffler table entries {bad} are not finite")
     fit = fit_moment_constant(qv_samples)
+
+    def short(C):  # the entries whose bound at C fails, and whether one overflows
+        rows, over = [], False
+        for (beta, t), lhs in sorted(expint_table.items()):
+            try:
+                if lhs <= mittag_leffler(GAMMA_S, 1.0, C * beta * max(t, t ** GAMMA_S)):
+                    continue
+            except OverflowError:
+                over = True
+            rows.append((beta, t))
+        return rows, over
+
     c = fit["C"]
-    if not check_mittag_leffler_bound(expint_table, c)["holds"]:
+    rows, over = short(c)
+    if rows and not over:
         lo, hi = c, c
-        while not check_mittag_leffler_bound(expint_table, hi)["holds"]:
+        while rows and not over:
             hi *= 2.0
             if hi > 1e6:
                 raise UsageError("no finite constant closes the ML bound")
-        for _ in range(60):
+            rows, over = short(hi)
+        for _ in range(60):  # lo falls short with finite bounds; hi holds or overflows
             mid = 0.5 * (lo + hi)
-            if check_mittag_leffler_bound(expint_table, mid)["holds"]:
-                hi = mid
-            else:
+            mid_rows, mid_over = short(mid)
+            if mid_rows and not mid_over:
                 lo = mid
+            else:
+                hi, over = mid, mid_over
         c = hi
+        if over:
+            c, rows = lo, short(lo)[0]
+    if over:
+        raise NumericOverflowError(
+            f"no Mittag-Leffler bound in the floating-point range covers table entries "
+            f"(beta, t) {rows}: at C = {c:.6g} they fall short or overflow, and a larger "
+            "C takes a bound past the float range")
     return {
         "C": c,
         "moment_fit": fit,

@@ -118,12 +118,6 @@ def _terminal_values(psi, graph, n_vertices: int) -> np.ndarray:
     return psi
 
 
-def _require_finite_boundary(values) -> None:
-    """UsageError unless every given phi value is finite; called outside the layer loops."""
-    if not np.isfinite(values).all():
-        raise UsageError("boundary data must be finite")
-
-
 # the backward loops run under this; the checks after them decide what the caller sees
 _QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 _BLOCK_BYTES = 2**17  # one temporary of a pass over a kept field, in row blocks
@@ -135,14 +129,26 @@ def _block_rows(n_rows: int, width: int, itemsize: int = 8) -> int:
     return max(1, min(n_rows, _BLOCK_BYTES // (itemsize * width)))
 
 
-def _pinned_terminal(problem: BsdeProblem, kernel: StepKernel, graph, psi=None) -> np.ndarray:
-    """The terminal layer: terminal data (psi when given, already evaluated),
-    with phi(T) on V_0 in killed mode."""
-    y = _terminal_values(problem.terminal_psi if psi is None else psi, graph, kernel.n_vertices)
+def _boundary_values(problem: BsdeProblem, steps, dt: float) -> np.ndarray:
+    """(len(steps), 3): row j holds phi(int(steps[j]) dt), assigned as a V_0
+    row is, with numpy's floating-point warnings off; UsageError unless all
+    are finite. Every solver's phi goes through here, before any layer."""
+    values = np.empty((len(steps), 3))
+    with np.errstate(**_QUIET):
+        for j, k in enumerate(steps):
+            values[j] = problem.boundary_phi(int(k) * dt)
+    if not np.isfinite(values).all():
+        raise UsageError("boundary data must be finite")
+    return values
+
+
+def _pinned_terminal(problem: BsdeProblem, graph, n_vertices: int, psi=None) -> np.ndarray:
+    """Every solver's terminal layer: terminal data (psi when given, already
+    evaluated) as a fresh array, with phi(T) = phi(1 * T) on V_0 (ids 0-2)
+    in killed mode."""
+    y = _terminal_values(problem.terminal_psi if psi is None else psi, graph, n_vertices)
     if problem.duration == "killed":
-        phi_T = problem.boundary_phi(problem.horizon)
-        _require_finite_boundary(phi_T)
-        y[kernel.is_boundary] = phi_T
+        y[:3] = _boundary_values(problem, (1,), problem.horizon)[0]
     return y
 
 
@@ -173,60 +179,50 @@ def _backward(problem: BsdeProblem, dt: float, layer, fields: dict, *, pin_first
               finish=None, zero: tuple = (), last_of: str | None = None) -> tuple:
     """The backward layer loop of every solver: layers K-1 down to 0, t = k dt.
 
-    fields maps two names to terminal rows (layer K): the solution's, one
-    value per vertex, then its companion's (Z, or the PDE's gradients).
+    fields maps two names to terminal rows (layer K): the solution's
+    (_pinned_terminal's), then its companion's (Z, or the PDE's gradients).
     layer(i, t, y, z) writes row i of the solution, and of the companion
     unless finish does, from row i + 1; it may raise SchemeError. By
     default every layer is kept, K is walk.field_layers' (its CapacityError
     comes before any allocation) and i = k. With last_of, K is
     walk.layer_count's and each field keeps two rows: i = 0, and every other
     layer sees them reversed, so row 1 always holds the layer before. In
-    killed mode phi(t) is pinned on V_0 (ids 0-2) of the solution, before
-    the layer with pin_first, else after it.
+    killed mode every layer's phi(t) comes from _boundary_values before the
+    loop (its UsageError first), and is pinned on V_0 (ids 0-2) of the
+    solution: after each layer, or with pin_first (every layer kept) on all
+    rows before the loop, as if before each layer, which writes its own row.
 
     The loop and finish(y, z), called after it, run with numpy's
-    floating-point warnings off. Then: UsageError when a pinned phi is not
-    finite (on a SchemeError, one pinned before it); the V_0 columns of the
-    fields named in zero are zeroed in killed mode; NumericOverflowError
-    when a kept field is not finite. It names each such field, and the
-    highest non-finite layer, the first the loop reached, from a pass in row
-    blocks; with last_of, it names last_of instead of a layer. Returns the
-    two fields, or their layer 0 with last_of.
+    floating-point warnings off. Then the V_0 columns of the fields named in
+    zero are zeroed in killed mode, and NumericOverflowError comes when a
+    kept field is not finite. It names each such field, and the highest
+    non-finite layer, the first the loop reached, from a pass in row blocks;
+    with last_of, it names last_of instead of a layer. Returns the two
+    fields, or their layer 0 with last_of.
     """
     killed = problem.duration == "killed"
     first, second = fields.values()
     K = (layer_count(problem.horizon, dt) if last_of else
          field_layers(problem.horizon, dt, len(first)))
+    # evaluated in the loop's order, k = K-1 ... 0; row k is layer k's
+    phi = _boundary_values(problem, range(K - 1, -1, -1), dt)[::-1] if killed else None
     top = 1 if last_of else K
     y, z = np.empty((top + 1, len(first))), np.empty((top + 1, len(second)))
     y[top], z[top] = first, second
     views = ((y, z), (y[::-1], z[::-1]))  # last_of: layer k sees views[(K - 1 - k) % 2]
-    phi = problem.boundary_phi
-    pin_before, pin_after = killed and pin_first, killed and not pin_first
-    carry = killed and bool(last_of)  # layer 0 alone does not keep the pinned phi
-    pinned = np.empty((K, 3)) if carry else y[:K, :3]
+    pin_after = killed and not pin_first
+    if killed and pin_first:  # every layer kept, and a layer writes its own row only
+        y[:K, :3] = phi
     i = 0
     with np.errstate(**_QUIET):
-        try:
-            for k in range(K - 1, -1, -1):
-                t = k * dt
-                if last_of:
-                    y, z = views[(K - 1 - k) % 2]
-                else:
-                    i = k
-                if pin_before:
-                    y[i, :3] = phi(t)
-                layer(i, t, y, z)
-                if pin_after:
-                    y[i, :3] = phi(t)
-                if carry:
-                    pinned[k] = y[0, :3]
-        except SchemeError:
-            if killed:
-                _require_finite_boundary(pinned[k + 1:])
-            raise
-        if killed:
-            _require_finite_boundary(pinned)
+        for k in range(K - 1, -1, -1):
+            if last_of:
+                y, z = views[(K - 1 - k) % 2]
+            else:
+                i = k
+            layer(i, k * dt, y, z)
+            if pin_after:
+                y[i, :3] = phi[k]
         if finish is not None:
             finish(y, z)
     kept = {name: a[:1] if last_of else a for name, a in zip(fields, (y, z))}
@@ -297,7 +293,8 @@ def solve_dp(problem: BsdeProblem, kernel: StepKernel, graph=None,
     def explicit(k, t, Y, Z):
         product(Y[k + 1])
         z = np.divide(qy, dqv, out=Z[k])
-        Y[k] = ey + problem.g(t, xs, ey) * dt + problem.f(t, xs, ey, z) * dqv
+        y = np.add(ey, problem.g(t, xs, ey) * dt, out=Y[k])
+        y += problem.f(t, xs, ey, z) * dqv
 
     def in_step(k, t, Y, Z):
         nonlocal inner_iterations
@@ -316,7 +313,7 @@ def solve_dp(problem: BsdeProblem, kernel: StepKernel, graph=None,
                           {"layer": k, "last_delta": delta})
 
     Y, Z = _backward(problem, dt, explicit if scheme == "explicit" else in_step,
-                     {"Y": _pinned_terminal(problem, kernel, graph), "Z": np.zeros(V)},
+                     {"Y": _pinned_terminal(problem, graph, V), "Z": np.zeros(V)},
                      zero=("Z",))
     return BsdeSolution(Y=Y, Z=Z, level=kernel.level, dt=dt, scheme=scheme,
                         iterations=inner_iterations,
@@ -358,7 +355,7 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     shape = (K + 1, V)
     if initial is not None and np.shape(initial) != shape:
         raise UsageError(f"initial field has shape {np.shape(initial)}, expected {shape}")
-    terminal = {"Y": _pinned_terminal(problem, kernel, graph), "Z": np.zeros(V)}
+    terminal = {"Y": _pinned_terminal(problem, graph, V), "Z": np.zeros(V)}
     norm = _vbeta_norm_on(paths, weights)
     y_prev = np.zeros(shape) if initial is None else np.array(initial, dtype=float)
     z_prev = np.zeros(shape)
@@ -528,8 +525,8 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
     mc_starts; other starts or path counts raise UsageError. Start i walks
     walk._run_blocks' streams (seed + i, block) on the per-slot clock log(rho),
     complex if some rho < 0: its i*pi makes Re exp(clock) carry the sign.
-    The exact route is _backward keeping layer 0 only: NumericOverflowError
-    when Y0 or Z0 is not finite, or UsageError when a phi(t) it pinned is.
+    The exact route is _backward keeping layer 0 only: UsageError for a phi
+    that is not finite, NumericOverflowError when Y0 or Z0 is not.
     A callable terminal is evaluated once, for both routes.
     """
     dt = kernel.dt
@@ -548,7 +545,7 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
         np.divide(ez, kernel.dqv, out=Z[0])
 
     y0, z0 = _backward(problem, dt, layer,
-                       {"Y0": _pinned_terminal(problem, kernel, graph, psi), "Z0": np.zeros(V)},
+                       {"Y0": _pinned_terminal(problem, graph, V, psi), "Z0": np.zeros(V)},
                        finish=z_at_0, zero=("Z0",), last_of="the linear closed form")
     out = {"Y0": y0, "Z0": z0}
 
@@ -585,8 +582,7 @@ def _mc_linear(kernel, problem, a, b, c, starts, n_paths, seed, psi, killed):
         arrived = hit > 0
         if arrived.any():  # phi once per distinct hit step
             steps, which = np.unique(hit[arrived], return_inverse=True)
-            phi = np.array([problem.boundary_phi(int(k) * kernel.dt) for k in steps], dtype=float)
-            _require_finite_boundary(phi)
+            phi = _boundary_values(problem, steps, kernel.dt)
             value[arrived] = phi[which, pos[arrived]]
         estimate, stderr, unstable = _mc_moments(r["clock"][:, 0], value)
         out[start] = {"estimate": estimate, "stderr": stderr, "unstable": unstable}

@@ -28,13 +28,13 @@ on V_0 and the checks after it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
 
-from .bsde import (BsdeProblem, _backward, _block_rows, _csr_product, _require_finite_boundary,
+from .bsde import (BsdeProblem, _backward, _block_rows, _csr_product, _pinned_terminal,
                    _terminal_values, solve_dp)
 from .errors import UsageError
 from .exact import P_INT, Y_INT, cell_leaves, fractions_over
@@ -47,22 +47,29 @@ from .walk import build_step_kernel, field_layers, layer_at, step_duration
 BROWNIAN_GRADIENT_SCALE = math.sqrt(2.0)
 
 
-def assemble_masses(g: LevelGraph) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact mu and nu vertex masses: each cell mass split equally over its
-    three corners. Both vectors sum to 1.
-
-    A vertex sums integer numerators, its cell count over 3^(m+1) and its
-    Kusuoka numerators over 54 * 15^m: the int64 Y-route sums of each cell
-    (as kusuoka_measure reads them) are scattered onto its corners, and one
-    Fraction is built per mass.
-    """
+def _mass_numerators(g: LevelGraph) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """(mu numerators, mu denominator, nu numerators, nu denominator): per
+    vertex its cell count over 3^(m+1), and the int64 Y-route sums of its
+    cells (as kusuoka_measure reads them) over 54 * 15^m. Below 2^53, as a
+    mass is at most 1: a float division gives float(Fraction)'s bits."""
     m = g.level
     words, cols = cell_leaves(m, P_INT, Y_INT)
     corners = np.array([g.cells[w] for w in words], dtype=np.int64)
     nu_num = np.zeros(g.n_vertices, dtype=np.int64)
     np.add.at(nu_num, corners, (cols * cols).sum(axis=(1, 2))[:, None])
     cells = np.bincount(corners.ravel(), minlength=g.n_vertices)
-    return fractions_over(cells, 3 ** (m + 1)), fractions_over(nu_num, 3 * 18 * 15**m)
+    nu_den = 3 * 18 * 15**m
+    assert nu_den < 2**53  # 7.0e15 at MAX_LEVEL
+    return cells, 3 ** (m + 1), nu_num, nu_den
+
+
+def assemble_masses(g: LevelGraph) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact mu and nu vertex masses: each cell mass split equally over its
+    three corners. Both vectors sum to 1. One Fraction is built per mass
+    from _mass_numerators' integers.
+    """
+    cells, mu_den, nu_num, nu_den = _mass_numerators(g)
+    return fractions_over(cells, mu_den), fractions_over(nu_num, nu_den)
 
 
 @dataclass
@@ -91,8 +98,9 @@ def solve_weak_pde(problem: BsdeProblem, g: LevelGraph,
     """Backward IMEX solve of the weak form on g's level, every layer kept;
     the step h defaults to walk.step_duration(g.level), and h (K0 + K1) < 1.
 
-    V_0 is ids 0-2, the interior 3:. The loop is bsde._backward's, which
-    pins phi(t_k) on row k's V_0 before each layer: the layer reads it. A
+    V_0 is ids 0-2, the interior 3:. bsde._pinned_terminal gives the
+    terminal row, and bsde._backward runs the loop with phi(t_k) on row k's
+    V_0 before layer k, which reads it. A
     layer makes three products through bsde._csr_product: B on the window
     u[k:k+2] gives the interior right-hand side (mu/h) u^{k+1} - A_ib
     phi(t_k), to which g mu and f nu are added; A_ii = diag(mu/h) + S_ii is
@@ -107,8 +115,8 @@ def solve_weak_pde(problem: BsdeProblem, g: LevelGraph,
     at level 0, whose vertices all lie on V_0, and CapacityError when a
     (K+1, V) field passes walk.MAX_RECORDED_ENTRIES, all before anything is
     assembled. UsageError names a driver g or f whose result does not have
-    its input's shape, and non-finite phi, checked after the loop, which
-    runs with numpy's floating-point warnings off; NumericOverflowError then
+    its input's shape, and non-finite phi, before any layer; the loop runs
+    with numpy's floating-point warnings off, and NumericOverflowError then
     names the first layer where u or the gradients are not finite.
     """
     if problem.duration != "killed":
@@ -123,9 +131,8 @@ def solve_weak_pde(problem: BsdeProblem, g: LevelGraph,
     n = g.n_vertices
     K = field_layers(problem.horizon, h, n)
 
-    mu_ex, nu_ex = assemble_masses(g)
-    mu = np.array([float(x) for x in mu_ex])
-    nu = np.array([float(x) for x in nu_ex])
+    cells, mu_den, nu_num, nu_den = _mass_numerators(g)
+    mu, nu = cells / mu_den, nu_num / nu_den  # exact operands: the bits of float(Fraction)
     S = stiffness_matrix(g)
     tables = CellGradientTables(g)
     W = _interior_average(tables, n)
@@ -141,13 +148,11 @@ def solve_weak_pde(problem: BsdeProblem, g: LevelGraph,
                                           sp.diags(mu[3:] / h, format="csr")], format="csr"))
     average, z = _csr_product(W)
 
-    u_K = _terminal_values(problem.terminal_psi, g, n)
-    phi_T = np.asarray(problem.boundary_phi(problem.horizon), dtype=float)
-    _require_finite_boundary(phi_T)
+    psi = _terminal_values(problem.terminal_psi, g, n)
+    u_K = _pinned_terminal(problem, g, n, psi)
     # compatibility recorded, not enforced: the terminal map's case split
     # allows phi(T,.) != psi on V_0
-    mismatch = float(np.abs(u_K[:3] - phi_T).max())
-    u_K[:3] = phi_T
+    mismatch = float(np.abs(psi[:3] - u_K[:3]).max())
     grads_K = np.empty(len(tables.words))
     tables.gradients(u_K, out=grads_K)
     average(grads_K)
@@ -240,7 +245,8 @@ def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
     make_problem(level) returns a pair of BsdeProblems, for the weak solver
     and the DP. Probes are the vertices of V_{probe_level} (present at all
     deeper levels) times the given probe times; the field value Y at layer k
-    of the killed DP run is the BSDE value started at time t_k. UsageError
+    of the killed DP run is the BSDE value started at time t_k. A callable
+    terminal that both problems share is evaluated once per level. UsageError
     for a pair whose horizons or durations differ, a probe time outside [0, T],
     a horizon, when given, that differs from T by more than 1e-12 relative,
     a deterministic duration and a level-0 rung (see solve_weak_pde).
@@ -263,6 +269,9 @@ def feynman_kac_check(make_problem, levels, probe_times, probe_level: int = 2,
             raise UsageError(f"probe times {outside} lie outside [0, {T}]")
         g = build_level_graph(m)
         kernel = build_step_kernel(g)
+        if callable(wp.terminal_psi) and wp.terminal_psi is bp.terminal_psi:  # evaluated once
+            psi = _terminal_values(wp.terminal_psi, g, g.n_vertices)
+            wp, bp = (replace(p, terminal_psi=psi) for p in (wp, bp))
         sol_pde = solve_weak_pde(wp, g)
         sol_bsde = solve_dp(bp, kernel, g)
         ids = np.array([g.index_by_coord[c] for c in probe_coords])

@@ -1,21 +1,26 @@
 """Print a sha256 digest of every solver output, to compare two trees byte for byte.
 
-    PYTHONPATH=src python tests/output_digests.py
+    PYTHONPATH=src python tests/output_digests.py [--against FILE]
 
 Each line is `name  digest`, the digest a 16-hex-digit sha256 prefix of the
 output's dtype, shape and bytes (floats, lists and dicts through their
-repr). Run it on two checkouts and diff the outputs: a refactor that keeps
-every line keeps every output. It compares against no stored value, since
-the bits may differ between numpy builds. The file name does not start
-with test_, so pytest does not collect it.
+repr). Save the output on one checkout and run it with --against that file
+on another: it exits 1 and names, on stderr, each output whose digest
+differs or that only one side has, so a refactor that exits 0 keeps every
+output. No value is stored in the repository, since the bits may differ
+between numpy builds. The file name does not start with test_, so pytest
+does not collect it.
 
 Covered: `solve_dp` (explicit and picard-in-step, killed and reflected,
 m = 3-5), `picard_iterate` from zero and from the DP seed, the linear closed
 form's Y0 and Z0 and its MC estimates, the weak PDE's u, gradients and
 residuals, the fk-ladder sups, the moment and joint bound fits, and the
-files of the `bsde`, `pde` and `check fk` subcommands.
+files of the `bsde`, `pde` and `check fk` subcommands; and the DP, Picard,
+closed form (with its MC route) and weak PDE once more on a killed problem
+whose phi on V_0 is affine and not zero.
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -29,6 +34,8 @@ from gasketlab.gasket import build_level_graph
 
 SIN_KILLED = {"driver": {"name": "sin", "a": -1.0, "fy": 0.5, "fz": 0.25},
               "terminal": {"name": "bump"}, "duration": {"kind": "killed", "T": 0.25}}
+# phi(t) = values + slope t on V_0, apart from psi there
+AFFINE_PHI = {"values": [0.2, -0.1, 0.05], "slope": [1.0, -0.5, 0.3]}
 
 
 def digest(value) -> str:
@@ -39,8 +46,10 @@ def digest(value) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def problem(duration: str, horizon: float = 0.25) -> problems.BsdeProblem:
+def problem(duration: str, horizon: float = 0.25, boundary=None) -> problems.BsdeProblem:
     spec = dict(SIN_KILLED, duration={"kind": duration, "T": horizon})
+    if boundary is not None:
+        spec["boundary"] = boundary
     return problems.build_problem(problems.validate_problem_dict(spec))
 
 
@@ -120,11 +129,61 @@ def rows():
         for path in sorted(tmp.glob("*.csv")):  # not the sidecars: they hold the wall time
             yield f"cli.{path.name}", path.read_bytes()
 
+    # killed, with an affine phi != 0 on V_0
+    g, k = graphs[3], kernels[3]
+    p = problem("killed", boundary=AFFINE_PHI)
+    for m in (3, 4, 5):
+        for scheme in ("explicit", "picard-in-step"):
+            sol = bsde.solve_dp(p, kernels[m], graphs[m], scheme=scheme)
+            yield f"affine.dp.{scheme}.m{m}.Y", sol.Y
+            yield f"affine.dp.{scheme}.m{m}.Z", sol.Z
+    ens = walk.simulate_paths(walk.WalkConfig(level=3, horizon=p.horizon, path_count=600,
+                                              seed=808, killed=True), k, g)
+    seed_field = bsde.solve_dp(problems.BsdeProblem(
+        g=lambda t, x, y: np.zeros_like(y), f=lambda t, x, y, z: np.zeros_like(y),
+        terminal_psi=p.terminal_psi, horizon=p.horizon, duration="killed",
+        boundary_phi=p.boundary_phi), k, g).Y
+    for label, initial in (("zero", None), ("dp_seed", seed_field)):
+        rep = bsde.picard_iterate(p, k, 12, ens, bsde.BetaWeights(36.0, 36.0), g,
+                                  initial=initial, stop_rel=1e-19)
+        yield f"affine.picard.{label}.distances", rep["distances"]
+        yield f"affine.picard.{label}.Y", rep["final"][0]
+        yield f"affine.picard.{label}.Z", rep["final"][1]
+    for m in (2, 4):
+        start = kernels[m].n_vertices // 2
+        out = bsde.linear_closed_form(0.5, 0.3, 0.4, problem("killed", 0.05, AFFINE_PHI),
+                                      kernels[m], graphs[m], mc_starts=[start, 3],
+                                      mc_paths=2000, seed=5)
+        yield f"affine.closed_form.m{m}.Y0", out["Y0"]
+        yield f"affine.closed_form.m{m}.Z0", out["Z0"]
+        yield f"affine.closed_form.m{m}.mc", sorted(out["mc"].items())
+    for m in (2, 3, 4, 5):
+        sol = pde.solve_weak_pde(p, graphs[m])
+        yield f"affine.pde.m{m}.u", sol.u
+        yield f"affine.pde.m{m}.gradients", sol.gradients
+        yield f"affine.pde.m{m}.residuals", sol.residuals
+        yield f"affine.pde.m{m}.meta", sorted(sol.meta.items())
 
-def main() -> int:
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="sha256 digests of every solver output")
+    parser.add_argument("--against", type=Path, metavar="FILE",
+                        help="an earlier output of this script: exit 1, naming each output "
+                             "whose digest differs or that only one side has")
+    args = parser.parse_args(argv)
+    digests = {}
     for name, value in rows():
-        print(f"{name:45s} {digest(value)}")
-    return 0
+        digests[name] = digest(value)
+        print(f"{name:45s} {digests[name]}", flush=True)
+    if args.against is None:
+        return 0
+    earlier = dict(line.split() for line in args.against.read_text().splitlines() if line.strip())
+    differ = [name for name in [*digests, *(n for n in earlier if n not in digests)]
+              if digests.get(name) != earlier.get(name)]
+    for name in differ:
+        print(f"differs: {name} ({earlier.get(name, 'absent')} in {args.against}, "
+              f"{digests.get(name, 'absent')} here)", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -255,3 +255,76 @@ def test_joint_fit_names_non_finite_mittag_leffler_entries(action, bad):
         warnings.simplefilter(action)
         with pytest.raises(UsageError, match=r"entries \[\(1.0, 0.5\)\] are not finite"):
             fit_joint_constant(qv, table)
+
+
+@pytest.mark.parametrize("action", ("error", "ignore"))
+def test_joint_fit_names_entries_no_float_bound_covers(action):
+    # a huge finite entry used to double the bracket until the series raised
+    # "term overflow at p=976", naming no entry: E_{GAMMA_S,1}(z) leaves the
+    # float range near z = 8, and at (1, 0.5) the bound reaches 1e300 only
+    # past the C where the bound at (1, 1) overflows
+    qv = {t: np.full(50, t) for t in (0.25, 0.5, 1.0)}
+    table = {(beta, t): 1.2 for beta in (0.25, 1.0) for t in qv}
+    table[(1.0, 0.5)] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(NumericOverflowError,
+                           match=r"covers table entries \(beta, t\) \[\(1.0, 0.5\)\]: at C = "):
+            fit_joint_constant(qv, table)
+
+
+@pytest.mark.parametrize("action", ("error", "ignore"))
+def test_joint_fit_names_entries_whose_bound_overflows_at_the_moment_fit(action):
+    # beta = 40 puts z = C beta max(t, t^GAMMA_S) past the float range
+    # at the moment fit itself: no constant is tried beyond it
+    qv = {t: np.full(50, t) for t in (0.25, 0.5)}
+    table = {(0.5, 0.5): 1.01, (40.0, 0.5): 2.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(NumericOverflowError, match=r"entries \(beta, t\) \[\(40.0, 0.5\)\]"):
+            fit_joint_constant(qv, table)
+
+
+@pytest.mark.parametrize("action", ("error", "ignore"))
+def test_joint_fit_bisects_past_an_overflowing_constant(action):
+    # 1e250 alone at (1, 0.5): the bracket's doublings reach z = 7.16, whose
+    # bound 8.7e214 falls short, then z = 14.3, past the float range (it is
+    # near z = 8.01); the bisection takes that constant as too large and
+    # closes in between, where the series used to raise "term overflow"
+    qv = {t: np.full(50, t) for t in (0.25, 0.5)}
+    table = {(1.0, 0.5): 1e250}
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        joint = fit_joint_constant(qv, table)
+    c = joint["C"]
+    assert joint["mittag_leffler"]["holds"]
+    with pytest.raises(NumericOverflowError):
+        check_mittag_leffler_bound(table, 2 * c)
+    assert not check_mittag_leffler_bound(table, c * (1 - 1e-12))["holds"]
+
+
+def _ml_series_fsum_per_term(a, b, z):
+    """_ml_series with the partial fsum taken after every term."""
+    from scipy.special import gammaln
+    terms = [1.0 / math.gamma(b)]
+    largest = abs(terms[0])
+    logaz, sign, p = math.log(abs(z)), -1.0 if z < 0 else 1.0, 1
+    while True:
+        logt = p * logaz - gammaln(a * p + b)
+        if logt > 700.0:
+            raise NumericOverflowError("term overflow")
+        t = math.exp(logt)
+        largest = max(largest, t)
+        terms.append(t * (sign ** p))
+        partial = abs(math.fsum(terms))
+        if t <= 1e-14 * max(partial, 1e-300) and a * p + b > abs(z) ** (1.0 / a) + a:
+            return math.fsum(terms), largest
+        p += 1
+
+
+@pytest.mark.parametrize("a, b", ((GAMMA_S, 1.0), (0.5, 0.5), (1.0, 1.0), (1.5, 2.0)))
+def test_ml_series_stops_where_the_per_term_fsum_does(a, b):
+    # the running sum decides the stopping test, falling back to the fsum
+    # near the threshold: every sum and largest term keep their bits
+    for z in np.linspace(-6.0, 6.0, 24).tolist() + [1e-3, -1e-3, 0.1]:
+        assert _ml_series(a, b, z) == _ml_series_fsum_per_term(a, b, z)

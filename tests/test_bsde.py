@@ -414,6 +414,119 @@ def test_non_finite_phi_comes_before_an_overflowing_driver(kernels, graphs, solv
         solve(p)
 
 
+def refuses_below(T):
+    """A zero driver g that raises SchemeError on every layer below T/2."""
+    def g(t, x, y):
+        if np.min(t) < T / 2:
+            raise SchemeError("driver refused a layer", {"t": float(np.min(t))})
+        return np.zeros_like(y)
+    return g
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solver", ("explicit", "picard-in-step", "picard", "closed-form",
+                                    "weak-pde"))
+def test_non_finite_phi_below_a_failing_layer_comes_first(kernels, graphs, solver):
+    # phi is NaN at t = 0 only, below the layer that fails. Every phi(t) is
+    # evaluated and checked before any layer runs, so UsageError wins; a
+    # check after the loop, or only above a layer that raised, gave the
+    # layer's SchemeError instead. Picard evaluates its drivers before the
+    # loop, so its fault is an overflowing iterate; the closed form has none,
+    # so its fault is its own growth
+    g, k = graphs(2), kernels(2)
+    T = 40.0 if solver == "closed-form" else 0.05
+    p = BsdeProblem(g=refuses_below(T), f=zero_f, terminal_psi=np.full(g.n_vertices, 3.0),
+                    horizon=T, duration="killed",
+                    boundary_phi=lambda t: np.array([math.nan if t == 0 else 0.0, 0.0, 0.0]))
+    if solver == "picard":
+        p = dataclasses.replace(p, g=lambda t, x, y: 5 * y * y)
+        paths = simulate_paths(WalkConfig(level=2, horizon=T, path_count=20, seed=1), k, g)
+        huge = np.full((layer_count(T, k.dt) + 1, g.n_vertices), 1e200)
+    solve = {
+        "explicit": lambda q: solve_dp(q, k, g),
+        "picard-in-step": lambda q: solve_dp(q, k, g, scheme="picard-in-step"),
+        "picard": lambda q: picard_iterate(q, k, 1, paths, BetaWeights(1, 1), g, initial=huge),
+        "closed-form": lambda q: linear_closed_form(50.0, 0.0, 0.0, q, k, g),
+        "weak-pde": lambda q: solve_weak_pde(q, g),
+    }[solver]
+    fault = {"picard": (NumericOverflowError, "Y and Z not finite from layer"),
+             "closed-form": (NumericOverflowError, "closed form is not finite in Y0")
+             }.get(solver, (SchemeError, "driver refused a layer"))
+    with pytest.raises(fault[0], match=fault[1]):
+        solve(dataclasses.replace(p, boundary_phi=lambda t: np.zeros(3)))
+    with pytest.raises(UsageError, match="boundary data must be finite"):
+        solve(p)
+
+
+def phi_spy(events):
+    """An affine phi that appends ("phi", t) to events at every call."""
+    def phi(t):
+        events.append(("phi", t))
+        return np.array([0.2 + t, -0.1 * t, 0.05])
+    return phi
+
+
+@pytest.mark.parametrize("solver", ("explicit", "picard-in-step", "picard", "closed-form",
+                                    "weak-pde"))
+def test_killed_solve_calls_phi_once_per_layer_time(kernels, graphs, solver):
+    # phi(T) for the terminal row, then phi(k dt) for k = K-1 ... 0 in one
+    # run before the layers' drivers: K + 1 calls per killed solve, and K
+    # more per further Picard sweep
+    g, k = graphs(2), kernels(2)
+    T, events = 0.05, []
+
+    def driver(t, x, y):
+        events.append(("g", t))
+        return -0.5 * y
+
+    p = BsdeProblem(g=driver, f=zero_f, terminal_psi=bump(g), horizon=T, duration="killed",
+                    boundary_phi=phi_spy(events))
+    K = layer_count(T, k.dt)
+    paths = simulate_paths(WalkConfig(level=2, horizon=T, path_count=20, seed=1, killed=True),
+                           k, g)
+    solve = {
+        "explicit": lambda: solve_dp(p, k, g),
+        "picard-in-step": lambda: solve_dp(p, k, g, scheme="picard-in-step"),
+        "picard": lambda: picard_iterate(p, k, 2, paths, BetaWeights(1, 1), g, stop_rel=0.0),
+        "closed-form": lambda: linear_closed_form(0.5, 0.3, 0.4, p, k, g),
+        "weak-pde": lambda: solve_weak_pde(p, g),
+    }[solver]
+    solve()
+    layer_times = [("phi", j * k.dt) for j in range(K - 1, -1, -1)]
+    phis = [e for e in events if e[0] == "phi"]
+    assert phis == [("phi", T)] + layer_times * (2 if solver == "picard" else 1)
+    first = events.index(layer_times[0])
+    assert events[first:first + K] == layer_times  # no driver call among them
+    if solver not in ("picard", "closed-form"):
+        # the layers' driver calls all come after them
+        assert all(e[1] >= (K - 1) * k.dt for e in events[:first] if e[0] == "g")
+
+
+def test_mc_hit_steps_read_phi_once_each_from_the_boundary_values(kernels, graphs):
+    # the MC route asks phi for each distinct hit step k at int(k) * dt, in
+    # ascending order, per start; a non-finite phi there is a UsageError
+    g, k = graphs(2), kernels(2)
+    events = []
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g), horizon=0.5, duration="killed",
+                    boundary_phi=phi_spy(events))
+    starts = [5, 9]
+    out = linear_closed_form(0.5, 0.3, 0.4, p, k, g, mc_starts=starts, mc_paths=400, seed=3)
+    K = layer_count(0.5, k.dt)
+    mc_times = [t for _, t in events[K + 1:]]
+    expect = []
+    for i, s in enumerate(starts):
+        cfg = WalkConfig(level=2, horizon=0.5, path_count=400, seed=3 + i, killed=True, start=s)
+        hit = simulate_paths(cfg, k, g).hit_step
+        expect += [int(h) * k.dt for h in np.unique(hit[hit > 0])]
+    assert len(expect) > 2 and mc_times == expect
+    for i, s in enumerate(starts):
+        mean, _, _ = _recorded_linear_mc(0.5, 0.3, 0.4, p, k, g, s, 400, 3 + i)
+        assert abs(out["mc"][s]["estimate"] - mean) <= 1e-12 * abs(mean)
+    nan_at_hits = dataclasses.replace(p, boundary_phi=lambda t: np.full(3, math.nan if t else 0.0))
+    with pytest.raises(UsageError, match="boundary data must be finite"):
+        bsde._mc_linear(k, nan_at_hits, 0.5, 0.3, 0.4, starts, 400, 3, bump(g), True)
+
+
 @pytest.mark.parametrize("duration", ("deterministic", "killed"))
 def test_overflow_names_the_highest_non_finite_layer(kernels, graphs, duration):
     # at m = 5 the finite check walks Y and Z in 14 row blocks; the layer it
@@ -902,7 +1015,7 @@ def test_csr_product_equals_matmul(kernels, m):
 def closed_form_by_matmul(a, b, c, problem, kernel):
     """linear_closed_form's (Y0, Z0) from separate `@` products per layer."""
     dt = kernel.dt
-    V = bsde._pinned_terminal(problem, kernel, None)
+    V = bsde._pinned_terminal(problem, None, kernel.n_vertices)
     drift = 1.0 + a * dt + b * kernel.dqv
     for k in range(layer_count(problem.horizon, dt) - 1, -1, -1):
         ez = kernel.Q @ V

@@ -578,3 +578,55 @@ def test_refinement_consistency(graphs):
     d1 = np.abs(fields[1] - fields[0]).max()
     d2 = np.abs(fields[2] - fields[1]).max()
     assert d2 < d1
+
+
+def test_terminal_row_and_mismatch_from_the_shared_terminal_helper(graphs):
+    # the terminal row is bsde._pinned_terminal's: psi off V_0 and phi(T)
+    # on it, psi evaluated once; the mismatch is max |psi - phi(T)| on V_0
+    g = graphs(3)
+    calls = []
+
+    def psi(graph):
+        calls.append(graph)
+        return bump(graph)
+
+    phi = lambda t: np.array([0.1 + t, -0.3, 0.2 * t])  # noqa: E731
+    p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=psi, horizon=0.1, duration="killed",
+                    boundary_phi=phi)
+    sol = solve_weak_pde(p, g)
+    assert calls == [g]
+    b = bump(g)
+    assert sol.u[-1, :3].tolist() == phi(0.1).tolist()
+    assert sol.u[-1, 3:].tobytes() == b[3:].tobytes()
+    assert sol.meta["terminal_boundary_mismatch"] == float(np.abs(b[:3] - phi(0.1)).max())
+
+
+def test_feynman_kac_evaluates_a_shared_terminal_once_per_level():
+    # both problems hold one callable terminal: the check evaluates it once
+    # per rung and gives the sups of two problems that each evaluate their own
+    spec = validate_problem_dict(SIN_KILLED)
+    p = build_problem(spec)
+    calls = []
+
+    def psi(graph):
+        calls.append(graph.level)
+        return p.terminal_psi(graph)
+
+    shared = dataclasses.replace(p, terminal_psi=psi)
+    rep = feynman_kac_check(lambda m: (shared, shared), (2, 3), PROBE_TIMES)
+    assert calls == [2, 3]
+    own = dataclasses.replace(p, terminal_psi=lambda graph: p.terminal_psi(graph))
+    apart = feynman_kac_check(lambda m: (shared, own), (2, 3), PROBE_TIMES)
+    assert calls == [2, 3, 2, 3]
+    assert rep["sup_errors"] == apart["sup_errors"]
+    assert rep["errors"] == apart["errors"]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_float_masses_equal_the_fractions(graphs, m):
+    # solve_weak_pde divides the integer numerators as floats: both operands
+    # are exact below 2^53, so each mass is float(Fraction), bit for bit
+    cells, mu_den, nu_num, nu_den = pde._mass_numerators(graphs(m))
+    mu_ex, nu_ex = assemble_masses(graphs(m))
+    assert (cells / mu_den).tobytes() == np.array([float(x) for x in mu_ex]).tobytes()
+    assert (nu_num / nu_den).tobytes() == np.array([float(x) for x in nu_ex]).tobytes()

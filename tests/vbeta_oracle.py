@@ -63,7 +63,7 @@ def picard_iterate(problem, kernel, n_iters, paths, weights, initial=None,
     """The Picard loop measured with the reference norm: distances, ratios, last iterate."""
     dt = kernel.dt
     xs = np.arange(kernel.n_vertices)
-    terminal = _pinned_terminal(problem, kernel, None)
+    terminal = _pinned_terminal(problem, None, kernel.n_vertices)
     shape = (paths.n_steps + 1, kernel.n_vertices)
     y_prev = np.zeros(shape) if initial is None else initial.copy()
     z_prev = np.zeros(shape)
@@ -102,5 +102,5 @@ def solve_dp(problem, kernel, scheme):
                 return y
         raise AssertionError("in-step fixed point did not converge")
 
-    terminal = _pinned_terminal(problem, kernel, None)
+    terminal = _pinned_terminal(problem, None, kernel.n_vertices)
     return _sweep(problem, kernel, terminal, explicit if scheme == "explicit" else in_step)
