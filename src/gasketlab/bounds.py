@@ -57,10 +57,10 @@ def mittag_leffler(a: float, b: float, z: float) -> float:
 def _ml_series(a: float, b: float, z: float) -> tuple[float, float]:
     """The fsum of the series and the largest term magnitude.
 
-    Past the index bound the stopping test reads a running sum, within
-    4 (p + 2) 2^-53 sum |terms| of the partial fsum, and takes the fsum only
-    when that interval straddles the threshold: it stops where a per-term
-    fsum would, in one pass."""
+    The stopping test reads a running sum, within 4 (p + 2) 2^-53 sum |terms|
+    of the partial fsum, and takes the fsum only past the index bound when
+    that interval straddles the threshold: it stops where a per-term fsum
+    would, in one pass."""
     from scipy.special import gammaln  # imported here, as quad is: keeps the package import light
     terms = [1.0 / math.gamma(b)]
     if z == 0.0:
@@ -81,11 +81,10 @@ def _ml_series(a: float, b: float, z: float) -> tuple[float, float]:
         terms.append(t * (sign ** p))
         s += terms[-1]
         s_abs += t
-        if a * p + b > abs(z) ** (1.0 / a) + a:
-            err = 4.0 * (p + 2) * 2.0**-53 * s_abs
-            if t <= 1e-14 * max(abs(s) - err, 1e-300):
-                break
-            if t <= 1e-14 * max(abs(s) + err, 1e-300) and \
+        err = 4.0 * (p + 2) * 2.0**-53 * s_abs
+        # the index test last, as its power overflows for a huge z
+        if t <= 1e-14 * max(abs(s) + err, 1e-300) and a * p + b > abs(z) ** (1.0 / a) + a:
+            if t <= 1e-14 * max(abs(s) - err, 1e-300) or \
                     t <= 1e-14 * max(abs(math.fsum(terms)), 1e-300):
                 break
         p += 1
@@ -205,21 +204,31 @@ def _moment_margins(cells: list, C: float) -> dict:
     return {"rows": rows, "holds": ok}
 
 
+def _ml_rhs(C: float, beta: float, t: float) -> float:
+    """The bound E_{GAMMA_S,1}[C beta max(t, t^GAMMA_S)], or inf where it
+    leaves the floating-point range."""
+    try:
+        return mittag_leffler(GAMMA_S, 1.0, C * beta * max(t, t ** GAMMA_S))
+    except OverflowError:
+        return math.inf
+
+
 def check_mittag_leffler_bound(expint_table: dict, C: float) -> dict:
     """Margins of sup_x E_x[e^{beta A_t}] <= E_{GAMMA_S,1}[C beta max(t, t^GAMMA_S)].
 
     expint_table maps (beta, t) -> measured max over starts of the MC
-    estimate of E_x[e^{beta A_t}].
+    estimate of E_x[e^{beta A_t}]. NumericOverflowError names the entries
+    whose bound leaves the floating-point range.
     """
     rows = []
-    ok = True
     for (beta, t), lhs in sorted(expint_table.items()):
-        z = C * beta * max(t, t ** GAMMA_S)
-        rhs = mittag_leffler(GAMMA_S, 1.0, z)
-        rows.append({"beta": beta, "t": t, "lhs": lhs, "rhs": rhs,
-                     "margin": rhs - lhs})
-        ok &= lhs <= rhs
-    return {"rows": rows, "holds": ok}
+        rhs = _ml_rhs(C, beta, t)
+        rows.append({"beta": beta, "t": t, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs})
+    over = [(row["beta"], row["t"]) for row in rows if row["rhs"] == math.inf]
+    if over:
+        raise NumericOverflowError(f"the Mittag-Leffler bounds of table entries (beta, t) "
+                                   f"{over} at C = {C:.6g} leave the floating-point range")
+    return {"rows": rows, "holds": all(row["lhs"] <= row["rhs"] for row in rows)}
 
 
 def fit_joint_constant(qv_samples: dict, expint_table: dict) -> dict:
@@ -237,16 +246,10 @@ def fit_joint_constant(qv_samples: dict, expint_table: dict) -> dict:
         raise UsageError(f"Mittag-Leffler table entries {bad} are not finite")
     fit = fit_moment_constant(qv_samples)
 
-    def short(C):  # the entries whose bound at C fails, and whether one overflows
-        rows, over = [], False
-        for (beta, t), lhs in sorted(expint_table.items()):
-            try:
-                if lhs <= mittag_leffler(GAMMA_S, 1.0, C * beta * max(t, t ** GAMMA_S)):
-                    continue
-            except OverflowError:
-                over = True
-            rows.append((beta, t))
-        return rows, over
+    def short(C):  # the entries whose bound at C fails or overflows, and whether one overflows
+        rhs = {key: _ml_rhs(C, *key) for key in sorted(expint_table)}
+        return ([key for key, r in rhs.items() if not expint_table[key] <= r < math.inf],
+                math.inf in rhs.values())
 
     c = fit["C"]
     rows, over = short(c)

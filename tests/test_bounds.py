@@ -100,6 +100,18 @@ def test_ml_overflow_is_a_package_error():
         mittag_leffler(0.2, 1.0, 500.0)
 
 
+@pytest.mark.parametrize("action", ("error", "ignore"))
+def test_ml_overflow_of_a_huge_argument_is_a_package_error(action):
+    # |z|^(1/a) passes the float range from |z| = 1e62 at a = 0.2: the index
+    # test comes after the term test, so the term guard speaks first
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        with pytest.raises(NumericOverflowError, match="term overflow at p=5"):
+            mittag_leffler(0.2, 1.0, 1e62)
+        with pytest.raises(NumericOverflowError, match=r"entries \(beta, t\) \[\(1.0, 0.5\)\]"):
+            check_mittag_leffler_bound({(1.0, 0.5): 1.0}, 1e62)
+
+
 def _ml_mpmath(a, b, z, dps=80, terms=1500):
     # the same series at 80 digits: enough for the ~1e43 cancellation below
     import mpmath

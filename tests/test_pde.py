@@ -469,7 +469,8 @@ def test_level_zero_rejected_before_assembly(monkeypatch):
     def no_assembly(g):
         raise AssertionError("assembled")
 
-    monkeypatch.setattr(pde, "assemble_masses", no_assembly)
+    for name in ("_mass_numerators", "assemble_masses"):
+        monkeypatch.setattr(pde, name, no_assembly)
     with pytest.raises(UsageError, match="interior"):
         solve_weak_pde(make(0)[0], build_level_graph(0))
     with pytest.raises(UsageError, match="interior"):
@@ -485,7 +486,8 @@ def test_deterministic_problem_rejected_before_assembly(monkeypatch, graphs):
     def no_assembly(g):
         raise AssertionError("assembled")
 
-    monkeypatch.setattr(pde, "assemble_masses", no_assembly)
+    for name in ("_mass_numerators", "assemble_masses"):
+        monkeypatch.setattr(pde, name, no_assembly)
     with pytest.raises(UsageError, match="killed"):
         solve_weak_pde(p, g)
 
