@@ -142,6 +142,13 @@ def _boundary_values(problem: BsdeProblem, steps, dt: float) -> np.ndarray:
     return values
 
 
+def _layer_boundary(problem: BsdeProblem, K: int, dt: float):
+    """Killed mode: phi at layers 0..K-1 as a (K, 3) array, row k layer k's,
+    evaluated in the backward loop's order, k = K-1 ... 0; None otherwise."""
+    killed = problem.duration == "killed"
+    return _boundary_values(problem, range(K - 1, -1, -1), dt)[::-1] if killed else None
+
+
 def _pinned_terminal(problem: BsdeProblem, graph, n_vertices: int, psi=None) -> np.ndarray:
     """Every solver's terminal layer: terminal data (psi when given, already
     evaluated) as a fresh array, with phi(T) = phi(1 * T) on V_0 (ids 0-2)
@@ -176,7 +183,7 @@ def _csr_product(matrix: sp.csr_matrix):
 
 
 def _backward(problem: BsdeProblem, dt: float, layer, fields: dict, *, pin_first: bool = False,
-              finish=None, zero: tuple = (), last_of: str | None = None) -> tuple:
+              finish=None, zero: tuple = (), last_of: str | None = None, phi=None) -> tuple:
     """The backward layer loop of every solver: layers K-1 down to 0, t = k dt.
 
     fields maps two names to terminal rows (layer K): the solution's
@@ -187,8 +194,9 @@ def _backward(problem: BsdeProblem, dt: float, layer, fields: dict, *, pin_first
     comes before any allocation) and i = k. With last_of, K is
     walk.layer_count's and each field keeps two rows: i = 0, and every other
     layer sees them reversed, so row 1 always holds the layer before. In
-    killed mode every layer's phi(t) comes from _boundary_values before the
-    loop (its UsageError first), and is pinned on V_0 (ids 0-2) of the
+    killed mode every layer's phi(t) comes from _layer_boundary before the
+    loop (its UsageError first), or is phi, that array, from a caller that
+    runs the loop more than once; it is pinned on V_0 (ids 0-2) of the
     solution: after each layer, or with pin_first (every layer kept) on all
     rows before the loop, as if before each layer, which writes its own row.
 
@@ -204,8 +212,7 @@ def _backward(problem: BsdeProblem, dt: float, layer, fields: dict, *, pin_first
     first, second = fields.values()
     K = (layer_count(problem.horizon, dt) if last_of else
          field_layers(problem.horizon, dt, len(first)))
-    # evaluated in the loop's order, k = K-1 ... 0; row k is layer k's
-    phi = _boundary_values(problem, range(K - 1, -1, -1), dt)[::-1] if killed else None
+    phi = _layer_boundary(problem, K, dt) if phi is None else phi
     top = 1 if last_of else K
     y, z = np.empty((top + 1, len(first))), np.empty((top + 1, len(second)))
     y[top], z[top] = first, second
@@ -337,6 +344,7 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     floor, where ratios are roundoff artifacts). Returns the distances, their
     ratios and the last iterate as "final"; earlier iterates are not kept.
 
+    In killed mode phi is evaluated once, for every sweep (see _backward).
     A sweep reads only the previous iterate, so g and f are called once each
     per sweep, on flat K*V arrays; each layer adds (E[Y_{k+1} | x] + g dt) +
     f dqv in that order, and Z comes from one product with the whole Y[1:]
@@ -356,6 +364,7 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     if initial is not None and np.shape(initial) != shape:
         raise UsageError(f"initial field has shape {np.shape(initial)}, expected {shape}")
     terminal = {"Y": _pinned_terminal(problem, graph, V), "Z": np.zeros(V)}
+    phi = _layer_boundary(problem, K, dt)  # once for every sweep
     norm = _vbeta_norm_on(paths, weights)
     y_prev = np.zeros(shape) if initial is None else np.array(initial, dtype=float)
     z_prev = np.zeros(shape)
@@ -378,7 +387,8 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
         with np.errstate(**_QUIET):  # a non-finite G or F ends in _backward's typed error
             G = (problem.g(ts, xs, y_old) * dt).reshape(K, V)
             F = problem.f(ts, xs, y_old, z_old).reshape(K, V) * kernel.dqv
-            Y, Z = _backward(problem, dt, frozen, terminal, finish=z_after, zero=("Z",))
+            Y, Z = _backward(problem, dt, frozen, terminal, finish=z_after, zero=("Z",),
+                             phi=phi)
             d = norm(Y - y_prev, Z - z_prev)
         if not math.isfinite(d):
             raise NumericOverflowError(f"the V^beta distance of sweep {len(distances) + 1} is not finite")
@@ -522,9 +532,10 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
     exponential rho(x->y) = 1 + a dt + b dqv(x) + c dW(x->y), algebraically
     identical to the explicit DP for the linear driver. MC route: accumulate
     the same product along mc_paths >= 2 sampled paths from each vertex id in
-    mc_starts; other starts or path counts raise UsageError. Start i walks
-    walk._run_blocks' streams (seed + i, block) on the per-slot clock log(rho),
-    complex if some rho < 0: its i*pi makes Re exp(clock) carry the sign.
+    mc_starts; other starts or path counts, or only one of the two, raise
+    UsageError. Start i walks walk._run_blocks' streams (seed + i, block) on
+    the per-slot clock log(rho), complex if some rho < 0: its i*pi makes
+    Re exp(clock) carry the sign.
     The exact route is _backward keeping layer 0 only: UsageError for a phi
     that is not finite, NumericOverflowError when Y0 or Z0 is not.
     A callable terminal is evaluated once, for both routes.
@@ -549,7 +560,9 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
                        finish=z_at_0, zero=("Z0",), last_of="the linear closed form")
     out = {"Y0": y0, "Z0": z0}
 
-    if mc_paths and mc_starts is not None:
+    if (mc_starts is None) != (not mc_paths):
+        raise UsageError("mc_starts and mc_paths go together: give both or neither")
+    if mc_starts is not None:
         if mc_paths < 2:
             raise UsageError(f"mc_paths must be at least 2 for a standard error, got {mc_paths}")
         starts = [int(sx) for sx in mc_starts]
@@ -570,7 +583,7 @@ def _mc_linear(kernel, problem, a, b, c, starts, n_paths, seed, psi, killed):
     # A zero weight's log is -inf, whose exp is the product's exact 0.
     with np.errstate(divide="ignore"):
         clock = np.log(w) if (w > 0).all() else np.log(w.astype(complex))
-    tables = walk._block_tables(kernel, killed, clock, False)
+    tables = walk._block_tables(kernel, killed, clock)
     out = {}
     for i, start in enumerate(starts):
         cfg = WalkConfig(level=kernel.level, horizon=problem.horizon, path_count=n_paths,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapacityError, UsageError
-from .exact import MID_INT, cell_leaves
+from .exact import MID_INT, as_rational, cell_leaves
 
 MAX_LEVEL = 12  # |V_12| ~ 8e5 vertices; deeper levels exhaust memory for no gain
 
@@ -150,7 +150,9 @@ def neighbors(v: int, g: LevelGraph) -> set[int]:
 
 
 def vertex_by_coord(g: LevelGraph, coord: Coord) -> int:
-    key = (Fraction(coord[0]), Fraction(coord[1]))
+    """The id of the vertex at exact coordinate coord; UsageError for none,
+    or for an entry that is not a finite rational (see exact.as_rational)."""
+    key = (as_rational(coord[0]), as_rational(coord[1]))
     if key not in g.index_by_coord:
         raise UsageError(f"no vertex at exact coordinate {coord}")
     return g.index_by_coord[key]

@@ -23,11 +23,12 @@ results are bit-identical for a given seed regardless of worker count. One
 raw random byte per live path carries four steps (see walk_steps). The loop
 carries state for the live paths only: a killed walk stops drawing for a
 path once it reaches V_0, which it reads off the block-end vertex, and ends
-once no path is live; a reflected walk that records nothing ends at its last
-requested layer. Every ensemble, bsde's weighted linear MC included,
-runs through _run_blocks, which sums a per-slot clock along each path (<W>
-in exact integer units, or the MC's log step weights) while some requested
-layer still reads it, and returns one flat dict of per-path arrays. Its
+once no path is live; a reflected walk ends at its last requested layer.
+Every ensemble, recorded paths and bsde's weighted linear MC included, runs
+through _run_blocks, which sums a per-slot clock along each path (<W> in
+exact integer units, the MC's log step weights, or slot ids for recorded
+paths) while some requested layer still reads it, and returns one flat dict
+of per-path arrays, each stored time-major, one row per layer. Its
 four-step tables hold 256 codes per vertex, so walks run at levels up to 8
 (MAX_TABLE_BYTES); deeper ones raise CapacityError. Substep s of a table
 depends only on the vertex and the byte's low 2(s + 1) bits, so each is
@@ -257,43 +258,41 @@ class BlockTables:
 
     From position y, substep s of a block takes slot 4*y + j with
     j = (byte >> 2s) & (deg(y) - 1), bits 2s..2s+1 of the byte. Row s of
-    slot and pos is the slot taken at substep s and the position after it.
-    In killed mode a path that has landed on V_0 takes the slot 4V (zero
-    clock, zero dW) and stays where it landed, so pos[r - 1] lies on V_0
-    (ids 0, 1, 2) exactly when one of the first r substeps lands there:
-    walk_steps reads its stops off that row. hit is the first substep 1..4
-    that lands on V_0, or 0 for none (always 0 in reflected mode); the loop
-    reads it only for the paths that stop. Row r - 1 of clock is the clock
-    summed over the first r substeps, so over the substeps before the hit
-    and the hit itself in killed mode.
+    pos is the position after substep s. In killed mode a path that has
+    landed on V_0 takes the slot 4V (zero clock) and stays where it landed,
+    so pos[r - 1] lies on V_0 (ids 0, 1, 2) exactly when one of the first r
+    substeps lands there: walk_steps reads its stops off that row. hit is
+    the first substep 1..4 that lands on V_0, or 0 for none (always 0 in
+    reflected mode); the loop reads it only for the paths that stop. Row
+    r - 1 of clock is the clock summed over the first r substeps, so over
+    the substeps before the hit and the hit itself in killed mode. With a
+    clock of slot ids plus one, the difference of rows s and s - 1 is the
+    slot taken at substep s plus one, or 0 (see simulate_paths).
     """
-    slot: np.ndarray | None  # (4, 256V) intp; recording runs only
     pos: np.ndarray          # (4, 256V) intp
     hit: np.ndarray          # (256V,) uint8
     clock: np.ndarray        # (4, 256V), the per-slot clock's dtype
 
 
-def table_bytes(n_vertices: int, clock_dtype, record: bool) -> int:
+def table_bytes(n_vertices: int, clock_dtype) -> int:
     """Bytes of the BlockTables of a walk on n_vertices vertices.
 
-    Per code: four rows of pos and of clock sums, four of slot when
-    recording, and one hit byte. Building them holds at most about 19 bytes
-    per code more while it runs, 11 when recording (traced at m = 5 and 6,
-    int64 and complex128 clocks): the last substep's slots, and the earlier
-    substeps' arrays over a quarter of the codes or fewer.
+    Per code: four rows of pos and of clock sums, and one hit byte. Building
+    them holds at most about 19 bytes per code more while it runs (traced
+    at m = 5 and 6, int64 and complex128 clocks): the last substep's slots,
+    and the earlier substeps' arrays over a quarter of the codes or fewer.
     """
-    rows = np.dtype(np.intp).itemsize * (2 if record else 1) + np.dtype(clock_dtype).itemsize
+    rows = np.dtype(np.intp).itemsize + np.dtype(clock_dtype).itemsize
     return 256 * n_vertices * (4 * rows + 1)
 
 
-def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
-                  record: bool) -> BlockTables:
+def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray) -> BlockTables:
     """The tables for one walk; clock is the per-slot clock over the 4V slots.
 
     CapacityError, before anything is allocated, when they would pass
     MAX_TABLE_BYTES, which admits every level up to 8 (see table_bytes).
     """
-    size = table_bytes(kernel.n_vertices, clock.dtype, record)
+    size = table_bytes(kernel.n_vertices, clock.dtype)
     if size > MAX_TABLE_BYTES:
         raise CapacityError(
             f"the level-{kernel.level} four-step tables take {size} bytes, over the "
@@ -303,7 +302,6 @@ def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
     # walk_steps reads a stop as a block-end position below 3
     assert np.array_equal(np.flatnonzero(isb), [0, 1, 2])
     clock = np.append(clock, 0)  # slot 4V: a stopped path's substep
-    slot = np.empty((4, 256 * n), dtype=np.intp) if record else None
     pos = np.empty((4, 256 * n), dtype=np.intp)
     sums = np.empty((4, 256 * n), dtype=clock.dtype)
     # Substep s reads the start x and the byte's low 2(s + 1) bits alone, so
@@ -312,13 +310,13 @@ def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
     # row s of a table, reshaped (V, high bits, prefix), is row s of them.
     # Row 3 has no high bits: its prefix arrays are written in place.
     def row(table, s):
-        return table[3].reshape(n, 4, 64) if s == 3 and table is not None else None
+        return table[3].reshape(n, 4, 64) if s == 3 else None
 
     digit = np.arange(4)[:, None]
     y = np.arange(n)[:, None, None]  # the position before substep s, per prefix
     hit = np.zeros_like(y, dtype=np.uint8)
     for s in range(4):
-        step = np.bitwise_and(mask[y], digit, out=row(slot, s))
+        step = mask[y] & digit
         step += 4 * y
         # in range: "clip" only spares an out= take its buffered copy
         p = np.take(nbr, step, out=row(pos, s), mode="clip")
@@ -332,12 +330,11 @@ def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray,
             c += acc
         if s < 3:
             wide = (n, 4 ** (3 - s), 4 ** (s + 1))
-            for table, rows in ((pos, p), (sums, c), (slot, step)):
-                if table is not None:
-                    table[s].reshape(wide)[:] = rows.reshape(n, 1, -1)
+            for table, rows in ((pos, p), (sums, c)):
+                table[s].reshape(wide)[:] = rows.reshape(n, 1, -1)
         y, acc, hit = (a.reshape(n, 1, -1) for a in (p, c, hit))
     hit = hit.ravel() if killed else np.zeros(256 * n, dtype=np.uint8)
-    return BlockTables(slot=slot, pos=pos, hit=hit, clock=sums)
+    return BlockTables(pos=pos, hit=hit, clock=sums)
 
 
 def walk_steps(tables: BlockTables, pos: np.ndarray, n_steps: int,
@@ -350,7 +347,7 @@ def walk_steps(tables: BlockTables, pos: np.ndarray, n_steps: int,
     code = 256*x + byte for a path at x. Substep s takes neighbour slot
     (byte >> 2s) & (deg - 1): every degree is 2 or 4, so each substep is
     exactly uniform and independent of the others, with no float, multiply
-    or floor. The block's slots, positions and clock sums are the first r
+    or floor. The block's positions and clock sums are the first r
     rows of tables at code (see BlockTables): a tail block draws its bytes
     as a full block does and uses r < 4 substeps of them. A layer k + r'
     inside a block is read from row r' - 1 at the same code, and blocks are
@@ -416,7 +413,7 @@ def _mu_starts(srng: Generator, weight: np.ndarray, n: int) -> np.ndarray:
 
 
 def _simulate_block(kernel, tables, job):
-    n_paths, n_steps, seed, block, killed, start_vertex, layers, record = job
+    n_paths, n_steps, seed, block, killed, start_vertex, layers = job
     rng = Generator(Philox(key=[seed, block]))
 
     if start_vertex is None:
@@ -431,45 +428,27 @@ def _simulate_block(kernel, tables, job):
     acc = np.zeros(n_paths, dtype=tables.clock.dtype)
     live_acc = acc
     hit_step = np.full(n_paths, -1, dtype=np.int64)
-    out = {"clock": np.empty((n_paths, len(layers)), dtype=acc.dtype),
-           "pos": np.empty((n_paths, len(layers)), dtype=np.int64),
-           "hit_step": hit_step}
-    if record:  # time-major, one row per step; the result holds the transposes
-        vertices = np.empty((n_steps + 1, n_paths), dtype=np.int64)
-        dW_rows = np.zeros((n_steps, n_paths))
-        dqv_rows = np.zeros((n_steps, n_paths))
-        out["vertices"], out["dW"], out["dqv"] = vertices.T, dW_rows.T, dqv_rows.T
-        vertices[0] = pos
-        dW = np.append(kernel.dW.ravel(), 0.0)
-        dqv = np.append(np.repeat(kernel.dqv, 4), 0.0)
+    # time-major, one row per layer; the result holds the transposes
+    clock = np.empty((len(layers), n_paths), dtype=acc.dtype)
+    at = np.empty((len(layers), n_paths), dtype=np.int64)
     col = 0
     if layers and layers[0] == 0:
-        out["clock"][:, 0] = acc
-        out["pos"][:, 0] = pos
+        clock[0] = acc
+        at[0] = pos
         col = 1
-    # nothing past the last layer reads a reflected walk that does not record
-    walk_to = n_steps if killed or record else (layers[-1] if layers else 0)
+    # nothing past the last layer reads a reflected walk
+    walk_to = n_steps if killed else (layers[-1] if layers else 0)
 
-    walked = 0
     for k, r, idx, code, stop in walk_steps(tables, pos, walk_to, rng, killed):
         rows = slice(None) if idx is None else idx
         while col < len(layers) and layers[col] <= k + r:  # snapshots in the block
             s = layers[col] - k - 1
             if idx is not None:
-                out["clock"][:, col] = acc
-                out["pos"][:, col] = pos
-            out["clock"][rows, col] = live_acc + tables.clock[s][code]
-            out["pos"][rows, col] = tables.pos[s][code]
+                clock[col] = acc
+                at[col] = pos
+            clock[col, rows] = live_acc + tables.clock[s][code]
+            at[col, rows] = tables.pos[s][code]
             col += 1
-        if record:
-            for s in range(r):
-                if idx is not None:
-                    vertices[k + s + 1] = vertices[k + s]
-                slot = tables.slot[s][code]
-                vertices[k + s + 1, rows] = tables.pos[s][code]
-                dW_rows[k + s, rows] = dW[slot]
-                dqv_rows[k + s, rows] = dqv[slot]
-        walked = k + r
         read = col < len(layers)  # a later layer reads the clock and position
         if read:
             live_acc += tables.clock[r - 1][code]
@@ -482,14 +461,11 @@ def _simulate_block(kernel, tables, job):
                 acc[done] = live_acc[stop]
                 live_acc = np.delete(live_acc, stop)
     # a killed walk ends once no path is live: later layers read the stopped state
-    out["clock"][:, col:] = acc[:, None]
-    out["pos"][:, col:] = pos[:, None]
-    if record:
-        vertices[walked + 1:] = vertices[walked]
-    return out
+    clock[col:] = acc
+    at[col:] = pos
+    return {"clock": clock.T, "pos": at.T, "hit_step": hit_step}
 
 
-_PER_PATH = ("clock", "pos", "hit_step")  # C-order (N, ...) block results
 _worker_walk = None  # (kernel, tables) in a pool worker, set once per worker
 
 
@@ -503,7 +479,7 @@ def _simulate_worker_block(job):
 
 
 def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
-                layers=(), record=False, clock=None, tables=None):
+                layers=(), clock=None, tables=None):
     """Run cfg's ensemble block by block; every walk entry point comes here.
 
     Raises UsageError unless the config, the kernel and the graph (when
@@ -515,18 +491,16 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
     and divided by D = clock_denominator(level) once, after the blocks are
     merged, so block sums equal step-by-step sums; NumericOverflowError,
     before anything is allocated, when n_steps * max q reaches 2^53.
-    Recording runs keep it.
     The four-step tables are built here, once per call, from the clock (see
     _block_tables for their cap), unless the caller passes the tables of
-    this kernel, mode, clock and recording, to share them between walks.
-    They are handed to each pool worker once.
+    this kernel, mode and clock, to share them between walks. They are
+    handed to each pool worker once.
 
     Returns one flat dict of arrays with a row per path: "clock" and "pos",
-    with a column per layer of layers (distinct, sorted, in 0..cfg.n_steps);
-    "hit_step", the V_0 arrival step or -1; and when recording, the
-    "vertices", "dW" and "dqv" of PathEnsemble: (N, K+1) and (N, K)
-    transposes of C-contiguous time-major arrays.
-    A reflected run that records nothing stops at its last layer.
+    with a column per layer of layers (distinct, sorted, in 0..cfg.n_steps),
+    each the transpose of a C-contiguous time-major array, one row per
+    layer; and "hit_step", the V_0 arrival step or -1. A reflected run
+    stops at its last layer.
     """
     if kernel.level != cfg.level or g is not None and g.level != cfg.level:
         graph_level = "none" if g is None else g.level
@@ -542,11 +516,11 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
         clock = np.repeat(q, 4)
     start_vertex = _resolve_start(cfg, kernel, g)
     if tables is None:
-        tables = _block_tables(kernel, cfg.killed, clock, record)
+        tables = _block_tables(kernel, cfg.killed, clock)
     n = cfg.path_count
     jobs = [
         (min(cfg.block_size, n - lo), cfg.n_steps, cfg.seed, b, cfg.killed,
-         start_vertex, layers, record)
+         start_vertex, layers)
         for b, lo in enumerate(range(0, n, cfg.block_size))
     ]
     if cfg.workers > 1 and len(jobs) > 1:
@@ -556,11 +530,9 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
     else:
         results = [_simulate_block(kernel, tables, j) for j in jobs]
     del tables  # not held while the blocks are merged
-    # joined along the path axis: the first of the per-path arrays, the last
-    # of the recorded arrays' time-major storage
+    # joined along the path axis, the last axis of each time-major storage
     out = results[0] if len(results) == 1 else {
-        key: np.concatenate([r[key] for r in results]) if key in _PER_PATH else
-        np.concatenate([r[key].T for r in results], axis=-1).T for key in results[0]}
+        key: np.concatenate([r[key].T for r in results], axis=-1).T for key in results[0]}
     if default_clock:  # <W> summed in integer units: one division per value
         out["clock"] = out["clock"] / clock_denominator(cfg.level)
     return out
@@ -610,9 +582,12 @@ def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
                    g: LevelGraph | None = None) -> PathEnsemble:
     """Simulate and record full trajectories; guarded by a memory cap.
 
-    Each block records time-major, one row of every path per step, and the
-    blocks are joined along the path axis; the returned PathEnsemble holds
-    the transposes, read-only (see PathEnsemble).
+    A recorded walk is a snapshot at every layer 0..K of a per-slot clock
+    of slot ids plus one: a stopped substep adds 0 (slot 4V), so the
+    difference of two consecutive layers is the slot of the step between
+    them plus one, or 0, and dW and dqv are read off it. Every array is
+    time-major, one row per layer or step, and the returned PathEnsemble
+    holds the transposes, read-only (see PathEnsemble).
     """
     entries = cfg.path_count * (cfg.n_steps + 1)
     if entries > MAX_RECORDED_ENTRIES:
@@ -620,11 +595,13 @@ def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
             f"recording {entries} samples exceeds the {MAX_RECORDED_ENTRIES} cap; "
             "use the streaming statistics instead"
         )
-    r = _run_blocks(cfg, kernel, g, record=True)
-    return PathEnsemble(
-        config=cfg, vertices=r["vertices"], dW=r["dW"], dqv=r["dqv"],
-        hit_step=r["hit_step"], dt=kernel.dt,
-    )
+    r = _run_blocks(cfg, kernel, g, layers=range(cfg.n_steps + 1),
+                    clock=np.arange(1, 4 * kernel.n_vertices + 1))
+    steps = np.diff(r.pop("clock").T, axis=0)  # (K, N): slot + 1, or 0 once stopped
+    dW = np.take(np.append(0.0, kernel.dW.ravel()), steps)
+    dqv = np.take(np.append(0.0, np.repeat(kernel.dqv, 4)), steps)
+    return PathEnsemble(config=cfg, vertices=r["pos"], dW=dW.T, dqv=dqv.T,
+                        hit_step=r["hit_step"], dt=kernel.dt)
 
 
 def ensemble_qv_stats(cfg: WalkConfig, kernel: StepKernel,

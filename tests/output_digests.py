@@ -15,9 +15,13 @@ Covered: `solve_dp` (explicit and picard-in-step, killed and reflected,
 m = 3-5), `picard_iterate` from zero and from the DP seed, the linear closed
 form's Y0 and Z0 and its MC estimates, the weak PDE's u, gradients and
 residuals, the fk-ladder sups, the moment and joint bound fits, and the
-files of the `bsde`, `pde` and `check fk` subcommands; and the DP, Picard,
-closed form (with its MC route) and weak PDE once more on a killed problem
-whose phi on V_0 is affine and not zero.
+files of the `bsde`, `pde`, `check fk` and `walk --emit paths|stats|histogram`
+subcommands; the DP, Picard, closed form (with its MC route) and weak PDE
+once more on a killed problem whose phi on V_0 is affine and not zero; and
+the walks: `simulate_paths`, reflected and killed, in one block, in three,
+and in three under 2 workers, and from a V_0 and an interior start;
+`_run_blocks` snapshots at mixed layers; `exit_time_stats`,
+`occupation_histogram` and `expint_estimate`.
 """
 
 import argparse
@@ -25,6 +29,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,11 +127,18 @@ def rows():
             "pde.csv": ["pde", "--problem", spec, "--level", "3"],
             "fk.csv": ["check", "fk", "--problem", spec, "--levels", "2,3,4",
                        "--probe-times", "0,0.125"],
+            "walk_paths.csv": ["walk", "--level", "2", "--paths", "300", "--horizon", "0.5",
+                               "--killed", "--emit", "paths", "--seed", "3"],
+            "walk_stats.json": ["walk", "--level", "3", "--paths", "500", "--horizon", "0.5",
+                                "--killed", "--emit", "stats", "--seed", "3"],
+            "walk_hist.csv": ["walk", "--level", "3", "--paths", "500", "--horizon", "0.5",
+                              "--emit", "histogram", "--at-time", "0.25", "--cell-level", "2"],
         }
         for name, argv in runs.items():
             code = cli.main([str(a) for a in argv] + ["--out", str(tmp / name)])
             yield f"cli.{name}.exit", code
-        for path in sorted(tmp.glob("*.csv")):  # not the sidecars: they hold the wall time
+        # not the sidecars: they hold the wall time
+        for path in sorted([*tmp.glob("*.csv"), tmp / "walk_stats.json"]):
             yield f"cli.{path.name}", path.read_bytes()
 
     # killed, with an affine phi != 0 on V_0
@@ -163,6 +175,31 @@ def rows():
         yield f"affine.pde.m{m}.gradients", sol.gradients
         yield f"affine.pde.m{m}.residuals", sol.residuals
         yield f"affine.pde.m{m}.meta", sorted(sol.meta.items())
+
+    # walks: recorded paths, snapshots and the streaming statistics
+    g, k = graphs[3], kernels[3]
+    for killed in (False, True):
+        mode = "killed" if killed else "reflected"
+        cfg = walk.WalkConfig(level=3, horizon=0.4, path_count=600, seed=29, killed=killed)
+        for label, blocks, workers in (("one_block", 25_000, 1), ("three_blocks", 200, 1),
+                                       ("three_blocks.2_workers", 200, 2)):
+            ens = walk.simulate_paths(replace(cfg, block_size=blocks, workers=workers), k, g)
+            for name in ("vertices", "dW", "dqv", "hit_step"):
+                yield f"walk.paths.{mode}.{label}.{name}", getattr(ens, name)
+        for start in (1, 9):  # on V_0, interior
+            ens = walk.simulate_paths(walk.WalkConfig(level=2, horizon=0.6, path_count=300,
+                                                      seed=7, killed=killed, start=start),
+                                      kernels[2], graphs[2])
+            for name in ("vertices", "dW", "dqv", "hit_step"):
+                yield f"walk.paths.{mode}.start{start}.{name}", getattr(ens, name)
+        cfg = replace(cfg, block_size=250)
+        run = walk._run_blocks(cfg, k, g, layers=(0, 1, 6, 7, 40, 97, cfg.n_steps))
+        for key in sorted(run):
+            yield f"walk.snapshots.{mode}.{key}", run[key]
+        hist = walk.occupation_histogram(cfg, k, 0.2, 2, g)
+        yield f"walk.histogram.{mode}", (hist["t"], sorted(hist["masses"].items()))
+        yield f"walk.expint.{mode}", sorted(walk.expint_estimate(cfg, k, 0.5, g=g).items())
+    yield "walk.exit_time", sorted(walk.exit_time_stats(cfg, k, g).items())
 
 
 def main(argv=None) -> int:

@@ -253,6 +253,8 @@ def test_linear_mc_equals_recorded_path_oracle(kernels, graphs, m, c, duration,
     ([0, 99], 100, "not vertices"),  # used to raise a bare IndexError
     ([0], -5, "mc_paths"),         # used to raise a bare ValueError
     ([0], 1, "mc_paths"),          # used to return a NaN stderr
+    ([5], 0, "both or neither"),   # used to return no "mc" and no error
+    (None, 100, "both or neither"),  # used to return no "mc" and no error
 ])
 def test_linear_mc_rejects_bad_input(kernels, graphs, starts, paths, match):
     g, k = graphs(2), kernels(2)
@@ -470,8 +472,8 @@ def phi_spy(events):
                                     "weak-pde"))
 def test_killed_solve_calls_phi_once_per_layer_time(kernels, graphs, solver):
     # phi(T) for the terminal row, then phi(k dt) for k = K-1 ... 0 in one
-    # run before the layers' drivers: K + 1 calls per killed solve, and K
-    # more per further Picard sweep
+    # run before the layers' drivers: K + 1 calls per killed solve, however
+    # many Picard sweeps run
     g, k = graphs(2), kernels(2)
     T, events = 0.05, []
 
@@ -494,7 +496,7 @@ def test_killed_solve_calls_phi_once_per_layer_time(kernels, graphs, solver):
     solve()
     layer_times = [("phi", j * k.dt) for j in range(K - 1, -1, -1)]
     phis = [e for e in events if e[0] == "phi"]
-    assert phis == [("phi", T)] + layer_times * (2 if solver == "picard" else 1)
+    assert phis == [("phi", T)] + layer_times
     first = events.index(layer_times[0])
     assert events[first:first + K] == layer_times  # no driver call among them
     if solver not in ("picard", "closed-form"):

@@ -27,6 +27,7 @@ from gasketlab import (
     simulate_paths,
     walk,
 )
+from gasketlab.gasket import vertex_by_coord
 from gasketlab.harmonic import CellGradientTables, corner_harmonics
 from gasketlab.measures import hausdorff_measure
 from gasketlab.walk import (
@@ -172,6 +173,17 @@ def unit_clock(k):
     return np.repeat(walk.clock_units(k.dqv, k.level), 4)
 
 
+def slot_clock(k):
+    """The per-slot clock of slot ids plus one, simulate_paths' clock."""
+    return np.arange(1, 4 * k.n_vertices + 1)
+
+
+def table_slots(tables):
+    """The slot taken at each substep, -1 for none, read off tables built on
+    slot_clock as tables.clock[s] - tables.clock[s - 1] - 1."""
+    return np.diff(tables.clock, axis=0, prepend=0) - 1
+
+
 @pytest.mark.parametrize("m, killed, start", WALK_CASES)
 def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
     # four-step blocks read from the tables with live-index raw bytes vs four
@@ -185,8 +197,8 @@ def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
     else:
         ids = np.nonzero(k.is_boundary == (start == "V0"))[0]
         pos = np.full(n_paths, ids[-1], dtype=np.int64)
-    tables = walk._block_tables(k, killed, unit_clock(k), record=True)
-    stopped_slot = 4 * k.n_vertices
+    tables = walk._block_tables(k, killed, slot_clock(k))
+    slots = table_slots(tables)
     for n_steps in 2 * 5**m + 2 + np.arange(4):
         ours = walk_steps(tables, pos, n_steps, Generator(Philox(key=[17, m])), killed)
         ref = walk_oracle.walk_steps(k, pos, n_steps, Generator(Philox(key=[17, m])), killed)
@@ -209,8 +221,7 @@ def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
                 assert idx is None and stop is None
             full_slot = np.full((r1, n_paths), -1, dtype=np.int64)
             for s in range(r1):
-                slot = tables.slot[s][code]
-                full_slot[s, rows] = np.where(slot == stopped_slot, -1, slot)
+                full_slot[s, rows] = slots[s][code]
                 full_pos[rows] = tables.pos[s][code]
                 assert same_bytes(full_pos, pos2[s]), (n_steps, k1, s)
             assert same_bytes(full_slot, slot2), (n_steps, k1)
@@ -244,7 +255,7 @@ def test_killed_walk_stops_drawing_once_no_path_is_live(kernels):
     # 1/2, so all 300 paths stop long before the 120 steps. One request per
     # block, each for the live paths' bytes, and none once no path is live.
     k = kernels(1)
-    tables = walk._block_tables(k, True, unit_clock(k), record=False)
+    tables = walk._block_tables(k, True, unit_clock(k))
     pos = np.full(300, 4, dtype=np.int64)
     assert not k.is_boundary[4]
     rng = _CountingRng(Philox(key=[5, 0]))
@@ -294,9 +305,9 @@ def oracle_run(k, cfg, clock=None):
 
 
 def test_reflected_walk_stops_at_its_last_layer(kernels, graphs, monkeypatch):
-    # a reflected walk that records nothing draws only the blocks up to its
-    # last layer, with the oracle's bytes; killed and recording runs still
-    # walk to the horizon, for hit_step and the recorded steps
+    # a reflected walk draws only the blocks up to its last layer, with the
+    # oracle's bytes; killed runs and recorded paths, whose last layer is
+    # K, still walk to the horizon, for hit_step and the recorded steps
     k, g = kernels(3), graphs(3)
     requests = []
     steps = walk.walk_steps
@@ -311,13 +322,17 @@ def test_reflected_walk_stops_at_its_last_layer(kernels, graphs, monkeypatch):
     refs = {killed: oracle_run(k, dataclasses.replace(cfg, killed=killed))
             for killed in (False, True)}
     assert (refs[True][2] == -1).any()  # some killed path lives to the horizon
-    for layers in ((), (0,), (0, 9, 50), (3, 4, 5), (K - 2,)):
-        for killed, record in ((False, False), (False, True), (True, False)):
+    for layers in ((), (0,), (0, 9, 50), (3, 4, 5), (K - 2,), "recorded"):
+        for killed in (False, True):
             requests.clear()
-            run = walk._run_blocks(dataclasses.replace(cfg, killed=killed), k, g,
-                                   layers=layers, record=record)
-            assert_run_equals_oracle(run, refs[killed], layers, record)
-            last = K if killed or record else (layers[-1] if layers else 0)
+            run_cfg = dataclasses.replace(cfg, killed=killed)
+            if layers == "recorded":
+                assert_paths_equal_oracle(simulate_paths(run_cfg, k, g), refs[killed])
+                last = K
+            else:
+                run = walk._run_blocks(run_cfg, k, g, layers=layers)
+                assert_run_equals_oracle(run, refs[killed], layers)
+                last = K if killed else (layers[-1] if layers else 0)
             blocks = -(-last // 4)
             if killed:  # the live paths' bytes, block by block to the horizon
                 assert [len(r.requests) for r in requests] == [blocks, blocks]
@@ -326,16 +341,24 @@ def test_reflected_walk_stops_at_its_last_layer(kernels, graphs, monkeypatch):
                 assert [r.requests for r in requests] == [[n] * blocks for n in words]
 
 
-RUN_KEYS = ("clock", "pos", "hit_step", "vertices", "dW", "dqv")
-
-
-def assert_run_equals_oracle(run, ref, layers, record):
-    assert sorted(run) == sorted(RUN_KEYS[:6 if record else 3])
-    for key, expect in zip(RUN_KEYS, ref):
-        if key in ("clock", "pos"):
+def assert_run_equals_oracle(run, ref, layers):
+    # every output has the oracle's bytes, stored time-major
+    assert sorted(run) == ["clock", "hit_step", "pos"]
+    for key, expect in zip(("clock", "pos", "hit_step"), ref):
+        if key != "hit_step":
             expect = expect[:, list(layers)]
-        if key in run:
-            assert same_bytes(run[key], expect), (key, layers)
+        assert same_bytes(run[key], expect), (key, layers)
+        assert run[key].T.flags.c_contiguous, key
+
+
+def assert_paths_equal_oracle(ens, ref):
+    # every recorded array has the oracle's bytes, stored time-major (the
+    # transposes are C-contiguous) and read-only
+    _, _, hit, vertices, dW, dqv = ref
+    for name, expect in (("vertices", vertices), ("dW", dW), ("dqv", dqv), ("hit_step", hit)):
+        got = getattr(ens, name)
+        assert same_bytes(got, expect), name
+        assert got.T.flags.c_contiguous and not got.flags.writeable, name
 
 
 @pytest.mark.parametrize("start", ("mu", "interior", "V0"))
@@ -343,7 +366,9 @@ def assert_run_equals_oracle(run, ref, layers, record):
 def test_run_blocks_equal_oracle_for_every_layer_set(kernels, graphs, killed, start):
     # level 2, K = 225, three blocks of up to 300 paths: every output of
     # every mode, with no layer, layer 0 only, the last layer only, layers
-    # after every killed path has stopped, and a mix across the residues
+    # after every killed path has stopped, and a mix across the residues;
+    # and the recorded paths, every layer, where every killed path stops
+    # before K and the tail fill writes the rest
     k, g = kernels(2), graphs(2)
     vertex = {"mu": "mu", "interior": 9, "V0": 1}[start]
     assert start == "mu" or k.is_boundary[vertex] == (start == "V0")
@@ -356,9 +381,8 @@ def test_run_blocks_equal_oracle_for_every_layer_set(kernels, graphs, killed, st
     if killed:  # the late layers come after every path has stopped
         assert 0 < hit.min() and hit.max() < K - 5
     for layers in ((), (0,), (K,), late, (0, 1, 2, 3, 4, 5, 37, K)):
-        for record in (False, True):
-            run = walk._run_blocks(cfg, k, g, layers=layers, record=record)
-            assert_run_equals_oracle(run, ref, layers, record)
+        assert_run_equals_oracle(walk._run_blocks(cfg, k, g, layers=layers), ref, layers)
+    assert_paths_equal_oracle(simulate_paths(cfg, k, g), ref)
 
 
 @pytest.mark.parametrize("killed", (False, True))
@@ -384,8 +408,7 @@ def test_weighted_mc_clock_equals_oracle(kernels, graphs, monkeypatch, killed):
     assert [cfg.start for cfg, _, _ in seen] == [5, 20]
     for cfg, kwargs, run in seen:
         assert kwargs["clock"].dtype == np.complex128 and cfg.killed == killed
-        assert_run_equals_oracle(run, oracle_run(k, cfg, kwargs["clock"]),
-                                 kwargs["layers"], False)
+        assert_run_equals_oracle(run, oracle_run(k, cfg, kwargs["clock"]), kwargs["layers"])
 
 
 @pytest.mark.parametrize("killed", (False, True))
@@ -398,7 +421,7 @@ def test_run_blocks_in_a_pool_equal_oracle(kernels, graphs, pool_spy, killed):
     layers = (0, 9, 60, cfg.n_steps)
     run = walk._run_blocks(cfg, k, g, layers=layers)
     assert pool_spy == [2]
-    assert_run_equals_oracle(run, oracle_run(k, cfg), layers, False)
+    assert_run_equals_oracle(run, oracle_run(k, cfg), layers)
 
 
 @pytest.mark.parametrize("killed", (False, True))
@@ -411,12 +434,26 @@ def test_recorded_paths_equal_oracle(kernels, graphs, killed, block_size, worker
     cfg = WalkConfig(level=2, horizon=0.6, path_count=350, seed=19, killed=killed,
                      start=9, block_size=block_size, workers=workers)
     ens = simulate_paths(cfg, k, g)
-    _, _, hit, vertices, dW, dqv = oracle_run(k, cfg)
-    for name, expect in (("vertices", vertices), ("dW", dW), ("dqv", dqv), ("hit_step", hit)):
-        got = getattr(ens, name)
-        assert same_bytes(got, expect), name
-        assert got.T.flags.c_contiguous and not got.flags.writeable, name
-    assert (hit > 0).any() == killed
+    ref = oracle_run(k, cfg)
+    assert_paths_equal_oracle(ens, ref)
+    assert (ref[2] > 0).any() == killed
+
+
+@pytest.mark.parametrize("tail", (1, 2, 3))
+@pytest.mark.parametrize("killed", (False, True))
+@pytest.mark.parametrize("m", (0, 1, 2))
+def test_recorded_paths_with_a_tail_block_equal_oracle(kernels, graphs, m, killed, tail):
+    # K = 4j + tail, from mu: the last block records 1-3 of its byte's
+    # substeps. At m = 0 every vertex is on V_0, so a killed path stops at
+    # its first step and the tail fill writes every later layer.
+    k, g = kernels(m), graphs(m)
+    cfg = WalkConfig(level=m, horizon=(4 * (m + 2) + tail) * k.dt, path_count=90,
+                     seed=31, killed=killed, block_size=40)
+    assert cfg.n_steps % 4 == tail
+    ref = oracle_run(k, cfg)
+    assert_paths_equal_oracle(simulate_paths(cfg, k, g), ref)
+    if killed and m == 0:
+        assert (ref[2] == 1).all()
 
 
 def test_path_ensemble_is_read_only(kernels, graphs):
@@ -437,7 +474,8 @@ def test_path_ensemble_is_read_only(kernels, graphs):
 
 
 def test_lone_block_result_returned_uncopied(kernels, graphs, monkeypatch):
-    # one block: _run_blocks hands back the block's own arrays, no merge copy
+    # one block: _run_blocks hands back the block's own arrays, no merge
+    # copy, and the recorded vertices are a view of the block's positions
     k, g = kernels(2), graphs(2)
     blocks = []
     simulate = walk._simulate_block
@@ -448,9 +486,11 @@ def test_lone_block_result_returned_uncopied(kernels, graphs, monkeypatch):
 
     monkeypatch.setattr(walk, "_simulate_block", spy)
     cfg = WalkConfig(level=2, horizon=0.2, path_count=100, seed=2, killed=True)
-    run = walk._run_blocks(cfg, k, g, record=True)
+    run = walk._run_blocks(cfg, k, g, layers=range(cfg.n_steps + 1), clock=slot_clock(k))
     assert len(blocks) == 1
-    assert all(run[key] is blocks[0][key] for key in ("vertices", "dW", "dqv", "hit_step"))
+    assert all(run[key] is blocks[0][key] for key in ("clock", "pos", "hit_step"))
+    ens = simulate_paths(cfg, k, g)
+    assert len(blocks) == 2 and np.shares_memory(ens.vertices, blocks[1]["pos"])
 
 
 class _ByteSource:
@@ -470,17 +510,20 @@ class _ByteSource:
 @pytest.mark.parametrize("m", range(5))
 def test_block_tables_compose_four_single_steps(kernels, m, killed):
     # every code 256*x + byte: one oracle block of four composed single steps
-    # from x on that byte gives the slot, position and hit rows, and the clock
-    # rows are the running sums of the unit clock over the slots taken
+    # from x on that byte gives the position and hit rows, the slots read off
+    # the slot-id clock, and the clock rows are the running sums of the unit
+    # clock over the slots taken
     k = kernels(m)
     code = np.arange(256 * k.n_vertices)
-    tables = walk._block_tables(k, killed, unit_clock(k), record=True)
     _, r, _, slot, pos, hit_step = next(walk_oracle.walk_steps(
         k, code >> 8, 4, _ByteSource(code & 255), killed))
     assert r == 4
-    assert same_bytes(np.where(tables.slot == 4 * k.n_vertices, -1, tables.slot), slot)
-    assert same_bytes(tables.pos, pos)
-    assert np.array_equal(tables.hit, np.maximum(hit_step, 0))
+    ids = walk._block_tables(k, killed, slot_clock(k))
+    assert same_bytes(table_slots(ids), slot)
+    tables = walk._block_tables(k, killed, unit_clock(k))
+    for t in (ids, tables):
+        assert same_bytes(t.pos, pos)
+        assert np.array_equal(t.hit, np.maximum(hit_step, 0))
     assert (tables.hit > 0).any() == killed
     clock = np.append(unit_clock(k), 0)[np.where(slot < 0, 4 * k.n_vertices, slot)]
     assert same_bytes(tables.clock, np.cumsum(clock, axis=0))
@@ -490,17 +533,16 @@ def test_block_tables_compose_four_single_steps(kernels, m, killed):
 @pytest.mark.parametrize("m", range(1, 7))
 def test_block_tables_equal_code_by_code_oracle(kernels, m, killed):
     # the tables built on the byte's low-bit prefixes vs every code walked
-    # through the four substeps: byte for byte, recording or not, for the
-    # integer <W> clock and float and complex per-slot clocks
+    # through the four substeps: byte for byte, for the integer <W> clock,
+    # the slot-id clock of recorded paths and float and complex per-slot clocks
     k = kernels(m)
     units = unit_clock(k)
-    for clock in (units, units / 7.0, (units / 3.0).astype(complex) * (1 - 0.5j)):
-        for record in (False, True):
-            ours = walk._block_tables(k, killed, clock, record)
-            ref = walk_oracle.block_tables(k, killed, clock, record)
-            assert (ours.slot is None) == (ref.slot is None) == (not record)
-            for name in ("slot", "pos", "hit", "clock") if record else ("pos", "hit", "clock"):
-                assert same_bytes(getattr(ours, name), getattr(ref, name)), (name, clock.dtype)
+    for clock in (units, slot_clock(k), units / 7.0,
+                  (units / 3.0).astype(complex) * (1 - 0.5j)):
+        ours = walk._block_tables(k, killed, clock)
+        ref = walk_oracle.block_tables(k, killed, clock)
+        for name in ("pos", "hit", "clock"):
+            assert same_bytes(getattr(ours, name), getattr(ref, name)), (name, clock.dtype)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -523,23 +565,24 @@ def test_mu_starts_equal_generator_choice(kernels, m):
 def test_multi_block_run_equals_its_blocks(kernels, graphs, pool_spy, killed, workers):
     # four blocks of up to 130 paths from mu, in a pool with two workers: every
     # output of the merged run is the concatenation of the blocks run one at a
-    # time, <W> divided by D
+    # time, stored time-major, <W> divided by D; and so are the slot-id
+    # clock's snapshots at every layer that simulate_paths reads
     k, g = kernels(3), graphs(3)
     cfg = WalkConfig(level=3, horizon=0.3, path_count=470, seed=13, killed=killed,
                      block_size=130, workers=workers)
-    units = unit_clock(k)
-    for layers, record in (((0, 7, cfg.n_steps), False), ((5, 40), True)):
-        run = walk._run_blocks(cfg, k, g, layers=layers, record=record)
-        tables = walk._block_tables(k, killed, units, record)
+    for layers, clock in (((0, 7, cfg.n_steps), None), (range(cfg.n_steps + 1), slot_clock(k))):
+        run = walk._run_blocks(cfg, k, g, layers=layers, clock=clock)
+        tables = walk._block_tables(k, killed, unit_clock(k) if clock is None else clock)
         blocks = [walk._simulate_block(k, tables, (min(130, 470 - lo), cfg.n_steps, 13, b,
-                                                   killed, None, layers, record))
+                                                   killed, None, layers))
                   for b, lo in enumerate(range(0, 470, 130))]
         assert sorted(run) == sorted(blocks[0])
         for key in run:
             whole = np.concatenate([block[key] for block in blocks])
-            if key == "clock":
+            if key == "clock" and clock is None:
                 whole = whole / walk.clock_denominator(3)
-            assert same_bytes(run[key], whole), (key, record)
+            assert same_bytes(run[key], whole), (key, layers)
+            assert run[key].T.flags.c_contiguous, key
         assert (run["hit_step"] > 0).any() == killed
     assert pool_spy == ([2, 2] if workers == 2 else [])
 
@@ -568,7 +611,7 @@ def test_walk_limits_rejected_before_allocating(kernels, graphs, monkeypatch, li
     horizon, error, match = 1e15, NumericOverflowError, "2\\^53"
     if limit == "tables":
         monkeypatch.setattr(walk, "MAX_TABLE_BYTES",
-                            walk.table_bytes(k.n_vertices, np.int64, False) - 1)
+                            walk.table_bytes(k.n_vertices, np.int64) - 1)
         horizon, error, match = 1.0, CapacityError, "level 8 or below"
     cfg = WalkConfig(level=2, horizon=horizon, path_count=10**6, seed=1, killed=True)
     tracemalloc.start()
@@ -588,9 +631,9 @@ def test_walk_at_the_deepest_admitted_level(kernels, graphs):
     # T = 1 walk passes the clock guard, and the streamed <W> and hits read
     # the recorded paths
     k, g = kernels(8), graphs(8)
-    for dtype, record in ((np.int64, True), (np.complex128, False)):
-        assert walk.table_bytes(k.n_vertices, dtype, record) <= walk.MAX_TABLE_BYTES
-    assert walk.table_bytes(3 * k.n_vertices - 3, np.int64, False) > walk.MAX_TABLE_BYTES
+    for dtype in (np.int64, np.complex128):
+        assert walk.table_bytes(k.n_vertices, dtype) <= walk.MAX_TABLE_BYTES
+    assert walk.table_bytes(3 * k.n_vertices - 3, np.int64) > walk.MAX_TABLE_BYTES
     assert layer_count(1.0, k.dt) * int(walk.clock_units(k.dqv, 8).max()) < 2**53 / 16
     for killed in (False, True):
         cfg = WalkConfig(level=8, horizon=43 * k.dt, path_count=200, seed=3,
@@ -890,6 +933,19 @@ def test_word_and_coordinate_starts_without_a_graph(kernels, graphs):
         ens = simulate_paths(cfg, k)
         assert np.array_equal(ens.vertices, simulate_paths(cfg, k, g).vertices)
         assert (ens.vertices[:, 0] == ens.vertices[0, 0]).all()
+
+
+@pytest.mark.parametrize("coord", [("x", 0), (None, 0), (float("nan"), 0), (0, math.inf)])
+def test_coordinate_that_is_not_rational_rejected(kernels, graphs, coord):
+    # the lookup and a walk started there raise UsageError, not a bare
+    # ValueError or TypeError from Fraction
+    g, k = graphs(2), kernels(2)
+    with pytest.raises(UsageError, match="not a finite rational"):
+        vertex_by_coord(g, coord)
+    cfg = WalkConfig(level=2, horizon=0.2, path_count=10, seed=1, start=coord)
+    with pytest.raises(UsageError, match="not a finite rational"):
+        simulate_paths(cfg, k)
+    assert vertex_by_coord(g, (0.75, 0.25)) == g.index_by_coord[MIDPOINT_OPP_P1]
 
 
 def test_layer_at():

@@ -54,14 +54,13 @@ def walk_steps(kernel, pos, n_steps, rng, killed):
         yield k, r, drawn if killed else None, slot, path, hit_step.copy()
 
 
-def block_tables(kernel, killed, clock, record):
+def block_tables(kernel, killed, clock):
     """BlockTables over the codes 256*x + byte, one substep at a time over
     every code; clock is the per-slot clock over the 4V slots."""
     n_codes = 256 * kernel.n_vertices
     y, byte = np.divmod(np.arange(n_codes), 256)
     nbr, isb, mask = kernel.nbr.ravel(), kernel.is_boundary, kernel.deg - 1
     clock = np.append(clock, 0)  # slot 4V: a stopped path's substep
-    slot = np.empty((4, n_codes), dtype=np.intp) if record else None
     pos = np.empty((4, n_codes), dtype=np.intp)
     sums = np.empty((4, n_codes), dtype=clock.dtype)
     hit = np.zeros(n_codes, dtype=np.uint8)
@@ -75,10 +74,8 @@ def block_tables(kernel, killed, clock, record):
             step[stay] = len(nbr)
             pos[s][stay] = y[stay]
             hit[~stay & isb[pos[s]]] = s + 1
-        if record:
-            slot[s] = step
         np.take(clock, step, out=sums[s])
         if s:
             sums[s] += sums[s - 1]
         y = pos[s]
-    return BlockTables(slot=slot, pos=pos, hit=hit, clock=sums)
+    return BlockTables(pos=pos, hit=hit, clock=sums)
