@@ -401,62 +401,138 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     return {"distances": distances, "ratios": ratios, "final": (Y, Z)}
 
 
-_NORM_BLOCK_BYTES = 2**19  # the V^beta norm's three block buffers, together: L2-sized
+# the V^beta norm's two block buffers, together: L2-sized; its path part is
+# built and checked in blocks of the same rows
+_NORM_BLOCK_BYTES = 2**19
+
+
+_BAD_RATES = "paths.dqv must be one finite rate >= 0 per vertex on live steps, and 0 on stopped ones"
+
+
+def _norm_rows(K: int, N: int) -> int:
+    """Rows per block of the V^beta norm and of its path part's build."""
+    return max(1, min(K, _NORM_BLOCK_BYTES // (16 * N)))
+
+
+def _path_columns(paths: PathEnsemble):
+    """(index, q) of the V^beta norm's path part (see _path_part), built and
+    checked in row blocks, with no temporary of a whole (K, N) array."""
+    K, N = paths.n_steps, paths.n_paths
+    V = vertex_count(paths.config.level)
+    vertices, dqv = paths.vertices.T, paths.dqv.T
+    # one unsigned max also catches negative ids
+    if vertices.astype(np.int64, copy=False).view(np.uint64).max() >= V:
+        raise UsageError(f"path vertices must be vertex ids 0..{V - 1} of level {paths.config.level}")
+    # a killed path's steps from its hit step on are stopped
+    stop = np.where(paths.hit_step >= 0, paths.hit_step, K) if paths.config.killed else None
+    q = np.full(V + 3, np.nan)  # NaN: no step from the column seen yet
+    q[V:] = 0.0
+    index = np.empty((K + 1, N), dtype=np.int64)
+    rows = _norm_rows(K, N)
+    seen_buf = np.empty((rows, N))
+    for lo in range(0, K, rows):
+        hi = min(K, lo + rows)
+        steps = np.arange(lo, hi)[:, None]
+        # the columns, in index's rows until the row offsets join them: np.take
+        # would copy a read-only index such as paths.vertices
+        col = index[lo:hi]
+        if stop is None:
+            col[...] = vertices[lo:hi]
+        else:
+            np.multiply(steps >= stop, V, out=col)
+            col += vertices[lo:hi]
+            if col.max() >= V + 3:
+                raise UsageError("a killed path's stopped steps must sit on V_0")
+        # col is in range, checked above
+        seen = np.take(q, col, out=seen_buf[:hi - lo], mode="wrap")
+        if (seen != dqv[lo:hi]).any():  # a column first seen here, or a step off its rate
+            for c, d in zip(col, dqv[lo:hi]):  # row by row, so q learns as it goes
+                off = q[c] != d
+                c, d = c[off], d[off]
+                if not np.isnan(q[c]).all():
+                    raise UsageError(_BAD_RATES)
+                q[c] = d
+                if not (q[c] == d).all():
+                    raise UsageError(_BAD_RATES)
+        col += steps * (V + 3)
+    index[K] = K * (V + 3) + vertices[K]
+    q[np.isnan(q)] = 0.0
+    if not (np.isfinite(q) & (q >= 0)).all():
+        raise UsageError(_BAD_RATES)
+    q.flags.writeable = False
+    return index, q
 
 
 def _path_part(paths: PathEnsemble, weights: BetaWeights):
-    """(e, shift, index), the V^beta norm's path part, cached on the ensemble.
+    """(e, shift, index, q), the V^beta norm's path part, cached on the ensemble.
 
     Time-major, row k is time t_k: e (K+1, N) is
-    exp(2 b0 t_k + 2 b1 <W>_k - shift) and index (K+1, N) the flat field
-    index k*V + vertex of each path. Built from the ensemble's time-major
-    storage, with no copy of it, once per ensemble for the latest weights:
-    paths._norm_parts keeps that one entry. Closures only read it.
+    exp(2 b0 t_k + 2 b1 <W>_k - shift), and index (K+1, N) the flat index
+    k*(V+3) + c of each path in a field of V+3 columns, where c is the
+    path's vertex, or V plus its V_0 corner on a killed path's stopped steps
+    (k >= hit_step). q (V+3,) is the clock rate of a step from each column,
+    read off paths.dqv: 0 on the three stopped columns and on columns no
+    step visits. UsageError unless every vertex is one of the level's, each
+    stopped one on V_0, and every step's dqv is its column's q, finite and
+    >= 0, so that e never falls along a path.
+
+    Built from the ensemble's time-major storage, with no copy of it, once
+    per ensemble for the latest weights: paths._norm_parts keeps that one
+    entry. Closures only read it.
     """
     cache = paths._norm_parts
     if weights not in cache:
+        index, q = _path_columns(paths)
         K, N = paths.n_steps, paths.n_paths
         e = np.empty((K + 1, N))
         e[0] = 0.0
         walk.clock_cumsum(paths.dqv.T, paths.config.level, axis=0, out=e[1:])  # <W>_k
         e *= 2 * weights.b1
-        e += (2 * weights.b0 * (np.arange(K + 1) * paths.dt))[:, None]
-        shift = max(0.0, float(e.max()) - 600.0)
-        e -= shift
+        t = 2 * weights.b0 * (np.arange(K + 1) * paths.dt)
+        for row, t_k in zip(e, t):  # a broadcast add would buffer a block
+            row += t_k
+        # e never falls along a path, so row K holds the max
+        shift = max(0.0, float(e[K].max()) - 600.0)
+        if shift:
+            e -= shift
         np.exp(e, out=e)
-        index = np.arange(K + 1)[:, None] * vertex_count(paths.config.level) + paths.vertices.T
         e.flags.writeable = False  # not index: np.take copies a read-only index first
         cache.clear()
-        cache[weights] = (e, shift, index)
+        cache[weights] = (e, shift, index, q)
     return cache[weights]
 
 
 def _vbeta_norm_on(paths: PathEnsemble, weights: BetaWeights):
     """The V^beta norm on paths' path part (_path_part); returns norm(y, z).
 
-    norm squares the fields once (y^2, and z^2 + y^2 below layer K), then
-    walks the time rows in blocks from the end, in buffers allocated here, and
-    carries both running sums between blocks, so every addition keeps the
-    order of the whole-array form. The buffers carry no state from call to
-    call, and closures on one ensemble share only the path part, which they
-    only read, but one closure must not be shared between threads.
+    norm builds one small weight field per call, over the V+3 columns of
+    the path part (the last three repeat those of V_0, ids 0-2, with rate
+    0): w[k, c] = y^2 dt + (y^2 + z^2) q(c) on the layers below K. Each path
+    then needs one gather of w and one of y^2 per step, and one running sum
+    S_k = S_{k+1} + e_k w[k, c_k], with T_k = e_k y_k^2 + S_k. norm walks the
+    time rows in blocks from the end, in buffers allocated here, and carries
+    the running sum between blocks, so every addition keeps the order of the
+    whole-array form. The buffers carry no state from call to call, and
+    closures on one ensemble share only the path part, which they only
+    read, but one closure must not be shared between threads.
     """
     K, N = paths.n_steps, paths.n_paths
-    shape = (K + 1, vertex_count(paths.config.level))
-    e, shift, index = _path_part(paths, weights)
-    dqv = paths.dqv.T  # (K, N), the per-step increments
+    V = vertex_count(paths.config.level)
+    shape = (K + 1, V)
+    e, shift, index, q = _path_part(paths, weights)
     # index is in range by construction, so norm takes with mode="wrap", which
     # writes straight into out where the bounds-checked mode first copies
-    rows = max(1, min(K, _NORM_BLOCK_BYTES // (24 * N)))
-    y2 = np.empty(shape)           # y^2 on the whole field
-    yz2 = np.empty((K, shape[1]))  # z^2 + y^2 on the layers below K
-    y2_flat, yz2_flat = y2.ravel(), yz2.ravel()
-    # a block of n rows fills the last n rows of each buffer; the run buffers'
-    # extra row holds both running sums of the rows above the block
+    rows = _norm_rows(K, N)
+    y2 = np.empty((K + 1, V + 3))  # y^2, its V_0 columns repeated
+    w = np.empty((K, V + 3))       # y^2 dt + (y^2 + z^2) q on the layers below K
+    y2dt = np.empty((K, V + 3))    # w's first term
+    y2_flat, w_flat = y2.ravel(), w.ravel()
+    # a block of n rows fills the last n rows of each buffer; the run buffer's
+    # extra row holds the running sum of the rows above the block
     y2e_buf = np.empty((rows, N))
-    run_dr_buf, run_dqv_buf = np.empty((2, rows + 1, N))
-    dr, dq = list(run_dr_buf), list(run_dqv_buf)
-    suffix = [(dr[k], dr[k + 1], dq[k], dq[k + 1]) for k in range(rows - 1, -1, -1)]
+    run_buf = np.empty((rows + 1, N))
+    run = list(run_buf)
+    suffix = [(run[k], run[k + 1]) for k in range(rows - 1, -1, -1)]
     sup = np.empty(N)
 
     def norm(y_field: np.ndarray, z_field: np.ndarray) -> float:
@@ -465,31 +541,30 @@ def _vbeta_norm_on(paths: PathEnsemble, weights: BetaWeights):
                 raise UsageError(f"{name} field has shape {np.shape(f)}, the path "
                                  f"ensemble needs {shape} (layers, vertices)")
         z_below = np.asarray(z_field)[:K]
-        np.multiply(y_field, y_field, out=y2)
-        np.multiply(z_below, z_below, out=yz2)
-        np.add(yz2, y2[:K], out=yz2)
+        np.multiply(y_field, y_field, out=y2[:, :V])
+        y2[:, V:] = y2[:, :3]
+        np.multiply(z_below, z_below, out=w[:, :V])
+        w[:, V:] = w[:, :3]
+        np.add(w, y2[:K], out=w)
+        np.multiply(w, q, out=w)
+        np.multiply(y2[:K], paths.dt, out=y2dt)
+        np.add(w, y2dt, out=w)
         np.take(y2_flat, index[K], out=sup, mode="wrap")  # the sup starts at y_K^2 e_K
         np.multiply(sup, e[K], out=sup)
         for hi in range(K, 0, -rows):
             n = min(rows, hi)
             lo = hi - n
-            # run_dr[k] = sum_{r>=k} y_r^2 e_r dt,
-            # run_dqv[k] = sum_{r>=k} (y_r^2 + z_r^2) e_r dqv_r
-            y2e = y2e_buf[rows - n:]
-            run_dr, run_dqv = run_dr_buf[rows - n:rows], run_dqv_buf[rows - n:rows]
+            # run[k] = S_k = sum_{r>=k} e_r w[r, c_r]
+            y2e, run_s = y2e_buf[rows - n:], run_buf[rows - n:rows]
+            np.take(w_flat, index[lo:hi], out=run_s, mode="wrap")
+            run_s *= e[lo:hi]
+            for a, b in suffix[(hi == K):n]:  # the first block has no sum above it
+                a += b
+            run_buf[rows] = run_s[0]
             np.take(y2_flat, index[lo:hi], out=y2e, mode="wrap")
             y2e *= e[lo:hi]
-            np.take(yz2_flat, index[lo:hi], out=run_dqv, mode="wrap")
-            run_dqv *= e[lo:hi]
-            run_dqv *= dqv[lo:hi]
-            np.multiply(y2e, paths.dt, out=run_dr)
-            for a, b, c, d in suffix[(hi == K):n]:  # the first block has no sums above it
-                a += b
-                c += d
-            run_dr_buf[rows], run_dqv_buf[rows] = run_dr[0], run_dqv[0]
-            run_dr += y2e
-            run_dr += run_dqv
-            np.maximum(sup, run_dr.max(axis=0), out=sup)
+            y2e += run_s
+            np.maximum(sup, y2e.max(axis=0), out=sup)
         return math.sqrt(float(sup.mean()) * math.exp(shift))
 
     return norm
@@ -499,20 +574,22 @@ def vbeta_norm(paths: PathEnsemble, y_field: np.ndarray, z_field: np.ndarray,
                weights: BetaWeights) -> float:
     """Empirical V^beta norm of time-vertex fields sampled along paths.
 
-    Per path: sup_k [ y_k^2 e_k + sum_{r>=k} y_r^2 e_r dt
-                      + sum_{r>=k} (y_r^2+z_r^2) e_r dqv_r ],
+    Per path: sup_k [ y_k^2 e_k + sum_{r>=k} e_r (y_r^2 dt + (y_r^2+z_r^2) dqv_r) ],
     with e_k = exp(2 b0 t_k + 2 b1 <W>_k); the mean over paths is returned
     (squared norm -> sqrt at the end). Exponents are accumulated in log
     domain when they would overflow. Both fields must have shape (K+1, V)
     for the ensemble's K steps and the V vertices of its level.
 
-    The path-only part (e_k and the gather index) is built once per
-    ensemble and cached on it for the latest weights, so picard_iterate
-    calls and vbeta_norm calls on one ensemble share it; each call builds
-    its own work buffers, and picard_iterate reuses them for every sweep.
-    The field part runs time-major in cache-sized row blocks, with every sum
-    in the order of the whole-array form. It runs with numpy's floating-point
-    warnings off; NumericOverflowError when the norm is not finite.
+    The path-only part (e_k, the gather index and the clock rate of each
+    vertex, see _path_part) is built once per ensemble and cached on it for
+    the latest weights, so picard_iterate calls and vbeta_norm calls on one
+    ensemble share it; UsageError when the ensemble's dqv is not one rate
+    per vertex on live steps and 0 on stopped ones. Each call folds dt and
+    the rates into one (K, V+3) weight field and builds its own work
+    buffers; picard_iterate reuses them for every sweep. The path sums run
+    time-major in cache-sized row blocks, with every sum in the order of the
+    whole-array form. It runs with numpy's floating-point warnings off;
+    NumericOverflowError when the norm is not finite.
     """
     with np.errstate(**_QUIET):
         value = _vbeta_norm_on(paths, weights)(y_field, z_field)

@@ -151,8 +151,13 @@ def neighbors(v: int, g: LevelGraph) -> set[int]:
 
 def vertex_by_coord(g: LevelGraph, coord: Coord) -> int:
     """The id of the vertex at exact coordinate coord; UsageError for none,
-    or for an entry that is not a finite rational (see exact.as_rational)."""
-    key = (as_rational(coord[0]), as_rational(coord[1]))
+    for a coord that is not a pair, or for an entry that is not a finite
+    rational (see exact.as_rational)."""
+    try:
+        x, y = coord
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"a coordinate is a pair (x, y), got {coord!r}") from exc
+    key = (as_rational(x), as_rational(y))
     if key not in g.index_by_coord:
         raise UsageError(f"no vertex at exact coordinate {coord}")
     return g.index_by_coord[key]

@@ -85,12 +85,18 @@ def clock_cumsum(dqv: np.ndarray, level: int, axis: int, out=None) -> np.ndarray
     integer units and divided by D once: bit for bit what _run_blocks streams.
 
     The units are summed as integer-valued float64, exact below 2^53, so
-    out (dqv's shape, float64) is the only array written.
+    out (dqv's shape, float64) is the only array written. A 2-D sum along
+    axis 0 adds row to row: numpy accumulates a leading axis one column at a
+    time, in the same order but a few times slower.
     """
     units = clock_denominator(level)
     out = np.multiply(dqv, units, out=out)
     np.rint(out, out=out)
-    np.cumsum(out, axis=axis, out=out)
+    if axis == 0 and out.ndim == 2:
+        for prev, row in zip(out, out[1:]):
+            row += prev
+    else:
+        np.cumsum(out, axis=axis, out=out)
     out /= units
     return out
 
@@ -548,7 +554,11 @@ class PathEnsemble:
     frozen and its arrays read-only (views, so the arrays passed in keep
     their flags): bsde caches the path part of the V^beta norm for the
     latest BetaWeights in _norm_parts, and a write would leave it stale.
-    dataclasses.replace builds a new ensemble with an empty cache.
+    dataclasses.replace builds a new ensemble with an empty cache. The norm
+    reads the clock rate of each vertex off dqv once, when it builds that
+    part, so an ensemble built by hand must keep simulate_paths' layout:
+    dqv is one rate per vertex on live steps and 0 on a killed path's steps
+    from hit_step on, where the path sits on V_0.
     """
 
     config: WalkConfig

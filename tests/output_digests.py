@@ -12,7 +12,9 @@ between numpy builds. The file name does not start with test_, so pytest
 does not collect it.
 
 Covered: `solve_dp` (explicit and picard-in-step, killed and reflected,
-m = 3-5), `picard_iterate` from zero and from the DP seed, the linear closed
+m = 3-5), `picard_iterate` from zero and from the DP seed, `vbeta_norm` on
+its own (reflected, killed, and killed from a V_0 start, at three weights,
+one of them past the exponent shift), the linear closed
 form's Y0 and Z0 and its MC estimates, the weak PDE's u, gradients and
 residuals, the fk-ladder sups, the moment and joint bound fits, and the
 files of the `bsde`, `pde`, `check fk` and `walk --emit paths|stats|histogram`
@@ -88,6 +90,21 @@ def rows():
             yield f"picard.{duration}.{label}.ratios", rep["ratios"]
             yield f"picard.{duration}.{label}.Y", rep["final"][0]
             yield f"picard.{duration}.{label}.Z", rep["final"][1]
+
+    # the V^beta norm alone: reflected, killed, and killed from a V_0 start,
+    # whose first step from the corner is live and whose later ones there stop
+    g, k = graphs[3], kernels[3]
+    rng = np.random.default_rng(17)
+    for label, killed, start in (("reflected", False, "mu"), ("killed", True, "mu"),
+                                 ("killed.start0", True, 0)):
+        ens = walk.simulate_paths(walk.WalkConfig(level=3, horizon=0.5, path_count=500,
+                                                  seed=41, killed=killed, start=start), k, g)
+        y, z = rng.standard_normal((2, ens.n_steps + 1, k.n_vertices))
+        # at beta 400 the exponent passes 600, so it is shifted, and the
+        # fields are scaled so that the norm stays finite
+        for beta, scale in ((1.0, 1.0), (36.0, 1.0), (400.0, 1e-100)):
+            yield (f"vbeta_norm.{label}.beta{beta:g}",
+                   bsde.vbeta_norm(ens, scale * y, scale * z, bsde.BetaWeights(beta, beta)))
 
     for m in (2, 4):
         g, k = graphs[m], kernels[m]

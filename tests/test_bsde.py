@@ -689,6 +689,31 @@ def test_vbeta_monotone_in_beta(kernels, graphs):
     assert v1 <= v2 <= v3
 
 
+def _one_path(ens, i):
+    return dataclasses.replace(ens, vertices=ens.vertices[i:i + 1], dW=ens.dW[i:i + 1],
+                               dqv=ens.dqv[i:i + 1], hit_step=ens.hit_step[i:i + 1])
+
+
+def _assert_equals_oracles(ens, y, z, w):
+    """The norm is the oracle's bytes, on the ensemble and on each path
+    alone, and each path's sup is within 4 ulps of the parent form's."""
+    got = vbeta_norm(ens, y, z, w)
+    assert math.isfinite(got)
+    assert got == vbeta_oracle.vbeta_norm(ens, y, z, w)
+    # one path at a time, so that a last-bit change in one path's sup is not
+    # averaged away by the mean over paths
+    for i in range(ens.n_paths):
+        one = _one_path(ens, i)
+        assert vbeta_norm(one, y, z, w) == vbeta_oracle.vbeta_norm(one, y, z, w)
+    # the weight field regroups the two running sums of the form before it
+    eps4 = 4 * np.finfo(float).eps
+    sup, shift = vbeta_oracle.vbeta_sups(ens, y, z, w)
+    sup_parent, shift_parent = vbeta_oracle.vbeta_sups_parent(ens, y, z, w)
+    assert shift == shift_parent
+    assert (np.abs(sup - sup_parent) <= eps4 * sup_parent).all()
+    assert got == pytest.approx(vbeta_oracle.vbeta_norm_parent(ens, y, z, w), rel=eps4, abs=0)
+
+
 @pytest.mark.parametrize("killed, horizon, beta, scale", [
     (False, 1.0, 1.0, 1.0),
     (True, 0.05, 1.0, 1.0),    # short: most paths are still alive at the end
@@ -706,15 +731,71 @@ def test_vbeta_equals_path_major_oracle(kernels, graphs, killed, horizon, beta, 
     rng = np.random.default_rng(4)
     y, z = scale * rng.standard_normal((2, ens.n_steps + 1, g.n_vertices))
     y[-1] = 0.0  # as in a Picard difference: the sup then reads the running sums
-    got = vbeta_norm(ens, y, z, w)
-    assert math.isfinite(got)
-    assert got == vbeta_oracle.vbeta_norm(ens, y, z, w)
-    # one path at a time, so that a last-bit change in one path's sup is not
-    # averaged away by the mean over paths
-    for i in range(ens.n_paths):
-        one = dataclasses.replace(ens, vertices=ens.vertices[i:i + 1], dW=ens.dW[i:i + 1],
-                                  dqv=ens.dqv[i:i + 1], hit_step=ens.hit_step[i:i + 1])
-        assert vbeta_norm(one, y, z, w) == vbeta_oracle.vbeta_norm(one, y, z, w)
+    _assert_equals_oracles(ens, y, z, w)
+
+
+@pytest.mark.parametrize("beta", (1.0, 36.0))
+def test_vbeta_killed_corner_start_equals_oracles(kernels, graphs, beta):
+    # a killed walk from corner 0: its first step from the corner is live,
+    # and a path that comes back stops there, so corner 0 is read both at
+    # its rate and, through the stopped columns, at rate 0
+    g, k = graphs(3), kernels(3)
+    ens = simulate_paths(WalkConfig(level=3, horizon=0.2, path_count=80, seed=31,
+                                    killed=True, start=0), k, g)
+    assert (ens.vertices[:, 0] == 0).all() and (ens.dqv[:, 0] == k.dqv[0]).all()
+    stopped = ens.hit_step >= 0
+    back = stopped.copy()
+    back[stopped] = ens.vertices[stopped, ens.hit_step[stopped]] == 0
+    assert back.any() and (ens.hit_step[back] < ens.n_steps).any()
+    rng = np.random.default_rng(4)
+    y, z = rng.standard_normal((2, ens.n_steps + 1, g.n_vertices))
+    y[-1] = 0.0
+    _assert_equals_oracles(ens, y, z, BetaWeights(beta, beta))
+
+
+def _edited(ens, name, index, value):
+    """ens with a copy of one of its arrays, a[index] = value."""
+    a = np.array(getattr(ens, name))
+    a[index] = value
+    return dataclasses.replace(ens, **{name: a})
+
+
+def test_vbeta_rejects_an_inconsistent_ensemble(kernels, graphs):
+    # the norm reads one clock rate per vertex; an ensemble whose dqv is not
+    # that rate on live steps and 0 on stopped ones, or whose vertices are not
+    # the level's (on V_0 once stopped), is a UsageError before any path part
+    # is kept
+    g, k = graphs(2), kernels(2)
+    ens = simulate_paths(WalkConfig(level=2, horizon=0.3, path_count=40, seed=2,
+                                    killed=True), k, g)
+    # a path with live steps before its hit and stopped steps after it
+    i = int(np.flatnonzero((ens.hit_step > 2) & (ens.hit_step < ens.n_steps - 1))[0])
+    hit = int(ens.hit_step[i])
+    rate = ens.dqv[i, 1]
+    steps = np.arange(ens.n_steps)
+    stopped = (ens.hit_step[:, None] >= 0) & (steps >= ens.hit_step[:, None])
+    assert stopped.any() and (ens.dqv[stopped] == 0).all()
+    rates, v0, ids = "one finite rate >= 0 per vertex", "stopped steps must sit on V_0", "vertex ids"
+    bad = {
+        "live dqv off its vertex rate": (_edited(ens, "dqv", (i, 1), rate * (1 + 2**-52)), rates),
+        "live dqv nan": (_edited(ens, "dqv", (i, 0), np.nan), rates),
+        "negative rates": (dataclasses.replace(ens, dqv=-ens.dqv), rates),
+        # one rate on every stopped step: consistent, but not 0
+        "stopped dqv not 0": (_edited(ens, "dqv", stopped, 1e-3), rates),
+        "stopped off V_0": (_edited(ens, "vertices", (i, hit + 1), 5), v0),
+        "vertex past the level": (_edited(ens, "vertices", (0, 0), g.n_vertices), ids),
+        "negative vertex": (_edited(ens, "vertices", (0, 0), -1), ids),
+    }
+    y = np.ones((ens.n_steps + 1, g.n_vertices))
+    assert math.isfinite(vbeta_norm(ens, y, y, BetaWeights(1, 1)))
+    for case, (other, message) in bad.items():
+        with pytest.raises(UsageError, match=message):
+            vbeta_norm(other, y, y, BetaWeights(1, 1))
+        assert other._norm_parts == {}, case
+    # reflected: no step is stopped, so a dqv of 0 anywhere is off its rate
+    refl = simulate_paths(WalkConfig(level=2, horizon=0.3, path_count=10, seed=2), k, g)
+    with pytest.raises(UsageError, match=rates):
+        vbeta_norm(_edited(refl, "dqv", (3, refl.n_steps - 1), 0.0), y, y, BetaWeights(1, 1))
 
 
 @pytest.mark.parametrize("action", ("error", "ignore"))
@@ -748,21 +829,23 @@ def test_vbeta_rejects_a_field_of_another_level(kernels, graphs):
 
 @pytest.mark.parametrize("rows", (1, 7, 64, 375))
 def test_vbeta_blocks_equal_path_major_oracle(kernels, graphs, monkeypatch, rows):
-    # the norm's row blocks carry both running sums across block edges: one
-    # row per block, a partial last block (375 = 53 * 7 + 4) and a single
-    # block all give the oracle's bytes, path by path
+    # the norm's row blocks carry the running sum across block edges, and the
+    # path part is checked in the same blocks: one row per block, a partial
+    # last block (375 = 53 * 7 + 4) and a single block all give the oracle's
+    # bytes, path by path
     g, k = graphs(3), kernels(3)
     ens = simulate_paths(WalkConfig(level=3, horizon=1.0, path_count=12, seed=5), k, g)
     w = BetaWeights(1.0, 1.0)  # small weights: each sup reads sums over many blocks
     rng = np.random.default_rng(6)
     y, z = rng.standard_normal((2, ens.n_steps + 1, g.n_vertices))
     y[-1] = 0.0
-    monkeypatch.setattr(bsde, "_NORM_BLOCK_BYTES", 24 * rows)  # rows rows for one path
+    monkeypatch.setattr(bsde, "_NORM_BLOCK_BYTES", 16 * rows)  # rows rows for one path
+    assert bsde._norm_rows(ens.n_steps, 1) == rows
     for i in range(ens.n_paths):
-        one = dataclasses.replace(ens, vertices=ens.vertices[i:i + 1], dW=ens.dW[i:i + 1],
-                                  dqv=ens.dqv[i:i + 1], hit_step=ens.hit_step[i:i + 1])
+        one = _one_path(ens, i)
         assert vbeta_norm(one, y, z, w) == vbeta_oracle.vbeta_norm(one, y, z, w)
-    monkeypatch.setattr(bsde, "_NORM_BLOCK_BYTES", 24 * ens.n_paths * rows)
+    monkeypatch.setattr(bsde, "_NORM_BLOCK_BYTES", 16 * ens.n_paths * rows)
+    assert bsde._norm_rows(ens.n_steps, ens.n_paths) == rows
     assert vbeta_norm(ens, y, z, w) == vbeta_oracle.vbeta_norm(ens, y, z, w)
 
 

@@ -31,6 +31,7 @@ from gasketlab.gasket import vertex_by_coord
 from gasketlab.harmonic import CellGradientTables, corner_harmonics
 from gasketlab.measures import hausdorff_measure
 from gasketlab.walk import (
+    clock_cumsum,
     ensemble_qv_snapshots,
     exact_exit_steps,
     kernel_moment_defects,
@@ -471,6 +472,21 @@ def test_path_ensemble_is_read_only(kernels, graphs):
     other = dataclasses.replace(ens, dqv=mine)
     assert mine.flags.writeable and not other.dqv.flags.writeable
     assert same_bytes(other.cum_qv, np.zeros_like(mine))
+
+
+@pytest.mark.parametrize("killed", (False, True))
+def test_clock_cumsum_along_time_rows_equals_along_path_rows(kernels, graphs, killed):
+    # the time-major sum (axis 0, added row to row) and the path-major one
+    # (numpy's cumsum along axis 1) give the same bytes, one path included
+    k, g = kernels(3), graphs(3)
+    ens = simulate_paths(WalkConfig(level=3, horizon=0.3, path_count=50, seed=4,
+                                    killed=killed), k, g)
+    for dqv in (ens.dqv, ens.dqv[:1]):
+        time_major = clock_cumsum(dqv.T, 3, axis=0)
+        assert same_bytes(time_major, np.ascontiguousarray(clock_cumsum(dqv, 3, axis=1).T))
+        out = np.full((dqv.shape[1] + 1, dqv.shape[0]), np.nan)
+        assert clock_cumsum(dqv.T, 3, axis=0, out=out[1:]).base is out
+        assert same_bytes(out[1:], time_major) and np.isnan(out[0]).all()
 
 
 def test_lone_block_result_returned_uncopied(kernels, graphs, monkeypatch):
@@ -946,6 +962,15 @@ def test_coordinate_that_is_not_rational_rejected(kernels, graphs, coord):
     with pytest.raises(UsageError, match="not a finite rational"):
         simulate_paths(cfg, k)
     assert vertex_by_coord(g, (0.75, 0.25)) == g.index_by_coord[MIDPOINT_OPP_P1]
+
+
+@pytest.mark.parametrize("coord", [(0,), (0, 0, 5), (), 5, None])
+def test_coordinate_that_is_not_a_pair_rejected(graphs, coord):
+    # (0,) used to raise a bare IndexError and (0, 0, 5) to return vertex 0
+    g = graphs(2)
+    with pytest.raises(UsageError, match="a coordinate is a pair"):
+        vertex_by_coord(g, coord)
+    assert vertex_by_coord(g, (0, 0)) == 0
 
 
 def test_layer_at():

@@ -1,10 +1,11 @@
 """Reference V^beta norm and Picard loop: the bodies the package replaced.
 
 The norm rebuilds the path weights on every call and evaluates on (N, K+1)
-arrays with a two-array gather. The Picard loop calls the drivers once per
-layer, with a scalar t, and forms Z layer by layer. The DP layers run on the
-same sweep, with separate P and Q products per layer. The package evaluates the
-norm time-major, in cache-sized blocks, against weights built once per
+arrays with a two-array gather and each step's own dqv. The Picard loop
+calls the drivers once per layer, with a scalar t, and forms Z layer by
+layer. The DP layers run on the same sweep, with separate P and Q products
+per layer. The package evaluates the norm time-major, in cache-sized blocks,
+on a per-(layer, vertex) weight field and against weights built once per
 ensemble, and calls the drivers once per sweep, keeping every operand order,
 so the tests can require `==` between the two.
 """
@@ -16,28 +17,61 @@ import numpy as np
 from gasketlab.bsde import _pinned_terminal
 
 
-def vbeta_norm(paths, y_field, z_field, weights):
+def _path_fields(paths, y_field, z_field, weights):
+    """(ew, shift, yv, zv), path-major (N, K+1): the weights and the fields
+    read along each path."""
     K = paths.n_steps
-    dt = paths.dt
-    tgrid = np.arange(K + 1) * dt
+    tgrid = np.arange(K + 1) * paths.dt
     qv = np.concatenate([np.zeros((paths.n_paths, 1)), paths.cum_qv], axis=1)
     expo = 2 * weights.b0 * tgrid[None, :] + 2 * weights.b1 * qv  # (N, K+1)
     shift = max(0.0, float(expo.max()) - 600.0)
     ew = np.exp(expo - shift)
-
     yv = y_field[np.arange(K + 1)[None, :], paths.vertices]
     zv = z_field[np.arange(K + 1)[None, :], paths.vertices]
+    return ew, shift, yv, zv
 
-    dqv_step = paths.dqv
+
+def _suffix_sum(x):
+    """S[:, k] = sum_{r>=k} x[:, r], added from the last column."""
+    return np.cumsum(x[:, ::-1], axis=1)[:, ::-1]
+
+
+def vbeta_sups(paths, y_field, z_field, weights):
+    """(sup, shift): each path's sup_k [e_k y_k^2 + S_k] with
+    S_k = S_{k+1} + e_k (y_k^2 dt + (y_k^2 + z_k^2) dqv_k), e_k shifted."""
+    ew, shift, yv, zv = _path_fields(paths, y_field, z_field, weights)
+    y2 = yv * yv
+    w = y2[:, :-1] * paths.dt + (y2[:, :-1] + zv[:, :-1] ** 2) * paths.dqv
+    run = np.zeros_like(yv)
+    run[:, :-1] = _suffix_sum(ew[:, :-1] * w)
+    total = ew * y2 + run
+    return total.max(axis=1), shift
+
+
+def vbeta_sups_parent(paths, y_field, z_field, weights):
+    """vbeta_sups in the form before the weight field: two running sums, one
+    of y^2 e dt and one of (y^2 + z^2) e dqv, each grouped its own way."""
+    ew, shift, yv, zv = _path_fields(paths, y_field, z_field, weights)
     y2e = yv * yv * ew
     run_dr = np.zeros_like(yv)
     run_dqv = np.zeros_like(yv)
-    run_dr[:, :-1] = np.cumsum((y2e[:, :-1] * dt)[:, ::-1], axis=1)[:, ::-1]
-    zi = (yv[:, :-1] ** 2 + zv[:, :-1] ** 2) * ew[:, :-1] * dqv_step
-    run_dqv[:, :-1] = np.cumsum(zi[:, ::-1], axis=1)[:, ::-1]
+    run_dr[:, :-1] = _suffix_sum(y2e[:, :-1] * paths.dt)
+    zi = (yv[:, :-1] ** 2 + zv[:, :-1] ** 2) * ew[:, :-1] * paths.dqv
+    run_dqv[:, :-1] = _suffix_sum(zi)
     total = y2e + run_dr + run_dqv
-    sup = total.max(axis=1)
+    return total.max(axis=1), shift
+
+
+def _mean_norm(sup, shift):
     return math.sqrt(float(sup.mean()) * math.exp(shift))
+
+
+def vbeta_norm(paths, y_field, z_field, weights):
+    return _mean_norm(*vbeta_sups(paths, y_field, z_field, weights))
+
+
+def vbeta_norm_parent(paths, y_field, z_field, weights):
+    return _mean_norm(*vbeta_sups_parent(paths, y_field, z_field, weights))
 
 
 def _sweep(problem, kernel, terminal, layer):
