@@ -416,7 +416,9 @@ def _norm_rows(K: int, N: int) -> int:
 
 def _path_columns(paths: PathEnsemble):
     """(index, q) of the V^beta norm's path part (see _path_part), built and
-    checked in row blocks, with no temporary of a whole (K, N) array."""
+    checked in row blocks, with no temporary of a whole (K, N) array: q
+    takes each column's rate from the first block that steps from it, and
+    every step is checked against it."""
     K, N = paths.n_steps, paths.n_paths
     V = vertex_count(paths.config.level)
     vertices, dqv = paths.vertices.T, paths.dqv.T
@@ -435,25 +437,21 @@ def _path_columns(paths: PathEnsemble):
         steps = np.arange(lo, hi)[:, None]
         # the columns, in index's rows until the row offsets join them: np.take
         # would copy a read-only index such as paths.vertices
-        col = index[lo:hi]
+        col, rate = index[lo:hi], dqv[lo:hi]
         if stop is None:
             col[...] = vertices[lo:hi]
-        else:
+        else:  # stopped steps move to the last three columns
             np.multiply(steps >= stop, V, out=col)
             col += vertices[lo:hi]
             if col.max() >= V + 3:
                 raise UsageError("a killed path's stopped steps must sit on V_0")
         # col is in range, checked above
         seen = np.take(q, col, out=seen_buf[:hi - lo], mode="wrap")
-        if (seen != dqv[lo:hi]).any():  # a column first seen here, or a step off its rate
-            for c, d in zip(col, dqv[lo:hi]):  # row by row, so q learns as it goes
-                off = q[c] != d
-                c, d = c[off], d[off]
-                if not np.isnan(q[c]).all():
-                    raise UsageError(_BAD_RATES)
-                q[c] = d
-                if not (q[c] == d).all():
-                    raise UsageError(_BAD_RATES)
+        if (seen != rate).any():  # a column first seen here, or a step off its rate
+            new = np.isnan(seen)
+            q[col[new]] = rate[new]
+            if (q[col] != rate).any():
+                raise UsageError(_BAD_RATES)
         col += steps * (V + 3)
     index[K] = K * (V + 3) + vertices[K]
     q[np.isnan(q)] = 0.0
@@ -486,10 +484,10 @@ def _path_part(paths: PathEnsemble, weights: BetaWeights):
         K, N = paths.n_steps, paths.n_paths
         e = np.empty((K + 1, N))
         e[0] = 0.0
-        walk.clock_cumsum(paths.dqv.T, paths.config.level, axis=0, out=e[1:])  # <W>_k
+        walk.clock_cumsum(paths.dqv.T, paths.config.level, out=e[1:])  # <W>_k
         e *= 2 * weights.b1
         t = 2 * weights.b0 * (np.arange(K + 1) * paths.dt)
-        for row, t_k in zip(e, t):  # a broadcast add would buffer a block
+        for row, t_k in zip(e, t):  # a broadcast add would buffer 64 KB at the build's peak
             row += t_k
         # e never falls along a path, so row K holds the max
         shift = max(0.0, float(e[K].max()) - 600.0)

@@ -80,23 +80,21 @@ def clock_units(dqv: np.ndarray, level: int) -> np.ndarray:
     return np.rint(q, out=q).astype(np.int64)
 
 
-def clock_cumsum(dqv: np.ndarray, level: int, axis: int, out=None) -> np.ndarray:
-    """<W> after each step of per-step rates dqv, summed along axis in exact
-    integer units and divided by D once: bit for bit what _run_blocks streams.
+def clock_cumsum(dqv: np.ndarray, level: int, out=None) -> np.ndarray:
+    """<W> after each step of time-major per-step rates dqv (K, N), summed
+    along the time axis in exact integer units and divided by D once: bit
+    for bit what _run_blocks streams.
 
     The units are summed as integer-valued float64, exact below 2^53, so
-    out (dqv's shape, float64) is the only array written. A 2-D sum along
-    axis 0 adds row to row: numpy accumulates a leading axis one column at a
-    time, in the same order but a few times slower.
+    out (dqv's shape, float64) is the only array written. The sum adds row
+    to row: numpy's cumsum along a leading axis goes one column at a time,
+    in the same order but a few times slower.
     """
     units = clock_denominator(level)
     out = np.multiply(dqv, units, out=out)
     np.rint(out, out=out)
-    if axis == 0 and out.ndim == 2:
-        for prev, row in zip(out, out[1:]):
-            row += prev
-    else:
-        np.cumsum(out, axis=axis, out=out)
+    for prev, row in zip(out, out[1:]):
+        row += prev
     out /= units
     return out
 
@@ -577,7 +575,7 @@ class PathEnsemble:
 
     @property
     def cum_qv(self) -> np.ndarray:
-        return clock_cumsum(self.dqv, self.config.level, axis=1)
+        return clock_cumsum(self.dqv.T, self.config.level).T
 
     @property
     def n_paths(self) -> int:

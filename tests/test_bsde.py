@@ -874,7 +874,7 @@ def test_vbeta_norm_closure_keeps_no_state(kernels, graphs):
 def test_vbeta_path_part_built_once_per_ensemble(kernels, graphs, monkeypatch):
     # criterion 08's pattern, two picard_iterate calls and one vbeta_norm on
     # one ensemble and weights, builds the path part once (counted through
-    # walk.clock_cumsum along the time axis, which sums its <W>); the cache
+    # walk.clock_cumsum, which sums its <W>); the cache
     # keeps the latest weights only, and a dataclasses.replace'd ensemble
     # starts empty
     g, k = graphs(2), kernels(2)
@@ -887,9 +887,9 @@ def test_vbeta_path_part_built_once_per_ensemble(kernels, graphs, monkeypatch):
     builds = []
     cumsum = walk.clock_cumsum
 
-    def counted(dqv, level, axis, out=None):
-        builds.append(axis)
-        return cumsum(dqv, level, axis, out=out)
+    def counted(dqv, level, out=None):
+        builds.append(0)
+        return cumsum(dqv, level, out=out)
 
     monkeypatch.setattr(walk, "clock_cumsum", counted)
     runs = [picard_iterate(p, k, 6, ens, w, g, initial=init) for init in (None, seed_field)]

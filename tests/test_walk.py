@@ -475,18 +475,21 @@ def test_path_ensemble_is_read_only(kernels, graphs):
 
 
 @pytest.mark.parametrize("killed", (False, True))
-def test_clock_cumsum_along_time_rows_equals_along_path_rows(kernels, graphs, killed):
-    # the time-major sum (axis 0, added row to row) and the path-major one
-    # (numpy's cumsum along axis 1) give the same bytes, one path included
+def test_clock_cumsum_equals_integer_cumsum(kernels, graphs, killed):
+    # the row-to-row sum along the time axis gives the bytes of numpy's
+    # cumsum of the integer units along that axis, divided by D once, one
+    # path included; cum_qv is its transpose, and out is written in place
     k, g = kernels(3), graphs(3)
     ens = simulate_paths(WalkConfig(level=3, horizon=0.3, path_count=50, seed=4,
                                     killed=killed), k, g)
     for dqv in (ens.dqv, ens.dqv[:1]):
-        time_major = clock_cumsum(dqv.T, 3, axis=0)
-        assert same_bytes(time_major, np.ascontiguousarray(clock_cumsum(dqv, 3, axis=1).T))
+        time_major = clock_cumsum(dqv.T, 3)
+        units = np.cumsum(walk.clock_units(dqv.T, 3), axis=0).astype(float)
+        assert same_bytes(time_major, units / walk.clock_denominator(3))
         out = np.full((dqv.shape[1] + 1, dqv.shape[0]), np.nan)
-        assert clock_cumsum(dqv.T, 3, axis=0, out=out[1:]).base is out
+        assert clock_cumsum(dqv.T, 3, out=out[1:]).base is out
         assert same_bytes(out[1:], time_major) and np.isnan(out[0]).all()
+    assert same_bytes(ens.cum_qv, np.ascontiguousarray(clock_cumsum(ens.dqv.T, 3).T))
 
 
 def test_lone_block_result_returned_uncopied(kernels, graphs, monkeypatch):
