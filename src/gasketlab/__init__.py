@@ -21,14 +21,12 @@ from .bsde import (
     BsdeSolution,
     contraction_constant,
     linear_closed_form,
-    monotonicity_check,
     picard_iterate,
     solve_dp,
     vbeta_norm,
 )
 from .errors import (
     CapacityError,
-    DeclaredConstantError,
     GasketLabError,
     NumericOverflowError,
     SchemeError,

@@ -32,8 +32,7 @@ from numpy.random import Generator, Philox
 from scipy.sparse._sparsetools import csr_matvec
 
 from . import walk
-from .errors import DeclaredConstantError, NumericOverflowError, SchemeError, UsageError
-from .gasket import vertex_count
+from .errors import NumericOverflowError, SchemeError, UsageError
 from .walk import (PathEnsemble, StepKernel, WalkConfig, _run_blocks, field_layers,
                    heavy_tailed, layer_count)
 
@@ -44,8 +43,9 @@ class BetaWeights:
     b1: float
 
     def __post_init__(self):
-        if self.b0 < 1 or self.b1 < 1:
-            raise UsageError("beta weights must both be >= 1")
+        if not all(math.isfinite(b) and b >= 1 for b in (self.b0, self.b1)):
+            raise UsageError(f"beta weights must both be finite and >= 1, "
+                             f"got {self.b0} and {self.b1}")
 
 
 def contraction_constant(k0: float, k1: float, w: BetaWeights) -> float:
@@ -73,8 +73,6 @@ class BsdeProblem:
     k1: float = 0.0
     duration: str = "deterministic"
     boundary_phi: object = None
-    kappa0: float | None = None
-    kappa1: float | None = None
 
     def __post_init__(self):
         if self.k0 < 0 or self.k1 < 0:
@@ -83,12 +81,6 @@ class BsdeProblem:
             raise UsageError("duration must be 'deterministic' or 'killed'")
         if self.duration == "killed" and self.boundary_phi is None:
             object.__setattr__(self, "boundary_phi", lambda t: np.zeros(3))
-
-    def check_beta_margins(self, w: BetaWeights) -> None:
-        if self.kappa0 is None or self.kappa1 is None:
-            return
-        if not (w.b0 - self.kappa0 > 0 and w.b1 - self.kappa1 + self.k1**2 / 2 > 0):
-            raise UsageError("declared kappas violate the beta margin conditions")
 
 
 @dataclass
@@ -401,64 +393,13 @@ def picard_iterate(problem: BsdeProblem, kernel: StepKernel, n_iters: int,
     return {"distances": distances, "ratios": ratios, "final": (Y, Z)}
 
 
-# the V^beta norm's two block buffers, together: L2-sized; its path part is
-# built and checked in blocks of the same rows
+# the V^beta norm's two block buffers, together: L2-sized
 _NORM_BLOCK_BYTES = 2**19
 
 
-_BAD_RATES = "paths.dqv must be one finite rate >= 0 per vertex on live steps, and 0 on stopped ones"
-
-
 def _norm_rows(K: int, N: int) -> int:
-    """Rows per block of the V^beta norm and of its path part's build."""
+    """Rows per block of the V^beta norm."""
     return max(1, min(K, _NORM_BLOCK_BYTES // (16 * N)))
-
-
-def _path_columns(paths: PathEnsemble):
-    """(index, q) of the V^beta norm's path part (see _path_part), built and
-    checked in row blocks, with no temporary of a whole (K, N) array: q
-    takes each column's rate from the first block that steps from it, and
-    every step is checked against it."""
-    K, N = paths.n_steps, paths.n_paths
-    V = vertex_count(paths.config.level)
-    vertices, dqv = paths.vertices.T, paths.dqv.T
-    # one unsigned max also catches negative ids
-    if vertices.astype(np.int64, copy=False).view(np.uint64).max() >= V:
-        raise UsageError(f"path vertices must be vertex ids 0..{V - 1} of level {paths.config.level}")
-    # a killed path's steps from its hit step on are stopped
-    stop = np.where(paths.hit_step >= 0, paths.hit_step, K) if paths.config.killed else None
-    q = np.full(V + 3, np.nan)  # NaN: no step from the column seen yet
-    q[V:] = 0.0
-    index = np.empty((K + 1, N), dtype=np.int64)
-    rows = _norm_rows(K, N)
-    seen_buf = np.empty((rows, N))
-    for lo in range(0, K, rows):
-        hi = min(K, lo + rows)
-        steps = np.arange(lo, hi)[:, None]
-        # the columns, in index's rows until the row offsets join them: np.take
-        # would copy a read-only index such as paths.vertices
-        col, rate = index[lo:hi], dqv[lo:hi]
-        if stop is None:
-            col[...] = vertices[lo:hi]
-        else:  # stopped steps move to the last three columns
-            np.multiply(steps >= stop, V, out=col)
-            col += vertices[lo:hi]
-            if col.max() >= V + 3:
-                raise UsageError("a killed path's stopped steps must sit on V_0")
-        # col is in range, checked above
-        seen = np.take(q, col, out=seen_buf[:hi - lo], mode="wrap")
-        if (seen != rate).any():  # a column first seen here, or a step off its rate
-            new = np.isnan(seen)
-            q[col[new]] = rate[new]
-            if (q[col] != rate).any():
-                raise UsageError(_BAD_RATES)
-        col += steps * (V + 3)
-    index[K] = K * (V + 3) + vertices[K]
-    q[np.isnan(q)] = 0.0
-    if not (np.isfinite(q) & (q >= 0)).all():
-        raise UsageError(_BAD_RATES)
-    q.flags.writeable = False
-    return index, q
 
 
 def _path_part(paths: PathEnsemble, weights: BetaWeights):
@@ -467,24 +408,34 @@ def _path_part(paths: PathEnsemble, weights: BetaWeights):
     Time-major, row k is time t_k: e (K+1, N) is
     exp(2 b0 t_k + 2 b1 <W>_k - shift), and index (K+1, N) the flat index
     k*(V+3) + c of each path in a field of V+3 columns, where c is the
-    path's vertex, or V plus its V_0 corner on a killed path's stopped steps
-    (k >= hit_step). q (V+3,) is the clock rate of a step from each column,
-    read off paths.dqv: 0 on the three stopped columns and on columns no
-    step visits. UsageError unless every vertex is one of the level's, each
-    stopped one on V_0, and every step's dqv is its column's q, finite and
-    >= 0, so that e never falls along a path.
+    path's vertex, or V plus its V_0 corner on a stopped step (its code is
+    walk.STOPPED). q (V+3,) is the kernel's clock rate dqv of a step from
+    each column, 0 on the three stopped columns. The ensemble's constructor
+    checked its vertices and codes, so index is in range, and the rates are
+    >= 0, so e never falls along a path.
 
-    Built from the ensemble's time-major storage, with no copy of it, once
-    per ensemble for the latest weights: paths._norm_parts keeps that one
-    entry. Closures only read it.
+    Built from the ensemble's time-major storage once per ensemble for the
+    latest weights: paths._norm_parts keeps that one entry. Closures only
+    read it.
     """
     cache = paths._norm_parts
     if weights not in cache:
-        index, q = _path_columns(paths)
         K, N = paths.n_steps, paths.n_paths
+        V = paths.kernel.n_vertices
+        vertices = paths.vertices.T
+        q = np.append(paths.kernel.dqv, np.zeros(3))
+        q.flags.writeable = False
+        index = np.empty((K + 1, N), dtype=np.int64)
+        col = np.multiply(paths.codes.T == walk.STOPPED, V, out=index[:K])
+        col += vertices[:K]
         e = np.empty((K + 1, N))
         e[0] = 0.0
-        walk.clock_cumsum(paths.dqv.T, paths.config.level, out=e[1:])  # <W>_k
+        # each step's rate, then <W>_k in place; col is in range, and "wrap"
+        # spares an out= take its buffered copy
+        rate = np.take(q, col, out=e[1:], mode="wrap")
+        walk.clock_cumsum(rate, paths.config.level, out=rate)
+        col += np.arange(K)[:, None] * (V + 3)
+        index[K] = K * (V + 3) + vertices[K]
         e *= 2 * weights.b1
         t = 2 * weights.b0 * (np.arange(K + 1) * paths.dt)
         for row, t_k in zip(e, t):  # a broadcast add would buffer 64 KB at the build's peak
@@ -515,7 +466,7 @@ def _vbeta_norm_on(paths: PathEnsemble, weights: BetaWeights):
     read, but one closure must not be shared between threads.
     """
     K, N = paths.n_steps, paths.n_paths
-    V = vertex_count(paths.config.level)
+    V = paths.kernel.n_vertices
     shape = (K + 1, V)
     e, shift, index, q = _path_part(paths, weights)
     # index is in range by construction, so norm takes with mode="wrap", which
@@ -578,16 +529,15 @@ def vbeta_norm(paths: PathEnsemble, y_field: np.ndarray, z_field: np.ndarray,
     domain when they would overflow. Both fields must have shape (K+1, V)
     for the ensemble's K steps and the V vertices of its level.
 
-    The path-only part (e_k, the gather index and the clock rate of each
-    vertex, see _path_part) is built once per ensemble and cached on it for
-    the latest weights, so picard_iterate calls and vbeta_norm calls on one
-    ensemble share it; UsageError when the ensemble's dqv is not one rate
-    per vertex on live steps and 0 on stopped ones. Each call folds dt and
-    the rates into one (K, V+3) weight field and builds its own work
-    buffers; picard_iterate reuses them for every sweep. The path sums run
-    time-major in cache-sized row blocks, with every sum in the order of the
-    whole-array form. It runs with numpy's floating-point warnings off;
-    NumericOverflowError when the norm is not finite.
+    The path-only part (e_k, the gather index and the kernel's clock rate
+    of each vertex, see _path_part) is built once per ensemble and cached on
+    it for the latest weights, so picard_iterate calls and vbeta_norm calls
+    on one ensemble share it. Each call folds dt and the rates into one
+    (K, V+3) weight field and builds its own work buffers; picard_iterate
+    reuses them for every sweep. The path sums run time-major in cache-sized
+    row blocks, with every sum in the order of the whole-array form. It runs
+    with numpy's floating-point warnings off; NumericOverflowError when the
+    norm is not finite.
     """
     with np.errstate(**_QUIET):
         value = _vbeta_norm_on(paths, weights)(y_field, z_field)
@@ -705,40 +655,3 @@ def _mc_moments(log_w: np.ndarray, value: np.ndarray) -> tuple[float, float, boo
                 return *moments, heavy_tailed(samples)
     raise NumericOverflowError("the Monte Carlo estimate or its standard error is not "
                                "finite: the step weights' product left the floating-point range")
-
-
-# --- monotonicity spot checks --------------------------------------------------
-
-def monotonicity_check(problem: BsdeProblem, weights: BetaWeights | None = None,
-                       samples: int = 512, seed: int = 0) -> dict:
-    """Sampled one-sided monotonicity conditions for the declared kappas.
-
-    Checks (y-yb)(g(y)-g(yb)) <= -kappa0 |y-yb|^2 and the analogue for f in
-    y, plus the beta margin inequalities when weights are supplied. Raises
-    DeclaredConstantError on violation.
-    """
-    if problem.kappa0 is None or problem.kappa1 is None:
-        raise UsageError("monotonicity check requires declared kappa constants")
-    rng = Generator(Philox(key=[seed, 77]))
-    t = rng.random(samples) * problem.horizon
-    x = rng.integers(0, 3, size=samples)
-    y, yb = rng.standard_normal((2, samples)) * 3.0
-    z = rng.standard_normal(samples) * 3.0
-
-    dy = y - yb
-    lhs_g = dy * (problem.g(t, x, y) - problem.g(t, x, yb))
-    margin_g = float((-problem.kappa0 * dy * dy - lhs_g).min())
-    lhs_f = dy * (problem.f(t, x, y, z) - problem.f(t, x, yb, z))
-    margin_f = float((-problem.kappa1 * dy * dy - lhs_f).min())
-
-    report = {"worst_margin_g": margin_g, "worst_margin_f": margin_f}
-    tol = -1e-9
-    if margin_g < tol or margin_f < tol:
-        raise DeclaredConstantError(
-            "sampled monotonicity conditions contradict the declared kappas",
-            report,
-        )
-    if weights is not None:
-        problem.check_beta_margins(weights)
-        report["beta_margins_ok"] = True
-    return report

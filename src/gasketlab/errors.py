@@ -20,6 +20,3 @@ class NumericOverflowError(GasketLabError, OverflowError):
 class SchemeError(GasketLabError, RuntimeError):
     """A numerical scheme failed to converge; carries diagnostics in args."""
 
-
-class DeclaredConstantError(GasketLabError, ValueError):
-    """A declared Lipschitz/monotonicity constant is contradicted by samples."""

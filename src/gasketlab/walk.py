@@ -26,15 +26,15 @@ path once it reaches V_0, which it reads off the block-end vertex, and ends
 once no path is live; a reflected walk ends at its last requested layer.
 Every ensemble, recorded paths and bsde's weighted linear MC included, runs
 through _run_blocks, which sums a per-slot clock along each path (<W> in
-exact integer units, the MC's log step weights, or slot ids for recorded
-paths) while some requested layer still reads it, and returns one flat dict
-of per-path arrays, each stored time-major, one row per layer. Its
-four-step tables hold 256 codes per vertex, so walks run at levels up to 8
-(MAX_TABLE_BYTES); deeper ones raise CapacityError. Substep s of a table
-depends only on the vertex and the byte's low 2(s + 1) bits, so each is
-built on those prefixes and repeated over the rest. Starts drawn from mu
-are Generator.choice's, bit for bit, found from a bucket table in place of
-its binary search per path (_mu_starts).
+exact integer units, the MC's log step weights, or slots for the step
+codes of recorded paths) while some requested layer still reads it, and
+returns one flat dict of per-path arrays, each stored time-major, one row
+per layer. Its four-step tables hold 256 codes per vertex, so walks run at
+levels up to 8 (MAX_TABLE_BYTES); deeper ones raise CapacityError. Substep
+s of a table depends only on the vertex and the byte's low 2(s + 1) bits,
+so each is built on those prefixes and repeated over the rest. Starts
+drawn from mu are Generator.choice's, bit for bit, found from a bucket
+table in place of its binary search per path (_mu_starts).
 """
 
 from __future__ import annotations
@@ -270,8 +270,9 @@ class BlockTables:
     reflected mode); the loop reads it only for the paths that stop. Row
     r - 1 of clock is the clock summed over the first r substeps, so over
     the substeps before the hit and the hit itself in killed mode. With a
-    clock of slot ids plus one, the difference of rows s and s - 1 is the
-    slot taken at substep s plus one, or 0 (see simulate_paths).
+    clock of j - 4 on each slot 4x + j, the difference of rows s and s - 1
+    plus 4 is the slot j taken at substep s, or STOPPED (4) for none (see
+    simulate_paths).
     """
     pos: np.ndarray          # (4, 256V) intp
     hit: np.ndarray          # (256V,) uint8
@@ -542,40 +543,91 @@ def _run_blocks(cfg: WalkConfig, kernel: StepKernel, g: LevelGraph | None,
     return out
 
 
+STOPPED = 4  # the step code of a killed path's steps from its hit step on
+
+
 @dataclass(frozen=True)
 class PathEnsemble:
-    """Fully recorded trajectories (small ensembles only).
+    """Fully recorded trajectories (small ensembles only) on their kernel.
 
-    Row i of each array is path i. simulate_paths stores them time-major, so
-    vertices.T and dqv.T are C-contiguous (K+1, N) and (K, N) arrays, one row
-    per step, which the V^beta norm reads as they are. The ensemble is
-    frozen and its arrays read-only (views, so the arrays passed in keep
-    their flags): bsde caches the path part of the V^beta norm for the
-    latest BetaWeights in _norm_parts, and a write would leave it stale.
-    dataclasses.replace builds a new ensemble with an empty cache. The norm
-    reads the clock rate of each vertex off dqv once, when it builds that
-    part, so an ensemble built by hand must keep simulate_paths' layout:
-    dqv is one rate per vertex on live steps and 0 on a killed path's steps
-    from hit_step on, where the path sits on V_0.
+    Row i of each array is path i. vertices (N, K+1) holds the positions,
+    codes (N, K) one uint8 per step: the neighbour slot j in 0..3 of the
+    kernel row the step leaves, or STOPPED on a killed path's steps from
+    hit_step on. dW and dqv are gathered from the kernel's tables on each
+    read, 0 on stopped steps. simulate_paths stores the arrays time-major,
+    so vertices.T and codes.T are C-contiguous, one row per layer or step,
+    and dW, dqv and cum_qv keep that layout. The ensemble is frozen and its
+    arrays read-only (views, so the arrays passed in keep their flags): bsde
+    caches the path part of the V^beta norm for the latest BetaWeights in
+    _norm_parts, and a write would leave it stale. dataclasses.replace
+    builds a new ensemble with an empty cache.
+
+    UsageError unless the kernel is at the config's level, the shapes agree
+    with its n_steps, every vertex is one of the level's and every code a
+    slot or STOPPED, the codes are STOPPED exactly on a killed path's steps
+    from hit_step on (none in reflected mode), and those steps sit on V_0.
     """
 
     config: WalkConfig
-    vertices: np.ndarray   # (N, K+1)
-    dW: np.ndarray         # (N, K)
-    dqv: np.ndarray        # (N, K)
+    kernel: StepKernel
+    vertices: np.ndarray   # (N, K+1) vertex ids
+    codes: np.ndarray      # (N, K) uint8 slot of each step, or STOPPED
     hit_step: np.ndarray   # (N,) first arrival step at V_0, -1 if none
-    dt: float
     _norm_parts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("vertices", "dW", "dqv", "hit_step"):
-            view = getattr(self, name).view()
+        for name in ("vertices", "codes", "hit_step"):
+            view = np.asarray(getattr(self, name)).view()
             view.flags.writeable = False
             object.__setattr__(self, name, view)
+        level, n_vertices, K = self.config.level, self.kernel.n_vertices, self.config.n_steps
+        if self.kernel.level != level:
+            raise UsageError(f"paths at level {level} on a level-{self.kernel.level} kernel")
+        N = len(self.hit_step)
+        shapes = (self.vertices.shape, self.codes.shape, self.hit_step.shape)
+        if shapes != ((N, K + 1), (N, K), (N,)):
+            raise UsageError(f"vertices, codes and hit_step must have shapes (N, {K + 1}), "
+                             f"(N, {K}) and (N,) for the config's {K} steps")
+        # one unsigned comparison also catches negative ids
+        if (self.vertices.astype(np.int64, copy=False).view(np.uint64) >= n_vertices).any():
+            raise UsageError(f"path vertices must be vertex ids 0..{n_vertices - 1} "
+                             f"of level {level}")
+        if self.codes.dtype != np.uint8 or (self.codes > STOPPED).any():
+            raise UsageError(f"step codes must be uint8 slots 0..3 or STOPPED ({STOPPED})")
+        stopped = self.codes.T == STOPPED
+        stop = np.where(self.hit_step >= 0, self.hit_step, K) if self.config.killed else K
+        if (stopped != (np.arange(K)[:, None] >= stop)).any():
+            raise UsageError("step codes must be STOPPED exactly on a killed path's steps "
+                             "from its hit_step on")
+        if (stopped & (self.vertices.T[:K] >= 3)).any():
+            raise UsageError("a killed path's stopped steps must sit on V_0")
+
+    def _step_values(self, per_slot: np.ndarray) -> np.ndarray:
+        """per_slot (V, 4) read at each step's vertex and code, 0 on stopped
+        steps: a fresh read-only time-major array, returned as its (N, K)
+        transpose."""
+        table = np.append(per_slot, np.zeros((len(per_slot), 1)), axis=1).ravel()
+        flat = self.vertices.T[:-1] * (STOPPED + 1)
+        flat += self.codes.T
+        values = np.take(table, flat, mode="wrap")  # in range, checked on construction
+        values.flags.writeable = False
+        return values.T
+
+    @property
+    def dW(self) -> np.ndarray:
+        return self._step_values(self.kernel.dW)
+
+    @property
+    def dqv(self) -> np.ndarray:
+        return self._step_values(np.repeat(self.kernel.dqv[:, None], 4, axis=1))
 
     @property
     def cum_qv(self) -> np.ndarray:
         return clock_cumsum(self.dqv.T, self.config.level).T
+
+    @property
+    def dt(self) -> float:
+        return self.kernel.dt
 
     @property
     def n_paths(self) -> int:
@@ -583,7 +635,7 @@ class PathEnsemble:
 
     @property
     def n_steps(self) -> int:
-        return self.dW.shape[1]
+        return self.codes.shape[1]
 
 
 def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
@@ -591,11 +643,10 @@ def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
     """Simulate and record full trajectories; guarded by a memory cap.
 
     A recorded walk is a snapshot at every layer 0..K of a per-slot clock
-    of slot ids plus one: a stopped substep adds 0 (slot 4V), so the
-    difference of two consecutive layers is the slot of the step between
-    them plus one, or 0, and dW and dqv are read off it. Every array is
-    time-major, one row per layer or step, and the returned PathEnsemble
-    holds the transposes, read-only (see PathEnsemble).
+    of the slot j minus 4: a stopped substep adds 0 (slot 4V), so the
+    difference of two consecutive layers plus 4 is the step code, j or
+    STOPPED. Every array is time-major, one row per layer or step, and the
+    returned PathEnsemble holds the transposes, read-only (see PathEnsemble).
     """
     entries = cfg.path_count * (cfg.n_steps + 1)
     if entries > MAX_RECORDED_ENTRIES:
@@ -604,12 +655,14 @@ def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
             "use the streaming statistics instead"
         )
     r = _run_blocks(cfg, kernel, g, layers=range(cfg.n_steps + 1),
-                    clock=np.arange(1, 4 * kernel.n_vertices + 1))
-    steps = np.diff(r.pop("clock").T, axis=0)  # (K, N): slot + 1, or 0 once stopped
-    dW = np.take(np.append(0.0, kernel.dW.ravel()), steps)
-    dqv = np.take(np.append(0.0, np.repeat(kernel.dqv, 4)), steps)
-    return PathEnsemble(config=cfg, vertices=r["pos"], dW=dW.T, dqv=dqv.T,
-                        hit_step=r["hit_step"], dt=kernel.dt)
+                    clock=np.tile(np.arange(4) - STOPPED, kernel.n_vertices))
+    clock = r.pop("clock").T
+    # each step's slot minus 4, or 0 once stopped, modulo 256: plus 4, its code
+    codes = np.subtract(clock[1:], clock[:-1], out=np.empty(clock[1:].shape, np.uint8),
+                        casting="unsafe")
+    codes += STOPPED
+    return PathEnsemble(config=cfg, kernel=kernel, vertices=r["pos"], codes=codes.T,
+                        hit_step=r["hit_step"])
 
 
 def ensemble_qv_stats(cfg: WalkConfig, kernel: StepKernel,

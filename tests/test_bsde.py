@@ -14,14 +14,12 @@ from gasketlab import (
     BetaWeights,
     BsdeProblem,
     CapacityError,
-    DeclaredConstantError,
     NumericOverflowError,
     SchemeError,
     UsageError,
     WalkConfig,
     contraction_constant,
     harmonic_extend_to_level,
-    monotonicity_check,
     picard_iterate,
     simulate_paths,
     solve_dp,
@@ -690,8 +688,8 @@ def test_vbeta_monotone_in_beta(kernels, graphs):
 
 
 def _one_path(ens, i):
-    return dataclasses.replace(ens, vertices=ens.vertices[i:i + 1], dW=ens.dW[i:i + 1],
-                               dqv=ens.dqv[i:i + 1], hit_step=ens.hit_step[i:i + 1])
+    return dataclasses.replace(ens, vertices=ens.vertices[i:i + 1], codes=ens.codes[i:i + 1],
+                               hit_step=ens.hit_step[i:i + 1])
 
 
 def _assert_equals_oracles(ens, y, z, w):
@@ -760,42 +758,57 @@ def _edited(ens, name, index, value):
     return dataclasses.replace(ens, **{name: a})
 
 
-def test_vbeta_rejects_an_inconsistent_ensemble(kernels, graphs):
-    # the norm reads one clock rate per vertex; an ensemble whose dqv is not
-    # that rate on live steps and 0 on stopped ones, or whose vertices are not
-    # the level's (on V_0 once stopped), is a UsageError before any path part
-    # is kept
-    g, k = graphs(2), kernels(2)
+STOPPED = walk.STOPPED
+# each edit takes a killed level-2 ensemble (15 vertices), a path i with
+# live steps before its hit step h and stopped ones after it, and the kernels
+REJECTED_ENSEMBLES = {
+    "code past STOPPED": (
+        lambda ens, i, h, ks: _edited(ens, "codes", (i, 0), STOPPED + 1),
+        "step codes must be uint8"),
+    "codes not uint8": (
+        lambda ens, i, h, ks: dataclasses.replace(ens, codes=ens.codes.astype(int)),
+        "step codes must be uint8"),
+    "stopped code before hit_step": (
+        lambda ens, i, h, ks: _edited(ens, "codes", (i, h - 1), STOPPED),
+        "STOPPED exactly"),
+    "live code from hit_step on": (
+        lambda ens, i, h, ks: _edited(ens, "codes", (i, h + 1), 0),
+        "STOPPED exactly"),
+    "stopped code in reflected mode": (
+        lambda ens, i, h, ks: dataclasses.replace(
+            ens, config=dataclasses.replace(ens.config, killed=False)),
+        "STOPPED exactly"),
+    "stopped step off V_0": (
+        lambda ens, i, h, ks: _edited(ens, "vertices", (i, h + 1), 5),
+        "stopped steps must sit on V_0"),
+    "vertex past the level": (
+        lambda ens, i, h, ks: _edited(ens, "vertices", (0, 0), 15),
+        "vertex ids 0..14"),
+    "negative vertex": (
+        lambda ens, i, h, ks: _edited(ens, "vertices", (0, 0), -1),
+        "vertex ids 0..14"),
+    "kernel of another level": (
+        lambda ens, i, h, ks: dataclasses.replace(ens, kernel=ks(3)),
+        "on a level-3 kernel"),
+    "codes one step short": (
+        lambda ens, i, h, ks: dataclasses.replace(ens, codes=ens.codes[:, 1:]),
+        "must have shapes"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_ENSEMBLES)
+def test_path_ensemble_rejects_an_inconsistent_input(kernels, graphs, case):
+    # the V^beta norm reads each step's column and rate off the vertices and
+    # codes with unchecked gathers: the constructor rejects what would put
+    # them out of range or off the kernel's walk
     ens = simulate_paths(WalkConfig(level=2, horizon=0.3, path_count=40, seed=2,
-                                    killed=True), k, g)
-    # a path with live steps before its hit and stopped steps after it
+                                    killed=True), kernels(2), graphs(2))
     i = int(np.flatnonzero((ens.hit_step > 2) & (ens.hit_step < ens.n_steps - 1))[0])
-    hit = int(ens.hit_step[i])
-    rate = ens.dqv[i, 1]
-    steps = np.arange(ens.n_steps)
-    stopped = (ens.hit_step[:, None] >= 0) & (steps >= ens.hit_step[:, None])
-    assert stopped.any() and (ens.dqv[stopped] == 0).all()
-    rates, v0, ids = "one finite rate >= 0 per vertex", "stopped steps must sit on V_0", "vertex ids"
-    bad = {
-        "live dqv off its vertex rate": (_edited(ens, "dqv", (i, 1), rate * (1 + 2**-52)), rates),
-        "live dqv nan": (_edited(ens, "dqv", (i, 0), np.nan), rates),
-        "negative rates": (dataclasses.replace(ens, dqv=-ens.dqv), rates),
-        # one rate on every stopped step: consistent, but not 0
-        "stopped dqv not 0": (_edited(ens, "dqv", stopped, 1e-3), rates),
-        "stopped off V_0": (_edited(ens, "vertices", (i, hit + 1), 5), v0),
-        "vertex past the level": (_edited(ens, "vertices", (0, 0), g.n_vertices), ids),
-        "negative vertex": (_edited(ens, "vertices", (0, 0), -1), ids),
-    }
-    y = np.ones((ens.n_steps + 1, g.n_vertices))
-    assert math.isfinite(vbeta_norm(ens, y, y, BetaWeights(1, 1)))
-    for case, (other, message) in bad.items():
-        with pytest.raises(UsageError, match=message):
-            vbeta_norm(other, y, y, BetaWeights(1, 1))
-        assert other._norm_parts == {}, case
-    # reflected: no step is stopped, so a dqv of 0 anywhere is off its rate
-    refl = simulate_paths(WalkConfig(level=2, horizon=0.3, path_count=10, seed=2), k, g)
-    with pytest.raises(UsageError, match=rates):
-        vbeta_norm(_edited(refl, "dqv", (3, refl.n_steps - 1), 0.0), y, y, BetaWeights(1, 1))
+    h = int(ens.hit_step[i])
+    assert ens.codes[i, h - 1] != STOPPED and (ens.codes[i, h:] == STOPPED).all()
+    edit, message = REJECTED_ENSEMBLES[case]
+    with pytest.raises(UsageError, match=message):
+        edit(ens, i, h, kernels)
 
 
 @pytest.mark.parametrize("action", ("error", "ignore"))
@@ -829,10 +842,9 @@ def test_vbeta_rejects_a_field_of_another_level(kernels, graphs):
 
 @pytest.mark.parametrize("rows", (1, 7, 64, 375))
 def test_vbeta_blocks_equal_path_major_oracle(kernels, graphs, monkeypatch, rows):
-    # the norm's row blocks carry the running sum across block edges, and the
-    # path part is checked in the same blocks: one row per block, a partial
-    # last block (375 = 53 * 7 + 4) and a single block all give the oracle's
-    # bytes, path by path
+    # the norm's row blocks carry the running sum across block edges: one row
+    # per block, a partial last block (375 = 53 * 7 + 4) and a single block
+    # all give the oracle's bytes, path by path
     g, k = graphs(3), kernels(3)
     ens = simulate_paths(WalkConfig(level=3, horizon=1.0, path_count=12, seed=5), k, g)
     w = BetaWeights(1.0, 1.0)  # small weights: each sup reads sums over many blocks
@@ -954,6 +966,14 @@ def test_contraction_constant_values():
 def test_beta_weights_guard():
     with pytest.raises(UsageError):
         BetaWeights(0.5, 2.0)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, 0.5))
+def test_beta_weights_reject_a_weight_that_is_not_finite_and_at_least_1(bad):
+    # NaN passed a plain b < 1 test, and contraction_constant then returned nan
+    for b0, b1 in ((bad, 2.0), (2.0, bad), (bad, bad)):
+        with pytest.raises(UsageError, match="finite and >= 1"):
+            BetaWeights(b0, b1)
 
 
 # --- Picard iteration ----------------------------------------------------------------
@@ -1244,40 +1264,6 @@ def test_picard_zero_data_stays_zero(kernels, graphs):
     assert np.abs(yfin).max() == 0.0
     assert np.abs(zfin).max() == 0.0
 
-
-# --- monotonicity spot checks -----------------------------------------------------------
-
-def _mono_problem(gfun, kappa0, k0=2.0):
-    return BsdeProblem(
-        g=gfun, f=lambda t, x, y, z: np.zeros_like(y),
-        terminal_psi=np.zeros(3), horizon=1.0, k0=k0, k1=0.0,
-        kappa0=kappa0, kappa1=0.0,
-    )
-
-
-def test_monotonicity_equality_case():
-    p = _mono_problem(lambda t, x, y: -y, 1.0)
-    rep = monotonicity_check(p, samples=256, seed=0)
-    assert rep["worst_margin_g"] >= -1e-12
-
-
-def test_monotonicity_sin_with_negative_kappa():
-    p = _mono_problem(lambda t, x, y: np.sin(y), -1.0)
-    rep = monotonicity_check(p, samples=256, seed=1)
-    assert rep["worst_margin_g"] >= -1e-12
-
-
-def test_monotonicity_violation_detected():
-    p = _mono_problem(lambda t, x, y: 2.0 * y, 1.0)
-    with pytest.raises(DeclaredConstantError):
-        monotonicity_check(p, samples=256, seed=2)
-
-
-def test_beta_margin_guard():
-    # g = -40y satisfies kappa0 = 40, but beta0 - kappa0 <= 0 at beta0 = 36
-    p = _mono_problem(lambda t, x, y: -40.0 * y, 40.0, k0=80.0)
-    with pytest.raises(UsageError):
-        monotonicity_check(p, weights=BetaWeights(36, 36), samples=16, seed=0)
 
 
 # --- killed duration ---------------------------------------------------------------------

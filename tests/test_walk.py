@@ -175,7 +175,8 @@ def unit_clock(k):
 
 
 def slot_clock(k):
-    """The per-slot clock of slot ids plus one, simulate_paths' clock."""
+    """The per-slot clock of slot ids plus one: a layer difference names the
+    slot taken, or 0 for none."""
     return np.arange(1, 4 * k.n_vertices + 1)
 
 
@@ -458,20 +459,27 @@ def test_recorded_paths_with_a_tail_block_equal_oracle(kernels, graphs, m, kille
 
 
 def test_path_ensemble_is_read_only(kernels, graphs):
-    # the V^beta norm caches parts built from these arrays: a write raises
+    # the V^beta norm caches parts built from these arrays: a write raises,
+    # and dataclasses.replace builds an ensemble with an empty cache whose
+    # arrays are read-only views of the ones passed in
     k, g = kernels(2), graphs(2)
     ens = simulate_paths(WalkConfig(level=2, horizon=0.2, path_count=20, seed=1), k, g)
-    for name in ("vertices", "dW", "dqv", "hit_step"):
+    for name in ("vertices", "codes", "hit_step", "dW", "dqv"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(ens, name)[0] = 0
         with pytest.raises(ValueError, match="read-only"):
             getattr(ens, name).T[0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(ens, name, getattr(ens, name).copy())
-    mine = np.zeros((20, ens.n_steps))
-    other = dataclasses.replace(ens, dqv=mine)
-    assert mine.flags.writeable and not other.dqv.flags.writeable
-    assert same_bytes(other.cum_qv, np.zeros_like(mine))
+    y = np.ones((ens.n_steps + 1, g.n_vertices))
+    bsde.vbeta_norm(ens, y, y, bsde.BetaWeights(1, 1))
+    assert ens._norm_parts
+    mine = np.zeros((20, ens.n_steps), dtype=np.uint8)  # slot 0 at every step
+    other = dataclasses.replace(ens, codes=mine)
+    assert other._norm_parts == {}
+    assert mine.flags.writeable and not other.codes.flags.writeable
+    assert same_bytes(other.dqv, k.dqv[ens.vertices[:, :-1]])
+    assert same_bytes(other.dW, k.dW[ens.vertices[:, :-1], 0])
 
 
 @pytest.mark.parametrize("killed", (False, True))
