@@ -70,4 +70,6 @@ from .walk import (
     simulate_paths,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules that importing them binds
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], type(bounds))]

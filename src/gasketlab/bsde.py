@@ -75,8 +75,9 @@ class BsdeProblem:
     boundary_phi: object = None
 
     def __post_init__(self):
-        if self.k0 < 0 or self.k1 < 0:
-            raise UsageError("Lipschitz constants must be nonnegative")
+        if not all(math.isfinite(k) and k >= 0 for k in (self.k0, self.k1)):
+            raise UsageError(f"Lipschitz constants must both be finite and >= 0, "
+                             f"got {self.k0} and {self.k1}")
         if self.duration not in ("deterministic", "killed"):
             raise UsageError("duration must be 'deterministic' or 'killed'")
         if self.duration == "killed" and self.boundary_phi is None:
@@ -563,8 +564,18 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
     Re exp(clock) carry the sign.
     The exact route is _backward keeping layer 0 only: UsageError for a phi
     that is not finite, NumericOverflowError when Y0 or Z0 is not.
-    A callable terminal is evaluated once, for both routes.
+    A callable terminal is evaluated once, for both routes. The MC inputs
+    are checked before any layer.
     """
+    if (mc_starts is None) != (not mc_paths):
+        raise UsageError("mc_starts and mc_paths go together: give both or neither")
+    if mc_starts is not None:
+        if mc_paths < 2:
+            raise UsageError(f"mc_paths must be at least 2 for a standard error, got {mc_paths}")
+        starts = [int(sx) for sx in mc_starts]
+        outside = [sx for sx in starts if not 0 <= sx < kernel.n_vertices]
+        if outside:
+            raise UsageError(f"MC starts {outside} are not vertices 0..{kernel.n_vertices - 1}")
     dt = kernel.dt
     V = kernel.n_vertices
     psi = _terminal_values(problem.terminal_psi, graph, V)
@@ -585,15 +596,7 @@ def linear_closed_form(a: float, b: float, c: float, problem: BsdeProblem,
                        finish=z_at_0, zero=("Z0",), last_of="the linear closed form")
     out = {"Y0": y0, "Z0": z0}
 
-    if (mc_starts is None) != (not mc_paths):
-        raise UsageError("mc_starts and mc_paths go together: give both or neither")
     if mc_starts is not None:
-        if mc_paths < 2:
-            raise UsageError(f"mc_paths must be at least 2 for a standard error, got {mc_paths}")
-        starts = [int(sx) for sx in mc_starts]
-        outside = [sx for sx in starts if not 0 <= sx < kernel.n_vertices]
-        if outside:
-            raise UsageError(f"MC starts {outside} are not vertices 0..{kernel.n_vertices - 1}")
         out["mc"] = _mc_linear(kernel, problem, a, b, c, starts, mc_paths, seed, psi,
                                problem.duration == "killed")
     return out

@@ -20,8 +20,8 @@ one-step operator satisfies P = I + dt*L exactly, L being the generator of
 
 Path generation is block-based with counter RNG streams keyed (seed, block):
 results are bit-identical for a given seed regardless of worker count. One
-raw random byte per live path carries four steps (see walk_steps). The loop
-carries state for the live paths only: a killed walk stops drawing for a
+raw random byte per live path carries four steps, and _simulate_block's
+loop carries state for the live paths only: a killed walk stops drawing for a
 path once it reaches V_0, which it reads off the block-end vertex, and ends
 once no path is live; a reflected walk ends at its last requested layer.
 Every ensemble, recorded paths and bsde's weighted linear MC included, runs
@@ -265,9 +265,9 @@ class BlockTables:
     pos is the position after substep s. In killed mode a path that has
     landed on V_0 takes the slot 4V (zero clock) and stays where it landed,
     so pos[r - 1] lies on V_0 (ids 0, 1, 2) exactly when one of the first r
-    substeps lands there: walk_steps reads its stops off that row. hit is
-    the first substep 1..4 that lands on V_0, or 0 for none (always 0 in
-    reflected mode); the loop reads it only for the paths that stop. Row
+    substeps lands there: _simulate_block reads its stops off that row.
+    hit is the first substep 1..4 that lands on V_0, or 0 for none (always
+    0 in reflected mode); the loop reads it only for the paths that stop. Row
     r - 1 of clock is the clock summed over the first r substeps, so over
     the substeps before the hit and the hit itself in killed mode. With a
     clock of j - 4 on each slot 4x + j, the difference of rows s and s - 1
@@ -304,7 +304,7 @@ def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray) -> BlockT
             f"{MAX_TABLE_BYTES} cap; walk at level 8 or below")
     n = kernel.n_vertices
     nbr, isb, mask = kernel.nbr.ravel(), kernel.is_boundary, kernel.deg - 1
-    # walk_steps reads a stop as a block-end position below 3
+    # _simulate_block reads a stop as a block-end position below 3
     assert np.array_equal(np.flatnonzero(isb), [0, 1, 2])
     clock = np.append(clock, 0)  # slot 4V: a stopped path's substep
     pos = np.empty((4, 256 * n), dtype=np.intp)
@@ -342,60 +342,6 @@ def _block_tables(kernel: StepKernel, killed: bool, clock: np.ndarray) -> BlockT
     return BlockTables(pos=pos, hit=hit, clock=sums)
 
 
-def walk_steps(tables: BlockTables, pos: np.ndarray, n_steps: int,
-               rng: Generator, killed: bool):
-    """Take n_steps uniform neighbour steps from pos, four per random byte.
-
-    Yields (k, r, idx, code, stop) per block of r = min(4, n_steps - k)
-    steps, with blocks at k = 0, 4, 8, ...: one byte per live path, in
-    order from the raw 64-bit Philox words taken little-endian, and
-    code = 256*x + byte for a path at x. Substep s takes neighbour slot
-    (byte >> 2s) & (deg - 1): every degree is 2 or 4, so each substep is
-    exactly uniform and independent of the others, with no float, multiply
-    or floor. The block's positions and clock sums are the first r
-    rows of tables at code (see BlockTables): a tail block draws its bytes
-    as a full block does and uses r < 4 substeps of them. A layer k + r'
-    inside a block is read from row r' - 1 at the same code, and blocks are
-    never cut, so the bytes depend only on the seed, the block and the live
-    set, not on the layers a caller reads. With the default <W> clock the
-    sums are integer units, divided by D once (see _run_blocks).
-
-    The state is the live paths' positions alone. idx holds their indices
-    into pos (None while every path is live: always in reflected mode).
-    stop, in killed mode, holds the positions in the live set of those that
-    land on V_0 within the block's r steps (None when none does); they are
-    drawn for no more. A stopped path stays where it landed, so the stops
-    are read off the block-end position tables.pos[r - 1][code] that the
-    next block starts from: V_0 is ids 0, 1, 2 in every LevelGraph (checked
-    by _block_tables). The first substep moves every path, so a V_0 start
-    leaves V_0 (the t > 0 convention). The walk ends, drawing nothing more,
-    once no path is live. Callers may keep the yielded arrays but must not
-    write to them.
-    """
-    draw = rng.bit_generator.random_raw
-    idx = None
-    code = pos << 8
-    for k in range(0, n_steps, 4):
-        r = min(4, n_steps - k)
-        n = len(code)
-        code |= draw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
-        end = tables.pos[r - 1][code]
-        stop = None
-        if killed:
-            landed = end < 3
-            if landed.any():
-                stop = np.flatnonzero(landed)
-        yield k, r, idx, code, stop
-        if stop is not None:
-            keep = ~landed
-            idx = np.flatnonzero(keep) if idx is None else idx[keep]
-            if not len(idx):
-                return
-            end = end[keep]
-        code = end
-        code <<= 8
-
-
 def _mu_starts(srng: Generator, weight: np.ndarray, n: int) -> np.ndarray:
     """srng.choice(len(weight), size=n, p=weight), bit for bit, without its
     binary search per path.
@@ -418,8 +364,34 @@ def _mu_starts(srng: Generator, weight: np.ndarray, n: int) -> np.ndarray:
 
 
 def _simulate_block(kernel, tables, job):
+    """Walk one block of paths; returns its arrays as _run_blocks describes.
+
+    Steps run in blocks of r = min(4, walk_to - k) at k = 0, 4, 8, ...: each
+    block draws one byte per live path, in order from the raw 64-bit words
+    of the Philox stream (seed, block) taken little-endian, and code =
+    256*x + byte for a path at x. Substep s takes neighbour slot
+    (byte >> 2s) & (deg - 1): every degree is 2 or 4, so each substep is
+    exactly uniform and independent of the others, with no float, multiply
+    or floor. The block's positions and clock sums are the first r rows of
+    tables at code (see BlockTables): a tail block draws its bytes as a full
+    block does and uses r < 4 substeps of them. A layer k + r' inside a
+    block is read from row r' - 1 at the same code, and blocks are never
+    cut, so the bytes depend on the seed, the block and the live set alone.
+
+    The live paths shrink together in one place: idx, their indices (None
+    while every path is live: always in reflected mode), code, and
+    live_acc, their clock while a later layer reads it. In killed mode a
+    path stops once it lands on V_0 and stays where it landed, so the stops
+    are read off the block-end positions tables.pos[r - 1][code] that the
+    next block starts from: V_0 is ids 0, 1, 2 in every LevelGraph (checked
+    by _block_tables). A stopped path is drawn for no more; pos and acc keep
+    its final position and clock while a later layer reads them. The first
+    substep moves every path, so a V_0 start leaves V_0 (the t > 0
+    convention). A killed walk ends, drawing nothing more, once no path is
+    live; a reflected one at its last layer.
+    """
     n_paths, n_steps, seed, block, killed, start_vertex, layers = job
-    rng = Generator(Philox(key=[seed, block]))
+    draw = Philox(key=[seed, block]).random_raw
 
     if start_vertex is None:
         srng = Generator(Philox(key=[seed, _START_STREAM_OFFSET + block]))
@@ -427,9 +399,6 @@ def _simulate_block(kernel, tables, job):
     else:
         pos = np.full(n_paths, start_vertex, dtype=np.int64)
 
-    # pos and acc hold the stopped paths' final position and clock; the live
-    # ones' positions live in walk_steps and their clock, compacted in the
-    # same order, in live_acc. Neither is kept once no later layer reads it.
     acc = np.zeros(n_paths, dtype=tables.clock.dtype)
     live_acc = acc
     hit_step = np.full(n_paths, -1, dtype=np.int64)
@@ -444,7 +413,12 @@ def _simulate_block(kernel, tables, job):
     # nothing past the last layer reads a reflected walk
     walk_to = n_steps if killed else (layers[-1] if layers else 0)
 
-    for k, r, idx, code, stop in walk_steps(tables, pos, walk_to, rng, killed):
+    idx = None
+    code = pos << 8
+    for k in range(0, walk_to, 4):
+        r = min(4, walk_to - k)
+        n = len(code)
+        code |= draw(-(-n // 8)).astype("<u8", copy=False).view(np.uint8)[:n]
         rows = slice(None) if idx is None else idx
         while col < len(layers) and layers[col] <= k + r:  # snapshots in the block
             s = layers[col] - k - 1
@@ -457,14 +431,22 @@ def _simulate_block(kernel, tables, job):
         read = col < len(layers)  # a later layer reads the clock and position
         if read:
             live_acc += tables.clock[r - 1][code]
-        if stop is not None:
+        end = tables.pos[r - 1][code]
+        if killed and (landed := end < 3).any():
+            stop = np.flatnonzero(landed)  # few: read by small gathers
             done = stop if idx is None else idx[stop]
-            stopped = code[stop]
-            hit_step[done] = k + tables.hit[stopped].astype(np.int64)
+            hit_step[done] = k + tables.hit[code[stop]].astype(np.int64)
+            keep = ~landed
             if read:
-                pos[done] = tables.pos[r - 1][stopped]
+                pos[done] = end[stop]
                 acc[done] = live_acc[stop]
-                live_acc = np.delete(live_acc, stop)
+                live_acc = live_acc[keep]
+            idx = np.flatnonzero(keep) if idx is None else idx[keep]
+            if not len(idx):
+                break
+            end = end[keep]
+        code = end
+        code <<= 8
     # a killed walk ends once no path is live: later layers read the stopped state
     clock[col:] = acc
     at[col:] = pos
@@ -565,7 +547,9 @@ class PathEnsemble:
     UsageError unless the kernel is at the config's level, the shapes agree
     with its n_steps, every vertex is one of the level's and every code a
     slot or STOPPED, the codes are STOPPED exactly on a killed path's steps
-    from hit_step on (none in reflected mode), and those steps sit on V_0.
+    from hit_step on (none in reflected mode), those steps sit on V_0, and
+    every step follows its code: to the neighbour in its slot, a real one
+    at that vertex, or nowhere once STOPPED.
     """
 
     config: WalkConfig
@@ -601,12 +585,20 @@ class PathEnsemble:
                              "from its hit_step on")
         if (stopped & (self.vertices.T[:K] >= 3)).any():
             raise UsageError("a killed path's stopped steps must sit on V_0")
+        # a step goes to the neighbour in its code's slot (-1 in the padded
+        # slots, which no vertex matches), or stays put when STOPPED; int32
+        # ids halve the gathered array
+        nxt = np.where(np.arange(4) < self.kernel.deg[:, None], self.kernel.nbr, -1)
+        ids = self._step_values(nxt.astype(np.int32), np.arange(n_vertices, dtype=np.int32))
+        if (ids != self.vertices[:, 1:]).any():
+            raise UsageError("each step must go to the neighbour in its code's slot, "
+                             "and a STOPPED step stay where it is")
 
-    def _step_values(self, per_slot: np.ndarray) -> np.ndarray:
-        """per_slot (V, 4) read at each step's vertex and code, 0 on stopped
-        steps: a fresh read-only time-major array, returned as its (N, K)
-        transpose."""
-        table = np.append(per_slot, np.zeros((len(per_slot), 1)), axis=1).ravel()
+    def _step_values(self, per_slot: np.ndarray, stopped=0) -> np.ndarray:
+        """per_slot (V, 4) read at each step's vertex and code, stopped (one
+        value, or one per vertex) on stopped steps: a fresh read-only
+        time-major array, returned as its (N, K) transpose."""
+        table = np.column_stack((per_slot, np.broadcast_to(stopped, len(per_slot))))
         flat = self.vertices.T[:-1] * (STOPPED + 1)
         flat += self.codes.T
         values = np.take(table, flat, mode="wrap")  # in range, checked on construction
@@ -661,6 +653,7 @@ def simulate_paths(cfg: WalkConfig, kernel: StepKernel,
     codes = np.subtract(clock[1:], clock[:-1], out=np.empty(clock[1:].shape, np.uint8),
                         casting="unsafe")
     codes += STOPPED
+    del clock  # not held while the ensemble checks its steps
     return PathEnsemble(config=cfg, kernel=kernel, vertices=r["pos"], codes=codes.T,
                         hit_step=r["hit_step"])
 

@@ -254,9 +254,15 @@ def test_linear_mc_equals_recorded_path_oracle(kernels, graphs, m, c, duration,
     ([5], 0, "both or neither"),   # used to return no "mc" and no error
     (None, 100, "both or neither"),  # used to return no "mc" and no error
 ])
-def test_linear_mc_rejects_bad_input(kernels, graphs, starts, paths, match):
+def test_linear_mc_rejects_bad_input(kernels, graphs, monkeypatch, starts, paths, match):
+    # before any layer: the exact route is not run for an input the MC rejects
     g, k = graphs(2), kernels(2)
     p = BsdeProblem(g=zero_g, f=zero_f, terminal_psi=bump(g), horizon=0.2)
+
+    def no_layer(*args, **kwargs):
+        raise AssertionError("the exact route ran before the MC inputs were checked")
+
+    monkeypatch.setattr(bsde, "_backward", no_layer)
     with pytest.raises(UsageError, match=match):
         linear_closed_form(0.5, 0.3, 0.4, p, k, g, mc_starts=starts, mc_paths=paths)
 
@@ -793,6 +799,20 @@ REJECTED_ENSEMBLES = {
     "codes one step short": (
         lambda ens, i, h, ks: dataclasses.replace(ens, codes=ens.codes[:, 1:]),
         "must have shapes"),
+    # every stopped step becomes code 3 at its degree-2 V_0 vertex: a padded
+    # slot, whose kernel neighbour is the vertex itself
+    "live code in a padded slot": (
+        lambda ens, i, h, ks: dataclasses.replace(
+            ens, config=dataclasses.replace(ens.config, killed=False),
+            codes=np.where(ens.codes == STOPPED, 3, ens.codes).astype(np.uint8)),
+        "neighbour in its code's slot"),
+    # path i's step into V_0 leaves an interior vertex, so it has four slots
+    "next vertex not the coded neighbour": (
+        lambda ens, i, h, ks: _edited(ens, "codes", (i, h - 1), (ens.codes[i, h - 1] + 1) % 4),
+        "neighbour in its code's slot"),
+    "stopped step that moves": (
+        lambda ens, i, h, ks: _edited(ens, "vertices", (i, h + 1), (ens.vertices[i, h] + 1) % 3),
+        "STOPPED step stay"),
 }
 
 
@@ -974,6 +994,15 @@ def test_beta_weights_reject_a_weight_that_is_not_finite_and_at_least_1(bad):
     for b0, b1 in ((bad, 2.0), (2.0, bad), (bad, bad)):
         with pytest.raises(UsageError, match="finite and >= 1"):
             BetaWeights(b0, b1)
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, -0.5))
+def test_bsde_problem_rejects_a_lipschitz_constant_that_is_not_finite_and_at_least_0(bad):
+    # NaN passed a plain k < 0 test, and contraction_constant then returned nan
+    psi = np.zeros(3)
+    for k0, k1 in ((bad, 1.0), (1.0, bad), (bad, bad)):
+        with pytest.raises(UsageError, match="finite and >= 0"):
+            BsdeProblem(g=None, f=None, terminal_psi=psi, horizon=1.0, k0=k0, k1=k1)
 
 
 # --- Picard iteration ----------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -514,6 +515,20 @@ def test_package_exports_one_problem_type():
     assert [n for n in gasketlab.__all__ if n.endswith("Problem")] == ["BsdeProblem"]
     assert [n for n in dir(pde) if n.endswith("Problem")] == ["BsdeProblem"]
     assert not [n for n in dir(pde) if n.startswith("require")]
+
+
+def test_package_exports_every_name_but_no_module():
+    import gasketlab
+
+    # importing the names binds the submodules too; a star import binds none
+    public = {n for n in dir(gasketlab) if not n.startswith("_")}
+    modules = {n for n in public if isinstance(getattr(gasketlab, n), types.ModuleType)}
+    assert modules >= {"bounds", "bsde", "errors", "exact", "gasket", "harmonic",
+                       "measures", "pde", "walk"}
+    assert gasketlab.__all__ == sorted(public - modules)
+    star = {}
+    exec("from gasketlab import *", star)
+    assert not [n for n, v in star.items() if isinstance(v, types.ModuleType)]
 
 
 def test_problem_is_frozen():

@@ -38,7 +38,6 @@ from gasketlab.walk import (
     layer_at,
     layer_count,
     step_duration,
-    walk_steps,
 )
 
 MIDPOINT_OPP_P1 = (Fraction(3, 4), Fraction(1, 4))  # midpoint of (p2, p3)
@@ -186,84 +185,103 @@ def table_slots(tables):
     return np.diff(tables.clock, axis=0, prepend=0) - 1
 
 
+class _CountingPhilox(Philox):
+    """Philox, with the size of every raw-word request kept."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.requests = []
+
+    def random_raw(self, size=None, output=True):
+        self.requests.append(size)
+        return super().random_raw(size, output)
+
+
+@pytest.fixture
+def step_streams(monkeypatch):
+    """The step streams _simulate_block builds, one per block in order, each
+    a _CountingPhilox; start streams are built as before and not kept."""
+    streams = []
+
+    def counted(*, key):
+        bit_generator = _CountingPhilox(key=key)
+        if key[1] < walk._START_STREAM_OFFSET:
+            streams.append(bit_generator)
+        return bit_generator
+
+    monkeypatch.setattr(walk, "Philox", counted)
+    return streams
+
+
+def slots_taken(run):
+    """The slot taken at each step of a run recorded at every layer on
+    slot_clock, -1 for none, time-major (K, n)."""
+    return np.diff(run["clock"].T, axis=0) - 1
+
+
 @pytest.mark.parametrize("m, killed, start", WALK_CASES)
-def test_walk_steps_equal_two_branch_oracle(kernels, m, killed, start):
-    # four-step blocks read from the tables with live-index raw bytes vs four
-    # composed full-width mask-form steps on the same bytes, one Philox key;
-    # compacted yields are scattered to all paths. The step counts take every
-    # residue mod 4, so tail blocks of 1, 2 and 3 steps are compared too.
+def test_walk_steps_equal_two_branch_oracle(kernels, step_streams, m, killed, start):
+    # _simulate_block's four-step blocks, read from the tables with
+    # live-index raw bytes and recorded at every layer on the slot clock, vs
+    # four composed full-width mask-form steps on the same bytes, one
+    # Philox key. Each oracle block is compared: its slots, positions and
+    # hits so far, its live set, and the bytes drawn for it. The step counts
+    # take every residue mod 4, so tail blocks of 1, 2 and 3 steps are
+    # compared too.
     k = kernels(m)
     n_paths = 400
     if start == "mu":
-        pos = Generator(Philox(key=[3, 1])).choice(k.n_vertices, n_paths, p=k.mu_weight)
+        start_vertex = None
+        pos = Generator(Philox(key=[17, walk._START_STREAM_OFFSET + m])).choice(
+            k.n_vertices, n_paths, p=k.mu_weight)
     else:
         ids = np.nonzero(k.is_boundary == (start == "V0"))[0]
-        pos = np.full(n_paths, ids[-1], dtype=np.int64)
+        start_vertex = int(ids[-1])
+        pos = np.full(n_paths, start_vertex, dtype=np.int64)
     tables = walk._block_tables(k, killed, slot_clock(k))
-    slots = table_slots(tables)
     for n_steps in 2 * 5**m + 2 + np.arange(4):
-        ours = walk_steps(tables, pos, n_steps, Generator(Philox(key=[17, m])), killed)
+        step_streams.clear()
+        job = (n_paths, int(n_steps), 17, m, killed, start_vertex, range(n_steps + 1))
+        run = walk._simulate_block(k, tables, job)
         ref = walk_oracle.walk_steps(k, pos, n_steps, Generator(Philox(key=[17, m])), killed)
-        full_pos = pos.copy()
-        hit = np.full(n_paths, -1, dtype=np.int64)
-        blocks = 0
+        [stream] = step_streams
+        slot, path, hit = slots_taken(run), run["pos"].T, run["hit_step"]
+        assert same_bytes(path[0], pos)
+        drawn_sets = []
         for k2, r2, live, slot2, pos2, hit2 in ref:
-            if killed and not live.any():  # no live path: the walk has ended
-                assert next(ours, None) is None
-                assert (slot2 == -1).all() and same_bytes(hit, hit2), (n_steps, k2)
-                continue
-            k1, r1, idx, code, stop = next(ours)
-            assert k1 == k2 == 4 * blocks and r1 == r2 == min(4, n_steps - k1)
-            rows = slice(None) if idx is None else idx
+            steps = slice(k2, k2 + r2)
+            assert same_bytes(slot[steps], slot2), (n_steps, k2)
+            assert same_bytes(path[k2 + 1:k2 + r2 + 1], pos2), (n_steps, k2)
+            assert same_bytes(np.where(hit <= k2 + r2, hit, -1), hit2), (n_steps, k2)
+            drawn = (hit == -1) | (hit > k2)  # not stopped before the block
             if killed:
-                drawn = np.zeros(n_paths, dtype=bool)
-                drawn[rows] = True
-                assert np.array_equal(drawn, live), k1
+                assert np.array_equal(drawn, live), (n_steps, k2)
             else:
-                assert idx is None and stop is None
-            full_slot = np.full((r1, n_paths), -1, dtype=np.int64)
-            for s in range(r1):
-                full_slot[s, rows] = slots[s][code]
-                full_pos[rows] = tables.pos[s][code]
-                assert same_bytes(full_pos, pos2[s]), (n_steps, k1, s)
-            assert same_bytes(full_slot, slot2), (n_steps, k1)
-            if stop is not None:
-                done = stop if idx is None else idx[stop]  # positions in the live set
-                hit[done] = k1 + tables.hit[code[stop]].astype(np.int64)
-            assert same_bytes(hit, hit2), (n_steps, k1)
-            blocks += 1
-        assert next(ours, None) is None
+                assert live is None and drawn.all()
+            if drawn.any():  # else no path is live: the walk has ended
+                drawn_sets.append(drawn)
+        assert stream.requests == [-(-int(d.sum()) // 8) for d in drawn_sets]
+        blocks = len(drawn_sets)
         assert blocks == -(-n_steps // 4) or killed and (hit > 0).all()
         assert hit.max() <= n_steps  # no hit past the horizon counts
         if blocks > 1:  # a killed run's last block skips stopped paths
-            assert (idx is not None) == killed and (not killed or len(idx) < n_paths)
+            assert drawn_sets[-1].all() != killed
 
 
-class _CountingRng:
-    """A bit generator's raw words, with the size of every request kept."""
-
-    def __init__(self, bit_generator):
-        self.bit_generator = self
-        self._raw = bit_generator.random_raw
-        self.requests = []
-
-    def random_raw(self, n):
-        self.requests.append(n)
-        return self._raw(n)
-
-
-def test_killed_walk_stops_drawing_once_no_path_is_live(kernels):
+def test_killed_walk_stops_drawing_once_no_path_is_live(kernels, step_streams):
     # level 1 from an interior vertex: every step reaches V_0 with chance
     # 1/2, so all 300 paths stop long before the 120 steps. One request per
     # block, each for the live paths' bytes, and none once no path is live.
     k = kernels(1)
     tables = walk._block_tables(k, True, unit_clock(k))
-    pos = np.full(300, 4, dtype=np.int64)
     assert not k.is_boundary[4]
-    rng = _CountingRng(Philox(key=[5, 0]))
-    live = [len(code) for _, _, _, code, _ in walk_steps(tables, pos, 120, rng, True)]
-    assert live[0] == 300 and 0 < len(live) < 30
-    assert rng.requests == [-(-n // 8) for n in live]
+    hit = walk._simulate_block(k, tables, (300, 120, 5, 0, True, 4, ()))["hit_step"]
+    assert (hit > 0).all()
+    blocks = -(-int(hit.max()) // 4)
+    live = [int(((hit == -1) | (hit > 4 * b)).sum()) for b in range(blocks)]
+    assert live[0] == 300 and 0 < blocks < 30
+    [stream] = step_streams
+    assert stream.requests == [-(-n // 8) for n in live]
 
 
 def oracle_run(k, cfg, clock=None):
@@ -306,19 +324,12 @@ def oracle_run(k, cfg, clock=None):
     return c, v, hit, v, w, q
 
 
-def test_reflected_walk_stops_at_its_last_layer(kernels, graphs, monkeypatch):
+def test_reflected_walk_stops_at_its_last_layer(kernels, graphs, step_streams):
     # a reflected walk draws only the blocks up to its last layer, with the
     # oracle's bytes; killed runs and recorded paths, whose last layer is
     # K, still walk to the horizon, for hit_step and the recorded steps
     k, g = kernels(3), graphs(3)
-    requests = []
-    steps = walk.walk_steps
-
-    def counted(tables, pos, n_steps, rng, killed):
-        requests.append(_CountingRng(rng.bit_generator))
-        return steps(tables, pos, n_steps, requests[-1], killed)
-
-    monkeypatch.setattr(walk, "walk_steps", counted)
+    requests = step_streams
     cfg = WalkConfig(level=3, horizon=0.4, path_count=300, seed=4, block_size=200)
     K, words = cfg.n_steps, [-(-200 // 8), -(-100 // 8)]
     refs = {killed: oracle_run(k, dataclasses.replace(cfg, killed=killed))
@@ -475,11 +486,14 @@ def test_path_ensemble_is_read_only(kernels, graphs):
     bsde.vbeta_norm(ens, y, y, bsde.BetaWeights(1, 1))
     assert ens._norm_parts
     mine = np.zeros((20, ens.n_steps), dtype=np.uint8)  # slot 0 at every step
-    other = dataclasses.replace(ens, codes=mine)
+    walked = np.array(ens.vertices)  # the vertices that follow those codes
+    for t in range(ens.n_steps):
+        walked[:, t + 1] = k.nbr[walked[:, t], 0]
+    other = dataclasses.replace(ens, vertices=walked, codes=mine)
     assert other._norm_parts == {}
     assert mine.flags.writeable and not other.codes.flags.writeable
-    assert same_bytes(other.dqv, k.dqv[ens.vertices[:, :-1]])
-    assert same_bytes(other.dW, k.dW[ens.vertices[:, :-1], 0])
+    assert same_bytes(other.dqv, k.dqv[walked[:, :-1]])
+    assert same_bytes(other.dW, k.dW[walked[:, :-1], 0])
 
 
 @pytest.mark.parametrize("killed", (False, True))

@@ -1,18 +1,19 @@
 """Full-width, mask-form reference for the walk step.
 
-The package's `walk_steps` keeps an index array of live paths and reads the
-four steps of a block from tables. This module keeps every path in one array
-and composes four single steps per block: each block draws live.sum() bytes
-from the raw 64-bit words (little-endian), hands them to the live paths in
-index order, and substep s takes neighbour j = (byte >> 2s) mod deg at the
-path's current vertex. Stopped paths are held in place with a mask. A block
-of r < 4 steps (the tail) uses the first r substeps of its bytes.
+The package's walk loop, `walk._simulate_block`, keeps an index array of
+live paths and reads the four steps of a block from tables. This module
+keeps every path in one array and composes four single steps per block:
+each block draws live.sum() bytes from the raw 64-bit words
+(little-endian), hands them to the live paths in index order, and substep
+s takes neighbour j = (byte >> 2s) mod deg at the path's current vertex.
+Stopped paths are held in place with a mask. A block of r < 4 steps (the
+tail) uses the first r substeps of its bytes.
 
 It yields (k, r, live, slot, pos, hit_step) per block over all paths: live
 is the mask of paths drawn for (None in reflected mode), slot and pos are
 (r, n) with slot -1 where a path did not step, and hit_step is the first
-V_0 arrival step so far, or -1. The tests require byte equality after
-scattering the package's compacted yields.
+V_0 arrival step so far, or -1. The tests require byte equality with the
+package's walk recorded at every layer.
 
 `block_tables` is the code-by-code reference for the package's four-step
 tables: it walks all 256*V codes through the four substeps in turn, where the
