@@ -34,10 +34,14 @@ def mittag_leffler(a: float, b: float, z: float) -> float:
     near 1e-13 max(1, |E|). Past that (or on overflow), (a, b) = (1, 1)
     returns exp(z), 0 < a < 1 with b = 1 uses the completely monotone integral
     representation (Gorenflo, Kilbas, Mainardi & Rogosin 2014, sec. 3.7), and
-    any other (a, b) raises SchemeError.
+    any other (a, b) raises SchemeError; both give 0.0 at z = -inf.
+    UsageError for NaN, or a or b not finite and > 0, before any term.
     """
-    if a <= 0 or b <= 0:
-        raise UsageError("Mittag-Leffler parameters must satisfy a, b > 0")
+    for name, x in (("a", a), ("b", b)):
+        if not 0 < x < math.inf:
+            raise UsageError(f"Mittag-Leffler parameter {name} must be finite and > 0, got {x}")
+    if math.isnan(z):
+        raise UsageError("Mittag-Leffler argument z is NaN")
     if z >= 0.0:
         return _ml_series(a, b, z)[0]
     try:
@@ -49,7 +53,7 @@ def mittag_leffler(a: float, b: float, z: float) -> float:
     if a == 1.0 and b == 1.0:
         return math.exp(z)
     if a < 1.0 and b == 1.0:
-        return _ml_monotone_integral(a, -z)
+        return 0.0 if z == -math.inf else _ml_monotone_integral(a, -z)
     raise SchemeError("Mittag-Leffler series cancels beyond its accuracy",
                       {"a": a, "b": b, "z": z, "largest_term": largest})
 

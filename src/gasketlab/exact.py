@@ -10,13 +10,13 @@ normalised Fractions are canonical, so they equal what step-by-step Fraction
 arithmetic gives.
 
 `cell_leaves` is the one cell-tree traversal, level-order in int64. Only
-fixed routes travel it: the unit triples down A, P down Y, corner coordinates
-down the midpoint maps. Up to each route's level guard every entry and sum of
-squares stays far below 2^63 (A-route entries are at most 5^m; a test bounds
-all three in Python ints). User data enters int64 only under a bound: by
-linearity its leaf states are the unit-triple leaves times its integer
-numerators (`times_numerators`), in int64 when max|leaf| sum|nums| < 2^29,
-else in exact Python ints. Single words stay in Python ints.
+fixed routes travel it: the unit triples down A and P down Y (in
+`route_table` alone), corner coordinates down the midpoint maps. Up to each
+route's level guard every entry and sum of squares stays far below 2^63
+(A-route entries are at most 5^m; a test bounds all three in Python ints).
+User data enters int64 only under a bound: by linearity its leaf states are
+the unit-triple leaves times its integer numerators (`times_numerators`), in
+int64 when max|leaf| sum|nums| < 2^29, else in Python ints, as single words.
 
 Word convention: a cell word w = w1 w2 ... wm over {1,2,3} addresses the cell
 F_{w1} o F_{w2} o ... o F_{wm} (unit gasket). Restriction matrices compose in
@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 import numpy as np
 
@@ -128,6 +130,24 @@ def cell_leaves(m: int, root, gens: dict[int, IntMat]) -> tuple[list[str], np.nd
         states = (states @ maps).reshape(-1, k, 3, 3).transpose(0, 2, 1, 3).reshape(-1, 3)
         words = [w + s for w in words for s in "123"]
     return words, states.reshape(-1, k, 3).transpose(0, 2, 1)
+
+
+@cache
+def route_table(route: str, m: int) -> np.ndarray:
+    """Read-only level-m table, rows in cell_words order, kept for the process:
+    "A", BASIS down A_INT, the (3^m, 3, 3) leaves, 72 * 3^m bytes (0.16 MB at
+    m = 7, 4.3 MB at 10); "Y", P down Y_INT, each leaf's sum of squares, 8 * 3^m."""
+    _, table = cell_leaves(m, *{"A": (BASIS, A_INT), "Y": (P_INT, Y_INT)}[route])
+    if route == "Y":
+        table = (table * table).sum(axis=(1, 2))
+    table.flags.writeable = False
+    return table
+
+
+@cache
+def cell_words(m: int) -> tuple[str, ...]:
+    """The level-m words in lexicographic order, kept (~70 bytes a word)."""
+    return tuple(map("".join, product("123", repeat=m)))
 
 
 def times_numerators(leaves: np.ndarray, nums) -> np.ndarray:

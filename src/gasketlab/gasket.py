@@ -17,6 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CapacityError, UsageError
 from .exact import MID_INT, as_rational, cell_leaves
 
@@ -46,7 +48,9 @@ class Vertex:
 class LevelGraph:
     """Immutable level-m graph; safe to share across threads after build.
 
-    _derived caches read-only tables of the graph alone (corner_harmonics).
+    cells is in lexicographic word order, as exact.route_table's rows; its
+    corner ids and the edges' end ids are the read-only int64 arrays corners
+    (3^m, 3) and edge_ends (2, E). _derived caches tables of g (corner_harmonics).
     """
 
     level: int
@@ -78,6 +82,12 @@ class LevelGraph:
             for c in corners:
                 inc[c].append(w)
         object.__setattr__(self, "_incidence", tuple(tuple(ws) for ws in inc))
+        if list(self.cells) != sorted(self.cells):
+            raise UsageError("cells must be listed in lexicographic word order")
+        for name, a in (("corners", np.array(list(self.cells.values()), dtype=np.int64)),
+                        ("edge_ends", np.array(self.edges, dtype=np.int64).T.copy())):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 def vertex_count(m: int) -> int:

@@ -19,14 +19,13 @@ import numpy as np
 from .errors import UsageError
 from .exact import (
     A_INT,
-    BASIS,
     P_INT,
     as_rational,
-    cell_leaves,
     fractions_over,
     pairwise_sq,
     quad_form_p,
     restrict_states,
+    route_table,
     times_numerators,
     to_numerators,
     validate_word,
@@ -75,18 +74,17 @@ def harmonic_extend_to_level(u, m: int, g: LevelGraph | None = None) -> list[Fra
 def corner_harmonics(g: LevelGraph) -> np.ndarray:
     """(V, 3) int64 numerators over 5^m of h_1, h_2, h_3 on V_m.
 
-    Column i is the harmonic extension of the i-th unit triple; one cell-tree
-    traversal carries all three, once per graph: the read-only table is
-    cached on g. Well-definedness is asserted: every cell that reaches a
-    vertex gives it the same values.
+    Column i is the harmonic extension of the i-th unit triple: the level's
+    A-route table (exact.route_table) scattered onto g.corners, once per graph
+    and cached on g, read-only. Asserted well-defined: every cell at a vertex
+    gives it the same values.
     """
     table = g._derived.get("corner_harmonics")
     if table is None:
-        words, values = cell_leaves(g.level, BASIS, A_INT)  # (cell, corner, i)
-        corners = np.array([g.cells[w] for w in words], dtype=np.int64)
+        values = route_table("A", g.level)  # (cell, corner, i)
         table = np.empty((g.n_vertices, 3), dtype=np.int64)
-        table[corners] = values
-        assert (table[corners] == values).all(), "harmonic extension ill-defined"
+        table[g.corners] = values
+        assert (table[g.corners] == values).all(), "harmonic extension ill-defined"
         table.flags.writeable = False
         g._derived["corner_harmonics"] = table
     return table
@@ -106,7 +104,7 @@ def graph_energy(g: LevelGraph, u_table, v_table=None):
     # fits in int64, past it the terms are summed as Python ints
     if (isinstance(un, np.ndarray) and isinstance(vn, np.ndarray)
             and 4 * g.n_edges * int(np.abs(un).max()) * int(np.abs(vn).max()) < 2**63):
-        a, b = _edge_ends(g)
+        a, b = g.edge_ends
         acc = int(np.dot(un[a] - un[b], vn[a] - vn[b]))
     else:
         un, vn = list(map(int, un)), list(map(int, vn))
@@ -128,16 +126,6 @@ def _vertex_numerators(table):
     if max(max(nums), -min(nums)) * d < 2**62:
         return np.array(nums, dtype=np.int64) * (d // np.array(dens, dtype=np.int64)), d
     return [n * (d // q) for n, q in zip(nums, dens)], d
-
-
-def _edge_ends(g: LevelGraph) -> tuple[np.ndarray, np.ndarray]:
-    """The two end ids of every edge of g, as read-only int64 arrays cached on g."""
-    ends = g._derived.get("edge_ends")
-    if ends is None:
-        ends = np.array(g.edges, dtype=np.int64).T
-        ends.flags.writeable = False
-        g._derived["edge_ends"] = ends
-    return ends[0], ends[1]
 
 
 def harmonic_energy(u):
@@ -184,7 +172,7 @@ class CellGradientTables:
 
         self.level = g.level
         self.words = list(g.cells)
-        self.corners = np.array([g.cells[w] for w in self.words], dtype=np.int64)
+        self.corners = g.corners
         self.scale = 1.5 * (5.0 / 3.0) ** g.level
         pf = np.array(P_INT) / 3
         # b[k] = P A_[w]: the centered corner patterns of (h1,h2,h3) on cell k,

@@ -1,7 +1,9 @@
 """Hausdorff measure, Kusuoka measure, energy measures, singularity diagnostics.
 
 All cell masses are exact Fractions, each built once from integer numerators
-over one denominator (see `exact`). The Kusuoka mass of a cell is
+over one denominator, the tables' from exact.route_table and exact.cell_words
+(kept per level: 13 MB up to MAX_TABLE_LEVEL, 5.9 MB of it words). The
+Kusuoka mass of a cell is
 
     nu(w) = (1/2)(5/3)^m tr(Y_[w]^T Y_[w]),   Y_[w] = Y_{wm} ... Y_{w1},
 
@@ -13,21 +15,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import product
 
 import numpy as np
 
 from .errors import UsageError
 from .exact import (
-    A_INT,
-    BASIS,
     P_INT,
     Y_INT,
-    cell_leaves,
+    cell_words,
     fractions_over,
     pairwise_sq,
     restrict_states,
+    route_table,
     times_numerators,
     to_numerators,
     validate_word,
@@ -35,21 +34,6 @@ from .exact import (
 from .harmonic import _as_triple
 
 MAX_TABLE_LEVEL = 10
-
-
-@cache
-def _unit_leaves(m: int) -> tuple[tuple[str, ...], np.ndarray]:
-    """cell_leaves(m, BASIS, A_INT), filled on first use and kept per level,
-    its array read-only. All levels up to MAX_TABLE_LEVEL take about 12 MB,
-    6.4 MB of leaves and the rest words."""
-    words, leaves = cell_leaves(m, BASIS, A_INT)
-    leaves.flags.writeable = False
-    return tuple(words), leaves
-
-
-def _kusuoka(columns, m: int) -> Fraction:
-    """nu(w) = (1/2)(5/3)^m |Y_[w]|^2 from the columns of Y_[w], numerators over 3 * 5^m."""
-    return Fraction(sum(x * x for col in columns for x in col), 18 * 15**m)
 
 
 @dataclass(frozen=True)
@@ -74,25 +58,24 @@ def hausdorff_mass(word: str) -> Fraction:
 
 def kusuoka_mass(word: str) -> Fraction:
     validate_word(word)
-    # Y-route states are the columns of Y_[w], starting from P's (P_INT is symmetric)
-    return _kusuoka(restrict_states(word, P_INT, Y_INT), len(word))
+    # Y-route states: the columns of Y_[w] over 3 * 5^m from P's (P_INT is symmetric)
+    cols = restrict_states(word, P_INT, Y_INT)
+    return Fraction(sum(x * x for col in cols for x in col), 18 * 15 ** len(word))
 
 
 def hausdorff_measure(m: int) -> CellMeasure:
     if m < 0:
         raise UsageError(f"level {m} is negative")
     mass = Fraction(1, 3) ** m
-    return CellMeasure("hausdorff", m, {"".join(w): mass for w in product("123", repeat=m)})
+    return CellMeasure("hausdorff", m, dict.fromkeys(cell_words(m), mass))
 
 
 def kusuoka_measure(m: int) -> CellMeasure:
     if m > MAX_TABLE_LEVEL:
         raise UsageError(f"table level above guard {MAX_TABLE_LEVEL}")
-    words, cols = cell_leaves(m, P_INT, Y_INT)
-    den = 18 * 15**m  # as in _kusuoka
-    masses = fractions_over((cols * cols).sum(axis=(1, 2))[::-1], den)
+    masses = fractions_over(route_table("Y", m)[::-1], 18 * 15**m)  # as in kusuoka_mass
     # keys in depth-first (reverse lexicographic) order, part of the table's output
-    return CellMeasure("kusuoka", m, dict(zip(reversed(words), masses)))
+    return CellMeasure("kusuoka", m, dict(zip(reversed(cell_words(m)), masses)))
 
 
 def energy_measure_table(u, m: int) -> CellMeasure:
@@ -102,9 +85,8 @@ def energy_measure_table(u, m: int) -> CellMeasure:
     base = _as_triple(u)
     nums, d = to_numerators(base)
     # (3/2)(5/3)^m v^T P v with v = leaf numerators / (5^m d)
-    words, leaves = _unit_leaves(m)
-    sq = pairwise_sq(times_numerators(leaves, nums).T)
-    masses = dict(zip(reversed(words), fractions_over(sq[::-1], 2 * 15**m * d * d)))
+    sq = pairwise_sq(times_numerators(route_table("A", m), nums).T)
+    masses = dict(zip(reversed(cell_words(m)), fractions_over(sq[::-1], 2 * 15**m * d * d)))
     return CellMeasure(f"energy-of({tuple(str(x) for x in base)})", m, masses)
 
 
@@ -119,11 +101,8 @@ def kusuoka_identity_check(m: int) -> Fraction:
     """
     if m > 8:
         raise UsageError("identity check guarded to m <= 8")
-    _, ys = cell_leaves(m, P_INT, Y_INT)
-    _, hs = _unit_leaves(m)  # (cell, corner, j)
-    nu = (ys * ys).sum(axis=(1, 2))
-    q = pairwise_sq(hs.transpose(1, 0, 2)).sum(axis=1)
-    return Fraction(int(np.abs(nu - 3 * q).max()), 18 * 15**m)
+    q = pairwise_sq(route_table("A", m).transpose(1, 0, 2)).sum(axis=1)  # (cell, corner, j)
+    return Fraction(int(np.abs(route_table("Y", m) - 3 * q).max()), 18 * 15**m)
 
 
 def singularity_diagnostic(m: int) -> dict:

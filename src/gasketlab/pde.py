@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from .bsde import (BsdeProblem, _backward, _block_rows, _csr_product, _pinned_terminal,
                    _terminal_values, solve_dp)
 from .errors import UsageError
-from .exact import P_INT, Y_INT, cell_leaves, fractions_over
+from .exact import fractions_over, route_table
 from .gasket import LevelGraph, build_level_graph
 from .harmonic import CellGradientTables
 # not called here: perfbench's tracer shims pde.kusuoka_measure by name
@@ -53,11 +53,9 @@ def _mass_numerators(g: LevelGraph) -> tuple[np.ndarray, int, np.ndarray, int]:
     cells (as kusuoka_measure reads them) over 54 * 15^m. Below 2^53, as a
     mass is at most 1: a float division gives float(Fraction)'s bits."""
     m = g.level
-    words, cols = cell_leaves(m, P_INT, Y_INT)
-    corners = np.array([g.cells[w] for w in words], dtype=np.int64)
     nu_num = np.zeros(g.n_vertices, dtype=np.int64)
-    np.add.at(nu_num, corners, (cols * cols).sum(axis=(1, 2))[:, None])
-    cells = np.bincount(corners.ravel(), minlength=g.n_vertices)
+    np.add.at(nu_num, g.corners, route_table("Y", m)[:, None])
+    cells = np.bincount(g.corners.ravel(), minlength=g.n_vertices)
     nu_den = 3 * 18 * 15**m
     assert nu_den < 2**53  # 7.0e15 at MAX_LEVEL
     return cells, 3 ** (m + 1), nu_num, nu_den
@@ -86,7 +84,7 @@ class WeakPdeSolution:
 def stiffness_matrix(g: LevelGraph) -> sp.csr_matrix:
     """S[i,j] = E^(m)(hat_i, hat_j) = (1/2)(5/3)^m (D - Adj)."""
     con = 0.5 * (5.0 / 3.0) ** g.level
-    a, b = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    a, b = g.edge_ends
     # per edge the entries (a,b), (b,a), (a,a), (b,b), summed in edge order
     return sp.csr_matrix((np.tile([-con, -con, con, con], len(a)),
                           (np.column_stack([a, b, a, b]).ravel(), np.column_stack([b, a, a, b]).ravel())),

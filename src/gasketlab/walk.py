@@ -160,8 +160,7 @@ def build_step_kernel(g: LevelGraph) -> StepKernel:
     hf = h / 5**m
 
     # neighbours in increasing id order, padded with self
-    ends = np.array(g.edges, dtype=np.int64)
-    src, dst = np.unique(np.concatenate([ends, ends[:, ::-1]]), axis=0).T
+    src, dst = np.unique(np.hstack([g.edge_ends, g.edge_ends[::-1]]).T, axis=0).T
     deg = np.bincount(src, minlength=n)
     nbr = np.repeat(np.arange(n)[:, None], 4, axis=1)
     nbr[src, np.arange(len(src)) - (np.cumsum(deg) - deg)[src]] = dst
@@ -225,11 +224,12 @@ class WalkConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.path_count <= 0:
-            raise UsageError(f"path_count must be positive, got {self.path_count}")
-        if self.block_size < 1 or self.workers < 1:
-            raise UsageError(f"block_size and workers must be at least 1, got "
-                             f"{self.block_size} and {self.workers}")
+        for name in ("seed", "path_count", "block_size", "workers"):
+            x = getattr(self, name)
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise UsageError(f"{name} must be an integer, got {x!r}")
+            if name != "seed" and x < 1:
+                raise UsageError(f"{name} must be at least 1, got {x}")
         layer_count(self.horizon, step_duration(self.level))  # reject an empty walk
 
     @property
@@ -776,8 +776,8 @@ def expint_estimate(cfg: WalkConfig, kernel: StepKernel, beta: float,
     mode. Accumulation is done on log weights; the estimate is flagged
     unstable when the samples are heavy-tailed (see heavy_tailed).
     """
-    if beta < 0:
-        raise UsageError("beta must be nonnegative")
+    if not (math.isfinite(beta) and beta >= 0):
+        raise UsageError(f"beta must be finite and >= 0, got {beta}")
     layer = cfg.n_steps if t is None else layer_at(t, kernel.dt, cfg.horizon)
     qv = _run_blocks(cfg, kernel, g, layers=(layer,))["clock"][:, 0]
 

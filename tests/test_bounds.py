@@ -93,6 +93,28 @@ def test_ml_domain_errors():
         mittag_leffler(-0.5, 1.0, 1.0)
     with pytest.raises(OverflowError):
         mittag_leffler(0.2, 1.0, 500.0)
+    with pytest.raises(NumericOverflowError):  # kept for +inf: _ml_rhs maps it to inf
+        mittag_leffler(0.5, 1.0, math.inf)
+
+
+@pytest.mark.parametrize("a, b, z, name", [
+    (math.nan, 1.0, 1.0, "parameter a"),  # NaN used to run 100 000 terms, then "did not settle"
+    (math.inf, 1.0, 1.0, "parameter a"),
+    (-math.inf, 1.0, 1.0, "parameter a"),
+    (0.5, math.nan, -1.0, "parameter b"),
+    (0.5, math.inf, 1.0, "parameter b"),
+    (GAMMA_S, 1.0, math.nan, "argument z"),
+    (1.0, 1.0, math.nan, "argument z"),
+])
+def test_ml_rejects_nan_and_infinite_parameters(a, b, z, name):
+    with pytest.raises(UsageError, match=name):
+        mittag_leffler(a, b, z)
+
+
+@pytest.mark.parametrize("a", (1.0, 0.5, GAMMA_S))
+def test_ml_at_minus_infinity_is_its_limit(a):
+    # (0.5, 1, -inf) used to return NaN from the integral route
+    assert mittag_leffler(a, 1.0, -math.inf) == 0.0
 
 
 def test_ml_overflow_is_a_package_error():

@@ -1,11 +1,14 @@
 """Combinatorics and exact geometry of the level graphs."""
 
+import dataclasses
 from fractions import Fraction
 
 import graph_oracle
+import numpy as np
 import pytest
 
 from gasketlab import CapacityError, UsageError, build_level_graph, cell_corners, neighbors
+from gasketlab.exact import cell_words
 from gasketlab.gasket import BOUNDARY_COORDS, graph_to_json
 
 
@@ -37,6 +40,26 @@ def test_graph_equals_fraction_midpoint_oracle(graphs, m):
     assert list(g.index_by_coord.items()) == list(ref.index_by_coord.items())
     for v in range(ref.n_vertices):
         assert g.cells_at_vertex(v) == ref.cells_at_vertex(v)
+
+
+@pytest.mark.parametrize("m", range(0, 7))
+def test_graph_arrays_follow_the_route_word_order(graphs, m):
+    # __post_init__ builds the arrays, so the oracle's hand-built graph has
+    # them too; row c of corners is the c-th word of exact.cell_words, the
+    # row order of every route table
+    for g in (graphs(m), graph_oracle.build_level_graph(m)):
+        assert g.corners.dtype == g.edge_ends.dtype == np.int64
+        assert g.corners.tolist() == [list(g.cells[w]) for w in cell_words(m)]
+        assert g.edge_ends.T.tolist() == [list(e) for e in g.edges]
+        for a in (g.corners, g.edge_ends):
+            with pytest.raises(ValueError):
+                a[0, 0] = 7
+
+
+def test_graph_rejects_cells_out_of_word_order(graphs):
+    g = graphs(2)
+    with pytest.raises(UsageError, match="lexicographic"):
+        dataclasses.replace(g, cells=dict(reversed(g.cells.items())))
 
 
 def test_base_counts(graphs):

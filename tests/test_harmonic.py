@@ -202,7 +202,7 @@ def python_int_graph_energy(g, u_table, v_table):
 
 
 @pytest.mark.parametrize("m", (0, 1, 3, 5))
-def test_graph_energy_routes_equal_python_int_sum(graphs, monkeypatch, m):
+def test_graph_energy_routes_equal_python_int_sum(graphs, m):
     # the int64 edge sum runs only under its bound: extended triples and
     # small ints take it; numerators past 2^62, or int64 numerators whose
     # edge terms could pass 2^63, are summed as Python ints
@@ -215,15 +215,25 @@ def test_graph_energy_routes_equal_python_int_sum(graphs, monkeypatch, m):
     wide = [Fraction(2**40 + int(x), 3) for x in rng.integers(0, 1000, g.n_vertices)]
     assert isinstance(harmonic._vertex_numerators(huge)[0], list)
     assert isinstance(harmonic._vertex_numerators(wide)[0], np.ndarray)
-    int64_sums = []
-    ends = harmonic._edge_ends
-    monkeypatch.setattr(harmonic, "_edge_ends", lambda g: int64_sums.append(1) or ends(g))
     for u, v, int64 in ((small, small, True), (small, other, True), (ints, small, True),
                         (huge, huge, False), (small, huge, False), (wide, wide, False),
                         (wide, ints, True)):
-        int64_sums.clear()
-        assert graph_energy(g, u, v) == python_int_graph_energy(g, u, v)
-        assert int64_sums == ([1] if int64 else [])
+        spy = EdgeReadSpy(g)
+        assert graph_energy(spy, u, v) == python_int_graph_energy(g, u, v)
+        # the int64 sum reads the edge array, the Python-int sum the edge tuple
+        assert spy.reads == (["edge_ends"] if int64 else ["edges"])
+
+
+class EdgeReadSpy:
+    """g, recording each read of its edge tuple or its edge array."""
+
+    def __init__(self, g):
+        self._g, self.reads = g, []
+
+    def __getattr__(self, name):
+        if name in ("edges", "edge_ends"):
+            self.reads.append(name)
+        return getattr(self._g, name)
 
 
 # --- cell energy measures --------------------------------------------------------

@@ -103,30 +103,6 @@ def test_extension_and_corner_harmonics_equal_oracle(graphs, m):
     assert harmonic_extend_to_level(TRIPLES[1], m) == extension_oracle(TRIPLES[1], g)
 
 
-def test_corner_harmonics_one_traversal_per_graph(monkeypatch):
-    # the step kernel, the gradient tables and every extension share the
-    # table cached on the graph: one A-route traversal per graph, read-only
-    from gasketlab import build_level_graph, build_step_kernel, harmonic
-    from gasketlab.harmonic import CellGradientTables
-
-    calls = []
-
-    def spy(m, root, gens):
-        calls.append(m)
-        return cell_leaves(m, root, gens)
-
-    monkeypatch.setattr(harmonic, "cell_leaves", spy)
-    for m in (3, 4):
-        g = build_level_graph(m)
-        build_step_kernel(g)
-        CellGradientTables(g)
-        for u in TRIPLES[:10]:
-            harmonic_extend_to_level(u, m, g)
-        table = corner_harmonics(g)
-        assert table is corner_harmonics(g) and not table.flags.writeable
-    assert calls == [3, 4]
-
-
 def entry_bound(root, gens, m):
     """Entrywise bound, in Python ints, on every level-m leaf state.
 
@@ -282,26 +258,48 @@ def test_kusuoka_table_and_masses_equal_the_fraction_oracle(graphs, m):
     same_fractions(nu_got, want_nu)
 
 
-def test_energy_tables_share_one_read_only_traversal_per_level(monkeypatch):
-    from gasketlab import measures
+def test_each_fixed_route_is_traversed_once_per_level(monkeypatch):
+    # every table over the A and Y routes reads exact.route_table: in one
+    # process, two graphs a level and every consumer make one traversal per
+    # (route, level), and each cached table is read-only. The spy stands in
+    # for cell_leaves in every module, so a direct call is counted too
+    from gasketlab import (build_level_graph, build_step_kernel, exact, gasket, graph_energy,
+                           harmonic, harmonic_energy, measures, pde, walk)
+    from gasketlab.harmonic import CellGradientTables
 
     calls = []
+    route_of = {id(A_INT): "A", id(Y_INT): "Y", id(MID_INT): "mid"}
 
     def spy(m, root, gens):
-        calls.append(m)
+        calls.append((route_of[id(gens)], m))
         return cell_leaves(m, root, gens)
 
-    measures._unit_leaves.cache_clear()
-    monkeypatch.setattr(measures, "cell_leaves", spy)
-    for u in TRIPLES + PYTHON_INT_TRIPLES:
-        for m in (2, 3):
-            assert list(energy_measure_table(u, m).masses.items()) == \
-                list(energy_oracle(u, m).items())
-    assert kusuoka_identity_check(3) == 0
-    assert calls == [2, 3, 3]  # the identity check's Y-route traversal is its own
-    for m in (2, 3):
-        words, leaves = measures._unit_leaves(m)
-        assert not leaves.flags.writeable and type(words) is tuple
-        with pytest.raises(ValueError):
-            leaves[0, 0, 0] = 7
-    measures._unit_leaves.cache_clear()
+    exact.route_table.cache_clear()
+    for module in (exact, gasket, harmonic, measures, pde, walk):
+        monkeypatch.setattr(module, "cell_leaves", spy, raising=False)
+    try:
+        for m in (3, 4):
+            for _ in range(2):
+                g = build_level_graph(m)
+                build_step_kernel(g)
+                CellGradientTables(g)
+                for u in TRIPLES[:10]:
+                    assert graph_energy(g, harmonic_extend_to_level(u, m, g)) == harmonic_energy(u)
+                mu, nu = assemble_masses(g)
+                assert sum(mu) == sum(nu) == 1
+                table = corner_harmonics(g)
+                assert table is corner_harmonics(g) and not table.flags.writeable
+            for u in TRIPLES + PYTHON_INT_TRIPLES:
+                assert list(energy_measure_table(u, m).masses.items()) == \
+                    list(energy_oracle(u, m).items())
+            assert list(kusuoka_measure(m).masses.items()) == list(kusuoka_oracle(m).items())
+            assert kusuoka_identity_check(m) == 0
+        assert sorted(calls) == [("A", 3), ("A", 4), ("Y", 3), ("Y", 4)] + [("mid", 3)] * 2 + \
+            [("mid", 4)] * 2  # the midpoint route builds each graph
+        for route in ("A", "Y"):
+            for m in (3, 4):
+                with pytest.raises(ValueError):
+                    exact.route_table(route, m).flat[0] = 7
+        assert type(exact.cell_words(4)) is tuple
+    finally:
+        exact.route_table.cache_clear()

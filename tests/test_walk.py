@@ -754,10 +754,25 @@ def test_nonpositive_path_count_rejected(kernels, graphs, paths):
     ("block_size", -5),  # used to raise ValueError: no array to concatenate
     ("workers", 0),      # used to run serially without a word
     ("workers", -3),
+    # and every count that is not an integer (numpy integers are)
+    ("seed", 1.5),       # used to walk seed 1's streams
+    ("seed", True),
+    ("path_count", 2.5),  # used to end in a bare TypeError
+    ("path_count", np.float64(20)),
+    ("block_size", 2.5),
+    ("workers", 2.0),
+    ("workers", "2"),
 ])
 def test_nonpositive_block_knobs_rejected(knob, value):
     with pytest.raises(UsageError, match=knob):
-        WalkConfig(level=1, horizon=0.5, path_count=10, **{knob: value})
+        WalkConfig(level=1, horizon=0.5, **{"path_count": 10, knob: value})
+
+
+def test_walk_config_takes_numpy_integers(kernels, graphs):
+    ints = dict(path_count=40, seed=3, block_size=15, workers=1)
+    cfg = WalkConfig(level=1, horizon=0.5, **{k: np.int32(v) for k, v in ints.items()})
+    assert ensemble_qv_stats(cfg, kernels(1), graphs(1)) == \
+        ensemble_qv_stats(WalkConfig(level=1, horizon=0.5, **ints), kernels(1), graphs(1))
 
 
 def test_horizon_rounding_to_no_step_rejected():
@@ -916,6 +931,14 @@ def test_expint_negative_beta_rejected(kernels, graphs):
     cfg = WalkConfig(level=2, horizon=0.5, path_count=10, seed=4)
     with pytest.raises(UsageError):
         expint_estimate(cfg, kernels(2), -0.5, g=graphs(2))
+
+
+@pytest.mark.parametrize("beta", (math.nan, math.inf, -math.inf))
+def test_expint_beta_that_is_not_finite_rejected(kernels, graphs, beta):
+    # NaN used to give estimate nan, ci95 (nan, nan) and unstable False
+    cfg = WalkConfig(level=1, horizon=0.2, path_count=50, seed=1)
+    with pytest.raises(UsageError, match="finite and >= 0"):
+        expint_estimate(cfg, kernels(1), beta, g=graphs(1))
 
 
 def test_step_duration():
