@@ -103,6 +103,36 @@ def test_extension_and_corner_harmonics_equal_oracle(graphs, m):
     assert harmonic_extend_to_level(TRIPLES[1], m) == extension_oracle(TRIPLES[1], g)
 
 
+def test_corner_harmonics_one_traversal_per_graph(monkeypatch):
+    # the step kernel, the gradient tables and every extension share the
+    # table cached on the graph, scattered from the one cached A-route
+    # table: one A-route traversal per level, whatever the graph, read-only
+    from gasketlab import build_level_graph, build_step_kernel, exact
+    from gasketlab.harmonic import CellGradientTables
+
+    calls = []
+
+    def spy(m, root, gens):
+        calls.append(m)
+        return cell_leaves(m, root, gens)
+
+    exact.route_table.cache_clear()
+    monkeypatch.setattr(exact, "cell_leaves", spy)
+    try:
+        for m in (3, 4):
+            for _ in range(2):
+                g = build_level_graph(m)
+                build_step_kernel(g)
+                CellGradientTables(g)
+                for u in TRIPLES[:10]:
+                    harmonic_extend_to_level(u, m, g)
+                table = corner_harmonics(g)
+                assert table is corner_harmonics(g) and not table.flags.writeable
+        assert calls == [3, 4]
+    finally:
+        exact.route_table.cache_clear()
+
+
 def entry_bound(root, gens, m):
     """Entrywise bound, in Python ints, on every level-m leaf state.
 
@@ -256,6 +286,34 @@ def test_kusuoka_table_and_masses_equal_the_fraction_oracle(graphs, m):
     mu_got, nu_got = assemble_masses(g)
     same_fractions(mu_got, want_mu)
     same_fractions(nu_got, want_nu)
+
+
+def test_energy_tables_share_one_read_only_traversal_per_level(monkeypatch):
+    from gasketlab import exact
+
+    calls = []
+    route_of = {id(A_INT): "A", id(Y_INT): "Y"}
+
+    def spy(m, root, gens):
+        calls.append((route_of[id(gens)], m))
+        return cell_leaves(m, root, gens)
+
+    exact.route_table.cache_clear()
+    monkeypatch.setattr(exact, "cell_leaves", spy)
+    try:
+        for u in TRIPLES + PYTHON_INT_TRIPLES:
+            for m in (2, 3):
+                assert list(energy_measure_table(u, m).masses.items()) == \
+                    list(energy_oracle(u, m).items())
+        assert kusuoka_identity_check(3) == 0
+        assert calls == [("A", 2), ("A", 3), ("Y", 3)]  # the identity check reads the Y route too
+        for m in (2, 3):
+            leaves = exact.route_table("A", m)
+            assert not leaves.flags.writeable and type(exact.cell_words(m)) is tuple
+            with pytest.raises(ValueError):
+                leaves[0, 0, 0] = 7
+    finally:
+        exact.route_table.cache_clear()
 
 
 def test_each_fixed_route_is_traversed_once_per_level(monkeypatch):
